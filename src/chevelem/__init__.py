@@ -36,7 +36,6 @@ from .exactring import (
     localize_eq,
     monic_divrem,
     parse_poly,
-    poly_op,
 )
 from .rootdata import (
     GroupMatrix,

@@ -456,19 +456,6 @@ class MultiPoly:
         return emit_poly(self)
 
 
-def poly_op(kind: str, p: MultiPoly, q: MultiPoly | None = None) -> MultiPoly:
-    """Named ring operation: kind in {"add", "mul", "neg"}."""
-    if kind == "neg":
-        return -p
-    if q is None:
-        raise ValueError("binary operation %r needs two operands" % kind)
-    if kind == "add":
-        return p + q
-    if kind == "mul":
-        return p * q
-    raise ValueError("unknown operation %r" % kind)
-
-
 # ---------------------------------------------------------------------------
 # annihilators and localization equality
 
@@ -640,24 +627,6 @@ def _coeff_in_var(p: MultiPoly, var: int, deg: int) -> MultiPoly:
     return MultiPoly(p.base, p.nvars, out)
 
 
-def as_univariate_in(p: MultiPoly, var: int) -> dict:
-    """View as {degree in var: coefficient poly (var-free)}."""
-    out: dict = {}
-    for e, c in p.terms.items():
-        d = e[var]
-        e2 = tuple(0 if i == var else x for i, x in enumerate(e))
-        coeff = out.get(d)
-        if coeff is None:
-            out[d] = {e2: c}
-        else:
-            coeff[e2] = coeff.get(e2, 0) + c
-    return {
-        d: MultiPoly(p.base, p.nvars, terms)
-        for d, terms in out.items()
-        if any(p.base.normalize(v) != 0 for v in terms.values())
-    }
-
-
 class MonicLocElem:
     """Element numerator / denom^power of a monic localization.
 
@@ -682,10 +651,6 @@ class MonicLocElem:
         self.num = num
         self.den = den
         self.power = power
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "MonicLocElem":
-        return MonicLocElem(p)
 
     @property
     def base(self) -> BaseRing:

@@ -31,11 +31,19 @@ from .exactring import (
     monic_divrem,
 )
 from .localglobal import CoveringData, dilation_factor, patch
-from .rootdata import GroupMatrix, RootSystem, membership_check
+from .rootdata import (
+    GroupMatrix,
+    RootSystem,
+    _det,
+    column_update,
+    membership_check,
+    row_update,
+)
 from .words import (
     ElemWord,
     eval_word,
     free_reduce,
+    reduce_letters,
     shift_word_base,
 )
 
@@ -179,48 +187,56 @@ def _leading_coeff(p: MultiPoly, var: int):
 
 
 class _OpRecorder:
-    """Mutable matrix with left/right unipotent moves, recorded for replay."""
+    """Mutable matrix with left/right unipotent moves, recorded for replay.
 
-    def __init__(self, g: GroupMatrix):
-        self.rs = g.rs
-        self.base = g.base
-        self.nvars = g.nvars
-        self.m = [list(row) for row in g.entries]
+    Entries are MultiPoly or MonicLocElem; one is the unit of their ring.
+    """
+
+    def __init__(self, rs: RootSystem, rows, one):
+        self.rs = rs
+        self.base = one.base
+        self.nvars = one.nvars
+        self.one = one
+        self.m = [list(row) for row in rows]
         self.left: list = []
         self.right: list = []
 
-    def lmul(self, root, t: MultiPoly) -> None:
+    def lmul(self, root, t) -> None:
         if t.is_zero():
             return
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((r, [coeff * p for p in self.m[c]]))
-        for r, add in updates:
-            self.m[r] = [a + b for a, b in zip(self.m[r], add)]
+        row_update(self.m, self.rs.unipotent_terms[root], t)
         self.left.append((root, t))
 
-    def rmul(self, root, t: MultiPoly) -> None:
+    def rmul(self, root, t) -> None:
         if t.is_zero():
             return
-        size = len(self.m)
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((c, [coeff * self.m[i][r] for i in range(size)]))
-        for c, add in updates:
-            for i in range(size):
-                self.m[i][c] = self.m[i][c] + add[i]
+        column_update(self.m, self.rs.unipotent_terms[root], t)
         self.right.append((root, t))
+
+    def entry_is(self, i: int, j: int, want_one: bool) -> bool:
+        e = self.m[i][j]
+        return e == self.one if want_one else e.is_zero()
+
+    def is_identity(self) -> bool:
+        size = len(self.m)
+        return all(
+            self.entry_is(i, j, i == j) for i in range(size) for j in range(size)
+        )
 
     def matrix(self) -> GroupMatrix:
         return GroupMatrix(self.rs, self.m)
 
+    def inverse_letters(self) -> tuple:
+        """(left, right) letter lists with left * current * right = original."""
+        return (
+            [(root, -t) for root, t in self.left],
+            [(root, -t) for root, t in reversed(self.right)],
+        )
+
     def word(self) -> ElemWord:
         """Word w with eval(w) * current = original."""
-        letters = [(root, -t) for root, t in self.left]
-        letters += [(root, -t) for root, t in reversed(self.right)]
-        return ElemWord(self.rs, letters)
+        left, right = self.inverse_letters()
+        return ElemWord(self.rs, left + right)
 
 
 def _root_a(n_ambient: int, i: int, j: int):
@@ -251,7 +267,7 @@ def _c_roots(n: int):
 
 def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
     size = len(rec.m)
-    one = MultiPoly.const(rec.base, rec.nvars, 1)
+    one = rec.one
     for col in range(size):
         while True:
             nz = [r for r in range(col, size) if ctx.size(rec.m[r][col]) != 0]
@@ -289,7 +305,7 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
     size = 2 * n
     star = lambda i: size - 1 - i
     minus, plus, long_root = _c_roots(n)
-    one = MultiPoly.const(rec.base, rec.nvars, 1)
+    one = rec.one
 
     def neg(v):
         return tuple(-x for x in v)
@@ -368,20 +384,14 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
 
 def _assert_stage_clean(rec: _OpRecorder, idx: int, partner: int) -> None:
     size = len(rec.m)
-    one_c = rec.base.one()
     for fixed in (idx, partner):
         for c in range(size):
-            for p in (rec.m[fixed][c], rec.m[c][fixed]):
-                if c == fixed:
-                    if not (p.is_constant() and p.constant_term() == one_c):
-                        raise NotInGroup("matrix does not preserve the symplectic form")
-                elif not p.is_zero():
-                    raise NotInGroup("matrix does not preserve the symplectic form")
+            if not (rec.entry_is(fixed, c, c == fixed) and rec.entry_is(c, fixed, c == fixed)):
+                raise NotInGroup("matrix does not preserve the symplectic form")
 
 
 def _finish_reduction(g: GroupMatrix, rec: _OpRecorder) -> ElemWord:
-    final = rec.matrix()
-    if not final.is_identity():
+    if not rec.is_identity():
         raise NotInGroup("reduction did not reach the identity")
     word = free_reduce(rec.word())
     if eval_word(word, g.base, g.nvars) != g:
@@ -396,7 +406,7 @@ def factor_integer_sl(g: GroupMatrix) -> ElemWord:
         raise PreconditionViolated("type A matrix expected")
     if not membership_check(g, g.rs):
         raise NotInGroup("determinant is not 1")
-    rec = _OpRecorder(g)
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     _reduce_type_a(rec, _IntScalars(g.base, g.nvars))
     return _finish_reduction(g, rec)
 
@@ -408,7 +418,7 @@ def factor_integer_sp(g: GroupMatrix) -> ElemWord:
         raise PreconditionViolated("type C matrix expected")
     if not membership_check(g, g.rs):
         raise NotInGroup("matrix does not preserve the symplectic form")
-    rec = _OpRecorder(g)
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     _reduce_type_c(rec, _IntScalars(g.base, g.nvars))
     return _finish_reduction(g, rec)
 
@@ -435,7 +445,7 @@ def factor_univar_euclidean(g: GroupMatrix, var: int = 0) -> ElemWord:
                     raise PreconditionViolated("entries must be univariate")
     if not membership_check(g, g.rs):
         raise NotInGroup("matrix fails the group invariant")
-    rec = _OpRecorder(g)
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     ctx = _FieldPolyScalars(g.base, g.nvars, var)
     if g.rs.kind == "A":
         _reduce_type_a(rec, ctx)
@@ -469,13 +479,7 @@ class MonicWord:
         one = MonicLocElem(MultiPoly.const(base, nvars, 1))
         m = [[one if i == j else zero for j in range(size)] for i in range(size)]
         for root, arg in self.letters:
-            updates = []
-            for r, c, sign in self.rs.unipotent_terms[root]:
-                coeff = arg if sign == 1 else -arg
-                updates.append((c, [coeff * m[i][r] for i in range(size)]))
-            for c, add in updates:
-                for i in range(size):
-                    m[i][c] = m[i][c] + add[i]
+            column_update(m, self.rs.unipotent_terms[root], arg)
         return m
 
     def to_elem_word(self, base: BaseRing) -> ElemWord:
@@ -486,36 +490,6 @@ class MonicWord:
                 raise PreconditionViolated("word still carries monic denominators")
             letters.append((root, convert(red.num, base)))
         return ElemWord(self.rs, letters)
-
-
-def _monic_det(entries, base: BaseRing, nvars: int) -> MonicLocElem:
-    size = len(entries)
-    memo: dict = {}
-    one = MonicLocElem(MultiPoly.const(base, nvars, 1))
-    zero = MonicLocElem(MultiPoly.zero(base, nvars))
-
-    def rec(row: int, colmask: int) -> MonicLocElem:
-        if row == size:
-            return one
-        hit = memo.get(colmask)
-        if hit is not None:
-            return hit
-        acc = zero
-        sign = 1
-        for c in range(size):
-            bit = 1 << c
-            if not colmask & bit:
-                continue
-            p = entries[row][c]
-            if not p.is_zero():
-                sub = rec(row + 1, colmask & ~bit)
-                term = p * sub
-                acc = acc + (term if sign == 1 else -term)
-            sign = -sign
-        memo[colmask] = acc
-        return acc
-
-    return rec(0, (1 << size) - 1)
 
 
 def _p_valuation(q: Fraction, p: int) -> int:
@@ -546,12 +520,9 @@ def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
     red = e.reduce()
     if red.num.is_zero():
         return None
-    d = red.num.degree_in(var)
-    lead = None
-    for exps, c in red.num.terms.items():
-        if exps[var] == d and all(x == 0 for i, x in enumerate(exps) if i != var):
-            lead = c
-    if lead is None:
+    try:
+        lead = _leading_coeff(red.num, var)
+    except PreconditionViolated:
         return None
     if _p_valuation(Fraction(lead), p) != 0:
         return None
@@ -563,71 +534,7 @@ def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
     return MonicLocElem(den_poly, monic_num, 1)
 
 
-class _MonicRecorder:
-    """Op recorder over matrices of MonicLocElem."""
-
-    def __init__(self, rs: RootSystem, entries, base: BaseRing, nvars: int):
-        self.rs = rs
-        self.base = base
-        self.nvars = nvars
-        self.m = [list(row) for row in entries]
-        self.left: list = []
-        self.right: list = []
-        self.one = MonicLocElem(MultiPoly.const(base, nvars, 1))
-        self.zero = MonicLocElem(MultiPoly.zero(base, nvars))
-
-    def lmul(self, root, t: MonicLocElem) -> None:
-        if t.is_zero():
-            return
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((r, [coeff * p for p in self.m[c]]))
-        for r, add in updates:
-            self.m[r] = [a + b for a, b in zip(self.m[r], add)]
-        self.left.append((root, t))
-
-    def rmul(self, root, t: MonicLocElem) -> None:
-        if t.is_zero():
-            return
-        size = len(self.m)
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((c, [coeff * self.m[i][r] for i in range(size)]))
-        for c, add in updates:
-            for i in range(size):
-                self.m[i][c] = self.m[i][c] + add[i]
-        self.right.append((root, t))
-
-    def word(self) -> MonicWord:
-        letters = [(root, -t) for root, t in self.left]
-        letters += [(root, -t) for root, t in reversed(self.right)]
-        merged: list = []
-        for root, t in letters:
-            if t.is_zero():
-                continue
-            if merged and merged[-1][0] == root:
-                summed = merged[-1][1] + t
-                merged.pop()
-                if not summed.is_zero():
-                    merged.append((root, summed))
-            else:
-                merged.append((root, t))
-        return MonicWord(self.rs, merged)
-
-    def entry_is(self, i: int, j: int, want_one: bool) -> bool:
-        e = self.m[i][j]
-        return (e - self.one).is_zero() if want_one else e.is_zero()
-
-    def is_identity(self) -> bool:
-        size = len(self.m)
-        return all(
-            self.entry_is(i, j, i == j) for i in range(size) for j in range(size)
-        )
-
-
-def _monic_pivot_hunt(rec: _MonicRecorder, rows, col: int, p: int, var: int, budget_steps: list):
+def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, var: int, budget_steps: list):
     """Find or construct an invertible entry in the column; returns its row."""
     for r in rows:
         if _monic_invertible(rec.m[r][col], p, var) is not None:
@@ -691,14 +598,14 @@ def factor_monic_localized(
         for e in row:
             if not (_is_p_integral(e.num, p) and _is_p_integral(e.den, p)):
                 raise PreconditionViolated("entries must be p-integral")
-    det = _monic_det(entries, base, nvars)
     one = MonicLocElem(MultiPoly.const(base, nvars, 1))
+    det = _det(entries, one, MonicLocElem(MultiPoly.zero(base, nvars)))
     if rs.kind == "A" and not (det - one).is_zero():
         raise NotInGroup("determinant is not 1 in the monic localization")
     if rs.kind == "C" and not (det - one).is_zero():
         raise NotInGroup("symplectic matrices have determinant 1")
 
-    rec = _MonicRecorder(rs, entries, base, nvars)
+    rec = _OpRecorder(rs, entries, one)
     steps = [budget.max_steps]
     if rs.kind == "A":
         _monic_reduce_a(rec, p, var, steps)
@@ -706,7 +613,8 @@ def factor_monic_localized(
         _monic_reduce_c(rec, p, var, steps)
     if not rec.is_identity():
         raise DescentBudgetExceeded("reduction stalled before the identity")
-    word = rec.word()
+    left, right = rec.inverse_letters()
+    word = MonicWord(rs, reduce_letters(left + right))
     check = word.eval(base, nvars)
     for i in range(size):
         for j in range(size):
@@ -719,7 +627,7 @@ def factor_monic_localized(
     return word
 
 
-def _monic_reduce_a(rec: _MonicRecorder, p: int, var: int, steps: list) -> None:
+def _monic_reduce_a(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
     size = len(rec.m)
     one = rec.one
     for col in range(size):
@@ -752,7 +660,7 @@ def _monic_reduce_a(rec: _MonicRecorder, p: int, var: int, steps: list) -> None:
                 rec.rmul(_root_a(size, col, c), -rec.m[col][c])
 
 
-def _monic_reduce_c(rec: _MonicRecorder, p: int, var: int, steps: list) -> None:
+def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
     n = rec.rs.rank
     size = 2 * n
     star = lambda i: size - 1 - i
@@ -821,12 +729,7 @@ def _monic_reduce_c(rec: _MonicRecorder, p: int, var: int, steps: list) -> None:
         val = rec.m[stage][star(stage)]
         if not val.is_zero():
             rec.rmul(long_root(stage, 1), -val)
-        for fixed in (stage, star(stage)):
-            for c in range(size):
-                if not rec.entry_is(fixed, c, c == fixed):
-                    raise NotInGroup("matrix does not preserve the symplectic form")
-                if not rec.entry_is(c, fixed, c == fixed):
-                    raise NotInGroup("matrix does not preserve the symplectic form")
+        _assert_stage_clean(rec, stage, star(stage))
 
 
 def descend_monic(
@@ -873,38 +776,51 @@ def descend_monic(
 # the greedy heuristic
 
 
-def try_divide(a: MultiPoly, b: MultiPoly):
-    """Exact quotient a / b, or None.  Graded-lex leading-term division."""
-    if b.is_zero():
-        return None
-    if a.is_zero():
-        return MultiPoly.zero(a.base, a.nvars)
+def _leading_monomial(p: MultiPoly) -> tuple:
+    """Graded-lex leading exponent of a nonzero polynomial."""
+    return max(p.terms, key=lambda e: (sum(e), e))
+
+
+def _leading_term_division(a: MultiPoly, b: MultiPoly, limit: int):
+    """Strip leading terms of a against b, at most limit times.
+
+    Stops early when a leading exponent or coefficient does not divide.
+    Returns (quotient terms, remainder)."""
     base = a.base
     q_terms: dict = {}
     r = a
-    lead_b = max(b.terms, key=lambda e: (sum(e), e))
+    lead_b = _leading_monomial(b)
     cb = b.terms[lead_b]
     steps = 0
-    limit = 4 * (len(a.terms) + len(b.terms) + 4)
-    while not r.is_zero():
+    while not r.is_zero() and steps < limit:
         steps += 1
-        if steps > limit:
-            return None
-        lead_r = max(r.terms, key=lambda e: (sum(e), e))
+        lead_r = _leading_monomial(r)
         cr = r.terms[lead_r]
         exps = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(e < 0 for e in exps):
-            return None
+            break
         if base.kind == "Fp":
             coeff = cr * pow(cb, -1, base.param) % base.param
         else:
             try:
                 coeff = base.from_fraction(Fraction(cr) / Fraction(cb))
             except Exception:
-                return None
+                break
         q_terms[exps] = coeff
         r = r - MultiPoly(base, a.nvars, {exps: coeff}) * b
-    return MultiPoly(base, a.nvars, q_terms)
+    return q_terms, r
+
+
+def try_divide(a: MultiPoly, b: MultiPoly):
+    """Exact quotient a / b, or None.  Graded-lex leading-term division."""
+    if b.is_zero():
+        return None
+    if a.is_zero():
+        return MultiPoly.zero(a.base, a.nvars)
+    q_terms, r = _leading_term_division(a, b, 4 * (len(a.terms) + len(b.terms) + 4))
+    if not r.is_zero():
+        return None
+    return MultiPoly(a.base, a.nvars, q_terms)
 
 
 def _poly_size(p: MultiPoly, degw: int = 1, bitw: int = 1) -> int:
@@ -938,40 +854,18 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     move argument that strips a's leading terms against b."""
     if a.is_zero() or b.is_zero():
         return None
-    base = a.base
-    q_terms: dict = {}
-    r = a
-    lead_b = max(b.terms, key=lambda e: (sum(e), e))
-    cb = b.terms[lead_b]
-    limit = 2 * len(a.terms) + 8
-    steps = 0
-    while not r.is_zero() and steps < limit:
-        steps += 1
-        lead_r = max(r.terms, key=lambda e: (sum(e), e))
-        cr = r.terms[lead_r]
-        exps = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(e < 0 for e in exps):
-            break
-        if base.kind == "Fp":
-            coeff = cr * pow(cb, -1, base.param) % base.param
-        else:
-            try:
-                coeff = base.from_fraction(Fraction(cr) / Fraction(cb))
-            except Exception:
-                break
-        q_terms[exps] = coeff
-        r = r - MultiPoly(base, a.nvars, {exps: coeff}) * b
+    q_terms, _ = _leading_term_division(a, b, 2 * len(a.terms) + 8)
     if not q_terms:
         return None
-    return MultiPoly(base, a.nvars, q_terms)
+    return MultiPoly(a.base, a.nvars, q_terms)
 
 
 def _leading_floor_candidates(tgt: MultiPoly, src: MultiPoly):
     """Integer-Euclid steps on leading coefficients: floor and round."""
     if tgt.base.kind != "Z":
         return
-    lead_t = max(tgt.terms, key=lambda e: (sum(e), e))
-    lead_s = max(src.terms, key=lambda e: (sum(e), e))
+    lead_t = _leading_monomial(tgt)
+    lead_s = _leading_monomial(src)
     exps = tuple(x - y for x, y in zip(lead_t, lead_s))
     if any(e < 0 for e in exps):
         return
@@ -984,8 +878,12 @@ def _leading_floor_candidates(tgt: MultiPoly, src: MultiPoly):
 
 
 def _candidate_args(m, rs: RootSystem, root, side: str):
-    """Division-derived argument candidates for one unipotent move."""
-    out = set()
+    """Division-derived argument candidates for one unipotent move.
+
+    A dict serves as an insertion-ordered set: iterating a set of
+    polynomials would follow string hashing and make tie-breaks, hence
+    certificates, depend on the interpreter's hash seed."""
+    out: dict = {}
     size = len(m)
     r1, c1, s1 = rs.unipotent_terms[root][0]
     pairs = []
@@ -1000,10 +898,10 @@ def _candidate_args(m, rs: RootSystem, root, side: str):
             continue
         for q in (try_divide(tgt, src), partial_quotient(tgt, src)):
             if q is not None and not q.is_zero():
-                out.add(-q if s1 == 1 else q)
+                out[-q if s1 == 1 else q] = None
         for q in _leading_floor_candidates(tgt, src):
-            out.add(-q if s1 == 1 else q)
-    return out
+            out[-q if s1 == 1 else q] = None
+    return list(out)
 
 
 def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int = 1, bitw: int = 1) -> int:
@@ -1140,7 +1038,7 @@ def _rank1_update(rec: _OpRecorder) -> bool:
     )
     for root, t in reversed(full):
         rec.lmul(root, t)
-    return GroupMatrix(rec.rs, rec.m).is_identity()
+    return rec.is_identity()
 
 
 _STRATEGIES = (
@@ -1182,7 +1080,7 @@ def _restore(rec: _OpRecorder, snap) -> None:
 
 def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int) -> _OpRecorder:
     """One strictly-descending greedy run with a two-ply escape at stalls."""
-    rec = _OpRecorder(g)
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     rs = g.rs
     steps = 0
     while steps < max_steps:
@@ -1259,23 +1157,21 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
             best_rec, best_score = rec, score
     rec = best_rec
     final = rec.matrix()
+    left, right = rec.inverse_letters()
     if final.is_identity():
-        word = free_reduce(rec.word())
+        word = free_reduce(ElemWord(rs, left + right))
         residual = final
     elif final.is_constant() and g.base.kind == "Z" and rec.right:
         # splice an integer word for the constant leftover between the
         # two op families so the residual can be the identity
         mid = factor_integer_constant(final)
-        left_inv = ElemWord(rs, [(root, -t) for root, t in rec.left])
-        right_inv = ElemWord(rs, [(root, -t) for root, t in reversed(rec.right)])
-        word = free_reduce(left_inv.concat(mid).concat(right_inv))
+        word = free_reduce(ElemWord(rs, left + list(mid.letters) + right))
         residual = GroupMatrix.identity(rs, g.base, g.nvars)
     else:
         # the leftover sits between the two op families; keep the left
         # word and fold the undone column ops into the residual
-        word = free_reduce(ElemWord(rs, [(root, -t) for root, t in rec.left]))
-        right_inv = ElemWord(rs, [(root, -t) for root, t in reversed(rec.right)])
-        residual = final * eval_word(right_inv, g.base, g.nvars)
+        word = free_reduce(ElemWord(rs, left))
+        residual = final * eval_word(ElemWord(rs, right), g.base, g.nvars)
     if eval_word(word, g.base, g.nvars) * residual != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
     return word, residual
@@ -1290,7 +1186,7 @@ def _closure_pass_a(rec: _OpRecorder) -> bool:
     """
     size = len(rec.m)
     base, nvars = rec.base, rec.nvars
-    one = MultiPoly.const(base, nvars, 1)
+    one = rec.one
     for col in range(size):
         live = list(range(col, size))
         done = rec.m[col][col] == one and all(
@@ -1333,7 +1229,7 @@ def _closure_pass_a(rec: _OpRecorder) -> bool:
         for c2 in range(size):
             if c2 != col and not rec.m[col][c2].is_zero():
                 rec.rmul(_root_a(size, col, c2), -rec.m[col][c2])
-    return GroupMatrix(rec.rs, rec.m).is_identity()
+    return rec.is_identity()
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from .words import (
     free_reduce,
     invert_word,
     map_word,
+    reduce_letters,
     shrink_word_vars,
 )
 
@@ -231,7 +232,7 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget=None):
         k = k0 + k1
         dilated = dilate_word(w, z, s, k)
         lhs = eval_word(h, target, nvars).map_entries(lambda p: convert(p, base))
-        if lhs == eval_word(dilated, base, nvars) and congruence_check(h, z).holds:
+        if lhs == eval_word(dilated, base, nvars) and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
     raise DescentBudgetExceeded(
         "no verified descent within %d dilation levels" % max_steps
@@ -268,22 +269,7 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, max_letters: int, m
         out.extend(wseg)
         if len(out) > max_letters:
             return None
-    return _merge_adjacent(out)
-
-
-def _merge_adjacent(letters):
-    stack: list = []
-    for root, arg in letters:
-        if arg.is_zero():
-            continue
-        if stack and stack[-1][0] == root:
-            merged = stack[-1][1] + arg
-            stack.pop()
-            if not merged.is_zero():
-                stack.append((root, merged))
-        else:
-            stack.append((root, arg))
-    return stack
+    return reduce_letters(out)
 
 
 def _flat_conj(rs, beta, r, letters, z, s, reserve, max_letters, max_degree, max_bits):
@@ -550,14 +536,7 @@ def patch(g: GroupMatrix, certs, covering: CoveringData, var: int = 0) -> ElemWo
             raise CoveringInconsistent(
                 "covering exponent %d below certificate modulus %d" % (k_cov, cert.k)
             )
-    raised = CoveringData(
-        tuple(s ** k for s, k in zip(covering.elems, covering.exponents)),
-        _unit_combination(
-            tuple(s ** k for s, k in zip(covering.elems, covering.exponents))
-        ),
-        (1,) * len(covering.elems),
-    )
-    chain = telescoping_chain(raised)
+    chain = telescoping_chain(covering.raised())
     n = len(covering.elems)
     word = ElemWord.empty(g.rs)
     for j in range(n):

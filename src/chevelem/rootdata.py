@@ -264,30 +264,20 @@ class GroupMatrix:
         """Fast product self * x_root(t): sparse column updates."""
         if t.is_zero():
             return self
-        cols = [list(col) for col in zip(*self.entries)]
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((c, [coeff * p for p in cols[r]]))
-        for c, add in updates:
-            cols[c] = [a + b for a, b in zip(cols[c], add)]
-        return GroupMatrix(self.rs, list(zip(*cols)))
+        rows = [list(row) for row in self.entries]
+        column_update(rows, self.rs.unipotent_terms[root], t)
+        return GroupMatrix(self.rs, rows)
 
     def lmul_unipotent(self, root: Root, t: MultiPoly) -> "GroupMatrix":
         """Fast product x_root(t) * self: sparse row updates."""
         if t.is_zero():
             return self
         rows = [list(row) for row in self.entries]
-        updates = []
-        for r, c, sign in self.rs.unipotent_terms[root]:
-            coeff = t if sign == 1 else -t
-            updates.append((r, [coeff * p for p in rows[c]]))
-        for r, add in updates:
-            rows[r] = [a + b for a, b in zip(rows[r], add)]
+        row_update(rows, self.rs.unipotent_terms[root], t)
         return GroupMatrix(self.rs, rows)
 
     def det(self) -> MultiPoly:
-        return _det(self.entries, self.base, self.nvars)
+        return _det(self.entries, *_one_zero(self.base, self.nvars))
 
     def inverse(self) -> "GroupMatrix":
         if self.rs.kind == "C":
@@ -297,7 +287,7 @@ class GroupMatrix:
             mt = GroupMatrix(self.rs, list(zip(*self.entries)))
             out = (J * mt * J).entries
             return GroupMatrix(self.rs, [[-p for p in row] for row in out])
-        adj = _adjugate(self.entries, self.base, self.nvars)
+        adj = self.adjugate()
         d = self.det()
         if not (d.is_constant() and d.constant_term() == self.base.one()):
             raise SizeMismatch("inverse only for determinant-1 matrices")
@@ -323,27 +313,59 @@ class GroupMatrix:
         return GroupMatrix(self.rs, [[fn(p) for p in row] for row in self.entries])
 
 
-def _det(entries, base: BaseRing, nvars: int) -> MultiPoly:
-    """Division-free determinant: expansion with memo on column subsets."""
+def row_update(rows: list, terms, t) -> None:
+    """rows <- x(t) * rows in place, for a root with unipotent terms.
+
+    rows is a list of row lists over any ring with + - * (MultiPoly or
+    MonicLocElem); all products are taken before any row changes."""
+    updates = []
+    for r, c, sign in terms:
+        coeff = t if sign == 1 else -t
+        updates.append((r, [coeff * p for p in rows[c]]))
+    for r, add in updates:
+        rows[r] = [a + b for a, b in zip(rows[r], add)]
+
+
+def column_update(rows: list, terms, t) -> None:
+    """rows <- rows * x(t) in place; the column twin of row_update."""
+    size = len(rows)
+    updates = []
+    for r, c, sign in terms:
+        coeff = t if sign == 1 else -t
+        updates.append((c, [coeff * rows[i][r] for i in range(size)]))
+    for c, add in updates:
+        for i in range(size):
+            rows[i][c] = rows[i][c] + add[i]
+
+
+def _one_zero(base: BaseRing, nvars: int) -> tuple:
+    return MultiPoly.const(base, nvars, 1), MultiPoly.zero(base, nvars)
+
+
+def _det(entries, one, zero):
+    """Division-free determinant: expansion with memo on column subsets.
+
+    Entries may come from any commutative ring with + - * and is_zero;
+    one and zero are its unit and zero."""
     size = len(entries)
     memo: dict = {}
     full = (1 << size) - 1
 
-    def rec(row: int, colmask: int) -> MultiPoly:
+    def rec(row: int, colmask: int):
         if row == size:
-            return MultiPoly.const(base, nvars, 1)
+            return one
         key = colmask
         hit = memo.get(key)
         if hit is not None:
             return hit
-        acc = MultiPoly.zero(base, nvars)
+        acc = zero
         sign = 1
         for c in range(size):
             bit = 1 << c
             if not colmask & bit:
                 continue
             p = entries[row][c]
-            if p.terms:
+            if not p.is_zero():
                 sub = rec(row + 1, colmask & ~bit)
                 term = p * sub
                 acc = acc + (term if sign == 1 else -term)
@@ -356,6 +378,7 @@ def _det(entries, base: BaseRing, nvars: int) -> MultiPoly:
 
 def _adjugate(entries, base: BaseRing, nvars: int) -> list:
     size = len(entries)
+    one, zero = _one_zero(base, nvars)
     out = [[None] * size for _ in range(size)]
     for i in range(size):
         rows = [entries[r] for r in range(size) if r != i]
@@ -363,7 +386,7 @@ def _adjugate(entries, base: BaseRing, nvars: int) -> list:
             minor = [
                 [row[c] for c in range(size) if c != j] for row in rows
             ]
-            d = _det(minor, base, nvars) if minor else MultiPoly.const(base, nvars, 1)
+            d = _det(minor, one, zero) if minor else one
             out[j][i] = d if (i + j) % 2 == 0 else -d
     return out
 
@@ -380,7 +403,7 @@ def membership_check(matrix, rs: RootSystem) -> bool:
     base = entries[0][0].base
     nvars = entries[0][0].nvars
     if rs.kind == "A":
-        d = _det(entries, base, nvars)
+        d = _det(entries, *_one_zero(base, nvars))
         return d.is_constant() and d.constant_term() == base.one()
     J = rs.form_matrix(base, nvars)
     m = GroupMatrix(rs, entries)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BaseMismatch, UnknownRoot
 from .exactring import BaseRing, MultiPoly, convert
-from .rootdata import GroupMatrix, RootSystem
+from .rootdata import GroupMatrix, RootSystem, column_update
 
 
 class ElemWord:
@@ -88,10 +88,11 @@ def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = Non
     else:
         base = base or BaseRing.integers()
         nvars = 1 if nvars is None else nvars
-    m = GroupMatrix.identity(w.rs, base, nvars)
+    rows = [list(row) for row in GroupMatrix.identity(w.rs, base, nvars).entries]
     for root, arg in w.letters:
-        m = m.rmul_unipotent(root, arg)
-    return m
+        if not arg.is_zero():
+            column_update(rows, w.rs.unipotent_terms[root], arg)
+    return GroupMatrix(w.rs, rows)
 
 
 def invert_word(w: ElemWord) -> ElemWord:
@@ -100,8 +101,14 @@ def invert_word(w: ElemWord) -> ElemWord:
 
 def free_reduce(w: ElemWord) -> ElemWord:
     """Merge adjacent same-root letters by additivity and drop zero args."""
+    return ElemWord(w.rs, reduce_letters(w.letters))
+
+
+def reduce_letters(letters) -> list:
+    """free_reduce on a bare (root, arg) sequence over any ring with + and
+    is_zero; monic-localized words use it directly."""
     stack: list = []
-    for root, arg in w.letters:
+    for root, arg in letters:
         if arg.is_zero():
             continue
         if stack and stack[-1][0] == root:
@@ -111,7 +118,7 @@ def free_reduce(w: ElemWord) -> ElemWord:
                 stack.append((root, merged))
         else:
             stack.append((root, arg))
-    return ElemWord(w.rs, stack)
+    return stack
 
 
 def map_word(w: ElemWord, hom) -> ElemWord:

@@ -2,6 +2,10 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,33 @@ def test_factor_determinism(tmp_path, capsys):
         assert main(["factor", "--in", str(matrix_file), "--out", str(out)]) == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+_HASH_SEED_PROBE = """
+from chevelem.factorize import factor_polynomial, random_elementary_word
+from chevelem.fileio import certificate_to_dict, dumps
+from chevelem.rootdata import build_root_system
+from chevelem.words import eval_word
+for kind, seed, length in (("A", 104, 15), ("C", 303, 10)):
+    w = random_elementary_word(build_root_system(kind, 2), seed, length)
+    print(dumps(certificate_to_dict(factor_polynomial(eval_word(w)))))
+"""
+
+
+def test_factor_certificate_independent_of_hash_seed():
+    # greedy tie-breaks must not follow set iteration order, which varies
+    # with string hashing; these two inputs expose it when they do
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    texts = []
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        texts.append(proc.stdout)
+    assert texts[0] and texts[0] == texts[1]
 
 
 def test_verify_detects_perturbation(tmp_path, capsys):

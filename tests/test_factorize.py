@@ -204,11 +204,12 @@ def test_monic_localized_single_inverse_letter():
 
 
 def test_monic_localized_word_roundtrip():
+    # C2 reaches the type-C monic reduction; A3 a larger type-A matrix
     rng = random.Random(91)
-    for seed in range(6):
+    for rs in [A2] * 6 + [C2] * 8 + [A3] * 8:
         letters = []
         for _ in range(4):
-            root = rng.choice(A2.roots)
+            root = rng.choice(rs.roots)
             num = parse_poly(
                 "%d*x1 + %d" % (rng.randint(-3, 3), rng.randint(-3, 3)), Q, 1
             )
@@ -218,12 +219,13 @@ def test_monic_localized_word_roundtrip():
                 arg = MonicLocElem(num)
             if not arg.is_zero():
                 letters.append((root, arg))
-        w_in = MonicWord(A2, letters)
+        w_in = MonicWord(rs, letters)
         target = w_in.eval(Q, 1)
-        w = factor_monic_localized(A2, target, 5)
+        w = factor_monic_localized(rs, target, 5)
         out = w.eval(Q, 1)
-        for i in range(3):
-            for j in range(3):
+        size = rs.matrix_size
+        for i in range(size):
+            for j in range(size):
                 assert (out[i][j] - target[i][j]).is_zero()
 
 

@@ -426,6 +426,18 @@ def test_dilation_factor_with_descent():
     assert len(word31) >= 0
 
 
+def test_dilation_factor_empty_descent():
+    # the descended word is empty; its congruence must be read off the
+    # matrix, since an empty word carries no variable count
+    half = const(Fraction(1, 2), ZHALF)
+    w_s = ElemWord(A2, [(E12, half), (E12, -half)])
+    g = GroupMatrix.identity(A2, Z, 1)
+    cert = dilation_factor(g, w_s, 2)
+    assert cert.k == 0
+    word = cert.generator(3, 1)
+    assert eval_word(word, Z, 1) == g
+
+
 def test_dilation_factor_rejects_bad_word():
     rng = random.Random(23)
     w, g = integral_word_and_matrix(rng, A2)
