@@ -57,6 +57,7 @@ from .words import (
     map_word,
 )
 from .localglobal import (
+    Budget,
     CoveringData,
     DilationCert,
     descend_word,
@@ -67,7 +68,6 @@ from .localglobal import (
     telescoping_product,
 )
 from .factorize import (
-    Budget,
     FactorizationCertificate,
     MonicWord,
     descend_monic,

@@ -22,11 +22,7 @@ from .errors import (
     UnsupportedType,
 )
 from .exactring import BaseRing, MultiPoly, parse_poly
-from .factorize import (
-    Budget,
-    factor_polynomial,
-    random_elementary_word,
-)
+from .factorize import factor_polynomial, random_elementary_word
 from .fileio import (
     certificate_from_dict,
     certificate_to_dict,
@@ -34,6 +30,7 @@ from .fileio import (
     matrix_from_dict,
     save,
 )
+from .localglobal import Budget
 from .rootdata import (
     GroupMatrix,
     build_root_system,
@@ -128,12 +125,7 @@ def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:
 
 
 def _budget_from_args(args) -> Budget:
-    return Budget(
-        max_letters=args.budget_letters,
-        max_degree=args.budget_degree,
-        max_coeff_bits=Budget().max_coeff_bits,
-        max_steps=Budget().max_steps,
-    )
+    return Budget(max_letters=args.budget_letters, max_degree=args.budget_degree)
 
 
 def cmd_factor(args) -> int:
@@ -293,8 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_common(p):
-        p.add_argument("--budget-letters", type=int, default=Budget().max_letters)
-        p.add_argument("--budget-degree", type=int, default=Budget().max_degree)
+        p.add_argument(
+            "--budget-letters",
+            type=int,
+            default=Budget().max_letters,
+            help="most letters the certified descent may expand to",
+        )
+        p.add_argument(
+            "--budget-degree",
+            type=int,
+            default=Budget().max_degree,
+            help="highest total degree the certified descent may conjugate",
+        )
 
     p_factor = sub.add_parser("factor", help="factor a matrix file into a certificate")
     p_factor.add_argument("--in", dest="infile", required=True)

@@ -1,6 +1,6 @@
 """End-to-end factorization into elementary words.
 
-The pipeline is heuristic-first: a greedy adjugate-Bezout reduction runs
+The pipeline is heuristic-first: a greedy division-guided reduction runs
 before the certified local-global machinery, because most desk-scale
 inputs fall to it.  Every word produced anywhere is re-evaluated exactly
 against its target before it is returned; NotFactored is a budget signal
@@ -30,7 +30,7 @@ from .exactring import (
     lift_mod_to_integers,
     monic_divrem,
 )
-from .localglobal import CoveringData, dilation_factor, patch
+from .localglobal import DEFAULT_BUDGET, Budget, CoveringData, dilation_factor, patch
 from .rootdata import (
     GroupMatrix,
     RootSystem,
@@ -51,24 +51,6 @@ Z = BaseRing.integers()
 Q = BaseRing.rationals()
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Resource limits for searches; non-negative (zero means fail fast)."""
-
-    max_letters: int = 60000
-    max_degree: int = 400
-    max_coeff_bits: int = 200000
-    max_steps: int = 800
-
-    def __post_init__(self):
-        for name in ("max_letters", "max_degree", "max_coeff_bits", "max_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must not be negative" % name)
-
-
-DEFAULT_BUDGET = Budget()
 
 
 @dataclass
@@ -492,22 +474,6 @@ class MonicWord:
         return ElemWord(self.rs, letters)
 
 
-def _p_valuation(q: Fraction, p: int) -> int:
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    num = q.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _is_p_integral(poly: MultiPoly, p: int) -> bool:
     return all(Fraction(c).denominator % p != 0 for c in poly.coefficients())
 
@@ -524,9 +490,10 @@ def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
         lead = _leading_coeff(red.num, var)
     except PreconditionViolated:
         return None
-    if _p_valuation(Fraction(lead), p) != 0:
+    lead = Fraction(lead)
+    if lead.numerator % p == 0 or lead.denominator % p == 0:
         return None
-    inv_lead = Fraction(1) / Fraction(lead)
+    inv_lead = 1 / lead
     monic_num = red.num.scale(inv_lead)
     den_poly = red.denominator_poly().scale(inv_lead)
     if monic_num.is_constant():
@@ -1044,12 +1011,8 @@ def _rank1_update(rec: _OpRecorder) -> bool:
 _STRATEGIES = (
     (("right", "left"), 1, 1),
     (("right",), 1, 1),
-    (("left",), 1, 1),
     (("right", "left"), 3, 0),
-    (("right",), 3, 0),
-    (("left",), 3, 0),
     (("right", "left"), 0, 1),
-    (("right", "left"), 5, 1),
 )
 
 
@@ -1081,7 +1044,6 @@ def _restore(rec: _OpRecorder, snap) -> None:
 def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int) -> _OpRecorder:
     """One strictly-descending greedy run with a two-ply escape at stalls."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    rs = g.rs
     steps = 0
     while steps < max_steps:
         steps += 1
@@ -1117,9 +1079,7 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int) ->
                 continue
         if best is None:
             if not _constant_matrix(rec.m):
-                if not _rank1_update(rec) and rs.kind == "A":
-                    _closure_pass_a(rec)
-                    _rank1_update(rec)
+                _rank1_update(rec)
             break
         _apply(rec, best[1], best[2], best[3])
     return rec
@@ -1129,10 +1089,10 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     """Greedy elementary reduction: (word, residual) with word*residual = g.
 
     Division-guided moves shrink a size measure under a cascade of scoring
-    strategies; stalls fall back to a two-ply escape, the rank-one
-    commutator finisher, and the adjugate-Bezout column closure.  The
-    residual is the identity on full success, constant when only the
-    group-of-constants part remains, and the best stall state otherwise.
+    strategies; stalls fall back to a two-ply escape and the rank-one
+    commutator finisher.  The residual is the identity on full success,
+    constant when only the group-of-constants part remains, and the best
+    stall state otherwise.
     """
     budget = budget or DEFAULT_BUDGET
     rs = g.rs
@@ -1175,61 +1135,6 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     if eval_word(word, g.base, g.nvars) * residual != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
     return word, residual
-
-
-def _closure_pass_a(rec: _OpRecorder) -> bool:
-    """Adjugate-Bezout closure for type A: finish columns through zeros.
-
-    Needs, per column, a zero entry among the unfinished rows (creating
-    one by exact division when possible).  Returns True when the matrix
-    reaches the identity; partial progress is kept either way.
-    """
-    size = len(rec.m)
-    base, nvars = rec.base, rec.nvars
-    one = rec.one
-    for col in range(size):
-        live = list(range(col, size))
-        done = rec.m[col][col] == one and all(
-            rec.m[r][col].is_zero() for r in range(size) if r != col
-        ) and all(rec.m[col][c].is_zero() for c in range(size) if c != col)
-        if done:
-            continue
-        zero_row = next((r for r in live if rec.m[r][col].is_zero()), None)
-        if zero_row is None:
-            for r in live:
-                for r2 in live:
-                    if r == r2:
-                        continue
-                    q = try_divide(rec.m[r][col], rec.m[r2][col])
-                    if q is not None:
-                        rec.lmul(_root_a(size, r, r2), -q)
-                        zero_row = r
-                        break
-                if zero_row is not None:
-                    break
-        if zero_row is None:
-            return False
-        adj = GroupMatrix(rec.rs, rec.m).adjugate()
-        combo = [(i, adj[col][i]) for i in live if i != zero_row]
-        check = MultiPoly.zero(base, nvars)
-        for i, coeff in combo:
-            check = check + coeff * rec.m[i][col]
-        if check != one:
-            return False
-        for i, coeff in combo:
-            if not coeff.is_zero():
-                rec.lmul(_root_a(size, zero_row, i), coeff)
-        for r in range(size):
-            if r != zero_row and not rec.m[r][col].is_zero():
-                rec.lmul(_root_a(size, r, zero_row), -rec.m[r][col])
-        if zero_row != col:
-            rec.lmul(_root_a(size, col, zero_row), one)
-            rec.lmul(_root_a(size, zero_row, col), -one)
-            rec.lmul(_root_a(size, col, zero_row), one)
-        for c2 in range(size):
-            if c2 != col and not rec.m[col][c2].is_zero():
-                rec.rmul(_root_a(size, col, c2), -rec.m[col][c2])
-    return rec.is_identity()
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,30 @@ from .words import (
     shrink_word_vars,
 )
 
-DEFAULT_MAX_LETTERS = 40000
-DEFAULT_MAX_PREDILATION = 8
-DEFAULT_MAX_DEGREE = 600
-DEFAULT_MAX_COEFF_BITS = 200000
+DILATION_LEVELS = 8
 
 
-def _budget_limits(budget):
-    letters = getattr(budget, "max_letters", None) or DEFAULT_MAX_LETTERS
-    steps = getattr(budget, "max_steps", None) or DEFAULT_MAX_PREDILATION
-    degree = getattr(budget, "max_degree", None) or DEFAULT_MAX_DEGREE
-    bits = getattr(budget, "max_coeff_bits", None) or DEFAULT_MAX_COEFF_BITS
-    return letters, steps, degree, bits
+@dataclass(frozen=True)
+class Budget:
+    """Resource limits for searches; non-negative (zero means fail fast).
+
+    max_letters, max_degree and max_coeff_bits bound the descent
+    expansion; max_steps bounds each greedy pass and each monic pivot
+    search.  The descent tries DILATION_LEVELS + 1 pre-dilation levels.
+    """
+
+    max_letters: int = 40000
+    max_degree: int = 600
+    max_coeff_bits: int = 200000
+    max_steps: int = 800
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError("%s must not be negative" % name)
+
+
+DEFAULT_BUDGET = Budget()
 
 
 def _poly_bits(p: MultiPoly) -> int:
@@ -199,14 +211,14 @@ def dilate_word(w: ElemWord, z: int, s: int, k: int) -> ElemWord:
     return map_word(w, ("substitute", {z: x.scale(factor)}, nvars))
 
 
-def descend_word(w: ElemWord, s: int, z: int = 0, budget=None):
+def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
     """Descend a congruence word over Z[1/s][z] to integral coefficients.
 
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
     when the expansion or dilation search exhausts its budget.
     """
-    max_letters, max_steps, max_degree, max_bits = _budget_limits(budget)
+    budget = budget or DEFAULT_BUDGET
     base, nvars = w.base_and_nvars()
     if base.kind not in ("Zloc",):
         raise PreconditionViolated("descent expects a word over Z[1/s]")
@@ -218,9 +230,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget=None):
         h = ElemWord(w.rs, [(r, convert(a, target)) for r, a in w.letters])
         return h, 0
 
-    for k0 in range(max_steps + 1):
+    for k0 in range(DILATION_LEVELS + 1):
         w0 = dilate_word(w, z, s, k0)
-        letters = _expand_good(w0, z, s, k0, max_letters, max_degree, max_bits)
+        letters = _expand_good(w0, z, s, k0, budget)
         if letters is None:
             continue
         k1 = _clearing_exponent(letters, z, s)
@@ -235,11 +247,11 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget=None):
         if lhs == eval_word(dilated, base, nvars) and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
     raise DescentBudgetExceeded(
-        "no verified descent within %d dilation levels" % max_steps
+        "no verified descent within %d dilation levels" % DILATION_LEVELS
     )
 
 
-def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, max_letters: int, max_degree: int, max_bits: int):
+def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
     """Rewrite eval(w0) as a flat word whose letters either carry
     z-divisible arguments (cleared later by dilation) or z-free integral
     ones.  Returns None when stuck or over budget."""
@@ -261,27 +273,25 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, max_letters: int, m
             beta, r = conjugators[j]
             if r.is_zero():
                 continue
-            wseg = _flat_conj(
-                rs, beta, r, wseg, z, s, reserve, max_letters, max_degree, max_bits
-            )
+            wseg = _flat_conj(rs, beta, r, wseg, z, s, reserve, budget)
             if wseg is None:
                 return None
         out.extend(wseg)
-        if len(out) > max_letters:
+        if len(out) > budget.max_letters:
             return None
     return reduce_letters(out)
 
 
-def _flat_conj(rs, beta, r, letters, z, s, reserve, max_letters, max_degree, max_bits):
+def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
     """Letters of x_beta(r) * (product of letters) * x_beta(-r)."""
     neg_beta = tuple(-v for v in beta)
     out: list = []
     for gamma, t in letters:
         if t.is_zero():
             continue
-        if t.total_degree() > max_degree or r.total_degree() > max_degree:
+        if max(t.total_degree(), r.total_degree()) > budget.max_degree:
             return None
-        if _poly_bits(t) > max_bits:
+        if _poly_bits(t) > budget.max_coeff_bits:
             return None
         if gamma == beta:
             out.append((gamma, t))
@@ -289,9 +299,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, max_letters, max_degree, max
             rewritten = _opposite_rewrite(rs, gamma, t, z, s, reserve)
             if rewritten is None:
                 return None
-            inner = _flat_conj(
-                rs, beta, r, rewritten, z, s, reserve, max_letters, max_degree, max_bits
-            )
+            inner = _flat_conj(rs, beta, r, rewritten, z, s, reserve, budget)
             if inner is None:
                 return None
             out.extend(inner)
@@ -301,7 +309,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, max_letters, max_degree, max
                 if not arg.is_zero():
                     out.append((delta, arg))
             out.append((gamma, t))
-        if len(out) > max_letters:
+        if len(out) > budget.max_letters:
             return None
     return out
 
@@ -427,7 +435,9 @@ def _as_coeff_poly(value, base: BaseRing, nvars: int, forbid_var: int) -> MultiP
     return p
 
 
-def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, var: int = 0, budget=None) -> DilationCert:
+def dilation_factor(
+    g: GroupMatrix, w_s: ElemWord, s: int, var: int = 0, budget: Budget | None = None
+) -> DilationCert:
     """Build a dilation certificate from a local word for F_s(g).
 
     When w_s is already integral the certificate is direct with k = 0.

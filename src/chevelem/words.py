@@ -161,6 +161,8 @@ def _localized_target(base: BaseRing, s: int) -> BaseRing:
 
 def congruence_check(w: ElemWord, z: int) -> CongruenceTag:
     """holds = True iff eval(w) becomes the identity under z -> 0."""
+    if not w.letters:
+        return CongruenceTag(variable=z, holds=True)
     base, nvars = w.base_and_nvars()
     if z >= nvars:
         raise UnknownRoot("variable index %d out of range" % z)

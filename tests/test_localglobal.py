@@ -12,6 +12,7 @@ from chevelem.errors import (
 )
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.localglobal import (
+    Budget,
     CoveringData,
     descend_word,
     dilate_word,
@@ -337,14 +338,9 @@ def test_descend_nested_never_unsound():
     assert ok >= 25  # the clean-failure rate stays marginal at this depth
 
 
-def test_descend_budget_exhaustion():
-    class TinyBudget:
-        max_letters = 2
-        max_steps = 0
-        max_degree = 600
-
+def half_conjugate_word():
     z = zvar()
-    w = ElemWord(
+    return ElemWord(
         A2,
         [
             (E21, const(Fraction(1, 2), ZHALF)),
@@ -352,8 +348,25 @@ def test_descend_budget_exhaustion():
             (E21, const(Fraction(-1, 2), ZHALF)),
         ],
     )
+
+
+def test_descend_budget_exhaustion():
     with pytest.raises(DescentBudgetExceeded):
-        descend_word(w, 2, budget=TinyBudget())
+        descend_word(half_conjugate_word(), 2, budget=Budget(max_letters=2))
+
+
+@pytest.mark.parametrize("field", ["max_letters", "max_degree", "max_coeff_bits"])
+def test_descend_zero_budget_fails_fast(field):
+    check_descent(half_conjugate_word())  # descends under the default budget
+    with pytest.raises(DescentBudgetExceeded):
+        descend_word(half_conjugate_word(), 2, budget=Budget(**{field: 0}))
+
+
+def test_descend_dilation_levels_fixed():
+    """max_steps bounds greedy passes, not the dilation levels tried."""
+    w = nested_conjugate_word(A2, 70012, depth=2)
+    with pytest.raises(DescentBudgetExceeded, match="within 8 dilation levels"):
+        descend_word(w, 2, budget=Budget())
 
 
 # -- dilation certificates ------------------------------------------------------------

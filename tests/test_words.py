@@ -9,6 +9,7 @@ from chevelem.errors import BaseMismatch
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import build_root_system, elem_unipotent
 from chevelem.words import (
+    CongruenceTag,
     ElemWord,
     congruence_check,
     eval_word,
@@ -145,6 +146,8 @@ def test_congruence_tag():
     assert congruence_check(w, 0).holds
     w2 = ElemWord(A2, [(E12, const(1))])
     assert not congruence_check(w2, 0).holds
+    for z in (0, 2):  # the empty word is the identity in any variable
+        assert congruence_check(ElemWord.empty(A2), z) == CongruenceTag(z, True)
 
 
 def test_congruence_commutator_pattern():
