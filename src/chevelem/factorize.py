@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    BaseMismatch,
     DescentBudgetExceeded,
     NotFactored,
     NotInGroup,
@@ -748,18 +749,27 @@ def _leading_monomial(p: MultiPoly) -> tuple:
     return max(p.terms, key=lambda e: (sum(e), e))
 
 
-def _leading_term_division(a: MultiPoly, b: MultiPoly, limit: int):
-    """Strip leading terms of a against b, at most limit times.
+def _leading_term_division(a: MultiPoly, b: MultiPoly):
+    """Strip leading terms of a against b: the one division behind both
+    try_divide and partial_quotient.
 
     Stops early when a leading exponent or coefficient does not divide.
-    Returns (quotient terms, remainder)."""
+    Returns (partial, exact): the quotient terms found within the first
+    2*len(a)+8 steps, and the whole quotient when at most
+    4*(len(a)+len(b)+4) steps leave no remainder, else None.  The first
+    limit is always the smaller one."""
     base = a.base
+    partial_limit = 2 * len(a.terms) + 8
+    limit = 4 * (len(a.terms) + len(b.terms) + 4)
     q_terms: dict = {}
+    partial = None
     r = a
     lead_b = _leading_monomial(b)
     cb = b.terms[lead_b]
     steps = 0
     while not r.is_zero() and steps < limit:
+        if steps == partial_limit:
+            partial = dict(q_terms)
         steps += 1
         lead_r = _leading_monomial(r)
         cr = r.terms[lead_r]
@@ -771,11 +781,13 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly, limit: int):
         else:
             try:
                 coeff = base.from_fraction(Fraction(cr) / Fraction(cb))
-            except Exception:
+            except BaseMismatch:
                 break
         q_terms[exps] = coeff
         r = r - MultiPoly(base, a.nvars, {exps: coeff}) * b
-    return q_terms, r
+    if partial is None:
+        partial = q_terms
+    return partial, (q_terms if r.is_zero() else None)
 
 
 def try_divide(a: MultiPoly, b: MultiPoly):
@@ -784,34 +796,10 @@ def try_divide(a: MultiPoly, b: MultiPoly):
         return None
     if a.is_zero():
         return MultiPoly.zero(a.base, a.nvars)
-    q_terms, r = _leading_term_division(a, b, 4 * (len(a.terms) + len(b.terms) + 4))
-    if not r.is_zero():
+    _, exact = _leading_term_division(a, b)
+    if exact is None:
         return None
-    return MultiPoly(a.base, a.nvars, q_terms)
-
-
-def _poly_size(p: MultiPoly, degw: int = 1, bitw: int = 1) -> int:
-    total = 0
-    for e, c in p.terms.items():
-        cf = Fraction(c)
-        total += 1 + degw * sum(e) ** 2 + bitw * (
-            abs(cf.numerator).bit_length() + cf.denominator.bit_length()
-        )
-    return total
-
-
-def _line_size(p: MultiPoly, i: int, j: int, degw: int = 1, bitw: int = 1) -> int:
-    if i == j:
-        return _poly_size(p - MultiPoly.const(p.base, p.nvars, 1), degw, bitw)
-    return _poly_size(p, degw, bitw)
-
-
-def _matrix_size(m, degw: int = 1, bitw: int = 1) -> int:
-    total = 0
-    for i, row in enumerate(m):
-        for j, p in enumerate(row):
-            total += _line_size(p, i, j, degw, bitw)
-    return total
+    return MultiPoly(a.base, a.nvars, exact)
 
 
 def partial_quotient(a: MultiPoly, b: MultiPoly):
@@ -821,10 +809,46 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     move argument that strips a's leading terms against b."""
     if a.is_zero() or b.is_zero():
         return None
-    q_terms, _ = _leading_term_division(a, b, 2 * len(a.terms) + 8)
-    if not q_terms:
+    partial, _ = _leading_term_division(a, b)
+    if not partial:
         return None
-    return MultiPoly(a.base, a.nvars, q_terms)
+    return MultiPoly(a.base, a.nvars, partial)
+
+
+def _poly_size(p: MultiPoly, degw: int = 1, bitw: int = 1) -> int:
+    total = 0
+    for e, c in p.terms.items():
+        if type(c) is int:
+            bits = abs(c).bit_length() + 1
+        else:
+            cf = Fraction(c)
+            bits = abs(cf.numerator).bit_length() + cf.denominator.bit_length()
+        total += 1 + degw * sum(e) ** 2 + bitw * bits
+    return total
+
+
+def _entry_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int) -> int:
+    """Size of one entry's distance from the identity entry."""
+    if diagonal:
+        p = p - MultiPoly.const(p.base, p.nvars, 1)
+    return _poly_size(p, degw, bitw)
+
+
+def _line_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int, sizes: dict) -> int:
+    """_entry_size memoised in sizes, which serves one (degw, bitw) only."""
+    key = (p, diagonal)
+    s = sizes.get(key)
+    if s is None:
+        s = sizes[key] = _entry_size(p, diagonal, degw, bitw)
+    return s
+
+
+def _matrix_size(m, degw: int, bitw: int, sizes: dict) -> int:
+    total = 0
+    for i, row in enumerate(m):
+        for j, p in enumerate(row):
+            total += _line_size(p, i == j, degw, bitw, sizes)
+    return total
 
 
 def _leading_floor_candidates(tgt: MultiPoly, src: MultiPoly):
@@ -844,56 +868,68 @@ def _leading_floor_candidates(tgt: MultiPoly, src: MultiPoly):
             yield MultiPoly(tgt.base, tgt.nvars, {exps: qc})
 
 
-def _candidate_args(m, rs: RootSystem, root, side: str):
+def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
+    """Move arguments that strip tgt against src: (args, negated args).
+
+    The exact and the partial quotient come from one division."""
+    partial, exact = _leading_term_division(tgt, src)
+    args = []
+    for terms in (exact, partial):
+        if terms:
+            q = MultiPoly(tgt.base, tgt.nvars, terms)
+            if not q.is_zero():
+                args.append(q)
+    args.extend(_leading_floor_candidates(tgt, src))
+    return args, [-q for q in args]
+
+
+def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
     """Division-derived argument candidates for one unipotent move.
 
-    A dict serves as an insertion-ordered set: iterating a set of
-    polynomials would follow string hashing and make tie-breaks, hence
-    certificates, depend on the interpreter's hash seed."""
+    pairs memoises _pair_candidates by (target, source) value across the
+    steps of one search.  A dict serves as an insertion-ordered set:
+    iterating a set of polynomials would follow string hashing and make
+    tie-breaks, hence certificates, depend on the interpreter's hash seed."""
     out: dict = {}
     size = len(m)
     r1, c1, s1 = rs.unipotent_terms[root][0]
-    pairs = []
     if side == "right":
-        for i in range(size):
-            pairs.append((m[i][c1], m[i][r1]))
+        lines = [(m[i][c1], m[i][r1]) for i in range(size)]
     else:
-        for j in range(size):
-            pairs.append((m[r1][j], m[c1][j]))
-    for tgt, src in pairs:
+        lines = [(m[r1][j], m[c1][j]) for j in range(size)]
+    for key in lines:
+        tgt, src = key
         if src.is_zero() or tgt.is_zero():
             continue
-        for q in (try_divide(tgt, src), partial_quotient(tgt, src)):
-            if q is not None and not q.is_zero():
-                out[-q if s1 == 1 else q] = None
-        for q in _leading_floor_candidates(tgt, src):
-            out[-q if s1 == 1 else q] = None
+        found = pairs.get(key)
+        if found is None:
+            found = pairs[key] = _pair_candidates(tgt, src)
+        for q in found[1] if s1 == 1 else found[0]:
+            out[q] = None
     return list(out)
 
 
-def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int = 1, bitw: int = 1) -> int:
-    """Size change of a candidate move, computed on the affected lines."""
-    terms = rec.rs.unipotent_terms[root]
-    size = len(rec.m)
-    before = 0
-    after = 0
-    if side == "right":
-        for r, c, sign in terms:
-            coeff = t if sign == 1 else -t
-            for i in range(size):
-                old = rec.m[i][c]
-                new = old + coeff * rec.m[i][r]
-                before += _line_size(old, i, c, degw, bitw)
-                after += _line_size(new, i, c, degw, bitw)
-    else:
-        for r, c, sign in terms:
-            coeff = t if sign == 1 else -t
-            for j in range(size):
-                old = rec.m[r][j]
-                new = old + coeff * rec.m[c][j]
-                before += _line_size(old, r, j, degw, bitw)
-                after += _line_size(new, r, j, degw, bitw)
-    return after - before
+def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw: int, sizes: dict) -> int:
+    """Size change of a candidate move, computed on the affected lines.
+
+    A line whose source entry is zero keeps its entry and is skipped;
+    the sizes of current entries come from the memo sizes."""
+    m = rec.m
+    size = len(m)
+    delta = 0
+    for r, c, sign in rec.rs.unipotent_terms[root]:
+        coeff = t if sign == 1 else -t
+        if side == "right":
+            lines = [(i, c, m[i][c], m[i][r]) for i in range(size)]
+        else:
+            lines = [(r, j, m[r][j], m[c][j]) for j in range(size)]
+        for i, j, old, src in lines:
+            if src.is_zero():
+                continue
+            diagonal = i == j
+            delta += _entry_size(old + coeff * src, diagonal, degw, bitw)
+            delta -= _line_size(old, diagonal, degw, bitw, sizes)
+    return delta
 
 
 def _constant_matrix(m) -> bool:
@@ -1016,10 +1052,10 @@ _STRATEGIES = (
 )
 
 
-def _all_moves(rec: _OpRecorder, sides):
+def _all_moves(rec: _OpRecorder, sides, pairs: dict):
     for side in sides:
         for root in rec.rs.roots:
-            for t in _candidate_args(rec.m, rec.rs, root, side):
+            for t in _candidate_args(rec.m, rec.rs, root, side, pairs):
                 yield root, t, side
 
 
@@ -1041,36 +1077,41 @@ def _restore(rec: _OpRecorder, snap) -> None:
     del rec.right[nr:]
 
 
-def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int) -> _OpRecorder:
-    """One strictly-descending greedy run with a two-ply escape at stalls."""
+def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pairs: dict) -> _OpRecorder:
+    """One strictly-descending greedy run with a two-ply escape at stalls.
+
+    pairs (from the caller) and sizes (this pass's weighting) memoise
+    candidates and line sizes by entry value, so a step computes them
+    afresh only on the lines the last move changed."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
+    sizes: dict = {}
     steps = 0
     while steps < max_steps:
         steps += 1
-        if _matrix_size(rec.m, degw, bitw) == 0:
+        if _matrix_size(rec.m, degw, bitw, sizes) == 0:
             break
         best = None
         scored = []
-        for root, t, side in _all_moves(rec, sides):
-            delta = _move_delta(rec, root, t, side, degw, bitw)
+        for root, t, side in _all_moves(rec, sides, pairs):
+            delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
             scored.append((delta, root, t, side))
             if delta < 0 and (best is None or delta < best[0]):
                 best = (delta, root, t, side)
         if best is None and scored:
             # two-ply escape: allow one non-improving move when a follow-up
             # more than pays it back
-            current = _matrix_size(rec.m, degw, bitw)
+            current = _matrix_size(rec.m, degw, bitw, sizes)
             snap = _snapshot(rec)
             scored.sort(key=lambda item: item[0])
             escaped = False
             for _, root, t, side in scored[:8]:
                 _apply(rec, root, t, side)
                 follow = None
-                for root2, t2, side2 in _all_moves(rec, sides):
-                    d2 = _move_delta(rec, root2, t2, side2, degw, bitw)
+                for root2, t2, side2 in _all_moves(rec, sides, pairs):
+                    d2 = _move_delta(rec, root2, t2, side2, degw, bitw, sizes)
                     if follow is None or d2 < follow[0]:
                         follow = (d2, root2, t2, side2)
-                if follow and _matrix_size(rec.m, degw, bitw) + follow[0] < current:
+                if follow and _matrix_size(rec.m, degw, bitw, sizes) + follow[0] < current:
                     _apply(rec, follow[1], follow[2], follow[3])
                     escaped = True
                     break
@@ -1098,8 +1139,9 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     rs = g.rs
     best_rec = None
     best_score = None
+    pairs: dict = {}  # (target, source) -> candidates, shared by all passes
     for sides, degw, bitw in _STRATEGIES:
-        rec = _greedy_pass(g, sides, degw, bitw, budget.max_steps)
+        rec = _greedy_pass(g, sides, degw, bitw, budget.max_steps, pairs)
         if _constant_matrix(rec.m):
             best_rec = rec
             log.debug(
@@ -1108,7 +1150,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
                 sides, degw, bitw, len(rec.left), len(rec.right),
             )
             break
-        score = _matrix_size(rec.m)
+        score = _matrix_size(rec.m, 1, 1, {})
         log.debug(
             "greedy pass sides=%s degw=%d bitw=%d stalled at size %d",
             sides, degw, bitw, score,

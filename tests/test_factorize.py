@@ -1,10 +1,13 @@
 """Integer/euclidean/monic factorizers, the greedy heuristic, the pipeline."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from chevelem import fileio
+from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     DescentBudgetExceeded,
     NotInGroup,
@@ -21,6 +24,7 @@ from chevelem.factorize import (
     factor_polynomial,
     factor_univar_euclidean,
     heuristic_reduce,
+    partial_quotient,
     random_elementary_word,
     try_divide,
 )
@@ -298,6 +302,55 @@ def test_try_divide():
     assert try_divide(parse_poly("2*x1", Z, 1), parse_poly("2", Z, 1)) == parse_poly(
         "x1", Z, 1
     )
+    # 1/2 is not in Z: the division stops at its first step
+    half = (parse_poly("x1^20-1", Z, 1), parse_poly("2*x1-2", Z, 1))
+    assert try_divide(*half) is None
+    assert partial_quotient(*half) is None
+
+
+@pytest.mark.parametrize(
+    "base, lead",
+    [(Z, 1), (F5, 2), (BaseRing.integers_localized(2), 2)],
+)
+def test_partial_quotient_stops_before_try_divide(base, lead):
+    # x1^20 - 1 = (x1 - 1)(x1^19 + ... + 1): the division takes 20 steps,
+    # under try_divide's limit 4*(2+2+4) = 32 and over partial_quotient's
+    # limit 2*2+8 = 12
+    a = MultiPoly(base, 1, {(20,): 1, (0,): -1})
+    b = MultiPoly(base, 1, {(1,): lead, (0,): -lead})
+    c = base.from_fraction(Fraction(1, lead))
+    assert try_divide(a, b) == MultiPoly(base, 1, {(k,): c for k in range(20)})
+    assert partial_quotient(a, b) == MultiPoly(base, 1, {(k,): c for k in range(8, 20)})
+
+
+# SHA-256 of the canonical certificate texts of pinned_inputs(), recorded
+# with the greedy search as it was before it reused results across steps;
+# a change to the search that alters any emitted word changes it
+PINNED_SHA256 = "f3f1cb02cc2f59fcdd2e3951eea9bc7c5f17f436bd1e252905fe9a34c0c97a21"
+
+
+def pinned_inputs():
+    """The Cohn flagship, then four seeded words of each benchmark family."""
+    yield cohn_matrix()
+    for kind, rank, nvars, length in (
+        ("A", 2, 1, 15),
+        ("A", 3, 2, 10),
+        ("C", 2, 1, 10),
+        ("C", 3, 1, 10),
+    ):
+        rs = build_root_system(kind, rank)
+        for seed in range(9500, 9504):
+            word = random_elementary_word(rs, seed, length, nvars=nvars)
+            yield eval_word(word, Z, nvars)
+
+
+def test_greedy_certificates_pinned():
+    digest = hashlib.sha256()
+    for g in pinned_inputs():
+        cert = factor_polynomial(g)
+        assert cert.verified and cert.residual_constant.is_identity()
+        digest.update(fileio.dumps(fileio.certificate_to_dict(cert)).encode())
+    assert digest.hexdigest() == PINNED_SHA256
 
 
 def cohn_embedded():
