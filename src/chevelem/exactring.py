@@ -13,9 +13,11 @@ every file format in the package.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import (
     BaseMismatch,
@@ -291,7 +293,8 @@ class MultiPoly:
         return self.terms.values()
 
     def _check_compatible(self, other: "MultiPoly") -> None:
-        if self.base != other.base or self.nvars != other.nvars:
+        same_base = self.base is other.base or self.base == other.base
+        if not same_base or self.nvars != other.nvars:
             raise BaseMismatch(
                 "operands over %s[%d vars] vs %s[%d vars]"
                 % (self.base, self.nvars, other.base, other.nvars)
@@ -764,112 +767,112 @@ def _coeff_text(c) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.toks: list = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif ch == "x":
-                if i + 1 >= n or text[i + 1] not in "123456789":
-                    raise ParseError("bad variable at position %d in %r" % (i, text))
-                self.toks.append(("var", int(text[i + 1]) - 1))
-                i += 2
-            elif ch in "+-*/^()":
-                self.toks.append((ch, None))
-                i += 1
-            else:
-                raise ParseError("unexpected character %r in %r" % (ch, text))
+_TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _fold(acc: dict, terms: dict) -> None:
+    """acc += terms in place, dropping coefficients that cancel."""
+    for e, c in terms.items():
+        v = acc.get(e, 0) + c
+        if v:
+            acc[e] = v
+        elif e in acc:
+            del acc[e]
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    if len(a) == 1 == len(b):
+        ((e1, c1),), ((e2, c2),) = a.items(), b.items()
+        return {tuple(map(add, e1, e2)): c1 * c2}
+    out: dict = {}
+    for e1, c1 in a.items():
+        _fold(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
+    return out
+
+
+def _pow_terms(p: dict, n: int, zero: tuple) -> dict:
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(k * n for k in e): c**n}
+    result, square = {zero: 1}, p
+    while n:
+        if n & 1:
+            result = _mul_terms(result, square)
+        n >>= 1
+        square = _mul_terms(square, square) if n else square
+    return result
 
 
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
-    """Parse the polynomial grammar over the rationals, then coerce."""
-    toks = _Tokens(text)
-    p = _parse_expr(toks, nvars)
-    if toks.peek()[0] is not None:
-        raise ParseError("trailing tokens in %r" % (text,))
-    return convert(p, base)
+    """Parse the polynomial grammar over the rationals, then coerce.
 
+    Works on {exponents: rational} dicts without zero coefficients: sums
+    fold into one accumulator and a power of one term scales its exponents,
+    so only products of parenthesised sums cost more than linear time.
+    """
+    toks = []
+    for m in _TOKEN.finditer(text):
+        num, var, op, bad = m.groups()
+        if bad == "x":
+            raise ParseError("bad variable at position %d in %r" % (m.start(), text))
+        if bad is not None:
+            raise ParseError("unexpected character %r in %r" % (bad, text))
+        toks.append(("int", int(num)) if num else ("var", int(var) - 1) if var else (op, None))
+    toks = [(None, None)] + toks[::-1]  # a stack: next token on top, end marker at the bottom
+    zero = (0,) * nvars
 
-def _parse_expr(toks: _Tokens, nvars: int) -> MultiPoly:
-    node = _parse_term(toks, nvars)
-    while True:
-        kind, _ = toks.peek()
-        if kind == "+":
-            toks.next()
-            node = node + _parse_term(toks, nvars)
-        elif kind == "-":
-            toks.next()
-            node = node - _parse_term(toks, nvars)
-        else:
-            return node
+    def expr() -> dict:
+        acc = dict(term())
+        while toks[-1][0] in ("+", "-"):
+            t = term() if toks.pop()[0] == "+" else {e: -c for e, c in term().items()}
+            _fold(acc, t)
+        return acc
 
-
-def _parse_term(toks: _Tokens, nvars: int) -> MultiPoly:
-    node = _parse_factor(toks, nvars)
-    while True:
-        kind, _ = toks.peek()
-        if kind == "*":
-            toks.next()
-            node = node * _parse_factor(toks, nvars)
-        elif kind == "/":
-            toks.next()
-            divisor = _parse_factor(toks, nvars)
-            if not divisor.is_constant() or divisor.is_zero():
+    def term() -> dict:
+        node = factor()
+        while toks[-1][0] in ("*", "/"):
+            times = toks.pop()[0] == "*"
+            rhs = factor()
+            if times:
+                node = _mul_terms(node, rhs)
+            elif len(rhs) == 1 and zero in rhs:
+                d = Fraction(rhs[zero])
+                node = {e: c / d for e, c in node.items()}
+            else:
                 raise ParseError("division only by nonzero constants")
-            node = node.scale(Fraction(1) / Fraction(divisor.constant_term()))
-        else:
-            return node
-
-
-def _parse_factor(toks: _Tokens, nvars: int) -> MultiPoly:
-    sign = 1
-    while toks.peek()[0] == "-":
-        toks.next()
-        sign = -sign
-    node = _parse_atom(toks, nvars)
-    if toks.peek()[0] == "^":
-        toks.next()
-        kind, val = toks.next()
-        if kind != "int":
-            raise ParseError("exponent must be an integer literal")
-        node = node ** val
-    if sign < 0:
-        node = -node
-    return node
-
-
-def _parse_atom(toks: _Tokens, nvars: int) -> MultiPoly:
-    q = BaseRing.rationals()
-    kind, val = toks.next()
-    if kind == "int":
-        return MultiPoly.const(q, nvars, val)
-    if kind == "var":
-        if val >= nvars:
-            raise ParseError("variable x%d beyond declared nvars=%d" % (val + 1, nvars))
-        return MultiPoly.variable(q, nvars, val)
-    if kind == "(":
-        node = _parse_expr(toks, nvars)
-        if toks.next()[0] != ")":
-            raise ParseError("unbalanced parentheses")
         return node
-    raise ParseError("unexpected token %r" % (kind,))
+
+    def factor() -> dict:
+        # unary minus binds looser than "^": -x1^2 is -(x1^2)
+        negate = False
+        while toks[-1][0] == "-":
+            toks.pop()
+            negate = not negate
+        node = atom()
+        if toks[-1][0] == "^":
+            toks.pop()
+            kind, n = toks.pop()
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal")
+            node = _pow_terms(node, n, zero)
+        return {e: -c for e, c in node.items()} if negate else node
+
+    def atom() -> dict:
+        kind, val = toks.pop()
+        if kind == "int":
+            return {zero: val} if val else {}
+        if kind == "var":
+            if val >= nvars:
+                raise ParseError("variable x%d beyond declared nvars=%d" % (val + 1, nvars))
+            return {zero[:val] + (1,) + zero[val + 1 :]: 1}
+        if kind == "(":
+            node = expr()
+            if toks.pop()[0] != ")":
+                raise ParseError("unbalanced parentheses")
+            return node
+        raise ParseError("unexpected token %r" % (kind,))
+
+    p = expr()
+    if toks[-1][0] is not None:
+        raise ParseError("trailing tokens in %r" % (text,))
+    return MultiPoly(base, nvars, {e: base.from_fraction(c) for e, c in p.items()})

@@ -72,9 +72,12 @@ class FactorizationCertificate:
         return self.word.max_degree()
 
     def check(self) -> bool:
-        base, nvars = self.target.base, self.target.nvars
-        prod = eval_word(self.word, base, nvars) * self.residual_constant
-        return prod == self.target
+        """Exact re-check: the residual is constant and in G(R), and
+        eval(word) * residual equals the target."""
+        res, g = self.residual_constant, self.target
+        if not (res.is_constant() and membership_check(res, g.rs)):
+            return False
+        return eval_word(self.word, g.base, g.nvars) * res == g
 
 
 def random_elementary_word(

@@ -65,7 +65,7 @@ def word_from_records(records, rs: RootSystem, base: BaseRing, nvars: int) -> El
             root = tuple(int(v) for v in rec["root"])
             arg = parse_poly(rec["arg"], base, nvars)
             letters.append((root, arg))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed word record: %s" % exc) from exc
     return ElemWord(rs, letters)
 

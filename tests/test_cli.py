@@ -225,6 +225,44 @@ def test_verify_detects_perturbation(tmp_path, capsys):
     assert main(["verify", "--in", str(bad_file)]) == EXIT_MISMATCH
 
 
+def _forged_certificate(residual):
+    return {
+        "group": {"type": "A", "rank": 2},
+        "nvars": 1,
+        "base": "Z",
+        "target": residual,
+        "word": [],
+        "residual": residual,
+        "verified": True,
+        "word_length": 0,
+        "max_degree": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [cohn_dict()["entries"], [["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+    ids=["not-constant", "not-in-group"],
+)
+def test_verify_enforces_residual_contract(tmp_path, capsys, residual):
+    # word * residual = target holds, but the residual must be constant and in G(R)
+    data = _forged_certificate(residual)
+    assert not certificate_from_dict(data).check()
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(forged)]) == EXIT_MISMATCH
+
+
+def test_verify_malformed_root(tmp_path, capsys):
+    data = _forged_certificate(cohn_dict()["entries"])
+    data["word"] = [{"root": ["a", 0, 0], "arg": "x1"}]
+    with pytest.raises(ParseError):
+        certificate_from_dict(data)
+    bad = tmp_path / "bad_root.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+
+
 def test_verify_truncated_file(tmp_path):
     bad = tmp_path / "trunc.json"
     bad.write_text('{"group": {"type": "A"')

@@ -348,3 +348,81 @@ def test_parse_mod_base_reduces():
     assert parse_poly("5*x1", Z4, 1) == P("x1", Z4)
     assert parse_poly("1/3", F5, 1) == P("2", F5)  # 3*2 = 6 = 1 mod 5
 
+
+
+# (text, base, emitted text or exception type); "²" is a digit to
+# str.isdigit but not an integer literal
+_PARSE_EDGES = [
+    ("", Q, ParseError),
+    ("   ", Q, ParseError),
+    ("x1 x1", Q, ParseError),
+    ("x1^-1", Q, ParseError),
+    ("x1^2^2", Q, ParseError),
+    ("1/0", Q, ParseError),
+    ("1/(x1-x1+2)", Q, "1/2"),
+    ("x1 / 2 / 3", Q, "1/6*x1"),
+    ("-x1^2", Q, "-x1^2"),
+    ("-(x1+1)^3", Q, "-x1^3 - 3*x1^2 - 3*x1 - 1"),
+    ("0^0", Q, "1"),
+    ("x1^0", Q, "1"),
+    ("(x1-x1)^2", Q, "0"),
+    ("-2^2", Q, "-4"),
+    ("--x1", Q, "x1"),
+    ("(2*x1)^3", Q, "8*x1^3"),
+    ("x1 - x1 + x1^2", Q, "x1^2"),
+    ("1/2", Z, BaseMismatch),
+    ("x1²", Z, ParseError),
+]
+
+
+@pytest.mark.parametrize("text,base,expected", _PARSE_EDGES)
+def test_parse_edge_cases(text, base, expected):
+    if isinstance(expected, str):
+        assert emit_poly(parse_poly(text, base, 1)) == expected
+    else:
+        with pytest.raises(expected):
+            parse_poly(text, base, 1)
+
+
+@pytest.mark.parametrize(
+    "base,kind", [(Q, Fraction), (ZHALF, Fraction), (Z, int), (Z4, int), (F5, int)]
+)
+def test_parse_coefficient_types(base, kind):
+    p = parse_poly("x1^2 - 3*x1*x2 + 4/2", base, 2)
+    assert len(p.terms) == 3
+    assert all(type(c) is kind for c in p.coefficients())
+
+
+@pytest.mark.parametrize("base", [Z, Q, Z4, F5, ZHALF], ids=str)
+def test_parse_emit_roundtrip_on_group_entries(base):
+    from chevelem.factorize import random_elementary_word
+    from chevelem.rootdata import build_root_system
+    from chevelem.words import ElemWord, eval_word
+
+    scale = {Q: Fraction(2, 3), ZHALF: Fraction(3, 2)}.get(base, 1)
+    for kind, rank, seed in (("A", 2, 61), ("C", 2, 62), ("A", 3, 63)):
+        rs = build_root_system(kind, rank)
+        word = random_elementary_word(rs, seed, 12, nvars=2, base=base)
+        word = ElemWord(rs, [(r, a.scale(scale)) for r, a in word.letters])
+        for row in eval_word(word, base, 2).entries:
+            for p in row:
+                assert parse_poly(emit_poly(p), base, 2) == p
+
+
+def test_parse_long_text_uses_no_polynomial_products(monkeypatch):
+    terms = {
+        (i, j): Fraction((7 * i - 3 * j) or 5, 1 + (i + j) % 4)
+        for i in range(21)
+        for j in range(21 - i)
+    }
+    p = MultiPoly(Q, 2, terms)
+    assert len(p.terms) >= 200
+    text = emit_poly(p)
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        real = getattr(MultiPoly, name)
+        monkeypatch.setattr(
+            MultiPoly, name, lambda a, b, real=real, name=name: calls.append(name) or real(a, b)
+        )
+    assert parse_poly(text, Q, 2) == p
+    assert calls == []
