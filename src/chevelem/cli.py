@@ -1,9 +1,9 @@
 """Command-line surface: relations, factor, verify, roundtrip, demo.
 
 Exit codes: 0 success, 1 verification or relation failure, 2 budget
-exhausted (NotFactored), 3 invalid input (parse errors, rank gate,
-non-membership).  Reports on stdout are deterministic for fixed inputs
-and seeds; timing goes to stderr.
+exhausted (NotFactored), 3 invalid input (usage errors, parse errors,
+rank gate, non-membership).  Reports on stdout are deterministic for
+fixed inputs and seeds; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .fileio import (
     matrix_from_dict,
     save,
 )
-from .localglobal import Budget
 from .rootdata import (
     GroupMatrix,
     build_root_system,
@@ -124,10 +123,6 @@ def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:
     return report
 
 
-def _budget_from_args(args) -> Budget:
-    return Budget(max_letters=args.budget_letters, max_degree=args.budget_degree)
-
-
 def cmd_factor(args) -> int:
     try:
         data = load(args.infile)
@@ -137,7 +132,7 @@ def cmd_factor(args) -> int:
         return EXIT_BAD_INPUT
     t0 = time.monotonic()
     try:
-        cert = factor_polynomial(g, _budget_from_args(args))
+        cert = factor_polynomial(g)
     except NotFactored as exc:
         print("not factored within budget: %s" % exc, file=sys.stderr)
         print("hint: this is a resource limit, not a non-membership proof", file=sys.stderr)
@@ -205,7 +200,6 @@ def cmd_roundtrip(args) -> int:
     except (RankTooLow, UnsupportedType) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
-    budget = _budget_from_args(args)
     master = random.Random(args.seed)
     failures = 0
     budget_misses = 0
@@ -216,7 +210,7 @@ def cmd_roundtrip(args) -> int:
         )
         g = eval_word(word, Z, args.vars)
         try:
-            cert = factor_polynomial(g, budget)
+            cert = factor_polynomial(g)
         except NotFactored:
             budget_misses += 1
             print("trial %d: NOT FACTORED (budget)" % trial)
@@ -270,8 +264,17 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means NotFactored;
+    a usage error is invalid input.  Subparsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chevelem",
         description=(
             "Factor polynomial matrices in SL_N / Sp_2N into words of "
@@ -280,24 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
-        p.add_argument(
-            "--budget-letters",
-            type=int,
-            default=Budget().max_letters,
-            help="most letters the certified descent may expand to",
-        )
-        p.add_argument(
-            "--budget-degree",
-            type=int,
-            default=Budget().max_degree,
-            help="highest total degree the certified descent may conjugate",
-        )
-
     p_factor = sub.add_parser("factor", help="factor a matrix file into a certificate")
     p_factor.add_argument("--in", dest="infile", required=True)
     p_factor.add_argument("--out", dest="outfile")
-    add_common(p_factor)
     p_factor.set_defaults(func=cmd_factor)
 
     p_verify = sub.add_parser("verify", help="re-check a certificate from scratch")
@@ -318,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--trials", type=int, default=10)
     p_round.add_argument("--seed", type=int, default=0)
     p_round.add_argument("--length", type=int, default=10)
-    add_common(p_round)
     p_round.set_defaults(func=cmd_roundtrip)
 
     p_demo = sub.add_parser("demo", help="factor the flagship 3x3 example")

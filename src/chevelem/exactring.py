@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from operator import add
 
@@ -768,6 +769,8 @@ def _coeff_text(c) -> str:
 
 
 _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
+# the descent spends four Python frames per parenthesis level
+_MAX_PAREN_DEPTH = 100
 
 
 def _fold(acc: dict, terms: dict) -> None:
@@ -818,6 +821,10 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
         if bad is not None:
             raise ParseError("unexpected character %r in %r" % (bad, text))
         toks.append(("int", int(num)) if num else ("var", int(var) - 1) if var else (op, None))
+    if text.count("(") > _MAX_PAREN_DEPTH and max(
+        accumulate((k == "(") - (k == ")") for k, _ in toks)
+    ) > _MAX_PAREN_DEPTH:
+        raise ParseError("parentheses nested deeper than %d" % _MAX_PAREN_DEPTH)
     toks = [(None, None)] + toks[::-1]  # a stack: next token on top, end marker at the bottom
     zero = (0,) * nvars
 

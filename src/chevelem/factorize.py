@@ -1,10 +1,13 @@
 """End-to-end factorization into elementary words.
 
-The pipeline is heuristic-first: a greedy division-guided reduction runs
-before the certified local-global machinery, because most desk-scale
-inputs fall to it.  Every word produced anywhere is re-evaluated exactly
-against its target before it is returned; NotFactored is a budget signal
-and never a claim of non-membership.
+factor_polynomial is greedy: a division-guided reduction, finished by a
+rank-one commutator word where it applies, brings the matrix down to a
+constant, and the Euclidean reduction over Z factors that constant tail.
+A greedy stall ends in NotFactored.  The Euclidean, field and
+monic-localized reductions are public on their own.  Every word produced
+anywhere is re-evaluated exactly against its target before it is
+returned; NotFactored is a budget signal and never a claim of
+non-membership.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from .exactring import (
     MonicLocElem,
     MultiPoly,
     convert,
-    denominator_lcm,
-    lift_mod_to_integers,
     monic_divrem,
 )
-from .localglobal import DEFAULT_BUDGET, Budget, CoveringData, dilation_factor, patch
+from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
     RootSystem,
@@ -45,7 +46,6 @@ from .words import (
     eval_word,
     free_reduce,
     reduce_letters,
-    shift_word_base,
 )
 
 Z = BaseRing.integers()
@@ -293,9 +293,6 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
     minus, plus, long_root = _c_roots(n)
     one = rec.one
 
-    def neg(v):
-        return tuple(-x for x in v)
-
     for stage in range(n):
         col = stage
         # (a) gcd within each active hyperbolic pair via long-root ops
@@ -338,19 +335,19 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
             rec.lmul(long_root(stage, -1), ctx.unit_inverse(d))
             rec.lmul(long_root(stage, 1), one - d)
             rec.lmul(long_root(stage, -1), -one)
-        # (d) clear the rest of the column
-        for r in range(size):
-            if r == stage:
-                continue
+        # (d) clear the rest of the column.  Of the starred rows only
+        # stage* can be nonzero: (a) zeroed j* for j >= stage, earlier
+        # stages left j* clean for j < stage, and (b)/(c) add starred rows
+        # only to starred rows, except on stage*.  _assert_stage_clean
+        # rejects anything else.
+        for r in list(range(n)) + [star(stage)]:
             val = rec.m[r][col]
-            if ctx.size(val) == 0:
+            if r == stage or ctx.size(val) == 0:
                 continue
             if r < n:
                 rec.lmul(minus(r, stage), -val)
-            elif r == star(stage):
-                rec.lmul(long_root(stage, -1), -val)
             else:
-                rec.lmul(neg(plus(stage, star(r))), -val)
+                rec.lmul(long_root(stage, -1), -val)
         # (e) clear the pivot row by column operations
         for c in range(stage + 1, n):
             val = rec.m[stage][c]
@@ -967,9 +964,6 @@ def _rank1_difference(m):
     def column(c):
         return [d[i][c] for i in range(size)]
 
-    def row(r):
-        return list(d[r])
-
     candidates = []
     for c in range(size):
         col = column(c)
@@ -1182,189 +1176,19 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     return word, residual
 
 
-# ---------------------------------------------------------------------------
-# certified local-global pipeline
-
-
-def _prime_factors(n: int):
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _word_over_field(m: GroupMatrix, var: int, budget: Budget) -> ElemWord:
-    """A word over the field base for m: exact Euclid when univariate,
-    greedy otherwise."""
-    active = [
-        v
-        for v in range(m.nvars)
-        if any(p.degree_in(v) > 0 for row in m.entries for p in row)
-    ]
-    if len(active) <= 1:
-        return factor_univar_euclidean(m, var=active[0] if active else var)
-    word, residual = heuristic_reduce(m, budget)
-    if residual.is_identity():
-        return word
-    if residual.is_constant():
-        tail = factor_univar_euclidean(residual)
-        word = free_reduce(word.concat(tail))
-        if eval_word(word, m.base, m.nvars) == m:
-            return word
-    raise NotFactored("field-base reduction stalled; raise the budget")
-
-
-def _gauss_local_constant(g: GroupMatrix, p: int, budget: Budget | None = None) -> ElemWord:
-    """Factor a constant integer matrix over Z_(p): pivots are p-units,
-    arguments are rationals with p-free denominators.  Delegates to the
-    monic-localized reduction, where constants are the trivial case."""
-    gq = g.map_entries(lambda q: convert(q, Q))
-    entries = [[MonicLocElem(q) for q in row] for row in gq.entries]
-    word = factor_monic_localized(g.rs, entries, p, budget).to_elem_word(Q)
-    if eval_word(word, Q, g.nvars) != gq:
-        raise NotFactored("constant local reduction failed verification")
-    return word
-
-
-def _local_prime_word(m: GroupMatrix, p: int, var: int, budget: Budget) -> ElemWord:
-    """Word over Q with p-free denominators evaluating to m.
-
-    Route: kill m mod p with a lifted word over F_p, factor the constant
-    local part with p-unit pivots, then reduce the congruence remainder
-    over the monic localization and descend it."""
-    fp = BaseRing.prime_field(p)
-    m_p = m.map_entries(lambda q: convert(q, fp))
-    if m_p.is_identity():
-        w0 = ElemWord.empty(m.rs)
-    else:
-        w_bar = _word_over_field(m_p, var, budget)
-        w0 = ElemWord(m.rs, [(r, lift_mod_to_integers(a)) for r, a in w_bar.letters])
-    m1 = m * eval_word(w0, Z, m.nvars).inverse() if len(w0) else m
-    zeros = {v: MultiPoly.zero(Z, m.nvars) for v in range(m.nvars)}
-    const_part = m1.substitute(zeros, nvars_out=m.nvars)
-    if const_part.is_identity():
-        w_c = ElemWord.empty(m.rs)
-        m2_q = m1.map_entries(lambda q: convert(q, Q))
-    else:
-        w_c = _gauss_local_constant(const_part, p, budget)
-        m2_q = m1.map_entries(lambda q: convert(q, Q)) * eval_word(
-            w_c, Q, m.nvars
-        ).inverse()
-    if m2_q.is_identity():
-        core = ElemWord.empty(m.rs)
-    else:
-        core = None
-        w_try, resid = heuristic_reduce(GroupMatrix(m.rs, m2_q.entries), budget)
-        if resid.is_identity() and all(
-            _is_p_integral(arg, p) for _, arg in w_try.letters
-        ):
-            core = w_try
-        if core is None:
-            entries = [[MonicLocElem(q) for q in row] for row in m2_q.entries]
-            w_m = factor_monic_localized(m.rs, entries, p, budget, var=var)
-            f = MultiPoly.const(Q, m.nvars, 1)
-            for _, arg in w_m.letters:
-                red = arg.reduce()
-                f = f * red.den ** red.power
-            core = descend_monic(GroupMatrix(m.rs, m2_q.entries), w_m, f, budget)
-            core = shift_word_base(core, Q)
-    word = core
-    if len(w_c):
-        word = word.concat(shift_word_base(w_c, Q))
-    if len(w0):
-        word = word.concat(shift_word_base(w0, Q))
-    word = free_reduce(word)
-    m_q = m.map_entries(lambda q: convert(q, Q))
-    if eval_word(word, Q, m.nvars) != m_q:
-        raise NotFactored("local word failed verification")
-    for _, arg in word.letters:
-        if not _is_p_integral(arg, p):
-            raise NotFactored("local word is not p-integral")
-    return word
-
-
-def _lcm_denominators(word: ElemWord) -> int:
-    d = 1
-    for _, arg in word.letters:
-        lcm = denominator_lcm(arg)
-        d = d * lcm // gcd(d, lcm)
-    return d
-
-
-def _certified_variable_pass(m: GroupMatrix, var: int, budget: Budget) -> tuple:
-    """One induction step: a word for m * m(var -> 0)^{-1} via coverings."""
-    m_q = m.map_entries(lambda p: convert(p, Q))
-    w_q = _word_over_field(m_q, var, budget)
-    d = _lcm_denominators(w_q)
-    if d == 1:
-        loc1 = BaseRing.integers_localized(1)
-        cert = dilation_factor(m, shift_word_base(w_q, loc1), 1, var=var, budget=budget)
-        covering = CoveringData((1,), (1,), (max(cert.k, 1),))
-        word = patch(m, [(1, cert)], covering, var=var)
-        return word, m.at_zero(var)
-    elems = [d]
-    loc_d = BaseRing.integers_localized(d)
-    certs = [(d, dilation_factor(m, shift_word_base(w_q, loc_d), d, var=var, budget=budget))]
-    for p in _prime_factors(d):
-        w_p = _local_prime_word(m, p, var, budget)
-        t_p = _lcm_denominators(w_p)
-        if t_p % p == 0:
-            raise NotFactored("local route failed to avoid the prime %d" % p)
-        loc_t = BaseRing.integers_localized(max(t_p, 1))
-        certs.append(
-            (t_p, dilation_factor(m, shift_word_base(w_p, loc_t), t_p, var=var, budget=budget))
-        )
-        elems.append(t_p)
-    exponents = [max(cert.k, 1) for _, cert in certs]
-    covering = CoveringData.from_elements(elems, exponents)
-    word = patch(m, certs, covering, var=var)
-    return word, m.at_zero(var)
-
-
-def _certified_pipeline(m: GroupMatrix, budget: Budget, var_order=None) -> ElemWord:
-    """Per-variable induction; returns a word for m * m(0,...,0)^{-1}."""
-    word = ElemWord.empty(m.rs)
-    current = m
-    for var in var_order if var_order is not None else range(m.nvars):
-        if current.is_constant():
-            break
-        if all(p.degree_in(var) <= 0 for row in current.entries for p in row):
-            continue
-        try:
-            step, current = _certified_variable_pass(current, var, budget)
-        except (DescentBudgetExceeded, PreconditionViolated) as exc:
-            raise NotFactored("certified pipeline: %s" % exc) from exc
-        word = free_reduce(word.concat(step))
-        log.debug(
-            "induction on x%d: step word %d letters, degree %d",
-            var + 1, len(step), step.max_degree(),
-        )
-    if not current.is_constant():
-        raise NotFactored("variables remain after the induction")
-    return word
-
-
 def factor_polynomial(
     g: GroupMatrix,
     budget: Budget | None = None,
     elementary_residual: bool = True,
-    var_order=None,
 ) -> FactorizationCertificate:
     """Factor g in SL_N(Z[x..]) or Sp_2N(Z[x..]) into elementary letters.
 
-    Heuristic reduction first; the certified local-global pipeline is the
-    completeness backstop, knocking out variables in var_order (x1 first
-    by default).  The residual is the identity by default; with
-    elementary_residual=False the constant part g(0,...,0) is returned
-    unfactored as the group-of-constants component.
+    The greedy reduction (heuristic_reduce, with its rank-one commutator
+    finisher) must bring g down to a constant matrix; a non-constant
+    residual raises NotFactored at once.  By default the constant part is
+    then factored by the integer Euclidean reduction, so the residual is
+    the identity; with elementary_residual=False it is returned unfactored
+    as the group-of-constants component.
     """
     budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
@@ -1372,7 +1196,6 @@ def factor_polynomial(
     if not membership_check(g, g.rs):
         raise NotInGroup("matrix fails the group invariant")
     base, nvars = g.base, g.nvars
-    zeros = {v: MultiPoly.zero(base, nvars) for v in range(nvars)}
 
     word, residual = heuristic_reduce(g, budget)
     log.debug(
@@ -1380,12 +1203,9 @@ def factor_polynomial(
         residual.is_constant(), len(word), word.max_degree(),
     )
     if not residual.is_constant():
-        tail = _certified_pipeline(residual, budget, var_order)
-        word = free_reduce(word.concat(tail))
-        residual = residual.substitute(zeros, nvars_out=nvars)
-        log.debug(
-            "certified stage: word length %d, max degree %d",
-            len(word), word.max_degree(),
+        raise NotFactored(
+            "greedy stage left a non-constant residual (no size-reducing "
+            "move, or Budget.max_steps=%d spent in a pass)" % budget.max_steps
         )
 
     if elementary_residual:

@@ -172,11 +172,6 @@ def congruence_check(w: ElemWord, z: int) -> CongruenceTag:
     return CongruenceTag(variable=z, holds=at0.is_identity())
 
 
-def shift_word_base(w: ElemWord, new_base: BaseRing) -> ElemWord:
-    """Exact coefficientwise base change of every argument."""
-    return ElemWord(w.rs, [(r, convert(a, new_base)) for r, a in w.letters])
-
-
 def extend_word_vars(w: ElemWord, nvars: int) -> ElemWord:
     return ElemWord(w.rs, [(r, a.extend_vars(nvars)) for r, a in w.letters])
 

@@ -263,6 +263,25 @@ def test_verify_malformed_root(tmp_path, capsys):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
 
 
+def test_verify_deep_parentheses(tmp_path, capsys):
+    cert = factor_polynomial(cohn_matrix())
+    data = certificate_to_dict(cert)
+    data["word"][0]["arg"] = "(" * 400 + "x1" + ")" * 400
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+
+
+def test_usage_error_exit_code(tmp_path, capsys):
+    # argparse's own exit status 2 would read as NotFactored
+    matrix_file = tmp_path / "m.json"
+    matrix_file.write_text(json.dumps(cohn_dict()))
+    for argv in (["factor"], ["factor", "--in", str(matrix_file), "--budget-letters", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_INPUT
+
+
 def test_verify_truncated_file(tmp_path):
     bad = tmp_path / "trunc.json"
     bad.write_text('{"group": {"type": "A"')

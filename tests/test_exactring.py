@@ -351,7 +351,8 @@ def test_parse_mod_base_reduces():
 
 
 # (text, base, emitted text or exception type); "²" is a digit to
-# str.isdigit but not an integer literal
+# str.isdigit but not an integer literal; nesting deeper than the
+# recursive descent can follow is invalid input, not a RecursionError
 _PARSE_EDGES = [
     ("", Q, ParseError),
     ("   ", Q, ParseError),
@@ -372,6 +373,8 @@ _PARSE_EDGES = [
     ("x1 - x1 + x1^2", Q, "x1^2"),
     ("1/2", Z, BaseMismatch),
     ("x1²", Z, ParseError),
+    pytest.param("(" * 100 + "x1" + ")" * 100, Q, "x1", id="nested-100"),
+    pytest.param("(" * 400 + "x1" + ")" * 400, Q, ParseError, id="nested-400"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from chevelem import fileio
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     DescentBudgetExceeded,
+    NotFactored,
     NotInGroup,
     PreconditionViolated,
 )
@@ -446,3 +448,32 @@ def test_factor_polynomial_rejects_nonmember():
     bad = int_matrix(A2, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(NotInGroup):
         factor_polynomial(bad)
+
+
+class _WallCeiling(Exception):
+    pass
+
+
+def _raise_wall_ceiling(signum, frame):
+    raise _WallCeiling()
+
+
+@pytest.mark.parametrize(
+    "rs, seed, length",
+    [(A2, 5013, 30), (A2, 5024, 30), (build_root_system("C", 3), 5017, 20)],
+    ids=["A2-5013", "A2-5024", "C3-5017"],
+)
+def test_factor_polynomial_greedy_stall_fails_fast(rs, seed, length):
+    # greedy leaves a non-constant residual on these words; the call must
+    # say so at once, naming the stage and the budget field
+    g = eval_word(random_elementary_word(rs, seed, length, nvars=1), Z, 1)
+    previous = signal.signal(signal.SIGALRM, _raise_wall_ceiling)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(NotFactored) as exc:
+            factor_polynomial(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert "greedy stage" in str(exc.value)
+    assert "max_steps" in str(exc.value)
