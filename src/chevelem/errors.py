@@ -62,7 +62,7 @@ class NotInGroup(ChevElemError):
 
 
 class NotFactored(ChevElemError):
-    """Budget exhausted before a certificate was produced.
+    """The search ended without a certificate: it stalled or spent its budget.
 
-    This is a resource signal, never a disproof of membership.
+    The search found no word; this is never a disproof of membership.
     """

@@ -96,12 +96,6 @@ class BaseRing:
         return None
 
     @property
-    def is_domain(self) -> bool:
-        if self.kind == KIND_MOD:
-            return _is_prime(self.param)
-        return True
-
-    @property
     def is_field(self) -> bool:
         return self.kind in (KIND_PRIME_FIELD, KIND_RATIONALS)
 
@@ -882,4 +876,5 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
     p = expr()
     if toks[-1][0] is not None:
         raise ParseError("trailing tokens in %r" % (text,))
-    return MultiPoly(base, nvars, {e: base.from_fraction(c) for e, c in p.items()})
+    terms = {e: base.from_fraction(c) for e, c in p.items()}
+    return MultiPoly(base, nvars, {e: c for e, c in terms.items() if c}, normalized=True)

@@ -225,35 +225,40 @@ class _OpRecorder:
         return ElemWord(self.rs, left + right)
 
 
-def _root_a(n_ambient: int, i: int, j: int):
-    v = [0] * n_ambient
-    v[i], v[j] = 1, -1
-    return tuple(v)
+def _swap_into(rec: _OpRecorder, src: int, dst: int) -> None:
+    """Row dst += row src, then row src -= row dst: with dst zero in the
+    pivot column, this moves src's entry there into dst."""
+    at = rec.rs.root_at
+    rec.lmul(at(dst, src), rec.one)
+    rec.lmul(at(src, dst), -rec.one)
 
 
-def _c_roots(n: int):
-    def minus(i, j):
-        v = [0] * n
-        v[i], v[j] = 1, -1
-        return tuple(v)
+def _normalize_pivot(rec: _OpRecorder, pivot: int, spare: int, d_inv) -> None:
+    """Turn the unit pivot d on the diagonal into 1 by three moves through
+    a spare row whose entry in the pivot column is zero."""
+    at = rec.rs.root_at
+    d = rec.m[pivot][pivot]
+    rec.lmul(at(spare, pivot), d_inv)
+    rec.lmul(at(pivot, spare), rec.one - d)
+    rec.lmul(at(spare, pivot), -rec.one)
 
-    def plus(i, j):
-        v = [0] * n
-        v[i] += 1
-        v[j] += 1
-        return tuple(v)
 
-    def long_root(i, sign):
-        v = [0] * n
-        v[i] = 2 * sign
-        return tuple(v)
-
-    return minus, plus, long_root
+def _clear_pivot_row_c(rec: _OpRecorder, stage: int) -> None:
+    """Type C: clear the pivot row by column moves; the symplectic form
+    then forces the partner row and column clean, which is checked."""
+    rs = rec.rs
+    later = list(range(stage + 1, rs.rank))
+    for c in later + [rs.partner(c) for c in later] + [rs.partner(stage)]:
+        rec.rmul(rs.root_at(stage, c), -rec.m[stage][c])
+    for fixed in (stage, rs.partner(stage)):
+        for c in range(rs.matrix_size):
+            if not (rec.entry_is(fixed, c, c == fixed) and rec.entry_is(c, fixed, c == fixed)):
+                raise NotInGroup("matrix does not preserve the symplectic form")
 
 
 def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
     size = len(rec.m)
-    one = rec.one
+    at = rec.rs.root_at
     for col in range(size):
         while True:
             nz = [r for r in range(col, size) if ctx.size(rec.m[r][col]) != 0]
@@ -266,32 +271,25 @@ def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
                 if r == r_min:
                     continue
                 q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
-                rec.lmul(_root_a(size, r, r_min), -q)
-        r0 = nz[0]
-        if r0 != col:
-            rec.lmul(_root_a(size, col, r0), one)
-            rec.lmul(_root_a(size, r0, col), -one)
+                rec.lmul(at(r, r_min), -q)
+        if nz[0] != col:
+            _swap_into(rec, nz[0], col)
         d = rec.m[col][col]
-        if d != one:
+        if d != rec.one:
             if col == size - 1:
                 raise NotInGroup("final pivot is not 1; determinant is not 1")
             if not ctx.is_unit(d):
                 raise NotInGroup("column gcd %r is not a unit" % (d,))
-            spare = col + 1
-            rec.lmul(_root_a(size, spare, col), ctx.unit_inverse(d))
-            rec.lmul(_root_a(size, col, spare), one - d)
-            rec.lmul(_root_a(size, spare, col), -one)
+            _normalize_pivot(rec, col, col + 1, ctx.unit_inverse(d))
         for r in range(size):
-            if r != col and ctx.size(rec.m[r][col]) != 0:
-                rec.lmul(_root_a(size, r, col), -rec.m[r][col])
+            if r != col:
+                rec.lmul(at(r, col), -rec.m[r][col])
 
 
 def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
-    n = rec.rs.rank
-    size = 2 * n
-    star = lambda i: size - 1 - i
-    minus, plus, long_root = _c_roots(n)
-    one = rec.one
+    rs = rec.rs
+    n = rs.rank
+    at, star = rs.root_at, rs.partner
 
     for stage in range(n):
         col = stage
@@ -301,15 +299,14 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
                 a = rec.m[j][col]
                 b = rec.m[star(j)][col]
                 if ctx.size(a) == 0:
-                    rec.lmul(long_root(j, 1), one)  # row j += row j*
-                    rec.lmul(long_root(j, -1), -one)  # row j* -= row j
+                    _swap_into(rec, star(j), j)
                     continue
                 if ctx.size(b) >= ctx.size(a):
                     q, _ = ctx.divmod(b, a)
-                    rec.lmul(long_root(j, -1), -q)
+                    rec.lmul(at(star(j), j), -q)
                 else:
                     q, _ = ctx.divmod(a, b)
-                    rec.lmul(long_root(j, 1), -q)
+                    rec.lmul(at(j, star(j)), -q)
         # (b) gcd across the unstarred rows
         while True:
             nz = [r for r in range(stage, n) if ctx.size(rec.m[r][col]) != 0]
@@ -322,55 +319,24 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
                 if r == r_min:
                     continue
                 q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
-                rec.lmul(minus(r, r_min), -q)
-        r0 = nz[0]
-        if r0 != stage:
-            rec.lmul(minus(stage, r0), one)
-            rec.lmul(minus(r0, stage), -one)
+                rec.lmul(at(r, r_min), -q)
+        if nz[0] != stage:
+            _swap_into(rec, nz[0], stage)
         # (c) normalize the pivot using the hyperbolic partner
         d = rec.m[stage][col]
-        if d != one:
+        if d != rec.one:
             if not ctx.is_unit(d):
                 raise NotInGroup("column gcd %r is not a unit" % (d,))
-            rec.lmul(long_root(stage, -1), ctx.unit_inverse(d))
-            rec.lmul(long_root(stage, 1), one - d)
-            rec.lmul(long_root(stage, -1), -one)
+            _normalize_pivot(rec, stage, star(stage), ctx.unit_inverse(d))
         # (d) clear the rest of the column.  Of the starred rows only
         # stage* can be nonzero: (a) zeroed j* for j >= stage, earlier
         # stages left j* clean for j < stage, and (b)/(c) add starred rows
-        # only to starred rows, except on stage*.  _assert_stage_clean
-        # rejects anything else.
+        # only to starred rows, except on stage*.  (e) rejects anything else.
         for r in list(range(n)) + [star(stage)]:
-            val = rec.m[r][col]
-            if r == stage or ctx.size(val) == 0:
-                continue
-            if r < n:
-                rec.lmul(minus(r, stage), -val)
-            else:
-                rec.lmul(long_root(stage, -1), -val)
+            if r != stage:
+                rec.lmul(at(r, stage), -rec.m[r][col])
         # (e) clear the pivot row by column operations
-        for c in range(stage + 1, n):
-            val = rec.m[stage][c]
-            if ctx.size(val) != 0:
-                rec.rmul(minus(stage, c), -val)
-        for c in range(stage + 1, n):
-            cc = star(c)
-            val = rec.m[stage][cc]
-            if ctx.size(val) != 0:
-                rec.rmul(plus(stage, c), -val)
-        val = rec.m[stage][star(stage)]
-        if ctx.size(val) != 0:
-            rec.rmul(long_root(stage, 1), -val)
-        # the symplectic form forces the partner row and column clean
-        _assert_stage_clean(rec, stage, star(stage))
-
-
-def _assert_stage_clean(rec: _OpRecorder, idx: int, partner: int) -> None:
-    size = len(rec.m)
-    for fixed in (idx, partner):
-        for c in range(size):
-            if not (rec.entry_is(fixed, c, c == fixed) and rec.entry_is(c, fixed, c == fixed)):
-                raise NotInGroup("matrix does not preserve the symplectic form")
+        _clear_pivot_row_c(rec, stage)
 
 
 def _finish_reduction(g: GroupMatrix, rec: _OpRecorder) -> ElemWord:
@@ -503,46 +469,29 @@ def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
 
 
 def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, var: int, budget_steps: list):
-    """Find or construct an invertible entry in the column; returns its row."""
+    """Find or construct an invertible entry in the column; returns its row.
+
+    Shears row r += t * row r2 by the root at (r, r2), for t in 1, x, x^2
+    over all row pairs, then for their negatives."""
     for r in rows:
         if _monic_invertible(rec.m[r][col], p, var) is not None:
             return r
     x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, var))
     shears = [rec.one, x, x * x]
-    minus, plus, long_root = _c_roots(rec.rs.rank) if rec.rs.kind == "C" else (None, None, None)
-    size = len(rec.m)
-    n = rec.rs.rank
-
-    def shear_root(r, r2):
-        if rec.rs.kind == "A":
-            return _root_a(size, r, r2)
-        star = lambda i: size - 1 - i
-        if r < n and r2 < n:
-            return minus(r, r2)
-        if r < n <= r2:
-            return long_root(r, 1) if star(r2) == r else plus(r, star(r2))
-        if r2 < n <= r:
-            return long_root(r2, -1) if star(r) == r2 else tuple(
-                -x for x in plus(r2, star(r))
-            )
-        return minus(star(r2), star(r))
-
-    for r in rows:
-        for r2 in rows:
-            if r == r2:
-                continue
-            root = shear_root(r, r2)
-            primary = rec.rs.unipotent_terms[root][0]
-            if primary[0] != r or primary[1] != r2:
-                continue
-            for t in shears:
-                budget_steps[0] -= 1
-                if budget_steps[0] < 0:
-                    raise DescentBudgetExceeded("pivot search budget spent")
-                rec.lmul(root, t)
-                if _monic_invertible(rec.m[r][col], p, var) is not None:
-                    return r
-                rec.lmul(root, -t)
+    for ts in (shears, [-t for t in shears]):
+        for r in rows:
+            for r2 in rows:
+                root = rec.rs.root_at(r, r2)
+                if root is None:
+                    continue
+                for t in ts:
+                    budget_steps[0] -= 1
+                    if budget_steps[0] < 0:
+                        raise DescentBudgetExceeded("pivot search budget spent")
+                    rec.lmul(root, t)
+                    if _monic_invertible(rec.m[r][col], p, var) is not None:
+                        return r
+                    rec.lmul(root, -t)
     return None
 
 
@@ -597,7 +546,7 @@ def factor_monic_localized(
 
 def _monic_reduce_a(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
     size = len(rec.m)
-    one = rec.one
+    at = rec.rs.root_at
     for col in range(size):
         rows = list(range(col, size))
         r0 = _monic_pivot_hunt(rec, rows, col, p, var, steps)
@@ -607,39 +556,30 @@ def _monic_reduce_a(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
         if r0 != col:
             # zero the diagonal slot against the pivot, then swap it in
             if not rec.m[col][col].is_zero():
-                rec.lmul(_root_a(size, col, r0), -(rec.m[col][col] * inv))
-            rec.lmul(_root_a(size, col, r0), one)
-            rec.lmul(_root_a(size, r0, col), -one)
+                rec.lmul(at(col, r0), -(rec.m[col][col] * inv))
+            _swap_into(rec, r0, col)
             inv = _monic_invertible(rec.m[col][col], p, var)
         # clear the column with pivot-inverse-scaled steps
         for r in range(size):
             if r != col and not rec.m[r][col].is_zero():
-                rec.lmul(_root_a(size, r, col), -(rec.m[r][col] * inv))
-        d = rec.m[col][col]
-        if not (d - one).is_zero():
+                rec.lmul(at(r, col), -(rec.m[r][col] * inv))
+        if not (rec.m[col][col] - rec.one).is_zero():
             if col == size - 1:
                 raise NotInGroup("final pivot is not 1")
-            spare = col + 1
-            rec.lmul(_root_a(size, spare, col), inv)
-            rec.lmul(_root_a(size, col, spare), one - d)
-            rec.lmul(_root_a(size, spare, col), -one)
+            _normalize_pivot(rec, col, col + 1, inv)
         for c in range(size):
-            if c != col and not rec.m[col][c].is_zero():
-                rec.rmul(_root_a(size, col, c), -rec.m[col][c])
+            if c != col:
+                rec.rmul(at(col, c), -rec.m[col][c])
 
 
 def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
-    n = rec.rs.rank
-    size = 2 * n
-    star = lambda i: size - 1 - i
-    minus, plus, long_root = _c_roots(n)
-    one = rec.one
-
-    def neg(v):
-        return tuple(-x for x in v)
+    rs = rec.rs
+    n = rs.rank
+    at, star = rs.root_at, rs.partner
 
     for stage in range(n):
         col = stage
+        later = list(range(stage + 1, n))
         rows = list(range(stage, n)) + [star(j) for j in range(stage, n)]
         r0 = _monic_pivot_hunt(rec, rows, col, p, var, steps)
         if r0 is None:
@@ -649,55 +589,32 @@ def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
             j = star(r0)
             moved = False
             x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, var))
-            for t in (one, x, x * x, x * x * x):
+            for t in (rec.one, x, x * x, x * x * x):
                 steps[0] -= 1
                 if steps[0] < 0:
                     raise DescentBudgetExceeded("pivot transfer budget spent")
-                rec.lmul(long_root(j, 1), t)
+                rec.lmul(at(j, r0), t)
                 if _monic_invertible(rec.m[j][col], p, var) is not None:
                     moved = True
                     break
-                rec.lmul(long_root(j, 1), -t)
+                rec.lmul(at(j, r0), -t)
             if not moved:
                 raise DescentBudgetExceeded("pivot transfer failed")
             r0 = j
         inv = _monic_invertible(rec.m[r0][col], p, var)
         if r0 != stage:
             if not rec.m[stage][col].is_zero():
-                rec.lmul(minus(stage, r0), -(rec.m[stage][col] * inv))
-            rec.lmul(minus(stage, r0), one)
-            rec.lmul(minus(r0, stage), -one)
+                rec.lmul(at(stage, r0), -(rec.m[stage][col] * inv))
+            _swap_into(rec, r0, stage)
             inv = _monic_invertible(rec.m[stage][col], p, var)
         # clear the column: unstarred rows, then starred, partner last
-        for r in range(stage + 1, n):
+        for r in later + [star(r) for r in later] + [star(stage)]:
             val = rec.m[r][col]
             if not val.is_zero():
-                rec.lmul(minus(r, stage), -(val * inv))
-        for r in range(stage + 1, n):
-            rr = star(r)
-            val = rec.m[rr][col]
-            if not val.is_zero():
-                rec.lmul(neg(plus(stage, r)), -(val * inv))
-        val = rec.m[star(stage)][col]
-        if not val.is_zero():
-            rec.lmul(long_root(stage, -1), -(val * inv))
-        d = rec.m[stage][col]
-        if not (d - one).is_zero():
-            rec.lmul(long_root(stage, -1), inv)
-            rec.lmul(long_root(stage, 1), one - d)
-            rec.lmul(long_root(stage, -1), -one)
-        for c in range(stage + 1, n):
-            val = rec.m[stage][c]
-            if not val.is_zero():
-                rec.rmul(minus(stage, c), -val)
-        for c in range(stage + 1, n):
-            val = rec.m[stage][star(c)]
-            if not val.is_zero():
-                rec.rmul(plus(stage, c), -val)
-        val = rec.m[stage][star(stage)]
-        if not val.is_zero():
-            rec.rmul(long_root(stage, 1), -val)
-        _assert_stage_clean(rec, stage, star(stage))
+                rec.lmul(at(r, stage), -(val * inv))
+        if not (rec.m[stage][col] - rec.one).is_zero():
+            _normalize_pivot(rec, stage, star(stage), inv)
+        _clear_pivot_row_c(rec, stage)
 
 
 def descend_monic(
@@ -1023,11 +940,11 @@ def _rank1_update(rec: _OpRecorder) -> bool:
     letters = []
     for i in range(size):
         if not v[i].is_zero():
-            letters.append((_root_a(size, i, spare), v[i]))
+            letters.append((rec.rs.root_at(i, spare), v[i]))
     p_len = len(letters)
     for i in range(size):
         if not w[i].is_zero():
-            letters.append((_root_a(size, spare, i), -w[i]))
+            letters.append((rec.rs.root_at(spare, i), -w[i]))
     p_part = letters[:p_len]
     q_part = letters[p_len:]
     full = (

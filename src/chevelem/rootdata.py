@@ -45,6 +45,8 @@ class RootSystem:
         self._root_set = set(self.roots)
         # root -> tuple of (row, col, sign): x_root(t) = I + t * sum sign*E(row,col)
         self.unipotent_terms = {a: self._terms_for(a) for a in self.roots}
+        # (row, col) of each root's first unipotent term -> the root
+        self._root_at = {t[0][:2]: a for a, t in self.unipotent_terms.items()}
         self._commutator_cache: dict = {}
         self._decomposition_cache: dict = {}
 
@@ -86,8 +88,7 @@ class RootSystem:
             i = a.index(1)
             j = a.index(-1)
             return ((i, j, 1),)
-        n = self.rank
-        star = lambda i: 2 * n - 1 - i  # 0-indexed partner of coordinate i
+        star = self.partner
         support = [(i, v) for i, v in enumerate(a) if v]
         if len(support) == 1:
             i, v = support[0]
@@ -113,6 +114,17 @@ class RootSystem:
         if a not in self._root_set:
             raise UnknownRoot("%r is not a root of %s%d" % (v, self.kind, self.rank))
         return a
+
+    def root_at(self, row: int, col: int):
+        """The root whose first unipotent term is E(row, col), or None.
+
+        Every elimination move names the matrix position it changes; no
+        two roots share a first term."""
+        return self._root_at.get((row, col))
+
+    def partner(self, i: int) -> int:
+        """The coordinate the type-C form pairs with i (i* = size-1-i)."""
+        return self.matrix_size - 1 - i
 
     def pairing(self, beta: Root, alpha: Root) -> int:
         """Cartan integer <beta, alpha> = 2 (beta, alpha) / (alpha, alpha)."""
@@ -153,14 +165,13 @@ class RootSystem:
         """The invariant symplectic form J (type C only)."""
         if self.kind != "C":
             raise UnsupportedType("form matrix only exists for type C")
-        n = self.rank
-        size = 2 * n
+        size = self.matrix_size
         zero = MultiPoly.zero(base, nvars)
         one = MultiPoly.const(base, nvars, 1)
         J = [[zero] * size for _ in range(size)]
-        for i in range(n):
-            J[i][size - 1 - i] = one
-            J[size - 1 - i][i] = -one
+        for i in range(self.rank):
+            J[i][self.partner(i)] = one
+            J[self.partner(i)][i] = -one
         return J
 
 

@@ -304,6 +304,20 @@ def test_factor_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "not a non-membership proof" in err
 
 
+def test_factor_greedy_stall_is_not_a_resource_limit(tmp_path, capsys):
+    # the greedy search stalls on this word's matrix long before
+    # Budget.max_steps; a larger budget would not help
+    g = eval_word(random_elementary_word(A2, 5013, 30), Z, 1)
+    matrix_file = tmp_path / "stall.json"
+    matrix_file.write_text(dumps(matrix_to_dict(g)))
+    code = main(["factor", "--in", str(matrix_file)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_NOT_FACTORED
+    assert out == ""
+    assert "not factored:" in err
+    assert "resource limit" not in err
+
+
 def test_roundtrip_verb(capsys):
     code = main(
         [

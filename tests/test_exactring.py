@@ -347,6 +347,8 @@ def test_parse_errors():
 def test_parse_mod_base_reduces():
     assert parse_poly("5*x1", Z4, 1) == P("x1", Z4)
     assert parse_poly("1/3", F5, 1) == P("2", F5)  # 3*2 = 6 = 1 mod 5
+    # from_fraction sends 4*x1 to 0 over Z/4; the zero term is dropped
+    assert parse_poly("4*x1 + 1", Z4, 1) == P("1", Z4)
 
 
 

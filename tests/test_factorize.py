@@ -1,6 +1,7 @@
 """Integer/euclidean/monic factorizers, the greedy heuristic, the pipeline."""
 
 import hashlib
+import json
 import random
 import signal
 from fractions import Fraction
@@ -209,8 +210,9 @@ def test_monic_localized_single_inverse_letter():
             assert (out[i][j] - target[i][j]).is_zero()
 
 
-def test_monic_localized_word_roundtrip():
-    # C2 reaches the type-C monic reduction; A3 a larger type-A matrix
+def monic_roundtrip_inputs():
+    """22 seeded monic-localized matrices: C2 reaches the type-C monic
+    reduction, A3 a larger type-A matrix."""
     rng = random.Random(91)
     for rs in [A2] * 6 + [C2] * 8 + [A3] * 8:
         letters = []
@@ -225,14 +227,49 @@ def test_monic_localized_word_roundtrip():
                 arg = MonicLocElem(num)
             if not arg.is_zero():
                 letters.append((root, arg))
-        w_in = MonicWord(rs, letters)
-        target = w_in.eval(Q, 1)
+        yield rs, MonicWord(rs, letters).eval(Q, 1)
+
+
+def test_monic_localized_word_roundtrip():
+    for rs, target in monic_roundtrip_inputs():
         w = factor_monic_localized(rs, target, 5)
         out = w.eval(Q, 1)
         size = rs.matrix_size
         for i in range(size):
             for j in range(size):
                 assert (out[i][j] - target[i][j]).is_zero()
+
+
+def monic_matrix(rows):
+    return [[MonicLocElem(parse_poly(t, Q, 1)) for t in row] for row in rows]
+
+
+def assert_monic_word_evaluates(w, target):
+    out = w.eval(Q, 1)
+    for i, row in enumerate(target):
+        for j, e in enumerate(row):
+            assert (out[i][j] - e).is_zero()
+
+
+def test_monic_pivot_hunt_shears_rows():
+    # no entry of column 0 has a 3-unit leading coefficient, so the hunt
+    # shears row 0 += row 1 before it finds a pivot
+    target = monic_matrix(
+        [["1+3*x1", "3*x1", "0"], ["-3*x1", "1-3*x1", "0"], ["0", "0", "1"]]
+    )
+    w = factor_monic_localized(A2, target, 3)
+    assert len(w) == 3
+    assert_monic_word_evaluates(w, target)
+
+
+def test_monic_pivot_hunt_negated_shear():
+    # column 1 of x_(0,2)(x1) x_(0,-2)(3) needs the shear by -x1
+    x1 = MonicLocElem(parse_poly("x1", Q, 1))
+    three = MonicLocElem(const(3, Q))
+    target = MonicWord(C2, [((0, 2), x1), ((0, -2), three)]).eval(Q, 1)
+    w = factor_monic_localized(C2, target, 3)
+    assert len(w) == 2
+    assert_monic_word_evaluates(w, target)
 
 
 def test_monic_localized_p_integrality_gate():
@@ -353,6 +390,39 @@ def test_greedy_certificates_pinned():
         assert cert.verified and cert.residual_constant.is_identity()
         digest.update(fileio.dumps(fileio.certificate_to_dict(cert)).encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+# SHA-256 of the words of elimination_words(), recorded before the four
+# Euclidean, field and monic reductions shared their elimination steps
+ELIMINATION_SHA256 = "cd4a2a238b0c0d6d9bfdd8554740076c79f6e459e6a322cc8a92f97d43458705"
+
+
+def elimination_words():
+    """Words of the integer, field and monic-localized reductions."""
+    groups = [A2, A3, C2, build_root_system("C", 3)]
+    for rs in groups:
+        factor = factor_integer_sl if rs.kind == "A" else factor_integer_sp
+        for seed in range(6100, 6104):
+            word = random_elementary_word(rs, seed, 6, max_degree=0, coeff_bound=3)
+            yield factor(eval_word(word, Z, 1))
+    for rs in groups:
+        for base in (Q, F5):
+            for seed in range(6200, 6204):
+                word = random_elementary_word(rs, seed, 5, base=base, coeff_bound=3)
+                yield factor_univar_euclidean(eval_word(word, base, 1))
+    for rs, target in monic_roundtrip_inputs():
+        yield factor_monic_localized(rs, target, 5)
+
+
+def test_elimination_words_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for w in elimination_words():
+        count += 1
+        text = [[list(root), repr(arg)] for root, arg in w.letters]
+        digest.update(json.dumps(text).encode())
+    assert count == 70
+    assert digest.hexdigest() == ELIMINATION_SHA256
 
 
 def cohn_embedded():

@@ -95,6 +95,27 @@ def test_negation_closure_and_cartan_range():
                 assert abs(rs.pairing(b, a)) <= 2
 
 
+def test_root_at_inverts_first_unipotent_term():
+    for kind in ("A", "C"):
+        for rank in (2, 3, 4):
+            rs = build_root_system(kind, rank)
+            size = rs.matrix_size
+            for a in rs.roots:
+                assert rs.root_at(*rs.unipotent_terms[a][0][:2]) == a
+            hits = [
+                (i, j) for i in range(size) for j in range(size)
+                if rs.root_at(i, j) is not None
+            ]
+            assert len(hits) == len(rs.roots)
+            assert all(rs.root_at(i, i) is None for i in range(size))
+            if kind == "C":
+                J = rs.form_matrix(Z, 1)
+                for i in range(size):
+                    assert rs.partner(rs.partner(i)) == i
+                for i in range(rank):
+                    assert J[i][rs.partner(i)] == const(Z, 1, 1)
+
+
 # -- unipotents ----------------------------------------------------------------
 
 
