@@ -330,7 +330,7 @@ class MultiPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e, 0) + c1 * c2
                 if m is not None:
                     v %= m
@@ -372,7 +372,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (
-            self.base == other.base
+            (self.base is other.base or self.base == other.base)
             and self.nvars == other.nvars
             and self.terms == other.terms
         )

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 from .errors import (
     BaseMismatch,
@@ -661,9 +662,14 @@ def descend_monic(
 # the greedy heuristic
 
 
+def _glex(e: tuple) -> tuple:
+    """Graded-lex sort key of an exponent tuple."""
+    return sum(e), e
+
+
 def _leading_monomial(p: MultiPoly) -> tuple:
     """Graded-lex leading exponent of a nonzero polynomial."""
-    return max(p.terms, key=lambda e: (sum(e), e))
+    return max(p.terms, key=_glex)
 
 
 def _leading_term_division(a: MultiPoly, b: MultiPoly):
@@ -674,37 +680,52 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
     Returns (partial, exact): the quotient terms found within the first
     2*len(a)+8 steps, and the whole quotient when at most
     4*(len(a)+len(b)+4) steps leave no remainder, else None.  The first
-    limit is always the smaller one."""
+    limit is always the smaller one.  The remainder is one term dict,
+    updated in place by each quotient term times b."""
     base = a.base
+    m = base.modulus
     partial_limit = 2 * len(a.terms) + 8
     limit = 4 * (len(a.terms) + len(b.terms) + 4)
     q_terms: dict = {}
     partial = None
-    r = a
+    r = dict(a.terms)
+    b_terms = b.terms.items()
     lead_b = _leading_monomial(b)
     cb = b.terms[lead_b]
     steps = 0
-    while not r.is_zero() and steps < limit:
+    while r and steps < limit:
         if steps == partial_limit:
             partial = dict(q_terms)
         steps += 1
-        lead_r = _leading_monomial(r)
-        cr = r.terms[lead_r]
-        exps = tuple(x - y for x, y in zip(lead_r, lead_b))
+        lead_r = max(r, key=_glex)
+        cr = r[lead_r]
+        exps = tuple(map(sub, lead_r, lead_b))
         if any(e < 0 for e in exps):
             break
         if base.kind == "Fp":
-            coeff = cr * pow(cb, -1, base.param) % base.param
+            coeff = cr * pow(cb, -1, m) % m
+        elif base.kind == "Z":
+            coeff, rem = divmod(cr, cb)
+            if rem:
+                break
         else:
             try:
                 coeff = base.from_fraction(Fraction(cr) / Fraction(cb))
             except BaseMismatch:
                 break
         q_terms[exps] = coeff
-        r = r - MultiPoly(base, a.nvars, {exps: coeff}) * b
+        for e2, c2 in b_terms:
+            e = tuple(map(add, exps, e2))
+            v = r.get(e, 0) - coeff * c2
+            if m is not None:
+                v %= m
+            if v:
+                r[e] = v
+            else:
+                r.pop(e, None)
     if partial is None:
         partial = q_terms
-    return partial, (q_terms if r.is_zero() else None)
+    return partial, (None if r else q_terms)
 
 
 def try_divide(a: MultiPoly, b: MultiPoly):
@@ -732,23 +753,48 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     return MultiPoly(a.base, a.nvars, partial)
 
 
-def _poly_size(p: MultiPoly, degw: int = 1, bitw: int = 1) -> int:
+def _terms_size(terms: dict, degw: int, bitw: int) -> int:
+    """Size of a term dict; a zero coefficient counts for nothing."""
     total = 0
-    for e, c in p.terms.items():
+    for e, c in terms.items():
+        if not c:
+            continue
         if type(c) is int:
             bits = abs(c).bit_length() + 1
         else:
-            cf = Fraction(c)
-            bits = abs(cf.numerator).bit_length() + cf.denominator.bit_length()
+            bits = abs(c.numerator).bit_length() + c.denominator.bit_length()
         total += 1 + degw * sum(e) ** 2 + bitw * bits
     return total
+
+
+def _sum_size(
+    old: MultiPoly, t: MultiPoly, sign: int, src: MultiPoly, diagonal: bool, degw: int, bitw: int
+) -> int:
+    """_entry_size of old + sign*t*src, summed on one term dict: neither
+    the product nor the sum is built as a polynomial."""
+    out = dict(old.terms)
+    get = out.get
+    src_terms = src.terms.items()
+    for e1, c1 in t.terms.items():
+        if sign != 1:
+            c1 = -c1
+        for e2, c2 in src_terms:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    if diagonal:
+        e = (0,) * old.nvars
+        out[e] = get(e, 0) - 1
+    m = old.base.modulus
+    if m is not None:
+        out = {e: c % m for e, c in out.items()}
+    return _terms_size(out, degw, bitw)
 
 
 def _entry_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int) -> int:
     """Size of one entry's distance from the identity entry."""
     if diagonal:
         p = p - MultiPoly.const(p.base, p.nvars, 1)
-    return _poly_size(p, degw, bitw)
+    return _terms_size(p.terms, degw, bitw)
 
 
 def _line_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int, sizes: dict) -> int:
@@ -829,13 +875,14 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
 def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw: int, sizes: dict) -> int:
     """Size change of a candidate move, computed on the affected lines.
 
-    A line whose source entry is zero keeps its entry and is skipped;
-    the sizes of current entries come from the memo sizes."""
+    A line whose source entry is zero keeps its entry and is skipped.
+    sizes memoises by value, for one (degw, bitw), both the size of a
+    current entry (key (p, diagonal)) and the new size of a line (key
+    (t, sign, old, src, diagonal)); most lines recur across steps."""
     m = rec.m
     size = len(m)
     delta = 0
     for r, c, sign in rec.rs.unipotent_terms[root]:
-        coeff = t if sign == 1 else -t
         if side == "right":
             lines = [(i, c, m[i][c], m[i][r]) for i in range(size)]
         else:
@@ -844,8 +891,11 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
             if src.is_zero():
                 continue
             diagonal = i == j
-            delta += _entry_size(old + coeff * src, diagonal, degw, bitw)
-            delta -= _line_size(old, diagonal, degw, bitw, sizes)
+            key = (t, sign, old, src, diagonal)
+            new = sizes.get(key)
+            if new is None:
+                new = sizes[key] = _sum_size(old, t, sign, src, diagonal, degw, bitw)
+            delta += new - _line_size(old, diagonal, degw, bitw, sizes)
     return delta
 
 
@@ -995,8 +1045,8 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
     """One strictly-descending greedy run with a two-ply escape at stalls.
 
     pairs (from the caller) and sizes (this pass's weighting) memoise
-    candidates and line sizes by entry value, so a step computes them
-    afresh only on the lines the last move changed."""
+    candidates, entry sizes and candidate line sizes by value, so a step
+    computes them afresh only on the lines the last move changed."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     sizes: dict = {}
     steps = 0

@@ -292,12 +292,18 @@ class GroupMatrix:
 
     def inverse(self) -> "GroupMatrix":
         if self.rs.kind == "C":
-            # M^{-1} = -J M^T J for symplectic M
-            J = GroupMatrix(self.rs, self.rs.form_matrix(self.base, self.nvars))
+            # M^{-1} = -J M^T J for symplectic M; J is a signed permutation,
+            # so inv[i][j] = eps(i) eps(j) M[j*][i*] with eps = +1 below rank
+            rank, star, m = self.rs.rank, self.rs.partner, self.entries
             size = self.rs.matrix_size
-            mt = GroupMatrix(self.rs, list(zip(*self.entries)))
-            out = (J * mt * J).entries
-            return GroupMatrix(self.rs, [[-p for p in row] for row in out])
+
+            def entry(i, j):
+                p = m[star(j)][star(i)]
+                return p if (i < rank) == (j < rank) else -p
+
+            return GroupMatrix(
+                self.rs, [[entry(i, j) for j in range(size)] for i in range(size)]
+            )
         adj = self.adjugate()
         d = self.det()
         if not (d.is_constant() and d.constant_term() == self.base.one()):
@@ -327,26 +333,27 @@ class GroupMatrix:
 def row_update(rows: list, terms, t) -> None:
     """rows <- x(t) * rows in place, for a root with unipotent terms.
 
-    rows is a list of row lists over any ring with + - * (MultiPoly or
-    MonicLocElem); all products are taken before any row changes."""
+    rows is a list of row lists over any ring with + - * and is_zero
+    (MultiPoly or MonicLocElem); all products are taken before any row
+    changes.  A zero source leaves its entry as the same object."""
     updates = []
     for r, c, sign in terms:
         coeff = t if sign == 1 else -t
-        updates.append((r, [coeff * p for p in rows[c]]))
+        updates.append((r, [None if p.is_zero() else coeff * p for p in rows[c]]))
     for r, add in updates:
-        rows[r] = [a + b for a, b in zip(rows[r], add)]
+        rows[r] = [a if b is None else a + b for a, b in zip(rows[r], add)]
 
 
 def column_update(rows: list, terms, t) -> None:
     """rows <- rows * x(t) in place; the column twin of row_update."""
-    size = len(rows)
     updates = []
     for r, c, sign in terms:
         coeff = t if sign == 1 else -t
-        updates.append((c, [coeff * rows[i][r] for i in range(size)]))
+        updates.append((c, [None if row[r].is_zero() else coeff * row[r] for row in rows]))
     for c, add in updates:
-        for i in range(size):
-            rows[i][c] = rows[i][c] + add[i]
+        for row, b in zip(rows, add):
+            if b is not None:
+                row[c] = row[c] + b
 
 
 def _one_zero(base: BaseRing, nvars: int) -> tuple:
@@ -417,9 +424,12 @@ def membership_check(matrix, rs: RootSystem) -> bool:
         d = _det(entries, *_one_zero(base, nvars))
         return d.is_constant() and d.constant_term() == base.one()
     J = rs.form_matrix(base, nvars)
-    m = GroupMatrix(rs, entries)
-    mt = GroupMatrix(rs, list(zip(*entries)))
-    lhs = (mt * GroupMatrix(rs, J) * m).entries
+    # J M is M's rows permuted by partner, the rows from rank on negated
+    jm = [
+        entries[rs.partner(i)] if i < rs.rank else [-p for p in entries[rs.partner(i)]]
+        for i in range(size)
+    ]
+    lhs = (GroupMatrix(rs, list(zip(*entries))) * GroupMatrix(rs, jm)).entries
     return lhs == tuple(tuple(row) for row in J)
 
 

@@ -11,6 +11,7 @@ import pytest
 from chevelem import fileio
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
+    BaseMismatch,
     DescentBudgetExceeded,
     NotFactored,
     NotInGroup,
@@ -30,6 +31,15 @@ from chevelem.factorize import (
     partial_quotient,
     random_elementary_word,
     try_divide,
+)
+from chevelem.factorize import (
+    _STRATEGIES,
+    _OpRecorder,
+    _all_moves,
+    _apply,
+    _leading_term_division,
+    _matrix_size,
+    _move_delta,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
 from chevelem.words import ElemWord, eval_word
@@ -360,6 +370,117 @@ def test_partial_quotient_stops_before_try_divide(base, lead):
     c = base.from_fraction(Fraction(1, lead))
     assert try_divide(a, b) == MultiPoly(base, 1, {(k,): c for k in range(20)})
     assert partial_quotient(a, b) == MultiPoly(base, 1, {(k,): c for k in range(8, 20)})
+
+
+# -- the greedy kernels against polynomial arithmetic ---------------------------
+
+KERNEL_BASES = (Z, Q, F5, BaseRing.integers_mod(4), BaseRing.integers_localized(2))
+
+
+def kernel_matrices():
+    """Seeded A2/C2 products over each base; Q and Z[1/2] get halves."""
+    for base in KERNEL_BASES:
+        for rs, nvars, seed in ((A2, 1, 7100), (A2, 2, 7101), (C2, 1, 7102)):
+            word = random_elementary_word(rs, seed, 6, nvars=nvars, coeff_bound=3)
+            letters = []
+            for k, (root, arg) in enumerate(word.letters):
+                arg = convert(arg, base)
+                if base.kind in ("Q", "Zloc") and k % 2:
+                    arg = arg.scale(Fraction(1, 2))
+                letters.append((root, arg))
+            yield rs, eval_word(ElemWord(rs, letters), base, nvars)
+
+
+def test_move_delta_matches_applied_moves():
+    # every move's scored delta equals the size change of applying it, under
+    # each weighting, over moduli, fractions and diagonal lines; the memo is
+    # read twice per move and kept across three greedy steps
+    checked = 0
+    for rs, g in kernel_matrices():
+        one = MultiPoly.const(g.base, g.nvars, 1)
+        for sides, degw, bitw in _STRATEGIES:
+            rec = _OpRecorder(rs, g.entries, one)
+            pairs: dict = {}
+            sizes: dict = {}
+            for _ in range(3):
+                before = _matrix_size(rec.m, degw, bitw, {})
+                best = None
+                for root, t, side in _all_moves(rec, sides, pairs):
+                    delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
+                    assert _move_delta(rec, root, t, side, degw, bitw, sizes) == delta
+                    moved = _OpRecorder(rs, rec.m, one)
+                    _apply(moved, root, t, side)
+                    assert delta == _matrix_size(moved.m, degw, bitw, {}) - before
+                    checked += 1
+                    if best is None or delta < best[0]:
+                        best = (delta, root, t, side)
+                if best is None:
+                    break
+                _apply(rec, best[1], best[2], best[3])
+    assert checked > 1000
+
+
+def reference_division(a, b):
+    """Leading-term division on whole polynomials: r <- r - q*b per step."""
+    base = a.base
+    partial_limit = 2 * len(a.terms) + 8
+    limit = 4 * (len(a.terms) + len(b.terms) + 4)
+    q_terms: dict = {}
+    partial = None
+    r = a
+    lead_b = max(b.terms, key=lambda e: (sum(e), e))
+    steps = 0
+    while not r.is_zero() and steps < limit:
+        if steps == partial_limit:
+            partial = dict(q_terms)
+        steps += 1
+        lead_r = max(r.terms, key=lambda e: (sum(e), e))
+        exps = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(e < 0 for e in exps):
+            break
+        try:
+            coeff = base.from_fraction(Fraction(r.terms[lead_r]) / Fraction(b.terms[lead_b]))
+        except BaseMismatch:
+            break
+        q_terms[exps] = coeff
+        r = r - MultiPoly(base, a.nvars, {exps: coeff}) * b
+    if partial is None:
+        partial = q_terms
+    return partial, (q_terms if r.is_zero() else None)
+
+
+def division_inputs():
+    for _, g in kernel_matrices():
+        entries = [p for row in g.entries for p in row if not p.is_zero()]
+        for a in entries:
+            for b in entries:
+                yield a, b
+    for base, lead in ((Z, 1), (F5, 2), (BaseRing.integers_localized(2), 2)):
+        yield (
+            MultiPoly(base, 1, {(20,): 1, (0,): -1}),
+            MultiPoly(base, 1, {(1,): lead, (0,): -lead}),
+        )
+    # a coefficient that does not divide: over Z, and 1/2 over Z/4
+    yield parse_poly("-7*x1^3+x1", Z, 1), parse_poly("-2*x1+1", Z, 1)
+    z4 = BaseRing.integers_mod(4)
+    yield parse_poly("x1^2+1", z4, 1), parse_poly("2*x1+1", z4, 1)
+
+
+def test_leading_term_division_matches_reference():
+    count = 0
+    outcomes = set()
+    for a, b in division_inputs():
+        partial, exact = _leading_term_division(a, b)
+        want_partial, want_exact = reference_division(a, b)
+        assert list(partial.items()) == list(want_partial.items())
+        if want_exact is None:
+            assert exact is None
+        else:
+            assert list(exact.items()) == list(want_exact.items())
+        outcomes.add((bool(partial), exact is not None))
+        count += 1
+    assert count > 1000
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 # SHA-256 of the canonical certificate texts of pinned_inputs(), recorded

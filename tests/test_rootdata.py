@@ -229,6 +229,27 @@ def test_inverse():
         assert (m * m.inverse()).is_identity()
 
 
+def test_symplectic_inverse_and_membership_read_the_form():
+    # inverse() and membership_check read J off the indices; the reference
+    # here is -J M^T J with J as a matrix
+    rng = random.Random(13)
+    for rs in (C2, C3):
+        for nvars in (1, 2):
+            J = GroupMatrix(rs, rs.form_matrix(Z, nvars))
+            for _ in range(3):
+                m = GroupMatrix.identity(rs, Z, nvars)
+                for _ in range(5):
+                    m = m.rmul_unipotent(rng.choice(rs.roots), rand_poly(rng, nvars=nvars))
+                mt = GroupMatrix(rs, list(zip(*m.entries)))
+                assert m.inverse() == (J * mt * J).map_entries(lambda p: -p)
+                assert (m * m.inverse()).is_identity()
+                assert membership_check(m, rs)
+                bad = [list(row) for row in m.entries]
+                i = rng.randrange(rs.matrix_size)
+                bad[i][i] = bad[i][i] + const(Z, nvars, 1)
+                assert not membership_check(bad, rs)
+
+
 # -- commutators ------------------------------------------------------------------
 
 
