@@ -19,7 +19,6 @@ from .errors import (
     PreconditionViolated,
     ProportionalRoots,
     RankTooLow,
-    SearchBoundExceeded,
     SizeMismatch,
     UnknownRoot,
     UnsupportedType,
@@ -32,7 +31,6 @@ from .exactring import (
     base_ring_from_str,
     convert,
     emit_poly,
-    lift_mod_to_integers,
     localize_eq,
     monic_divrem,
     parse_poly,

@@ -17,10 +17,6 @@ class NotMonic(ChevElemError):
     """Divisor is not monic in the distinguished variable."""
 
 
-class SearchBoundExceeded(ChevElemError):
-    """Annihilator search undecided within the caller-supplied bound."""
-
-
 class RankTooLow(ChevElemError):
     """Root system rank below 2; rank-1 groups are not supported."""
 

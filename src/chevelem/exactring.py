@@ -25,7 +25,6 @@ from .errors import (
     NotAUnit,
     NotMonic,
     ParseError,
-    SearchBoundExceeded,
 )
 
 KIND_INTEGERS = "Z"
@@ -458,13 +457,11 @@ class MultiPoly:
 # annihilators and localization equality
 
 
-def annihilator_exponent(base: BaseRing, d, s, bound: int | None = None):
+def annihilator_exponent(base: BaseRing, d, s):
     """Smallest n >= 0 with s^n * d = 0 in the base ring, or None.
 
     Domains are answered analytically; for Z/m the search bound is the
     exponent of m, which is exact, so None is a definitive answer there.
-    A caller-supplied smaller bound raises SearchBoundExceeded when the
-    search is inconclusive.
     """
     d = base.normalize(d)
     s = base.normalize(s)
@@ -476,17 +473,11 @@ def annihilator_exponent(base: BaseRing, d, s, bound: int | None = None):
         if s == 0:
             return 1
         return None
-    exact_bound = base.exponent_bound()
-    limit = exact_bound if bound is None else bound
     acc = d
-    for n in range(limit + 1):
+    for n in range(base.exponent_bound() + 1):
         if acc == 0:
             return n
         acc = (acc * s) % m
-    if bound is not None and bound < exact_bound:
-        raise SearchBoundExceeded(
-            "undecided after %d steps; exact bound is %d" % (bound, exact_bound)
-        )
     return None
 
 
@@ -566,22 +557,11 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
     if p.base.modulus is not None:
         m2 = new_base.modulus
         if m2 is None or p.base.modulus % m2 != 0:
-            raise BaseMismatch(
-                "no ring map %s -> %s (use lift_mod_to_integers for"
-                " representative lifts)" % (p.base, new_base)
-            )
+            raise BaseMismatch("no ring map %s -> %s" % (p.base, new_base))
     out = {}
     for e, c in p.terms.items():
         out[e] = new_base.from_fraction(Fraction(c))
     return MultiPoly(new_base, p.nvars, out)
-
-
-def lift_mod_to_integers(p: MultiPoly) -> MultiPoly:
-    """Lift Z/m or F_p coefficients to their representatives in 0..m-1."""
-    if p.base.modulus is None:
-        raise BaseMismatch("lift expects a modular base, got %s" % p.base)
-    out = {e: int(c) for e, c in p.terms.items()}
-    return MultiPoly(BaseRing.integers(), p.nvars, out)
 
 
 # ---------------------------------------------------------------------------

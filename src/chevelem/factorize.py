@@ -1,9 +1,10 @@
 """End-to-end factorization into elementary words.
 
-factor_polynomial is greedy: a division-guided reduction, finished by a
+heuristic_reduce is greedy: a division-guided reduction, finished by a
 rank-one commutator word where it applies, brings the matrix down to a
-constant, and the Euclidean reduction over Z factors that constant tail.
-A greedy stall ends in NotFactored.  The Euclidean, field and
+constant, and over Z or a field the Euclidean reduction factors that
+constant tail.  factor_polynomial certifies its word over Z[x..]; a
+greedy stall ends in NotFactored.  The Euclidean, field and
 monic-localized reductions are public on their own.  Every word produced
 anywhere is re-evaluated exactly against its target before it is
 returned; NotFactored is a budget signal and never a claim of
@@ -136,21 +137,18 @@ class _IntScalars:
 
 
 class _FieldPolyScalars:
-    """Univariate entries over a field: sizes are shifted degrees."""
+    """Entries in k[x1] over a field k: sizes are shifted degrees."""
 
-    def __init__(self, base: BaseRing, nvars: int, var: int = 0):
+    def __init__(self, base: BaseRing, nvars: int):
         self.base = base
         self.nvars = nvars
-        self.var = var
 
     def size(self, p: MultiPoly):
-        return 0 if p.is_zero() else p.degree_in(self.var) + 1
+        return 0 if p.is_zero() else p.degree_in(0) + 1
 
     def divmod(self, a: MultiPoly, b: MultiPoly):
-        lead = _leading_coeff(b, self.var)
-        inv = self.base.unit_inverse(lead)
-        monic = b.scale(inv)
-        q, r = monic_divrem(a, monic, self.var)
+        inv = self.base.unit_inverse(_leading_coeff(b))
+        q, r = monic_divrem(a, b.scale(inv))
         return q.scale(inv), r
 
     def is_unit(self, p: MultiPoly) -> bool:
@@ -162,11 +160,12 @@ class _FieldPolyScalars:
         )
 
 
-def _leading_coeff(p: MultiPoly, var: int):
-    d = p.degree_in(var)
+def _leading_coeff(p: MultiPoly):
+    """Leading coefficient in x1 of a polynomial in x1 alone."""
+    d = p.degree_in(0)
     best = None
     for e, c in p.terms.items():
-        if e[var] == d and all(x == 0 for i, x in enumerate(e) if i != var):
+        if e[0] == d and not any(e[1:]):
             best = c
     if best is None:
         raise PreconditionViolated("entry is not univariate in the pivot variable")
@@ -384,19 +383,19 @@ def _require_constant_int(g: GroupMatrix) -> None:
         raise PreconditionViolated("entries must be constant")
 
 
-def factor_univar_euclidean(g: GroupMatrix, var: int = 0) -> ElemWord:
-    """Division-based reduction over k[x] for a field k (Q or F_p)."""
+def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
+    """Division-based reduction over k[x1] for a field k (Q or F_p)."""
     if not g.base.is_field:
         raise PreconditionViolated("field base ring expected")
     for row in g.entries:
         for p in row:
-            for v in range(g.nvars):
-                if v != var and p.degree_in(v) > 0:
+            for v in range(1, g.nvars):
+                if p.degree_in(v) > 0:
                     raise PreconditionViolated("entries must be univariate")
     if not membership_check(g, g.rs):
         raise NotInGroup("matrix fails the group invariant")
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    ctx = _FieldPolyScalars(g.base, g.nvars, var)
+    ctx = _FieldPolyScalars(g.base, g.nvars)
     if g.rs.kind == "A":
         _reduce_type_a(rec, ctx)
     else:
@@ -446,16 +445,16 @@ def _is_p_integral(poly: MultiPoly, p: int) -> bool:
     return all(Fraction(c).denominator % p != 0 for c in poly.coefficients())
 
 
-def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
+def _monic_invertible(e: MonicLocElem, p: int):
     """Inverse of e in the monic localization over Z_(p), or None.
 
-    e is invertible iff its numerator's leading coefficient in the pivot
-    variable is a p-unit constant."""
+    e is invertible iff its numerator's leading coefficient in x1 is a
+    p-unit constant."""
     red = e.reduce()
     if red.num.is_zero():
         return None
     try:
-        lead = _leading_coeff(red.num, var)
+        lead = _leading_coeff(red.num)
     except PreconditionViolated:
         return None
     lead = Fraction(lead)
@@ -469,15 +468,15 @@ def _monic_invertible(e: MonicLocElem, p: int, var: int = 0):
     return MonicLocElem(den_poly, monic_num, 1)
 
 
-def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, var: int, budget_steps: list):
+def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, budget_steps: list):
     """Find or construct an invertible entry in the column; returns its row.
 
-    Shears row r += t * row r2 by the root at (r, r2), for t in 1, x, x^2
+    Shears row r += t * row r2 by the root at (r, r2), for t in 1, x1, x1^2
     over all row pairs, then for their negatives."""
     for r in rows:
-        if _monic_invertible(rec.m[r][col], p, var) is not None:
+        if _monic_invertible(rec.m[r][col], p) is not None:
             return r
-    x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, var))
+    x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, 0))
     shears = [rec.one, x, x * x]
     for ts in (shears, [-t for t in shears]):
         for r in rows:
@@ -490,20 +489,20 @@ def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, var: int, budget
                     if budget_steps[0] < 0:
                         raise DescentBudgetExceeded("pivot search budget spent")
                     rec.lmul(root, t)
-                    if _monic_invertible(rec.m[r][col], p, var) is not None:
+                    if _monic_invertible(rec.m[r][col], p) is not None:
                         return r
                     rec.lmul(root, -t)
     return None
 
 
 def factor_monic_localized(
-    rs: RootSystem, entries, p: int, budget: Budget | None = None, var: int = 0
+    rs: RootSystem, entries, p: int, budget: Budget | None = None
 ) -> MonicWord:
-    """Reduce a matrix over the monic localization of Z_(p)[x].
+    """Reduce a matrix over the monic localization of Z_(p)[x1].
 
     Entries are MonicLocElem over the rationals with p-integral parts.
     Pivots must be invertible in the localization (p-unit leading
-    coefficient); pivot hunting is budgeted and the whole run fails
+    coefficient in x1); pivot hunting is budgeted and the whole run fails
     closed, re-verifying the word by exact multiplication at the end.
     """
     budget = budget or DEFAULT_BUDGET
@@ -526,9 +525,9 @@ def factor_monic_localized(
     rec = _OpRecorder(rs, entries, one)
     steps = [budget.max_steps]
     if rs.kind == "A":
-        _monic_reduce_a(rec, p, var, steps)
+        _monic_reduce_a(rec, p, steps)
     else:
-        _monic_reduce_c(rec, p, var, steps)
+        _monic_reduce_c(rec, p, steps)
     if not rec.is_identity():
         raise DescentBudgetExceeded("reduction stalled before the identity")
     left, right = rec.inverse_letters()
@@ -545,21 +544,21 @@ def factor_monic_localized(
     return word
 
 
-def _monic_reduce_a(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
+def _monic_reduce_a(rec: _OpRecorder, p: int, steps: list) -> None:
     size = len(rec.m)
     at = rec.rs.root_at
     for col in range(size):
         rows = list(range(col, size))
-        r0 = _monic_pivot_hunt(rec, rows, col, p, var, steps)
+        r0 = _monic_pivot_hunt(rec, rows, col, p, steps)
         if r0 is None:
             raise DescentBudgetExceeded("no invertible pivot found in column %d" % col)
-        inv = _monic_invertible(rec.m[r0][col], p, var)
+        inv = _monic_invertible(rec.m[r0][col], p)
         if r0 != col:
             # zero the diagonal slot against the pivot, then swap it in
             if not rec.m[col][col].is_zero():
                 rec.lmul(at(col, r0), -(rec.m[col][col] * inv))
             _swap_into(rec, r0, col)
-            inv = _monic_invertible(rec.m[col][col], p, var)
+            inv = _monic_invertible(rec.m[col][col], p)
         # clear the column with pivot-inverse-scaled steps
         for r in range(size):
             if r != col and not rec.m[r][col].is_zero():
@@ -573,7 +572,7 @@ def _monic_reduce_a(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
                 rec.rmul(at(col, c), -rec.m[col][c])
 
 
-def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
+def _monic_reduce_c(rec: _OpRecorder, p: int, steps: list) -> None:
     rs = rec.rs
     n = rs.rank
     at, star = rs.root_at, rs.partner
@@ -582,32 +581,32 @@ def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
         col = stage
         later = list(range(stage + 1, n))
         rows = list(range(stage, n)) + [star(j) for j in range(stage, n)]
-        r0 = _monic_pivot_hunt(rec, rows, col, p, var, steps)
+        r0 = _monic_pivot_hunt(rec, rows, col, p, steps)
         if r0 is None:
             raise DescentBudgetExceeded("no invertible pivot found in column %d" % col)
         if r0 >= n:
             # transfer the invertible entry into the unstarred slot
             j = star(r0)
             moved = False
-            x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, var))
+            x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, 0))
             for t in (rec.one, x, x * x, x * x * x):
                 steps[0] -= 1
                 if steps[0] < 0:
                     raise DescentBudgetExceeded("pivot transfer budget spent")
                 rec.lmul(at(j, r0), t)
-                if _monic_invertible(rec.m[j][col], p, var) is not None:
+                if _monic_invertible(rec.m[j][col], p) is not None:
                     moved = True
                     break
                 rec.lmul(at(j, r0), -t)
             if not moved:
                 raise DescentBudgetExceeded("pivot transfer failed")
             r0 = j
-        inv = _monic_invertible(rec.m[r0][col], p, var)
+        inv = _monic_invertible(rec.m[r0][col], p)
         if r0 != stage:
             if not rec.m[stage][col].is_zero():
                 rec.lmul(at(stage, r0), -(rec.m[stage][col] * inv))
             _swap_into(rec, r0, stage)
-            inv = _monic_invertible(rec.m[stage][col], p, var)
+            inv = _monic_invertible(rec.m[stage][col], p)
         # clear the column: unstarred rows, then starred, partner last
         for r in later + [star(r) for r in later] + [star(stage)]:
             val = rec.m[r][col]
@@ -618,9 +617,7 @@ def _monic_reduce_c(rec: _OpRecorder, p: int, var: int, steps: list) -> None:
         _clear_pivot_row_c(rec, stage)
 
 
-def descend_monic(
-    g: GroupMatrix, w_f: MonicWord, f: MultiPoly, budget: Budget | None = None
-) -> ElemWord:
+def descend_monic(g: GroupMatrix, w_f: MonicWord, budget: Budget | None = None) -> ElemWord:
     """Recover a denominator-free word from one over a monic localization.
 
     Denominator-free words pass straight through; otherwise the matrix is
@@ -645,16 +642,6 @@ def descend_monic(
     word, residual = heuristic_reduce(g, budget)
     if residual.is_identity():
         return word
-    if residual.is_constant():
-        tail = None
-        if base.kind == "Z":
-            tail = factor_integer_constant(residual)
-        elif base.is_field:
-            tail = factor_univar_euclidean(residual)
-        if tail is not None:
-            word = free_reduce(word.concat(tail))
-            if eval_word(word, base, nvars) == g:
-                return word
     raise DescentBudgetExceeded("no denominator-free word found within budget")
 
 
@@ -667,30 +654,27 @@ def _glex(e: tuple) -> tuple:
     return sum(e), e
 
 
-def _leading_monomial(p: MultiPoly) -> tuple:
-    """Graded-lex leading exponent of a nonzero polynomial."""
-    return max(p.terms, key=_glex)
-
-
 def _leading_term_division(a: MultiPoly, b: MultiPoly):
     """Strip leading terms of a against b: the one division behind both
     try_divide and partial_quotient.
 
     Stops early when a leading exponent or coefficient does not divide.
-    Returns (partial, exact): the quotient terms found within the first
-    2*len(a)+8 steps, and the whole quotient when at most
-    4*(len(a)+len(b)+4) steps leave no remainder, else None.  The first
-    limit is always the smaller one.  The remainder is one term dict,
+    Returns (partial, exact, first).  partial holds the quotient terms
+    found within the first 2*len(a)+8 steps; exact is the whole quotient
+    when at most 4*(len(a)+len(b)+4) steps leave no remainder, else None.
+    The first limit is always the smaller one.  first is (exponent,
+    leading coefficient of a, of b) of the first step, or None when b's
+    leading monomial does not divide a's.  The remainder is one term dict,
     updated in place by each quotient term times b."""
     base = a.base
     m = base.modulus
     partial_limit = 2 * len(a.terms) + 8
     limit = 4 * (len(a.terms) + len(b.terms) + 4)
     q_terms: dict = {}
-    partial = None
+    partial = first = None
     r = dict(a.terms)
     b_terms = b.terms.items()
-    lead_b = _leading_monomial(b)
+    lead_b = max(b.terms, key=_glex)
     cb = b.terms[lead_b]
     steps = 0
     while r and steps < limit:
@@ -702,6 +686,8 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
         exps = tuple(map(sub, lead_r, lead_b))
         if any(e < 0 for e in exps):
             break
+        if first is None:
+            first = (exps, cr, cb)
         if base.kind == "Fp":
             coeff = cr * pow(cb, -1, m) % m
         elif base.kind == "Z":
@@ -725,7 +711,7 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
                 r.pop(e, None)
     if partial is None:
         partial = q_terms
-    return partial, (None if r else q_terms)
+    return partial, (None if r else q_terms), first
 
 
 def try_divide(a: MultiPoly, b: MultiPoly):
@@ -734,7 +720,7 @@ def try_divide(a: MultiPoly, b: MultiPoly):
         return None
     if a.is_zero():
         return MultiPoly.zero(a.base, a.nvars)
-    _, exact = _leading_term_division(a, b)
+    _, exact, _ = _leading_term_division(a, b)
     if exact is None:
         return None
     return MultiPoly(a.base, a.nvars, exact)
@@ -747,7 +733,7 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     move argument that strips a's leading terms against b."""
     if a.is_zero() or b.is_zero():
         return None
-    partial, _ = _leading_term_division(a, b)
+    partial, _, _ = _leading_term_division(a, b)
     if not partial:
         return None
     return MultiPoly(a.base, a.nvars, partial)
@@ -814,35 +800,26 @@ def _matrix_size(m, degw: int, bitw: int, sizes: dict) -> int:
     return total
 
 
-def _leading_floor_candidates(tgt: MultiPoly, src: MultiPoly):
-    """Integer-Euclid steps on leading coefficients: floor and round."""
-    if tgt.base.kind != "Z":
-        return
-    lead_t = _leading_monomial(tgt)
-    lead_s = _leading_monomial(src)
-    exps = tuple(x - y for x, y in zip(lead_t, lead_s))
-    if any(e < 0 for e in exps):
-        return
-    ct, cs = tgt.terms[lead_t], src.terms[lead_s]
-    qf = ct // cs
-    qr = (2 * ct + cs) // (2 * cs)
-    for qc in {qf, qr}:
-        if qc:
-            yield MultiPoly(tgt.base, tgt.nvars, {exps: qc})
-
-
 def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
     """Move arguments that strip tgt against src: (args, negated args).
 
-    The exact and the partial quotient come from one division."""
-    partial, exact = _leading_term_division(tgt, src)
+    The exact and the partial quotient come from one division; over Z its
+    first step also gives the integer-Euclid steps on the leading
+    coefficients, floor and round."""
+    partial, exact, first = _leading_term_division(tgt, src)
     args = []
     for terms in (exact, partial):
         if terms:
             q = MultiPoly(tgt.base, tgt.nvars, terms)
             if not q.is_zero():
                 args.append(q)
-    args.extend(_leading_floor_candidates(tgt, src))
+    if first is not None and tgt.base.kind == "Z":
+        exps, ct, cs = first
+        qf = ct // cs
+        qr = (2 * ct + cs) // (2 * cs)
+        for qc in {qf, qr}:
+            if qc:
+                args.append(MultiPoly(tgt.base, tgt.nvars, {exps: qc}))
     return args, [-q for q in args]
 
 
@@ -914,18 +891,6 @@ def _rank1_difference(m):
     one = MultiPoly.const(base, nvars, 1)
     d = [[m[i][j] - one if i == j else m[i][j] for j in range(size)] for i in range(size)]
     if all(p.is_zero() for row in d for p in row):
-        return None
-    for i in range(size):
-        for i2 in range(i + 1, size):
-            for j in range(size):
-                for j2 in range(j + 1, size):
-                    minor = d[i][j] * d[i2][j2] - d[i][j2] * d[i2][j]
-                    if not minor.is_zero():
-                        return None
-    trace = MultiPoly.zero(base, nvars)
-    for i in range(size):
-        trace = trace + d[i][i]
-    if not trace.is_zero():
         return None
 
     def column(c):
@@ -1095,9 +1060,12 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
 
     Division-guided moves shrink a size measure under a cascade of scoring
     strategies; stalls fall back to a two-ply escape and the rank-one
-    commutator finisher.  The residual is the identity on full success,
-    constant when only the group-of-constants part remains, and the best
-    stall state otherwise.
+    commutator finisher.  A constant leftover over Z or a field is
+    factored by the Euclidean reduction (factor_integer_constant,
+    factor_univar_euclidean), so the residual is then the identity.  Over
+    other bases a constant leftover is returned as the residual; after a
+    stall the residual is the best stall state.  A constant leftover
+    outside the group raises NotInGroup.
     """
     budget = budget or DEFAULT_BUDGET
     rs = g.rs
@@ -1127,10 +1095,13 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     if final.is_identity():
         word = free_reduce(ElemWord(rs, left + right))
         residual = final
-    elif final.is_constant() and g.base.kind == "Z" and rec.right:
-        # splice an integer word for the constant leftover between the
-        # two op families so the residual can be the identity
-        mid = factor_integer_constant(final)
+    elif final.is_constant() and (g.base.kind == "Z" or g.base.is_field):
+        # splice the Euclidean word of the constant leftover between the
+        # two op families so the residual is the identity
+        if g.base.kind == "Z":
+            mid = factor_integer_constant(final)
+        else:
+            mid = factor_univar_euclidean(final)
         word = free_reduce(ElemWord(rs, left + list(mid.letters) + right))
         residual = GroupMatrix.identity(rs, g.base, g.nvars)
     else:
@@ -1143,48 +1114,30 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     return word, residual
 
 
-def factor_polynomial(
-    g: GroupMatrix,
-    budget: Budget | None = None,
-    elementary_residual: bool = True,
-) -> FactorizationCertificate:
+def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> FactorizationCertificate:
     """Factor g in SL_N(Z[x..]) or Sp_2N(Z[x..]) into elementary letters.
 
-    The greedy reduction (heuristic_reduce, with its rank-one commutator
-    finisher) must bring g down to a constant matrix; a non-constant
-    residual raises NotFactored at once.  By default the constant part is
-    then factored by the integer Euclidean reduction, so the residual is
-    the identity; with elementary_residual=False it is returned unfactored
-    as the group-of-constants component.
+    heuristic_reduce brings g down to a constant matrix and factors that
+    by the integer Euclidean reduction, so the certificate's residual is
+    always the identity.  A greedy stall leaves a non-constant residual
+    and raises NotFactored at once.
     """
     budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
     if not membership_check(g, g.rs):
         raise NotInGroup("matrix fails the group invariant")
-    base, nvars = g.base, g.nvars
-
     word, residual = heuristic_reduce(g, budget)
     log.debug(
-        "heuristic stage: residual constant=%s, word length %d, max degree %d",
-        residual.is_constant(), len(word), word.max_degree(),
+        "heuristic stage: residual identity=%s, word length %d, max degree %d",
+        residual.is_identity(), len(word), word.max_degree(),
     )
-    if not residual.is_constant():
+    if not residual.is_identity():
         raise NotFactored(
             "greedy stage left a non-constant residual (no size-reducing "
             "move, or Budget.max_steps=%d spent in a pass)" % budget.max_steps
         )
-
-    if elementary_residual:
-        if not residual.is_identity():
-            word = free_reduce(word.concat(factor_integer_constant(residual)))
-        residual_constant = GroupMatrix.identity(g.rs, base, nvars)
-    else:
-        residual_constant = residual
-
-    cert = FactorizationCertificate(
-        target=g, word=word, residual_constant=residual_constant, verified=False
-    )
+    cert = FactorizationCertificate(target=g, word=word, residual_constant=residual, verified=False)
     if not cert.check():
         raise NotFactored("assembled certificate failed final verification")
     cert.verified = True

@@ -1,4 +1,5 @@
-"""JSON file formats: matrices, words, certificates, coverings.
+"""JSON file formats: matrices (the input of ``chevelem factor``) and
+factorization certificates (its output, read back by ``verify``).
 
 All polynomial payloads use the text grammar from exactring, so every
 file is human-readable and re-parseable bit-exactly.  Serialization is
@@ -12,7 +13,6 @@ import json
 from .errors import ParseError
 from .exactring import BaseRing, base_ring_from_str, parse_poly
 from .factorize import FactorizationCertificate
-from .localglobal import CoveringData
 from .rootdata import GroupMatrix, RootSystem, build_root_system
 from .words import ElemWord
 
@@ -70,18 +70,6 @@ def word_from_records(records, rs: RootSystem, base: BaseRing, nvars: int) -> El
     return ElemWord(rs, letters)
 
 
-def word_to_dict(w: ElemWord, base: BaseRing | None = None, nvars: int = 1) -> dict:
-    b, nv = w.base_and_nvars(base, nvars)
-    out = _group_header(w.rs, b, nv)
-    out["letters"] = word_to_records(w)
-    return out
-
-
-def word_from_dict(data: dict) -> ElemWord:
-    rs, base, nvars = _read_header(data)
-    return word_from_records(data.get("letters", []), rs, base, nvars)
-
-
 def certificate_to_dict(cert: FactorizationCertificate) -> dict:
     m = cert.target
     out = _group_header(m.rs, m.base, m.nvars)
@@ -110,21 +98,6 @@ def certificate_from_dict(data: dict) -> FactorizationCertificate:
     return FactorizationCertificate(
         target=target, word=word, residual_constant=residual, verified=verified
     )
-
-
-def covering_to_dict(cov: CoveringData) -> dict:
-    return {"s": list(cov.elems), "c": list(cov.coeffs), "k": list(cov.exponents)}
-
-
-def covering_from_dict(data: dict) -> CoveringData:
-    try:
-        return CoveringData(
-            tuple(int(v) for v in data["s"]),
-            tuple(int(v) for v in data["c"]),
-            tuple(int(v) for v in data["k"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError("malformed covering: %s" % exc) from exc
 
 
 def dumps(data: dict) -> str:

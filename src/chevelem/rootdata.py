@@ -106,9 +106,6 @@ class RootSystem:
 
     # -- queries ---------------------------------------------------------------
 
-    def is_root(self, v) -> bool:
-        return tuple(v) in self._root_set
-
     def check_root(self, v) -> Root:
         a = tuple(v)
         if a not in self._root_set:
@@ -547,7 +544,7 @@ def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly):
     return ElemWord(rs, letters)
 
 
-def opposite_decomposition(rs: RootSystem, gamma, avoid=None):
+def opposite_decomposition(rs: RootSystem, gamma):
     """A pair (d1, d2) and target index with gamma in the cone of (d1, d2),
     target constant +-1, and no root involved proportional to gamma.
 

@@ -54,11 +54,12 @@ class ElemWord:
         )
         return "ElemWord(%s)" % inner
 
-    def base_and_nvars(self, default_base: BaseRing | None = None, default_nvars: int = 1):
+    def base_and_nvars(self):
+        """Base ring and variable count of the arguments; Z[x1] when empty."""
         if self.letters:
             arg = self.letters[0][1]
             return arg.base, arg.nvars
-        return default_base or BaseRing.integers(), default_nvars
+        return BaseRing.integers(), 1
 
     def concat(self, other: "ElemWord") -> "ElemWord":
         if self.rs != other.rs:

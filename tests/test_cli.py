@@ -24,15 +24,10 @@ from chevelem.factorize import factor_polynomial, random_elementary_word
 from chevelem.fileio import (
     certificate_from_dict,
     certificate_to_dict,
-    covering_from_dict,
-    covering_to_dict,
     dumps,
     matrix_from_dict,
     matrix_to_dict,
-    word_from_dict,
-    word_to_dict,
 )
-from chevelem.localglobal import CoveringData
 from chevelem.rootdata import build_root_system
 from chevelem.words import eval_word
 
@@ -78,13 +73,6 @@ def test_matrix_rank_gate():
         matrix_from_dict(bad)
 
 
-def test_word_roundtrip():
-    w = random_elementary_word(A2, 42, 5)
-    d = word_to_dict(w)
-    again = word_from_dict(d)
-    assert again == w
-
-
 def test_certificate_roundtrip():
     g = matrix_from_dict(cohn_dict())
     cert = factor_polynomial(g)
@@ -94,13 +82,6 @@ def test_certificate_roundtrip():
     assert again.word == cert.word
     assert again.residual_constant == cert.residual_constant
     assert dumps(certificate_to_dict(again)) == dumps(d)
-
-
-def test_covering_roundtrip():
-    cov = CoveringData((2, 3), (-1, 1), (2, 1))
-    d = covering_to_dict(cov)
-    assert d == {"s": [2, 3], "c": [-1, 1], "k": [2, 1]}
-    assert covering_from_dict(d) == cov
 
 
 # -- relations verb ----------------------------------------------------------------

@@ -9,7 +9,6 @@ from chevelem.errors import (
     BaseMismatch,
     NotMonic,
     ParseError,
-    SearchBoundExceeded,
 )
 from chevelem.exactring import (
     BaseRing,
@@ -20,7 +19,6 @@ from chevelem.exactring import (
     convert,
     denominator_lcm,
     emit_poly,
-    lift_mod_to_integers,
     localize_eq,
     monic_divrem,
     parse_poly,
@@ -185,11 +183,6 @@ def test_annihilator_mod12_matches_brute_force():
             assert annihilator_exponent(Z12, d, s) == brute_annihilator(12, d, s)
 
 
-def test_annihilator_bound_override():
-    with pytest.raises(SearchBoundExceeded):
-        annihilator_exponent(Z12, 3, 2, bound=1)
-
-
 def test_localize_eq():
     assert localize_eq(P("2*x1", Z4), MultiPoly.zero(Z4, 1), 2)
     assert not localize_eq(P("x1"), MultiPoly.zero(Z, 1), 2)
@@ -263,8 +256,6 @@ def test_convert_directions():
         convert(P("1/2*x1", Q), Z)
     with pytest.raises(BaseMismatch):
         convert(P("2*x1", Z4), Z)
-    lifted = lift_mod_to_integers(P("3*x1", Z4))
-    assert lifted == P("3*x1")
 
 
 def test_convert_localized():

@@ -6,13 +6,28 @@ import pytest
 
 from chevelem.errors import BaseMismatch, NotAUnit, ParseError
 from chevelem.exactring import BaseRing, MultiPoly, annihilator_exponent, parse_poly
-from chevelem.fileio import word_from_dict, word_to_dict
-from chevelem.rootdata import build_root_system, weyl_and_torus
+from chevelem.factorize import FactorizationCertificate
+from chevelem.fileio import certificate_from_dict, certificate_to_dict, matrix_from_dict
+from chevelem.rootdata import GroupMatrix, build_root_system, weyl_and_torus
 from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
 ZHALF = BaseRing.integers_localized(2)
 A2 = build_root_system("A", 2)
+
+
+def certificate_dict(base: str, letters) -> dict:
+    """A certificate file whose target and residual are the identity."""
+    ident = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    return {
+        "group": {"type": "A", "rank": 2},
+        "base": base,
+        "nvars": 1,
+        "target": ident,
+        "residual": ident,
+        "word": letters,
+        "verified": True,
+    }
 
 
 def test_localized_word_file_roundtrip():
@@ -24,46 +39,40 @@ def test_localized_word_file_roundtrip():
             ((0, 1, -1), MultiPoly.const(ZHALF, 1, Fraction(-1, 2))),
         ],
     )
-    d = word_to_dict(w)
+    g = eval_word(w, ZHALF, 1)
+    ident = GroupMatrix.identity(A2, ZHALF, 1)
+    cert = FactorizationCertificate(target=g, word=w, residual_constant=ident, verified=True)
+    d = certificate_to_dict(cert)
     assert d["base"] == "Z[1/2]"
-    assert d["letters"][0]["arg"] == "3/4*x1"
-    again = word_from_dict(d)
-    assert again == w
-    assert eval_word(again, ZHALF, 1) == eval_word(w, ZHALF, 1)
+    assert d["word"][0]["arg"] == "3/4*x1"
+    again = certificate_from_dict(d)
+    assert again.word == w
+    assert again.target == g
+    assert again.check()
 
 
 def test_word_file_rejects_wrong_denominator():
-    d = {
-        "group": {"type": "A", "rank": 2},
-        "base": "Z[1/2]",
-        "nvars": 1,
-        "letters": [{"root": [1, -1, 0], "arg": "1/3*x1"}],
-    }
+    d = certificate_dict("Z[1/2]", [{"root": [1, -1, 0], "arg": "1/3*x1"}])
     with pytest.raises(BaseMismatch):
-        word_from_dict(d)
+        certificate_from_dict(d)
 
 
 def test_word_file_rejects_unknown_root():
-    d = {
-        "group": {"type": "A", "rank": 2},
-        "base": "Z",
-        "nvars": 1,
-        "letters": [{"root": [2, -2, 0], "arg": "x1"}],
-    }
+    d = certificate_dict("Z", [{"root": [2, -2, 0], "arg": "x1"}])
     with pytest.raises(Exception):
-        word_from_dict(d)
+        certificate_from_dict(d)
 
 
 def test_header_nvars_bound():
-    d = {"group": {"type": "A", "rank": 2}, "base": "Z", "nvars": 12, "letters": []}
+    d = {"group": {"type": "A", "rank": 2}, "base": "Z", "nvars": 12, "entries": []}
     with pytest.raises(ParseError):
-        word_from_dict(d)
+        matrix_from_dict(d)
 
 
 def test_unknown_base_string():
-    d = {"group": {"type": "A", "rank": 2}, "base": "R", "nvars": 1, "letters": []}
+    d = {"group": {"type": "A", "rank": 2}, "base": "R", "nvars": 1, "entries": []}
     with pytest.raises(ParseError):
-        word_from_dict(d)
+        matrix_from_dict(d)
 
 
 def test_annihilator_zero_multiplier():

@@ -1,0 +1,40 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
+
+
+def unused_parameters(tree):
+    """(function, parameter) pairs whose parameter the body never reads.
+
+    self, cls and _-prefixed names are exempt; reads in nested functions
+    count, defaults and decorators do not."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for p in params:
+            name = p.arg
+            if name in ("self", "cls") or name.startswith("_"):
+                continue
+            if name not in read:
+                out.append((node.name, name))
+    return out
+
+
+def test_no_unused_parameters():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s: %s(%s)" % (path.name, f, p) for f, p in unused_parameters(tree)]
+    assert not found, "parameters never read: " + ", ".join(found)
