@@ -25,7 +25,6 @@ from .errors import (
 )
 from .exactring import (
     BaseRing,
-    MonicLocElem,
     MultiPoly,
     annihilator_exponent,
     base_ring_from_str,
@@ -67,11 +66,8 @@ from .localglobal import (
 )
 from .factorize import (
     FactorizationCertificate,
-    MonicWord,
-    descend_monic,
     factor_integer_sl,
     factor_integer_sp,
-    factor_monic_localized,
     factor_polynomial,
     factor_univar_euclidean,
     heuristic_reduce,

@@ -200,7 +200,7 @@ def cmd_roundtrip(args) -> int:
         return EXIT_BAD_INPUT
     master = random.Random(args.seed)
     failures = 0
-    budget_misses = 0
+    not_factored = 0
     for trial in range(args.trials):
         trial_seed = master.randrange(1 << 30)
         word = random_elementary_word(
@@ -210,8 +210,8 @@ def cmd_roundtrip(args) -> int:
         try:
             cert = factor_polynomial(g)
         except NotFactored:
-            budget_misses += 1
-            print("trial %d: NOT FACTORED (budget)" % trial)
+            not_factored += 1
+            print("trial %d: NOT FACTORED (greedy stall)" % trial)
             continue
         ok = cert.check() and cert.residual_constant.is_identity()
         if not ok:
@@ -221,12 +221,12 @@ def cmd_roundtrip(args) -> int:
             % (trial, "verified" if ok else "MISMATCH", cert.word_length)
         )
     print(
-        "roundtrip summary: %d trials, %d verified, %d budget misses, %d failures"
-        % (args.trials, args.trials - failures - budget_misses, budget_misses, failures)
+        "roundtrip summary: %d trials, %d verified, %d not factored, %d failures"
+        % (args.trials, args.trials - failures - not_factored, not_factored, failures)
     )
     if failures:
         return EXIT_MISMATCH
-    if budget_misses:
+    if not_factored:
         return EXIT_NOT_FACTORED
     return EXIT_OK
 

@@ -14,7 +14,7 @@ class ParseError(ChevElemError):
 
 
 class NotMonic(ChevElemError):
-    """Divisor is not monic in the distinguished variable."""
+    """Divisor is not monic in x1."""
 
 
 class RankTooLow(ChevElemError):

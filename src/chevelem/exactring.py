@@ -565,142 +565,43 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# monic division and monic localization
+# monic division
 
 
-def monic_divrem(g: MultiPoly, f: MultiPoly, var: int = 0):
-    """Exact division g = q*f + r with deg_var(r) < deg_var(f).
+def monic_divrem(g: MultiPoly, f: MultiPoly):
+    """Exact division g = q*f + r with deg_x1(r) < deg_x1(f).
 
-    f must be monic in the distinguished variable: its leading coefficient
-    with respect to var is the constant 1.
+    f must be monic in x1: its leading coefficient with respect to x1 is
+    the constant 1.
     """
     g._check_compatible(f)
-    df = f.degree_in(var)
+    df = f.degree_in(0)
     if df < 0:
         raise NotMonic("zero divisor polynomial")
-    lead = _coeff_in_var(f, var, df)
+    lead = _coeff_in_x1(f, df)
     if not (lead.is_constant() and lead.constant_term() == g.base.one()):
-        raise NotMonic("leading coefficient in x%d is not 1" % (var + 1,))
+        raise NotMonic("leading coefficient in x1 is not 1")
     base, nv = g.base, g.nvars
     q = MultiPoly.zero(base, nv)
     r = g
     while True:
-        dr = r.degree_in(var)
+        dr = r.degree_in(0)
         if r.is_zero() or dr < df:
             return q, r
-        lead_r = _coeff_in_var(r, var, dr)
-        shift = tuple(dr - df if i == var else 0 for i in range(nv))
+        lead_r = _coeff_in_x1(r, dr)
+        shift = (dr - df,) + (0,) * (nv - 1)
         mono = MultiPoly(base, nv, {shift: base.one()})
         qt = lead_r * mono
         q = q + qt
         r = r - qt * f
 
 
-def _coeff_in_var(p: MultiPoly, var: int, deg: int) -> MultiPoly:
+def _coeff_in_x1(p: MultiPoly, deg: int) -> MultiPoly:
     out = {}
     for e, c in p.terms.items():
-        if e[var] == deg:
-            e2 = tuple(0 if i == var else x for i, x in enumerate(e))
-            out[e2] = c
+        if e[0] == deg:
+            out[(0,) + e[1:]] = c
     return MultiPoly(p.base, p.nvars, out)
-
-
-class MonicLocElem:
-    """Element numerator / denom^power of a monic localization.
-
-    denom is monic in the distinguished variable (index 0 by convention).
-    Equality is decided by cross-multiplication; arithmetic merges
-    denominators into a single monic product at power 1.
-    """
-
-    __slots__ = ("num", "den", "power")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None, power: int = 0):
-        if power < 0:
-            raise ValueError("negative denominator power")
-        if den is None or power == 0:
-            den = MultiPoly.const(num.base, num.nvars, 1)
-            power = 0
-        else:
-            d = den.degree_in(0)
-            lead = _coeff_in_var(den, 0, d) if d >= 0 else None
-            if d < 0 or not (lead.is_constant() and lead.constant_term() == num.base.one()):
-                raise NotMonic("denominator is not monic in x1")
-        self.num = num
-        self.den = den
-        self.power = power
-
-    @property
-    def base(self) -> BaseRing:
-        return self.num.base
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    def denominator_poly(self) -> MultiPoly:
-        return self.den ** self.power
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_denominator_free(self) -> bool:
-        return self.power == 0 or self.den.total_degree() == 0
-
-    def reduce(self) -> "MonicLocElem":
-        """Cancel whole powers of the denominator when division is exact."""
-        num, power = self.num, self.power
-        while power > 0:
-            q, r = monic_divrem(num, self.den)
-            if not r.is_zero():
-                break
-            num, power = q, power - 1
-        if power == 0:
-            return MonicLocElem(num)
-        return MonicLocElem(num, self.den, power)
-
-    def __add__(self, other: "MonicLocElem") -> "MonicLocElem":
-        a, b = self, other
-        if a.power == 0 and b.power == 0:
-            return MonicLocElem(a.num + b.num)
-        da, db = a.denominator_poly(), b.denominator_poly()
-        if a.den == b.den:
-            p = max(a.power, b.power)
-            num = a.num * a.den ** (p - a.power) + b.num * b.den ** (p - b.power)
-            return MonicLocElem(num, a.den, p).reduce()
-        return MonicLocElem(a.num * db + b.num * da, da * db, 1).reduce()
-
-    def __neg__(self) -> "MonicLocElem":
-        return MonicLocElem(-self.num, self.den, self.power)
-
-    def __sub__(self, other: "MonicLocElem") -> "MonicLocElem":
-        return self + (-other)
-
-    def __mul__(self, other: "MonicLocElem") -> "MonicLocElem":
-        if self.power == 0 and other.power == 0:
-            return MonicLocElem(self.num * other.num)
-        da, db = self.denominator_poly(), other.denominator_poly()
-        return MonicLocElem(self.num * other.num, da * db, 1).reduce()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonicLocElem):
-            return NotImplemented
-        return (self.num * other.denominator_poly()) == (
-            other.num * self.denominator_poly()
-        )
-
-    def __hash__(self):
-        r = self.reduce()
-        return hash((r.num, r.den, r.power))
-
-    def __repr__(self) -> str:
-        if self.power == 0:
-            return "MonicLoc(%s)" % self.num.to_text()
-        return "MonicLoc((%s) / (%s)^%d)" % (
-            self.num.to_text(),
-            self.den.to_text(),
-            self.power,
-        )
 
 
 # ---------------------------------------------------------------------------

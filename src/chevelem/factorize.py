@@ -4,11 +4,10 @@ heuristic_reduce is greedy: a division-guided reduction, finished by a
 rank-one commutator word where it applies, brings the matrix down to a
 constant, and over Z or a field the Euclidean reduction factors that
 constant tail.  factor_polynomial certifies its word over Z[x..]; a
-greedy stall ends in NotFactored.  The Euclidean, field and
-monic-localized reductions are public on their own.  Every word produced
-anywhere is re-evaluated exactly against its target before it is
-returned; NotFactored is a budget signal and never a claim of
-non-membership.
+greedy stall ends in NotFactored.  The Euclidean and field reductions
+are public on their own.  Every word produced anywhere is re-evaluated
+exactly against its target before it is returned; NotFactored is never
+a claim of non-membership.
 """
 
 from __future__ import annotations
@@ -22,36 +21,22 @@ from operator import add, sub
 
 from .errors import (
     BaseMismatch,
-    DescentBudgetExceeded,
     NotFactored,
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import (
-    BaseRing,
-    MonicLocElem,
-    MultiPoly,
-    convert,
-    monic_divrem,
-)
+from .exactring import BaseRing, MultiPoly, monic_divrem
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
     RootSystem,
-    _det,
     column_update,
     membership_check,
     row_update,
 )
-from .words import (
-    ElemWord,
-    eval_word,
-    free_reduce,
-    reduce_letters,
-)
+from .words import ElemWord, eval_word, free_reduce
 
 Z = BaseRing.integers()
-Q = BaseRing.rationals()
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +160,8 @@ def _leading_coeff(p: MultiPoly):
 class _OpRecorder:
     """Mutable matrix with left/right unipotent moves, recorded for replay.
 
-    Entries are MultiPoly or MonicLocElem; one is the unit of their ring.
+    Entries are ring elements with + - * and is_zero (MultiPoly here); one
+    is the unit of their ring.
     """
 
     def __init__(self, rs: RootSystem, rows, one):
@@ -401,248 +387,6 @@ def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
     else:
         _reduce_type_c(rec, ctx)
     return _finish_reduction(g, rec)
-
-
-# ---------------------------------------------------------------------------
-# monic localization: words and reduction
-
-
-class MonicWord:
-    """Word whose arguments live in a monic localization."""
-
-    __slots__ = ("rs", "letters")
-
-    def __init__(self, rs: RootSystem, letters):
-        self.rs = rs
-        self.letters = tuple((rs.check_root(r), a) for r, a in letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def is_denominator_free(self) -> bool:
-        return all(a.reduce().is_denominator_free() for _, a in self.letters)
-
-    def eval(self, base: BaseRing, nvars: int):
-        size = self.rs.matrix_size
-        zero = MonicLocElem(MultiPoly.zero(base, nvars))
-        one = MonicLocElem(MultiPoly.const(base, nvars, 1))
-        m = [[one if i == j else zero for j in range(size)] for i in range(size)]
-        for root, arg in self.letters:
-            column_update(m, self.rs.unipotent_terms[root], arg)
-        return m
-
-    def to_elem_word(self, base: BaseRing) -> ElemWord:
-        letters = []
-        for root, arg in self.letters:
-            red = arg.reduce()
-            if not red.is_denominator_free():
-                raise PreconditionViolated("word still carries monic denominators")
-            letters.append((root, convert(red.num, base)))
-        return ElemWord(self.rs, letters)
-
-
-def _is_p_integral(poly: MultiPoly, p: int) -> bool:
-    return all(Fraction(c).denominator % p != 0 for c in poly.coefficients())
-
-
-def _monic_invertible(e: MonicLocElem, p: int):
-    """Inverse of e in the monic localization over Z_(p), or None.
-
-    e is invertible iff its numerator's leading coefficient in x1 is a
-    p-unit constant."""
-    red = e.reduce()
-    if red.num.is_zero():
-        return None
-    try:
-        lead = _leading_coeff(red.num)
-    except PreconditionViolated:
-        return None
-    lead = Fraction(lead)
-    if lead.numerator % p == 0 or lead.denominator % p == 0:
-        return None
-    inv_lead = 1 / lead
-    monic_num = red.num.scale(inv_lead)
-    den_poly = red.denominator_poly().scale(inv_lead)
-    if monic_num.is_constant():
-        return MonicLocElem(den_poly)
-    return MonicLocElem(den_poly, monic_num, 1)
-
-
-def _monic_pivot_hunt(rec: _OpRecorder, rows, col: int, p: int, budget_steps: list):
-    """Find or construct an invertible entry in the column; returns its row.
-
-    Shears row r += t * row r2 by the root at (r, r2), for t in 1, x1, x1^2
-    over all row pairs, then for their negatives."""
-    for r in rows:
-        if _monic_invertible(rec.m[r][col], p) is not None:
-            return r
-    x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, 0))
-    shears = [rec.one, x, x * x]
-    for ts in (shears, [-t for t in shears]):
-        for r in rows:
-            for r2 in rows:
-                root = rec.rs.root_at(r, r2)
-                if root is None:
-                    continue
-                for t in ts:
-                    budget_steps[0] -= 1
-                    if budget_steps[0] < 0:
-                        raise DescentBudgetExceeded("pivot search budget spent")
-                    rec.lmul(root, t)
-                    if _monic_invertible(rec.m[r][col], p) is not None:
-                        return r
-                    rec.lmul(root, -t)
-    return None
-
-
-def factor_monic_localized(
-    rs: RootSystem, entries, p: int, budget: Budget | None = None
-) -> MonicWord:
-    """Reduce a matrix over the monic localization of Z_(p)[x1].
-
-    Entries are MonicLocElem over the rationals with p-integral parts.
-    Pivots must be invertible in the localization (p-unit leading
-    coefficient in x1); pivot hunting is budgeted and the whole run fails
-    closed, re-verifying the word by exact multiplication at the end.
-    """
-    budget = budget or DEFAULT_BUDGET
-    base = Q
-    size = rs.matrix_size
-    if len(entries) != size or any(len(row) != size for row in entries):
-        raise PreconditionViolated("matrix size does not match the root system")
-    nvars = entries[0][0].num.nvars
-    for row in entries:
-        for e in row:
-            if not (_is_p_integral(e.num, p) and _is_p_integral(e.den, p)):
-                raise PreconditionViolated("entries must be p-integral")
-    one = MonicLocElem(MultiPoly.const(base, nvars, 1))
-    det = _det(entries, one, MonicLocElem(MultiPoly.zero(base, nvars)))
-    if rs.kind == "A" and not (det - one).is_zero():
-        raise NotInGroup("determinant is not 1 in the monic localization")
-    if rs.kind == "C" and not (det - one).is_zero():
-        raise NotInGroup("symplectic matrices have determinant 1")
-
-    rec = _OpRecorder(rs, entries, one)
-    steps = [budget.max_steps]
-    if rs.kind == "A":
-        _monic_reduce_a(rec, p, steps)
-    else:
-        _monic_reduce_c(rec, p, steps)
-    if not rec.is_identity():
-        raise DescentBudgetExceeded("reduction stalled before the identity")
-    left, right = rec.inverse_letters()
-    word = MonicWord(rs, reduce_letters(left + right))
-    check = word.eval(base, nvars)
-    for i in range(size):
-        for j in range(size):
-            if not (check[i][j] - entries[i][j]).is_zero():
-                raise NotInGroup("monic word failed multiply-back verification")
-    for _, arg in word.letters:
-        red = arg.reduce()
-        if not (_is_p_integral(red.num, p) and _is_p_integral(red.den, p)):
-            raise NotInGroup("monic word argument is not p-integral")
-    return word
-
-
-def _monic_reduce_a(rec: _OpRecorder, p: int, steps: list) -> None:
-    size = len(rec.m)
-    at = rec.rs.root_at
-    for col in range(size):
-        rows = list(range(col, size))
-        r0 = _monic_pivot_hunt(rec, rows, col, p, steps)
-        if r0 is None:
-            raise DescentBudgetExceeded("no invertible pivot found in column %d" % col)
-        inv = _monic_invertible(rec.m[r0][col], p)
-        if r0 != col:
-            # zero the diagonal slot against the pivot, then swap it in
-            if not rec.m[col][col].is_zero():
-                rec.lmul(at(col, r0), -(rec.m[col][col] * inv))
-            _swap_into(rec, r0, col)
-            inv = _monic_invertible(rec.m[col][col], p)
-        # clear the column with pivot-inverse-scaled steps
-        for r in range(size):
-            if r != col and not rec.m[r][col].is_zero():
-                rec.lmul(at(r, col), -(rec.m[r][col] * inv))
-        if not (rec.m[col][col] - rec.one).is_zero():
-            if col == size - 1:
-                raise NotInGroup("final pivot is not 1")
-            _normalize_pivot(rec, col, col + 1, inv)
-        for c in range(size):
-            if c != col:
-                rec.rmul(at(col, c), -rec.m[col][c])
-
-
-def _monic_reduce_c(rec: _OpRecorder, p: int, steps: list) -> None:
-    rs = rec.rs
-    n = rs.rank
-    at, star = rs.root_at, rs.partner
-
-    for stage in range(n):
-        col = stage
-        later = list(range(stage + 1, n))
-        rows = list(range(stage, n)) + [star(j) for j in range(stage, n)]
-        r0 = _monic_pivot_hunt(rec, rows, col, p, steps)
-        if r0 is None:
-            raise DescentBudgetExceeded("no invertible pivot found in column %d" % col)
-        if r0 >= n:
-            # transfer the invertible entry into the unstarred slot
-            j = star(r0)
-            moved = False
-            x = MonicLocElem(MultiPoly.variable(rec.base, rec.nvars, 0))
-            for t in (rec.one, x, x * x, x * x * x):
-                steps[0] -= 1
-                if steps[0] < 0:
-                    raise DescentBudgetExceeded("pivot transfer budget spent")
-                rec.lmul(at(j, r0), t)
-                if _monic_invertible(rec.m[j][col], p) is not None:
-                    moved = True
-                    break
-                rec.lmul(at(j, r0), -t)
-            if not moved:
-                raise DescentBudgetExceeded("pivot transfer failed")
-            r0 = j
-        inv = _monic_invertible(rec.m[r0][col], p)
-        if r0 != stage:
-            if not rec.m[stage][col].is_zero():
-                rec.lmul(at(stage, r0), -(rec.m[stage][col] * inv))
-            _swap_into(rec, r0, stage)
-            inv = _monic_invertible(rec.m[stage][col], p)
-        # clear the column: unstarred rows, then starred, partner last
-        for r in later + [star(r) for r in later] + [star(stage)]:
-            val = rec.m[r][col]
-            if not val.is_zero():
-                rec.lmul(at(r, stage), -(val * inv))
-        if not (rec.m[stage][col] - rec.one).is_zero():
-            _normalize_pivot(rec, stage, star(stage), inv)
-        _clear_pivot_row_c(rec, stage)
-
-
-def descend_monic(g: GroupMatrix, w_f: MonicWord, budget: Budget | None = None) -> ElemWord:
-    """Recover a denominator-free word from one over a monic localization.
-
-    Denominator-free words pass straight through; otherwise the matrix is
-    re-factored directly under budget.  Fail-closed: no unverified word.
-    """
-    budget = budget or DEFAULT_BUDGET
-    base, nvars = g.base, g.nvars
-    mm = w_f.eval(Q, nvars)
-    g_q = g.map_entries(lambda pp: convert(pp, Q))
-    size = g.rs.matrix_size
-    for i in range(size):
-        for j in range(size):
-            if not (mm[i][j] - MonicLocElem(g_q.entries[i][j])).is_zero():
-                raise PreconditionViolated("word does not evaluate to the matrix")
-    if w_f.is_denominator_free():
-        word = w_f.to_elem_word(base)
-        if eval_word(word, base, nvars) != g:
-            raise PreconditionViolated("lifted word failed verification")
-        return word
-    if budget.max_steps == 0:
-        raise DescentBudgetExceeded("descent budget is zero")
-    word, residual = heuristic_reduce(g, budget)
-    if residual.is_identity():
-        return word
-    raise DescentBudgetExceeded("no denominator-free word found within budget")
 
 
 # ---------------------------------------------------------------------------

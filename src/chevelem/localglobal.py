@@ -51,8 +51,8 @@ class Budget:
     """Resource limits for searches; non-negative (zero means fail fast).
 
     max_letters, max_degree and max_coeff_bits bound the descent
-    expansion; max_steps bounds each greedy pass and each monic pivot
-    search.  The descent tries DILATION_LEVELS + 1 pre-dilation levels.
+    expansion; max_steps bounds each greedy pass and nothing else.  The
+    descent tries DILATION_LEVELS + 1 pre-dilation levels.
     """
 
     max_letters: int = 40000

@@ -331,7 +331,7 @@ def row_update(rows: list, terms, t) -> None:
     """rows <- x(t) * rows in place, for a root with unipotent terms.
 
     rows is a list of row lists over any ring with + - * and is_zero
-    (MultiPoly or MonicLocElem); all products are taken before any row
+    (MultiPoly in this package); all products are taken before any row
     changes.  A zero source leaves its entry as the same object."""
     updates = []
     for r, c, sign in terms:

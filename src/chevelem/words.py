@@ -107,7 +107,7 @@ def free_reduce(w: ElemWord) -> ElemWord:
 
 def reduce_letters(letters) -> list:
     """free_reduce on a bare (root, arg) sequence over any ring with + and
-    is_zero; monic-localized words use it directly."""
+    is_zero, for callers that have letters but no ElemWord yet."""
     stack: list = []
     for root, arg in letters:
         if arg.is_zero():

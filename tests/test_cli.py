@@ -320,6 +320,19 @@ def test_roundtrip_verb(capsys):
     assert "3 verified" in out
 
 
+def test_roundtrip_greedy_stall(capsys):
+    # trial 1 of this seed stalls the greedy search; a stall is reported
+    # as such, not as a spent budget
+    argv = ["roundtrip", "--type", "A", "--rank", "2", "--trials", "2"]
+    code = main(argv + ["--seed", "0", "--length", "30"])
+    out = capsys.readouterr().out
+    assert code == EXIT_NOT_FACTORED
+    assert "trial 1: NOT FACTORED (greedy stall)" in out
+    assert "1 verified" in out
+    assert "1 not factored" in out
+    assert "budget" not in out
+
+
 def test_demo(tmp_path, capsys):
     out = tmp_path / "cohn_cert.json"
     code = main(["demo", "--out", str(out)])

@@ -12,7 +12,6 @@ from chevelem.errors import (
 )
 from chevelem.exactring import (
     BaseRing,
-    MonicLocElem,
     MultiPoly,
     annihilator_exponent,
     base_ring_from_str,
@@ -264,35 +263,6 @@ def test_convert_localized():
     assert loc.base == ZHALF
     with pytest.raises(BaseMismatch):
         convert(P("1/3*x1", Q), ZHALF)
-
-
-# -- monic localization elements ---------------------------------------------
-
-
-def test_monic_loc_equality_cross_multiplication():
-    f = P("x1^2+1")
-    a = MonicLocElem(P("x1^3+x1"), f, 1)  # x1 (x1^2+1) / (x1^2+1)
-    b = MonicLocElem(P("x1"))
-    assert a == b
-    assert a.reduce().is_denominator_free()
-
-
-def test_monic_loc_arithmetic():
-    f = P("x1+1")
-    g = P("x1^2+1")
-    a = MonicLocElem(P("1"), f, 1)
-    b = MonicLocElem(P("1"), g, 1)
-    s = a + b
-    # 1/f + 1/g = (f+g)/(fg)
-    assert s == MonicLocElem(f + g, f * g, 1)
-    prod = a * b
-    assert prod == MonicLocElem(P("1"), f * g, 1)
-    assert (a - a).is_zero()
-
-
-def test_monic_loc_rejects_nonmonic_denominator():
-    with pytest.raises(NotMonic):
-        MonicLocElem(P("1"), P("2*x1"), 1)
 
 
 # -- grammar ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integer/euclidean/monic factorizers, the greedy heuristic, the pipeline."""
+"""Integer and Euclidean factorizers, the greedy heuristic, the pipeline."""
 
 import hashlib
 import json
@@ -12,19 +12,14 @@ from chevelem import fileio
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     BaseMismatch,
-    DescentBudgetExceeded,
     NotFactored,
     NotInGroup,
     PreconditionViolated,
 )
-from chevelem.exactring import BaseRing, MonicLocElem, MultiPoly, convert, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.factorize import (
-    Budget,
-    MonicWord,
-    descend_monic,
     factor_integer_sl,
     factor_integer_sp,
-    factor_monic_localized,
     factor_polynomial,
     factor_univar_euclidean,
     heuristic_reduce,
@@ -39,7 +34,6 @@ from chevelem.factorize import (
     _apply,
     _leading_term_division,
     _matrix_size,
-    _monic_invertible,
     _move_delta,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
@@ -189,181 +183,6 @@ def test_univar_euclid_rejects_multivariate():
     g = GroupMatrix.identity(A2, Q, 2).rmul_unipotent((1, -1, 0), p)
     with pytest.raises(PreconditionViolated):
         factor_univar_euclidean(g)
-
-
-# -- monic localization --------------------------------------------------------------
-
-
-def monic_entries(g: GroupMatrix):
-    return [[MonicLocElem(convert(p, Q)) for p in row] for row in g.entries]
-
-
-def test_monic_localized_identity():
-    g = GroupMatrix.identity(A2, Q, 1)
-    w = factor_monic_localized(A2, monic_entries(g), 3)
-    assert len(w) == 0 or w.is_denominator_free()
-    mm = w.eval(Q, 1)
-    one = MonicLocElem(const(1, Q))
-    for i in range(3):
-        for j in range(3):
-            want = one if i == j else MonicLocElem(MultiPoly.zero(Q, 1))
-            assert (mm[i][j] - want).is_zero()
-
-
-def test_monic_localized_single_inverse_letter():
-    f = parse_poly("x1^2+1", Q, 1)
-    arg = MonicLocElem(const(1, Q), f, 1)
-    w_in = MonicWord(A2, [((1, -1, 0), arg)])
-    target = w_in.eval(Q, 1)
-    w = factor_monic_localized(A2, target, 3)
-    out = w.eval(Q, 1)
-    for i in range(3):
-        for j in range(3):
-            assert (out[i][j] - target[i][j]).is_zero()
-
-
-def random_monic_word(rs, rng, length):
-    """Letters a*x1+b or (a*x1+b)/(x1+1) with a, b in -3..3, drawn from rng."""
-    letters = []
-    for _ in range(length):
-        root = rng.choice(rs.roots)
-        num = parse_poly("%d*x1 + %d" % (rng.randint(-3, 3), rng.randint(-3, 3)), Q, 1)
-        if rng.random() < 0.5:
-            arg = MonicLocElem(num, parse_poly("x1+1", Q, 1), 1)
-        else:
-            arg = MonicLocElem(num)
-        if not arg.is_zero():
-            letters.append((root, arg))
-    return MonicWord(rs, letters)
-
-
-def monic_roundtrip_inputs():
-    """22 seeded monic-localized matrices: C2 reaches the type-C monic
-    reduction, A3 a larger type-A matrix."""
-    rng = random.Random(91)
-    for rs in [A2] * 6 + [C2] * 8 + [A3] * 8:
-        yield rs, random_monic_word(rs, rng, 4).eval(Q, 1)
-
-
-def test_monic_localized_word_roundtrip():
-    for rs, target in monic_roundtrip_inputs():
-        w = factor_monic_localized(rs, target, 5)
-        out = w.eval(Q, 1)
-        size = rs.matrix_size
-        for i in range(size):
-            for j in range(size):
-                assert (out[i][j] - target[i][j]).is_zero()
-
-
-def monic_matrix(rows):
-    return [[MonicLocElem(parse_poly(t, Q, 1)) for t in row] for row in rows]
-
-
-def assert_monic_word_evaluates(w, target):
-    out = w.eval(Q, 1)
-    for i, row in enumerate(target):
-        for j, e in enumerate(row):
-            assert (out[i][j] - e).is_zero()
-
-
-def test_monic_pivot_hunt_shears_rows():
-    # no entry of column 0 has a 3-unit leading coefficient, so the hunt
-    # shears row 0 += row 1 before it finds a pivot
-    target = monic_matrix(
-        [["1+3*x1", "3*x1", "0"], ["-3*x1", "1-3*x1", "0"], ["0", "0", "1"]]
-    )
-    w = factor_monic_localized(A2, target, 3)
-    assert len(w) == 3
-    assert_monic_word_evaluates(w, target)
-
-
-def test_monic_pivot_hunt_negated_shear():
-    # column 1 of x_(0,2)(x1) x_(0,-2)(3) needs the shear by -x1
-    x1 = MonicLocElem(parse_poly("x1", Q, 1))
-    three = MonicLocElem(const(3, Q))
-    target = MonicWord(C2, [((0, 2), x1), ((0, -2), three)]).eval(Q, 1)
-    w = factor_monic_localized(C2, target, 3)
-    assert len(w) == 2
-    assert_monic_word_evaluates(w, target)
-
-
-@pytest.mark.parametrize(
-    "rs, p, seed, length, pivots, letters",
-    [
-        (A2, 3, 114, 4, [False, True, False], 5),
-        (C2, 3, 284, 3, [False, False, False, True], 6),
-        (C2, 3, 94, 3, [False, True, False, False], 12),
-    ],
-    ids=["A2-pivot-below-diagonal", "C2-pivot-only-starred", "C2-pivot-swap"],
-)
-def test_monic_pivot_branches(rs, p, seed, length, pivots, letters):
-    # which column-0 entries are invertible at p picks the first stage's
-    # branch: a pivot below the diagonal is swapped up (type A); with only
-    # a starred row invertible it is moved into its unstarred partner
-    # first; an invertible unstarred row below the diagonal is swapped up
-    # (type C).  The seeds were found by searching for these patterns.
-    target = random_monic_word(rs, random.Random(seed), length).eval(Q, 1)
-    assert [_monic_invertible(row[0], p) is not None for row in target] == pivots
-    w = factor_monic_localized(rs, target, p)
-    assert len(w) == letters
-    assert_monic_word_evaluates(w, target)
-
-
-def test_monic_localized_p_integrality_gate():
-    bad = [[MonicLocElem(const(Fraction(1, 3), Q)) for _ in range(3)] for _ in range(3)]
-    with pytest.raises(PreconditionViolated):
-        factor_monic_localized(A2, bad, 3)
-
-
-# -- descend_monic ----------------------------------------------------------------------
-
-
-def test_descend_monic_denominator_free_passthrough():
-    word = random_elementary_word(A2, 77, 4)
-    g = eval_word(word, Z, 1)
-    w_f = MonicWord(A2, [(r, MonicLocElem(convert(a, Q))) for r, a in word.letters])
-    out = descend_monic(g, w_f)
-    assert eval_word(out, Z, 1) == g
-
-
-def test_descend_monic_roundtrip():
-    word = random_elementary_word(A2, 78, 4)
-    g = eval_word(word, Z, 1)
-    f = parse_poly("x1^2+1", Q, 1)
-    letters = []
-    for r, a in word.letters:
-        aq = convert(a, Q)
-        letters.append((r, MonicLocElem(aq * f, f, 1)))  # a*f/f = a
-    w_f = MonicWord(A2, letters)
-    out = descend_monic(g, w_f)
-    assert eval_word(out, Z, 1) == g
-
-
-def conjugated_monic_word():
-    """[x_b(1/f), x_a(t f^2), x_b(-1/f)] evaluates to an integral matrix."""
-    f = parse_poly("x1+1", Q, 1)
-    t = parse_poly("3*x1", Q, 1)
-    inv_f = MonicLocElem(const(1, Q), f, 1)
-    payload = MonicLocElem(t * f * f)
-    letters = [((0, 1, -1), inv_f), ((1, -1, 0), payload), ((0, 1, -1), -inv_f)]
-    w_f = MonicWord(A2, letters)
-    mm = w_f.eval(Q, 1)
-    entries = [[convert(MonicLocElem.reduce(e).num, Z) for e in row] for row in mm]
-    return GroupMatrix(A2, entries), w_f
-
-
-def test_descend_monic_budget_zero():
-    g, w_f = conjugated_monic_word()
-    assert not w_f.is_denominator_free()
-    tiny = Budget(max_letters=1, max_degree=1, max_coeff_bits=1, max_steps=0)
-    with pytest.raises(DescentBudgetExceeded):
-        descend_monic(g, w_f, tiny)
-
-
-def test_descend_monic_conjugated_recovers():
-    g, w_f = conjugated_monic_word()
-    out = descend_monic(g, w_f)
-    assert eval_word(out, Z, 1) == g
 
 
 # -- heuristic -----------------------------------------------------------------------
@@ -539,13 +358,14 @@ def test_greedy_certificates_pinned():
     assert digest.hexdigest() == PINNED_SHA256
 
 
-# SHA-256 of the words of elimination_words(), recorded before the four
-# Euclidean, field and monic reductions shared their elimination steps
-ELIMINATION_SHA256 = "cd4a2a238b0c0d6d9bfdd8554740076c79f6e459e6a322cc8a92f97d43458705"
+# SHA-256 of the words of elimination_words(): the integer, Q and F5
+# reductions, whose words have not changed since the Euclidean and field
+# reductions came to share their elimination steps
+ELIMINATION_SHA256 = "ef6ea60fcf59adfaf339a142074804c1348ee0a18fa8a6dfbac18907704211c4"
 
 
 def elimination_words():
-    """Words of the integer, field and monic-localized reductions."""
+    """Words of the integer reductions over Z and the field reductions over Q and F5."""
     groups = [A2, A3, C2, C3]
     for rs in groups:
         factor = factor_integer_sl if rs.kind == "A" else factor_integer_sp
@@ -557,8 +377,6 @@ def elimination_words():
             for seed in range(6200, 6204):
                 word = random_elementary_word(rs, seed, 5, base=base, coeff_bound=3)
                 yield factor_univar_euclidean(eval_word(word, base, 1))
-    for rs, target in monic_roundtrip_inputs():
-        yield factor_monic_localized(rs, target, 5)
 
 
 def test_elimination_words_pinned():
@@ -568,7 +386,7 @@ def test_elimination_words_pinned():
         count += 1
         text = [[list(root), repr(arg)] for root, arg in w.letters]
         digest.update(json.dumps(text).encode())
-    assert count == 70
+    assert count == 48
     assert digest.hexdigest() == ELIMINATION_SHA256
 
 

@@ -38,3 +38,34 @@ def test_no_unused_parameters():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s: %s(%s)" % (path.name, f, p) for f, p in unused_parameters(tree)]
     assert not found, "parameters never read: " + ", ".join(found)
+
+
+def unused_imports(tree):
+    """Names bound by module-level imports that the module never reads.
+
+    A read is any loaded name anywhere in the module, so uses inside
+    functions and annotations count; from __future__ imports are exempt."""
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append(name)
+    return out
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s: %s" % (path.name, name) for name in unused_imports(tree)]
+    assert not found, "imports never read: " + ", ".join(found)
