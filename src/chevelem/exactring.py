@@ -342,15 +342,10 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.const(self.base, self.nvars, 1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        if n == 0:
+            return MultiPoly.const(self.base, self.nvars, 1)
+        terms = _pow_terms(self.terms, n, (0,) * self.nvars, self.base.modulus)
+        return MultiPoly(self.base, self.nvars, terms, normalized=True)
 
     def scale(self, c) -> "MultiPoly":
         """Multiply by a base-ring scalar."""
@@ -393,39 +388,42 @@ class MultiPoly:
 
         Unassigned variables map to themselves (the output must have at
         least that many variables).  All images share one base ring.
+
+        Works on term dicts: unassigned variables keep their exponents,
+        each power of an image is built once per call, and every scaled
+        term folds in place into one accumulator, so the cost is linear
+        in the terms each product makes.
         """
-        base = self.base
+        base, m = self.base, self.base.modulus
         if nvars_out is None:
             nvars_out = max(
                 [self.nvars] + [img.nvars for img in assignment.values()]
             )
         images = {}
         for v, img in assignment.items():
-            if img.base != base:
+            if img.base is not base and img.base != base:
                 raise BaseMismatch("substitution image over %s, poly over %s" % (img.base, base))
-            if img.nvars != nvars_out:
-                img = img.extend_vars(nvars_out)
-            images[v] = img
-        for v in range(self.nvars):
-            if v not in images:
-                if v >= nvars_out:
-                    raise BaseMismatch("variable x%d has no slot in the output ring" % (v + 1,))
-                images[v] = MultiPoly.variable(base, nvars_out, v)
-        out = MultiPoly.zero(base, nvars_out)
+            images[v] = img.extend_vars(nvars_out).terms
+        free = [v for v in range(self.nvars) if v not in images]
+        for v in free:
+            if v >= nvars_out:
+                raise BaseMismatch("variable x%d has no slot in the output ring" % (v + 1,))
+        zero = (0,) * nvars_out
+        out: dict = {}
         powers: dict = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.const(base, nvars_out, 1)
+            prod = None
             for v, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (v, e)
-                pw = powers.get(key)
-                if pw is None:
-                    pw = images[v] ** e
-                    powers[key] = pw
-                term = term * pw
-            out = out + term.scale(c)
-        return out
+                if e and v in images:
+                    pw = powers.get((v, e))
+                    if pw is None:
+                        pw = powers[(v, e)] = _pow_terms(images[v], e, zero, m)
+                    prod = pw if prod is None else _mul_terms(prod, pw, m)
+            kept = tuple(exps[v] if v in free else 0 for v in range(nvars_out)) if free else zero
+            if prod is None:
+                prod = {zero: 1}
+            _fold(out, {tuple(map(add, kept, e)): c * t for e, t in prod.items()}, m)
+        return MultiPoly(base, nvars_out, out, normalized=True)
 
     def extend_vars(self, nvars: int) -> "MultiPoly":
         if nvars < self.nvars:
@@ -648,37 +646,43 @@ _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 _MAX_PAREN_DEPTH = 100
 
 
-def _fold(acc: dict, terms: dict) -> None:
-    """acc += terms in place, dropping coefficients that cancel."""
+def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
+    """acc += terms in place (mod m when given), dropping coefficients that cancel."""
     for e, c in terms.items():
         v = acc.get(e, 0) + c
+        if m is not None:
+            v %= m
         if v:
             acc[e] = v
         elif e in acc:
             del acc[e]
 
 
-def _mul_terms(a: dict, b: dict) -> dict:
+def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
+    """a * b on term dicts (mod m when given), in MultiPoly.__mul__'s term order."""
     if len(a) == 1 == len(b):
         ((e1, c1),), ((e2, c2),) = a.items(), b.items()
-        return {tuple(map(add, e1, e2)): c1 * c2}
+        c = c1 * c2 if m is None else c1 * c2 % m
+        return {tuple(map(add, e1, e2)): c} if c else {}
     out: dict = {}
     for e1, c1 in a.items():
-        _fold(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()})
+        _fold(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}, m)
     return out
 
 
-def _pow_terms(p: dict, n: int, zero: tuple) -> dict:
+def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None) -> dict:
+    """p**n on term dicts by repeated squaring; may return p itself."""
     if len(p) == 1:
         ((e, c),) = p.items()
-        return {tuple(k * n for k in e): c**n}
-    result, square = {zero: 1}, p
+        c = pow(c, n, m)
+        return {tuple(k * n for k in e): c} if c else {}
+    result, square = None, p
     while n:
         if n & 1:
-            result = _mul_terms(result, square)
+            result = square if result is None else _mul_terms(result, square, m)
         n >>= 1
-        square = _mul_terms(square, square) if n else square
-    return result
+        square = _mul_terms(square, square, m) if n else square
+    return {zero: 1} if result is None else result
 
 
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:

@@ -10,13 +10,11 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from chevelem.cli import EXIT_BAD_INPUT, EXIT_MISMATCH, EXIT_OK, cohn_matrix, main, run_relation_suite
+from chevelem.cli import EXIT_BAD_INPUT, EXIT_OK, cohn_matrix, main, run_relation_suite
 from chevelem.errors import DescentBudgetExceeded, RankTooLow
-from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, convert
 from chevelem.factorize import factor_polynomial, random_elementary_word
-from chevelem.fileio import certificate_to_dict, matrix_to_dict
+from chevelem.fileio import certificate_to_dict
 from chevelem.localglobal import (
     CoveringData,
     descend_word,
@@ -25,7 +23,7 @@ from chevelem.localglobal import (
     telescoping_chain,
     telescoping_product,
 )
-from chevelem.rootdata import GroupMatrix, build_root_system
+from chevelem.rootdata import build_root_system
 from chevelem.words import ElemWord, congruence_check, eval_word
 
 Z = BaseRing.integers()

@@ -16,10 +16,9 @@ from chevelem.cli import (
     EXIT_OK,
     cohn_matrix,
     main,
-    run_relation_suite,
 )
 from chevelem.errors import ParseError, RankTooLow
-from chevelem.exactring import BaseRing, parse_poly
+from chevelem.exactring import BaseRing
 from chevelem.factorize import factor_polynomial, random_elementary_word
 from chevelem.fileio import (
     certificate_from_dict,

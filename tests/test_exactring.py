@@ -1,5 +1,6 @@
 """Ring arithmetic, substitution, annihilators, monic division, grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from chevelem.exactring import (
     poly_s_valuation,
     s_valuation,
 )
+from chevelem.rootdata import GroupMatrix, build_root_system
 
 Z = BaseRing.integers()
 Q = BaseRing.rationals()
@@ -99,6 +101,102 @@ def test_substitute_mod8_vanishes():
     p = P("4*x1+2*x1^2", Z8)
     img = P("2*x1", Z8)
     assert p.substitute({0: img}).is_zero()
+
+
+def reference_pow(p, n):
+    """p**n by repeated squaring with MultiPoly.__mul__ alone."""
+    result, square = MultiPoly.const(p.base, p.nvars, 1), p
+    while n:
+        if n & 1:
+            result = result * square
+        n >>= 1
+        if n:
+            square = square * square
+    return result
+
+
+def reference_substitute(p, assignment, nvars_out):
+    """The substitution as a sum of products of MultiPolys: only __mul__ and __add__."""
+    base = p.base
+    images = {v: img.extend_vars(nvars_out) for v, img in assignment.items()}
+    for v in range(p.nvars):
+        images.setdefault(v, MultiPoly.variable(base, nvars_out, v))
+    out = MultiPoly.zero(base, nvars_out)
+    for exps, c in p.terms.items():
+        term = MultiPoly.const(base, nvars_out, 1)
+        for v, e in enumerate(exps):
+            if e:
+                term = term * reference_pow(images[v], e)
+        out = out + term * MultiPoly.const(base, nvars_out, c)
+    return out
+
+
+def typed_items(p):
+    """Terms in insertion order, with each coefficient's type."""
+    return [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+DIFF_BASES = [
+    Z, Q, Z4, BaseRing.integers_mod(6), Z8, F5, ZHALF, BaseRing.integers_localized(6)
+]
+
+
+def random_poly(rng, base, nvars, max_terms=5, max_deg=3):
+    def coeff():
+        if base.kind == "Q":
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if base.kind == "Zloc":
+            return Fraction(rng.randint(-6, 6), base.param ** rng.randint(0, 2))
+        return rng.randint(-9, 9)
+
+    terms = {
+        tuple(rng.randint(0, max_deg) for _ in range(nvars)): coeff()
+        for _ in range(rng.randint(0, max_terms))
+    }
+    return MultiPoly(base, nvars, terms)
+
+
+def test_substitute_matches_reference():
+    rng = random.Random(20181210)
+    # powers that vanish: of one term, and of a sum whose square is one term
+    for text, base, n in (("2*x1", Z4, 2), ("2*x1 + 4", Z8, 4)):
+        q = P(text, base)
+        assert typed_items(q ** n) == [] == typed_items(reference_pow(q, n))
+        assert typed_items(q ** 0) == typed_items(reference_pow(q, 0))
+    for base in DIFF_BASES:
+        p = random_poly(rng, base, 1, max_terms=4) + MultiPoly.variable(base, 1, 0)
+        # zero and constant images, and a wider output ring
+        for img in (MultiPoly.zero(base, 2), MultiPoly.const(base, 2, 3)):
+            assert typed_items(p.substitute({0: img})) == typed_items(
+                reference_substitute(p, {0: img}, 2)
+            )
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            p = random_poly(rng, base, nvars)
+            n = rng.randint(0, 4)
+            assert typed_items(p ** n) == typed_items(reference_pow(p, n))
+            nvars_out = nvars + rng.choice([0, 0, 1, 2])
+            assignment = {}
+            for v in range(nvars):
+                if rng.random() < 0.6:  # the others stay unassigned
+                    k = rng.randint(1, nvars_out)
+                    assignment[v] = random_poly(rng, base, k, rng.choice([0, 1, 3]), 2)
+            got = p.substitute(assignment, nvars_out)
+            assert got.nvars == nvars_out
+            assert typed_items(got) == typed_items(
+                reference_substitute(p, assignment, nvars_out)
+            )
+
+
+def test_substitute_error_branches():
+    p = P("x1*x2", Z, 2)
+    ident = GroupMatrix.identity(build_root_system("A", 2), Z, 2)
+    for target in (p, ident):
+        with pytest.raises(BaseMismatch, match="substitution image"):
+            target.substitute({0: P("x1", Q)})
+        # x2 is unassigned and the output ring has one variable
+        with pytest.raises(BaseMismatch, match="x2 has no slot"):
+            target.substitute({0: P("x1")}, nvars_out=1)
 
 
 # -- ring axioms (property tests) --------------------------------------------

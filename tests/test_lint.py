@@ -1,9 +1,10 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the tests."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_parameters(tree):
@@ -63,9 +64,9 @@ def unused_imports(tree):
 def test_no_unused_imports():
     # __init__.py imports only to re-export
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += ["%s: %s" % (path.name, name) for name in unused_imports(tree)]
+        found += ["%s/%s: %s" % (path.parent.name, path.name, name) for name in unused_imports(tree)]
     assert not found, "imports never read: " + ", ".join(found)

@@ -3,11 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chevelem.errors import BaseMismatch
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
-from chevelem.rootdata import build_root_system, elem_unipotent
+from chevelem.rootdata import build_root_system
 from chevelem.words import (
     CongruenceTag,
     ElemWord,
