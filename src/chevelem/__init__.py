@@ -30,7 +30,6 @@ from .exactring import (
     base_ring_from_str,
     convert,
     emit_poly,
-    localize_eq,
     monic_divrem,
     parse_poly,
 )

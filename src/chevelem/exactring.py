@@ -14,7 +14,7 @@ every file format in the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -32,6 +32,17 @@ KIND_MOD = "Zmod"
 KIND_PRIME_FIELD = "Fp"
 KIND_RATIONALS = "Q"
 KIND_LOCALIZED = "Zloc"
+
+
+def _s_smooth(n: int, s: int) -> bool:
+    """True iff the positive integer n divides a power of s."""
+    while n > 1:
+        g = gcd(n, s)
+        if g == 1:
+            return False
+        while n % g == 0:
+            n //= g
+    return True
 
 
 def _is_prime(p: int) -> bool:
@@ -56,11 +67,17 @@ class BaseRing:
     kind/param pairs: ("Z", None), ("Zmod", m), ("Fp", p), ("Q", None),
     ("Zloc", s).  Elements are plain ints (Z, Zmod, Fp) or Fractions
     (Q, Zloc); Zloc fractions are kept in lowest terms with denominators
-    dividing a power of s, which is a unique normal form.
+    dividing a power of s, which is a unique normal form.  modulus is m
+    or p for Zmod and Fp, else None; it is set once, from kind and param.
     """
 
     kind: str
     param: int | None = None
+    modulus: int | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        m = self.param if self.kind in (KIND_MOD, KIND_PRIME_FIELD) else None
+        object.__setattr__(self, "modulus", m)
 
     @staticmethod
     def integers() -> "BaseRing":
@@ -89,67 +106,41 @@ class BaseRing:
         return BaseRing(KIND_LOCALIZED, abs(s))
 
     @property
-    def modulus(self) -> int | None:
-        if self.kind in (KIND_MOD, KIND_PRIME_FIELD):
-            return self.param
-        return None
-
-    @property
     def is_field(self) -> bool:
         return self.kind in (KIND_PRIME_FIELD, KIND_RATIONALS)
 
     def zero(self):
-        return Fraction(0) if self.kind in (KIND_RATIONALS, KIND_LOCALIZED) else 0
+        return self.normalize(0)
 
     def one(self):
-        return Fraction(1) if self.kind in (KIND_RATIONALS, KIND_LOCALIZED) else 1
+        return self.normalize(1)
 
-    def from_int(self, n: int):
-        m = self.modulus
-        if m is not None:
-            return n % m
-        if self.kind == KIND_INTEGERS:
-            return int(n)
-        return Fraction(n)
+    def normalize(self, c):
+        """The element of this ring equal to the int or exact rational c.
 
-    def from_fraction(self, q: Fraction):
-        """Coerce an exact rational into this ring; raises if impossible."""
-        q = Fraction(q)
+        Raises BaseMismatch when there is none: a denominator that is not
+        1 over Z, not invertible mod m, or not dividing a power of s.
+        """
         m = self.modulus
+        if isinstance(c, int):
+            if m is not None:
+                return c % m
+            return c if self.kind == KIND_INTEGERS else Fraction(c)
+        q = c if isinstance(c, Fraction) else Fraction(c)
+        den = q.denominator
         if m is not None:
-            den = q.denominator
             if gcd(den, m) != 1:
                 raise BaseMismatch("denominator %d not invertible mod %d" % (den, m))
             return q.numerator * pow(den, -1, m) % m
         if self.kind == KIND_INTEGERS:
-            if q.denominator != 1:
+            if den != 1:
                 raise BaseMismatch("%s is not an integer" % (q,))
             return q.numerator
-        if self.kind == KIND_LOCALIZED:
-            self._check_denominator(q.denominator)
+        if self.kind == KIND_LOCALIZED and not _s_smooth(den, self.param):
+            raise BaseMismatch("denominator %d has factors outside Z[1/%d]" % (den, self.param))
         return q
 
-    def _check_denominator(self, den: int) -> None:
-        s = self.param
-        d = den
-        while d > 1:
-            g = gcd(d, s)
-            if g == 1:
-                raise BaseMismatch(
-                    "denominator %d has factors outside Z[1/%d]" % (den, s)
-                )
-            while d % g == 0:
-                d //= g
-        return None
-
-    def normalize(self, c):
-        m = self.modulus
-        if m is not None:
-            return c % m
-        if self.kind == KIND_LOCALIZED:
-            c = Fraction(c)
-            self._check_denominator(c.denominator)
-        return c
+    from_int = normalize  # the older name, still called by bench/workloads.py
 
     def is_unit(self, c) -> bool:
         c = self.normalize(c)
@@ -162,17 +153,7 @@ class BaseRing:
         if self.kind == KIND_RATIONALS:
             return c != 0
         # Zloc: units are +-(divisors of s^k)
-        if c == 0:
-            return False
-        n = abs(Fraction(c).numerator)
-        s = self.param
-        while n > 1:
-            g = gcd(n, s)
-            if g == 1:
-                return False
-            while n % g == 0:
-                n //= g
-        return True
+        return c != 0 and _s_smooth(abs(c.numerator), self.param)
 
     def unit_inverse(self, c):
         if not self.is_unit(c):
@@ -182,13 +163,6 @@ class BaseRing:
         if self.kind in (KIND_MOD, KIND_PRIME_FIELD):
             return pow(c % self.param, -1, self.param)
         return Fraction(1) / Fraction(c)
-
-    def exponent_bound(self) -> int:
-        """Exact bound for annihilator searches: the exponent of m for Zmod."""
-        m = self.modulus
-        if m is None:
-            return 0
-        return max(1, m.bit_length())
 
     def __str__(self) -> str:
         if self.kind == KIND_INTEGERS:
@@ -250,7 +224,7 @@ class MultiPoly:
 
     @staticmethod
     def const(base: BaseRing, nvars: int, value) -> "MultiPoly":
-        c = base.normalize(base.from_int(value) if isinstance(value, int) else value)
+        c = base.normalize(value)
         if c == 0:
             return MultiPoly.zero(base, nvars)
         return MultiPoly(base, nvars, {(0,) * nvars: c}, normalized=True)
@@ -298,16 +272,8 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        m = self.base.modulus
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if m is not None:
-                v %= m
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        _fold(out, other.terms, self.base.modulus)
         return MultiPoly(self.base, self.nvars, out, normalized=True)
 
     def __neg__(self) -> "MultiPoly":
@@ -323,20 +289,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.base, self.nvars)
-        m = self.base.modulus
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if m is not None:
-                    v %= m
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+        out = _mul_terms(self.terms, other.terms, self.base.modulus)
         return MultiPoly(self.base, self.nvars, out, normalized=True)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -452,7 +405,7 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# annihilators and localization equality
+# annihilators and s-valuations
 
 
 def annihilator_exponent(base: BaseRing, d, s):
@@ -472,21 +425,11 @@ def annihilator_exponent(base: BaseRing, d, s):
             return 1
         return None
     acc = d
-    for n in range(base.exponent_bound() + 1):
+    for n in range(max(1, m.bit_length()) + 1):
         if acc == 0:
             return n
         acc = (acc * s) % m
     return None
-
-
-def localize_eq(a: MultiPoly, b: MultiPoly, s) -> bool:
-    """True iff a and b agree after inverting s (coefficientwise check)."""
-    a._check_compatible(b)
-    diff = a - b
-    for c in diff.coefficients():
-        if annihilator_exponent(a.base, c, s) is None:
-            return False
-    return True
 
 
 def s_valuation(base: BaseRing, c, s: int) -> int | None:
@@ -498,21 +441,15 @@ def s_valuation(base: BaseRing, c, s: int) -> int | None:
     if s in (1, -1):
         return 0
     s = abs(s)
-    q = Fraction(c)
-    num, den = abs(q.numerator), q.denominator
+    num, den = abs(c.numerator), c.denominator
     v = 0
     while num % s == 0:
         num //= s
         v += 1
     e = 0
     if den > 1:
-        d = den
-        while d > 1:
-            g = gcd(d, s)
-            if g == 1:
-                raise BaseMismatch("denominator %d not supported by s=%d" % (den, s))
-            while d % g == 0:
-                d //= g
+        if not _s_smooth(den, s):
+            raise BaseMismatch("denominator %d not supported by s=%d" % (den, s))
         power = 1
         while power % den != 0:
             power *= s
@@ -533,7 +470,7 @@ def denominator_lcm(p: MultiPoly) -> int:
     """LCM of coefficient denominators (1 for integral polynomials)."""
     out = 1
     for c in p.coefficients():
-        d = Fraction(c).denominator
+        d = c.denominator
         out = out * d // gcd(out, d)
     return out
 
@@ -558,8 +495,10 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
             raise BaseMismatch("no ring map %s -> %s" % (p.base, new_base))
     out = {}
     for e, c in p.terms.items():
-        out[e] = new_base.from_fraction(Fraction(c))
-    return MultiPoly(new_base, p.nvars, out)
+        c = new_base.normalize(c)
+        if c:
+            out[e] = c
+    return MultiPoly(new_base, p.nvars, out, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +598,23 @@ def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
 
 
 def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
-    """a * b on term dicts (mod m when given), in MultiPoly.__mul__'s term order."""
+    """a * b on term dicts (mod m when given): the one product of term dicts."""
     if len(a) == 1 == len(b):
         ((e1, c1),), ((e2, c2),) = a.items(), b.items()
         c = c1 * c2 if m is None else c1 * c2 % m
         return {tuple(map(add, e1, e2)): c} if c else {}
     out: dict = {}
+    b_terms = b.items()
     for e1, c1 in a.items():
-        _fold(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}, m)
+        for e2, c2 in b_terms:
+            e = tuple(map(add, e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if m is not None:
+                v %= m
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
     return out
 
 
@@ -761,5 +709,5 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
     p = expr()
     if toks[-1][0] is not None:
         raise ParseError("trailing tokens in %r" % (text,))
-    terms = {e: base.from_fraction(c) for e, c in p.items()}
+    terms = {e: base.normalize(c) for e, c in p.items()}
     return MultiPoly(base, nvars, {e: c for e, c in terms.items() if c}, normalized=True)

@@ -25,7 +25,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, monic_divrem
+from .exactring import BaseRing, MultiPoly, _fold, monic_divrem
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
@@ -242,24 +242,32 @@ def _clear_pivot_row_c(rec: _OpRecorder, stage: int) -> None:
                 raise NotInGroup("matrix does not preserve the symplectic form")
 
 
+def _column_gcd(rec: _OpRecorder, ctx, rows, col: int, collapse: str) -> int:
+    """Euclid down column col across rows by row moves until one entry
+    is left nonzero; returns its row.  Raises NotInGroup with the given
+    reason when the whole column is zero."""
+    at = rec.rs.root_at
+    while True:
+        nz = [r for r in rows if ctx.size(rec.m[r][col]) != 0]
+        if not nz:
+            raise NotInGroup("column collapses to zero; " + collapse)
+        if len(nz) == 1:
+            return nz[0]
+        r_min = min(nz, key=lambda r: ctx.size(rec.m[r][col]))
+        for r in nz:
+            if r == r_min:
+                continue
+            q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
+            rec.lmul(at(r, r_min), -q)
+
+
 def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
     size = len(rec.m)
     at = rec.rs.root_at
     for col in range(size):
-        while True:
-            nz = [r for r in range(col, size) if ctx.size(rec.m[r][col]) != 0]
-            if not nz:
-                raise NotInGroup("column collapses to zero; matrix is singular")
-            if len(nz) == 1:
-                break
-            r_min = min(nz, key=lambda r: ctx.size(rec.m[r][col]))
-            for r in nz:
-                if r == r_min:
-                    continue
-                q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
-                rec.lmul(at(r, r_min), -q)
-        if nz[0] != col:
-            _swap_into(rec, nz[0], col)
+        pivot = _column_gcd(rec, ctx, range(col, size), col, "matrix is singular")
+        if pivot != col:
+            _swap_into(rec, pivot, col)
         d = rec.m[col][col]
         if d != rec.one:
             if col == size - 1:
@@ -294,20 +302,9 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
                     q, _ = ctx.divmod(a, b)
                     rec.lmul(at(j, star(j)), -q)
         # (b) gcd across the unstarred rows
-        while True:
-            nz = [r for r in range(stage, n) if ctx.size(rec.m[r][col]) != 0]
-            if not nz:
-                raise NotInGroup("column collapses to zero; not in the group")
-            if len(nz) == 1:
-                break
-            r_min = min(nz, key=lambda r: ctx.size(rec.m[r][col]))
-            for r in nz:
-                if r == r_min:
-                    continue
-                q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
-                rec.lmul(at(r, r_min), -q)
-        if nz[0] != stage:
-            _swap_into(rec, nz[0], stage)
+        pivot = _column_gcd(rec, ctx, range(stage, n), col, "not in the group")
+        if pivot != stage:
+            _swap_into(rec, pivot, stage)
         # (c) normalize the pivot using the hyperbolic partner
         d = rec.m[stage][col]
         if d != rec.one:
@@ -440,19 +437,11 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
                 break
         else:
             try:
-                coeff = base.from_fraction(Fraction(cr) / Fraction(cb))
+                coeff = base.normalize(Fraction(cr) / Fraction(cb))
             except BaseMismatch:
                 break
         q_terms[exps] = coeff
-        for e2, c2 in b_terms:
-            e = tuple(map(add, exps, e2))
-            v = r.get(e, 0) - coeff * c2
-            if m is not None:
-                v %= m
-            if v:
-                r[e] = v
-            else:
-                r.pop(e, None)
+        _fold(r, {tuple(map(add, exps, e2)): -coeff * c2 for e2, c2 in b_terms}, m)
     if partial is None:
         partial = q_terms
     return partial, (None if r else q_terms), first

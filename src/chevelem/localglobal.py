@@ -27,8 +27,8 @@ from .exactring import (
     annihilator_exponent,
     convert,
     denominator_lcm,
-    localize_eq,
     poly_s_valuation,
+    s_valuation,
 )
 from .rootdata import GroupMatrix, opposite_decomposition, structure_constants
 from .words import (
@@ -72,8 +72,7 @@ DEFAULT_BUDGET = Budget()
 def _poly_bits(p: MultiPoly) -> int:
     total = 0
     for c in p.coefficients():
-        q = Fraction(c)
-        total += abs(q.numerator).bit_length() + q.denominator.bit_length()
+        total += abs(c.numerator).bit_length() + c.denominator.bit_length()
     return total
 
 
@@ -160,8 +159,8 @@ def telescoping_product(g: GroupMatrix, chain, var: int = 0) -> GroupMatrix:
     x = MultiPoly.variable(base, nvars, var)
     out = GroupMatrix.identity(g.rs, base, nvars)
     for a, b in zip(chain, chain[1:]):
-        ga = g.substitute({var: x.scale(base.from_int(a))}, nvars_out=nvars)
-        gb = g.substitute({var: x.scale(base.from_int(b))}, nvars_out=nvars)
+        ga = g.substitute({var: x.scale(a)}, nvars_out=nvars)
+        gb = g.substitute({var: x.scale(b)}, nvars_out=nvars)
         out = out * ga * gb.inverse()
     return out
 
@@ -176,23 +175,20 @@ def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s, var: int = 0) -> int:
     if g.rs is not h.rs or g.base != h.base or g.nvars != h.nvars:
         raise PreconditionViolated("matrices over different rings")
     base = g.base
-    s_elem = base.from_int(s) if isinstance(s, int) else base.normalize(s)
+    s_elem = base.normalize(s)
     if g.at_zero(var) != h.at_zero(var):
         raise PreconditionViolated("matrices differ at z = 0")
     bound = 0
     for row_g, row_h in zip(g.entries, h.entries):
         for a, b in zip(row_g, row_h):
-            if not localize_eq(a, b, s_elem):
-                raise PreconditionViolated("localizations at s differ")
             for c in (a - b).coefficients():
                 n = annihilator_exponent(base, c, s_elem)
+                if n is None:
+                    raise PreconditionViolated("localizations at s differ")
                 bound = max(bound, n)
     x = MultiPoly.variable(base, g.nvars, var)
     for n in range(bound + 1):
-        factor = MultiPoly.const(base, g.nvars, 1)
-        for _ in range(n):
-            factor = factor.scale(s_elem)
-        img = {var: x * factor}
+        img = {var: x.scale(s_elem ** n)}
         if g.substitute(img, nvars_out=g.nvars) == h.substitute(img, nvars_out=g.nvars):
             return n
     raise PreconditionViolated("no dilation exponent within the exact bound")
@@ -207,8 +203,7 @@ def dilate_word(w: ElemWord, z: int, s: int, k: int) -> ElemWord:
         return w
     base, nvars = w.base_and_nvars()
     x = MultiPoly.variable(base, nvars, z)
-    factor = base.from_fraction(Fraction(s) ** k)
-    return map_word(w, ("substitute", {z: x.scale(factor)}, nvars))
+    return map_word(w, ("substitute", {z: x.scale(s ** k)}, nvars))
 
 
 def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
@@ -305,7 +300,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
             out.extend(inner)
         else:
             for i, j, delta, n in structure_constants(rs, beta, gamma):
-                arg = ((r ** i) * (t ** j)).scale(r.base.from_int(n))
+                arg = ((r ** i) * (t ** j)).scale(n)
                 if not arg.is_zero():
                     out.append((delta, arg))
             out.append((gamma, t))
@@ -336,9 +331,8 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
             m1 = v // const_power if v is not None else 1
             if m1 < 1:
                 return None
-        s_m1 = base.from_fraction(Fraction(s) ** m1)
-        u = part.scale(base.from_fraction(Fraction(1, n0) / Fraction(s) ** (m1 * const_power)))
-        const_arg = MultiPoly.const(base, nvars, s_m1)
+        u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
+        const_arg = MultiPoly.const(base, nvars, s ** m1)
         if i0 == 1:
             v1, v2 = u, const_arg
         else:
@@ -350,7 +344,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
             if (i, j) == (i0, j0):
                 seen_target = True
                 continue
-            arg = ((v1 ** i) * (v2 ** j)).scale(base.from_int(n))
+            arg = ((v1 ** i) * (v2 ** j)).scale(n)
             if arg.is_zero():
                 continue
             if seen_target:
@@ -369,18 +363,12 @@ def _clearing_exponent(letters, z: int, s: int):
     """Smallest k making every argument integral after z -> s^k z."""
     k = 0
     for _, arg in letters:
-        base = arg.base
         for exps, c in arg.terms.items():
             cz = exps[z]
-            val = 0
-            q = Fraction(c)
-            den = q.denominator
-            if den == 1:
+            if c.denominator == 1:
                 continue
-            v = poly_s_valuation(
-                MultiPoly(base, arg.nvars, {exps: c}), s
-            )
-            if v is None or v >= 0:
+            v = s_valuation(arg.base, c, s)
+            if v >= 0:
                 continue
             if cz == 0:
                 return None
@@ -393,8 +381,7 @@ def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):
         return ElemWord(rs, [])
     base, nvars = letters[0][1].base, letters[0][1].nvars
     x = MultiPoly.variable(base, nvars, z)
-    factor = base.from_fraction(Fraction(s) ** k1)
-    img = {z: x.scale(factor)}
+    img = {z: x.scale(s ** k1)}
     out = []
     try:
         for root, arg in letters:

@@ -538,7 +538,7 @@ def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly):
     letters = []
     for i, j, gamma, n in constants:
         arg = (s ** i) * (t ** j)
-        arg = arg.scale(arg.base.from_int(n))
+        arg = arg.scale(n)
         if not arg.is_zero():
             letters.append((gamma, arg))
     return ElemWord(rs, letters)

@@ -19,7 +19,6 @@ from chevelem.exactring import (
     convert,
     denominator_lcm,
     emit_poly,
-    localize_eq,
     monic_divrem,
     parse_poly,
     poly_s_valuation,
@@ -64,10 +63,39 @@ def test_localized_units():
     assert ZHALF.unit_inverse(Fraction(4)) == Fraction(1, 4)
 
 
+def test_normalize_contract():
+    # one coercion: ints and exact rationals become the ring's own elements
+    for base, elem in ((Z, int), (Z12, int), (F5, int), (Q, Fraction), (ZHALF, Fraction)):
+        for c in (0, 1, -3, 7, Fraction(6, 2)):
+            assert type(base.normalize(c)) is elem
+        assert type(base.zero()) is elem and type(base.one()) is elem
+        assert type(MultiPoly.const(base, 1, 3).constant_term()) is elem
+        assert type(MultiPoly(base, 1, {(1,): 3}).terms[(1,)]) is elem
+    assert Z12.normalize(-1) == 11
+    assert F5.normalize(Fraction(1, 2)) == 3
+    assert Q.normalize(Fraction(1, 3)) == Fraction(1, 3)
+    # a non-member is rejected by the constructor, scale and const alike
+    z6 = BaseRing.integers_mod(6)
+    for base, c in ((Z, Fraction(1, 2)), (z6, Fraction(1, 3)), (ZHALF, Fraction(1, 3))):
+        with pytest.raises(BaseMismatch):
+            base.normalize(c)
+        with pytest.raises(BaseMismatch):
+            MultiPoly(base, 1, {(1,): c})
+        with pytest.raises(BaseMismatch):
+            MultiPoly.variable(base, 1, 0).scale(c)
+        with pytest.raises(BaseMismatch):
+            MultiPoly.const(base, 1, c)
+    # the modulus is derived from kind and param: ==, hash and repr ignore it
+    z4 = BaseRing.integers_mod(4)
+    assert z4 == BaseRing("Zmod", 4) and hash(z4) == hash(BaseRing("Zmod", 4))
+    assert repr(z4) == "BaseRing(kind='Zmod', param=4)"
+    assert (z4.modulus, F5.modulus, Z.modulus, Q.modulus, ZHALF.modulus) == (4, 5, None, None, None)
+
+
 def test_localized_denominator_check():
     with pytest.raises(BaseMismatch):
-        ZHALF.from_fraction(Fraction(1, 3))
-    assert ZHALF.from_fraction(Fraction(3, 8)) == Fraction(3, 8)
+        ZHALF.normalize(Fraction(1, 3))
+    assert ZHALF.normalize(Fraction(3, 8)) == Fraction(3, 8)
 
 
 # -- polynomial arithmetic: spec examples ------------------------------------
@@ -280,12 +308,6 @@ def test_annihilator_mod12_matches_brute_force():
             assert annihilator_exponent(Z12, d, s) == brute_annihilator(12, d, s)
 
 
-def test_localize_eq():
-    assert localize_eq(P("2*x1", Z4), MultiPoly.zero(Z4, 1), 2)
-    assert not localize_eq(P("x1"), MultiPoly.zero(Z, 1), 2)
-    assert localize_eq(P("3*x1^2", Z12), MultiPoly.zero(Z12, 1), 2)
-
-
 # -- valuations ---------------------------------------------------------------
 
 
@@ -406,7 +428,7 @@ def test_parse_errors():
 def test_parse_mod_base_reduces():
     assert parse_poly("5*x1", Z4, 1) == P("x1", Z4)
     assert parse_poly("1/3", F5, 1) == P("2", F5)  # 3*2 = 6 = 1 mod 5
-    # from_fraction sends 4*x1 to 0 over Z/4; the zero term is dropped
+    # normalize sends 4*x1 to 0 over Z/4; the zero term is dropped
     assert parse_poly("4*x1 + 1", Z4, 1) == P("1", Z4)
 
 

@@ -212,7 +212,7 @@ def test_partial_quotient_stops_before_try_divide(base, lead):
     # limit 2*2+8 = 12
     a = MultiPoly(base, 1, {(20,): 1, (0,): -1})
     b = MultiPoly(base, 1, {(1,): lead, (0,): -lead})
-    c = base.from_fraction(Fraction(1, lead))
+    c = base.normalize(Fraction(1, lead))
     assert try_divide(a, b) == MultiPoly(base, 1, {(k,): c for k in range(20)})
     assert partial_quotient(a, b) == MultiPoly(base, 1, {(k,): c for k in range(8, 20)})
 
@@ -284,7 +284,7 @@ def reference_division(a, b):
         if any(e < 0 for e in exps):
             break
         try:
-            coeff = base.from_fraction(Fraction(r.terms[lead_r]) / Fraction(b.terms[lead_b]))
+            coeff = base.normalize(Fraction(r.terms[lead_r]) / Fraction(b.terms[lead_b]))
         except BaseMismatch:
             break
         q_terms[exps] = coeff

@@ -132,15 +132,17 @@ def test_equalizer_mod8_spec_example():
 
 
 def test_equalizer_precondition_violations():
-    g = GroupMatrix.identity(A2, Z, 1).rmul_unipotent(E12, parse_poly("x1", Z, 1))
-    h = GroupMatrix.identity(A2, Z, 1)
-    with pytest.raises(PreconditionViolated):
-        dilation_equalizer(g, h, 2)
+    # equal at z = 0, but x1 (over Z) and 3*x1 (over Z/9) survive inverting 2
+    for base, arg in ((Z, "x1"), (BaseRing.integers_mod(9), "3*x1")):
+        g = GroupMatrix.identity(A2, base, 1).rmul_unipotent(E12, parse_poly(arg, base, 1))
+        h = GroupMatrix.identity(A2, base, 1)
+        with pytest.raises(PreconditionViolated, match="localizations at s differ"):
+            dilation_equalizer(g, h, 2)
     z4 = BaseRing.integers_mod(4)
     g2 = GroupMatrix.identity(A2, z4, 1).rmul_unipotent(E12, parse_poly("2", z4, 1))
     h2 = GroupMatrix.identity(A2, z4, 1)
-    with pytest.raises(PreconditionViolated):
-        dilation_equalizer(g2, h2, 2)  # differs at z = 0
+    with pytest.raises(PreconditionViolated, match="differ at z = 0"):
+        dilation_equalizer(g2, h2, 2)
 
 
 def brute_minimal_dilation(g, h, s, bound, var=0):
