@@ -580,6 +580,15 @@ def _coeff_text(c) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+# emit_poly's output language: an optional leading "-", then monomials
+# joined by " + " / " - ", each n, n/d, n*X, n/d*X or X, where X is x_i
+# or x_i^k factors joined by "*".  parse_poly reads text that fullmatches
+# this in one linear pass and hands any other text to _parse_general.
+_VARS = r"x[1-9](?:\^[0-9]+)?(?:\*x[1-9](?:\^[0-9]+)?)*"
+_MONO = r"(?:[0-9]+(?:/[1-9][0-9]*)?(?:\*%s)?|%s)" % (_VARS, _VARS)
+_CANONICAL = re.compile(r"-?%s(?: [-+] %s)*" % (_MONO, _MONO))
+
+
 _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 # the descent spends four Python frames per parenthesis level
 _MAX_PAREN_DEPTH = 100
@@ -599,10 +608,14 @@ def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
 
 def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
     """a * b on term dicts (mod m when given): the one product of term dicts."""
-    if len(a) == 1 == len(b):
-        ((e1, c1),), ((e2, c2),) = a.items(), b.items()
-        c = c1 * c2 if m is None else c1 * c2 % m
-        return {tuple(map(add, e1, e2)): c} if c else {}
+    if len(b) == 1:
+        ((e2, c2),) = b.items()
+        if c2 == 1 and not any(e2):  # a * 1, as an identity residual gives
+            return dict(a)
+        if len(a) == 1:
+            ((e1, c1),) = a.items()
+            c = c1 * c2 if m is None else c1 * c2 % m
+            return {tuple(map(add, e1, e2)): c} if c else {}
     out: dict = {}
     b_terms = b.items()
     for e1, c1 in a.items():
@@ -636,8 +649,58 @@ def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None) -> dict:
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
     """Parse the polynomial grammar over the rationals, then coerce.
 
-    Works on {exponents: rational} dicts without zero coefficients: sums
-    fold into one accumulator and a power of one term scales its exponents,
+    Text in emit_poly's canonical form is read in one linear pass; any
+    other text goes through the recursive descent of _parse_general.
+    """
+    if _CANONICAL.fullmatch(text):
+        p = _read_canonical(text, nvars)
+    else:
+        p = _parse_general(text, nvars)
+    terms = {e: base.normalize(c) for e, c in p.items()}
+    return MultiPoly(base, nvars, {e: c for e, c in terms.items() if c}, normalized=True)
+
+
+def _read_canonical(text: str, nvars: int) -> dict:
+    """The {exponents: rational} dict of text matching _CANONICAL.
+
+    Folds each signed monomial into one accumulator as _fold does, so
+    terms, their order and their types are those of _parse_general.
+    """
+    acc: dict = {}
+    neg = text[0] == "-"
+    words = (text[1:] if neg else text).split(" ")  # monomial, sign, monomial, ...
+    for k in range(0, len(words), 2):
+        if k:
+            neg = words[k - 1] == "-"
+        mono = words[k]
+        if mono[0] == "x":
+            c, chain = 1, mono
+        else:
+            num, _, chain = mono.partition("*")
+            n, slash, d = num.partition("/")
+            c = Fraction(int(n), int(d)) if slash else int(n)
+        e = [0] * nvars
+        if chain:
+            for f in chain.split("*"):
+                i = int(f[1]) - 1
+                if i >= nvars:
+                    raise ParseError("variable x%d beyond declared nvars=%d" % (i + 1, nvars))
+                e[i] += int(f[3:]) if len(f) > 2 else 1
+        if c:
+            key = tuple(e)
+            v = acc.get(key, 0) + (-c if neg else c)
+            if v:
+                acc[key] = v
+            elif key in acc:
+                del acc[key]
+    return acc
+
+
+def _parse_general(text: str, nvars: int) -> dict:
+    """The {exponents: rational} dict of any text in the grammar.
+
+    A recursive descent on dicts without zero coefficients: sums fold
+    into one accumulator and a power of one term scales its exponents,
     so only products of parenthesised sums cost more than linear time.
     """
     toks = []
@@ -709,5 +772,4 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
     p = expr()
     if toks[-1][0] is not None:
         raise ParseError("trailing tokens in %r" % (text,))
-    terms = {e: base.normalize(c) for e, c in p.items()}
-    return MultiPoly(base, nvars, {e: c for e, c in terms.items() if c}, normalized=True)
+    return p

@@ -258,13 +258,13 @@ class GroupMatrix:
             row = []
             ai = a[i]
             for j in range(size):
-                acc = zero
+                acc = None  # the first nonzero product starts the sum
                 for k in range(size):
                     x = ai[k]
                     y = b[k][j]
                     if x.terms and y.terms:
-                        acc = acc + x * y
-                row.append(acc)
+                        acc = x * y if acc is None else acc + x * y
+                row.append(zero if acc is None else acc)
             out.append(row)
         return GroupMatrix(self.rs, out)
 

@@ -17,6 +17,7 @@ from chevelem.cli import (
     cohn_matrix,
     main,
 )
+from chevelem import exactring
 from chevelem.errors import ParseError, RankTooLow
 from chevelem.exactring import BaseRing
 from chevelem.factorize import factor_polynomial, random_elementary_word
@@ -203,6 +204,36 @@ def test_verify_detects_perturbation(tmp_path, capsys):
     bad_file.write_text(json.dumps(mutated))
     capsys.readouterr()
     assert main(["verify", "--in", str(bad_file)]) == EXIT_MISMATCH
+
+
+def test_verify_reads_hand_edited_text(tmp_path, capsys, monkeypatch):
+    matrix_file = tmp_path / "m.json"
+    cert_file = tmp_path / "cert.json"
+    matrix_file.write_text(json.dumps(cohn_dict()))
+    main(["factor", "--in", str(matrix_file), "--out", str(cert_file)])
+    data = json.loads(cert_file.read_text())
+    assert data["target"][0][1] == "x1^2"
+    # equal polynomials in forms emit_poly never writes
+    edited = copy.deepcopy(data)
+    edited["target"][0][1] = " (x1 + 1) *  x1 - x1"
+    arg = edited["word"][0]["arg"]
+    edited["word"][0]["arg"] = "2*(%s)  -  (%s)" % (arg, arg)
+    for text in (edited["target"][0][1], edited["word"][0]["arg"]):
+        assert not exactring._CANONICAL.fullmatch(text)
+    general = []
+    real = exactring._parse_general
+    monkeypatch.setattr(
+        exactring, "_parse_general", lambda text, nvars: general.append(text) or real(text, nvars)
+    )
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edited))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == EXIT_OK
+    assert general == [edited["target"][0][1], edited["word"][0]["arg"]]
+    # a different polynomial on the same path is rejected
+    edited["target"][0][1] = "(x1 + 1) * x1"
+    path.write_text(json.dumps(edited))
+    assert main(["verify", "--in", str(path)]) == EXIT_MISMATCH
 
 
 def _forged_certificate(residual):

@@ -12,8 +12,11 @@ from chevelem.errors import (
     ParseError,
 )
 from chevelem.exactring import (
+    _CANONICAL,
     BaseRing,
     MultiPoly,
+    _parse_general,
+    _read_canonical,
     annihilator_exponent,
     base_ring_from_str,
     convert,
@@ -161,7 +164,23 @@ def reference_substitute(p, assignment, nvars_out):
 
 def typed_items(p):
     """Terms in insertion order, with each coefficient's type."""
-    return [(e, c, type(c)) for e, c in p.terms.items()]
+    terms = p if isinstance(p, dict) else p.terms
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+def evaluate(p, point):
+    """p at an integer point in plain base-ring arithmetic, not the term kernel."""
+    m = p.base.modulus
+    total = 0
+    for exps, c in p.terms.items():
+        for x, e in zip(point, exps):
+            c *= x ** e if m is None else pow(x, e, m)
+        total += c
+    return total if m is None else total % m
+
+
+def power(base, v, n):
+    return v ** n if base.modulus is None else pow(v, n, base.modulus)
 
 
 DIFF_BASES = [
@@ -214,6 +233,16 @@ def test_substitute_matches_reference():
             assert typed_items(got) == typed_items(
                 reference_substitute(p, assignment, nvars_out)
             )
+            # the references above share the term kernel; values at
+            # integer points do not
+            for _ in range(3):
+                point = [rng.randint(-3, 3) for _ in range(nvars_out)]
+                assert evaluate(p ** n, point) == power(base, evaluate(p, point), n)
+                inner = [
+                    evaluate(assignment[v], point) if v in assignment else point[v]
+                    for v in range(nvars)
+                ]
+                assert evaluate(got, point) == evaluate(p, inner)
 
 
 def test_substitute_error_branches():
@@ -468,6 +497,61 @@ def test_parse_edge_cases(text, base, expected):
     else:
         with pytest.raises(expected):
             parse_poly(text, base, 1)
+
+
+def general(text, base, nvars):
+    """parse_poly with the canonical reader left out."""
+    return MultiPoly(base, nvars, _parse_general(text, nvars))
+
+
+def outcome(parse, text, base, nvars):
+    """The polynomial's typed terms, or the exception type (and, for
+    ParseError, its message)."""
+    try:
+        return typed_items(parse(text, base, nvars))
+    except ParseError as exc:
+        return ParseError, str(exc)
+    except Exception as exc:  # the type is the contract
+        return type(exc)
+
+
+def test_canonical_reader_matches_general_parser():
+    rng = random.Random(20181210)
+    bases = [Z, Q, Z4, BaseRing.integers_mod(6), F5, ZHALF, BaseRing.integers_localized(6)]
+    for base in bases:
+        for _ in range(40):
+            nvars = rng.randint(1, 3)
+            text = emit_poly(random_poly(rng, base, nvars))
+            assert _CANONICAL.fullmatch(text), text
+            # a sum of two emitted texts repeats exponents, so terms cancel
+            more = emit_poly(random_poly(rng, base, nvars))
+            joined = text + (" - " + more[1:] if more[0] == "-" else " + " + more)
+            for t in (text, joined):
+                assert _CANONICAL.fullmatch(t), t
+                assert typed_items(_read_canonical(t, nvars)) == typed_items(
+                    _parse_general(t, nvars)
+                )
+                assert outcome(parse_poly, t, base, nvars) == outcome(general, t, base, nvars)
+            # fail-closed: one edited character leaves both readers agreeing
+            for _ in range(5):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.choice("0123456789x^*/+- ()")
+                for t in (text[:i] + edit + text[i:], text[:i] + edit + text[i + 1 :]):
+                    assert outcome(parse_poly, t, base, nvars) == outcome(general, t, base, nvars)
+    # near-canonical text: valid, invalid, and canonical but out of range
+    cases = [("- 3", Z, 1), ("x1  + 1", Z, 1)] + [
+        (t, Q, 1) for t in ("1/0", "1/00", "3 -", "x1^", "x1^2^2", "x0")
+    ]
+    for text, base, nvars in cases:
+        assert not _CANONICAL.fullmatch(text)
+        assert outcome(parse_poly, text, base, nvars) == outcome(general, text, base, nvars)
+    assert outcome(parse_poly, "- 3", Z, 1) == [((0,), -3, int)]
+    for text, base, expected in (
+        ("x2", Q, (ParseError, "variable x2 beyond declared nvars=1")),
+        ("1/2", Z, BaseMismatch),
+    ):
+        assert _CANONICAL.fullmatch(text)
+        assert outcome(parse_poly, text, base, 1) == expected == outcome(general, text, base, 1)
 
 
 @pytest.mark.parametrize(
