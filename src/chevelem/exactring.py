@@ -373,9 +373,7 @@ class MultiPoly:
                         pw = powers[(v, e)] = _pow_terms(images[v], e, zero, m)
                     prod = pw if prod is None else _mul_terms(prod, pw, m)
             kept = tuple(exps[v] if v in free else 0 for v in range(nvars_out)) if free else zero
-            if prod is None:
-                prod = {zero: 1}
-            _fold(out, {tuple(map(add, kept, e)): c * t for e, t in prod.items()}, m)
+            _mul_add(out, {kept: c}, {zero: 1} if prod is None else prod, m)
         return MultiPoly(base, nvars_out, out, normalized=True)
 
     def extend_vars(self, nvars: int) -> "MultiPoly":
@@ -606,8 +604,41 @@ def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
             del acc[e]
 
 
+_ADDERS = {  # exponent sums unrolled by arity
+    1: lambda a, b: (a[0] + b[0],),
+    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+}
+
+
+def _add_any(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def _mul_add(acc: dict, a: dict, b: dict, m: int | None = None) -> None:
+    """acc += a * b in place on term dicts (mod m when given), dropping
+    coefficients that cancel as _fold does: the one product loop.
+
+    Exponents are summed by one adder picked from the arity per call."""
+    if not a or not b:
+        return
+    plus = _ADDERS.get(len(next(iter(a))), _add_any)
+    get = acc.get
+    b_terms = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in b_terms:
+            e = plus(e1, e2)
+            v = get(e, 0) + c1 * c2
+            if m is not None:
+                v %= m
+            if v:
+                acc[e] = v
+            elif e in acc:
+                del acc[e]
+
+
 def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
-    """a * b on term dicts (mod m when given): the one product of term dicts."""
+    """a * b on term dicts (mod m when given), as a new dict."""
     if len(b) == 1:
         ((e2, c2),) = b.items()
         if c2 == 1 and not any(e2):  # a * 1, as an identity residual gives
@@ -615,19 +646,9 @@ def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
         if len(a) == 1:
             ((e1, c1),) = a.items()
             c = c1 * c2 if m is None else c1 * c2 % m
-            return {tuple(map(add, e1, e2)): c} if c else {}
+            return {_ADDERS.get(len(e1), _add_any)(e1, e2): c} if c else {}
     out: dict = {}
-    b_terms = b.items()
-    for e1, c1 in a.items():
-        for e2, c2 in b_terms:
-            e = tuple(map(add, e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if m is not None:
-                v %= m
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+    _mul_add(out, a, b, m)
     return out
 
 
@@ -656,8 +677,12 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
         p = _read_canonical(text, nvars)
     else:
         p = _parse_general(text, nvars)
-    terms = {e: base.normalize(c) for e, c in p.items()}
-    return MultiPoly(base, nvars, {e: c for e, c in terms.items() if c}, normalized=True)
+    terms = {}
+    for e, c in p.items():
+        c = base.normalize(c)
+        if c:
+            terms[e] = c
+    return MultiPoly(base, nvars, terms, normalized=True)
 
 
 def _read_canonical(text: str, nvars: int) -> dict:

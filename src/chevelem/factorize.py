@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import sub
 
 from .errors import (
     BaseMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, _fold, monic_divrem
+from .exactring import BaseRing, MultiPoly, _fold, _mul_add, monic_divrem
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
@@ -160,8 +160,7 @@ def _leading_coeff(p: MultiPoly):
 class _OpRecorder:
     """Mutable matrix with left/right unipotent moves, recorded for replay.
 
-    Entries are ring elements with + - * and is_zero (MultiPoly here); one
-    is the unit of their ring.
+    Entries are MultiPoly over one base ring; one is its unit.
     """
 
     def __init__(self, rs: RootSystem, rows, one):
@@ -414,7 +413,6 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
     q_terms: dict = {}
     partial = first = None
     r = dict(a.terms)
-    b_terms = b.terms.items()
     lead_b = max(b.terms, key=_glex)
     cb = b.terms[lead_b]
     steps = 0
@@ -441,7 +439,7 @@ def _leading_term_division(a: MultiPoly, b: MultiPoly):
             except BaseMismatch:
                 break
         q_terms[exps] = coeff
-        _fold(r, {tuple(map(add, exps, e2)): -coeff * c2 for e2, c2 in b_terms}, m)
+        _mul_add(r, {exps: -coeff}, b.terms, m)
     if partial is None:
         partial = q_terms
     return partial, (None if r else q_terms), first
@@ -491,21 +489,11 @@ def _sum_size(
 ) -> int:
     """_entry_size of old + sign*t*src, summed on one term dict: neither
     the product nor the sum is built as a polynomial."""
-    out = dict(old.terms)
-    get = out.get
-    src_terms = src.terms.items()
-    for e1, c1 in t.terms.items():
-        if sign != 1:
-            c1 = -c1
-        for e2, c2 in src_terms:
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-    if diagonal:
-        e = (0,) * old.nvars
-        out[e] = get(e, 0) - 1
     m = old.base.modulus
-    if m is not None:
-        out = {e: c % m for e, c in out.items()}
+    out = dict(old.terms)
+    _mul_add(out, (t if sign == 1 else -t).terms, src.terms, m)
+    if diagonal:
+        _fold(out, {(0,) * old.nvars: -1}, m)
     return _terms_size(out, degw, bitw)
 
 

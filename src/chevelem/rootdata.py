@@ -21,7 +21,7 @@ from .errors import (
     UnknownRoot,
     UnsupportedType,
 )
-from .exactring import BaseRing, MultiPoly
+from .exactring import BaseRing, MultiPoly, _mul_add, _mul_terms
 
 Root = tuple  # integer vector in the ambient basis
 
@@ -251,20 +251,23 @@ class GroupMatrix:
         if self.rs.matrix_size != other.rs.matrix_size:
             raise SizeMismatch("matrix sizes differ")
         a, b = self.entries, other.entries
+        a[0][0]._check_compatible(b[0][0])
+        base, nvars, m = self.base, self.nvars, self.base.modulus
         size = len(a)
-        zero = MultiPoly.zero(self.base, self.nvars)
         out = []
-        for i in range(size):
+        for ai in a:
             row = []
-            ai = a[i]
             for j in range(size):
                 acc = None  # the first nonzero product starts the sum
                 for k in range(size):
-                    x = ai[k]
-                    y = b[k][j]
-                    if x.terms and y.terms:
-                        acc = x * y if acc is None else acc + x * y
-                row.append(zero if acc is None else acc)
+                    x = ai[k].terms
+                    y = b[k][j].terms
+                    if x and y:
+                        if acc is None:
+                            acc = _mul_terms(x, y, m)
+                        else:
+                            _mul_add(acc, x, y, m)
+                row.append(MultiPoly(base, nvars, acc or {}, normalized=True))
             out.append(row)
         return GroupMatrix(self.rs, out)
 
@@ -285,7 +288,7 @@ class GroupMatrix:
         return GroupMatrix(self.rs, rows)
 
     def det(self) -> MultiPoly:
-        return _det(self.entries, *_one_zero(self.base, self.nvars))
+        return _det(self.entries, MultiPoly.const(self.base, self.nvars, 1))
 
     def inverse(self) -> "GroupMatrix":
         if self.rs.kind == "C":
@@ -327,73 +330,77 @@ class GroupMatrix:
         return GroupMatrix(self.rs, [[fn(p) for p in row] for row in self.entries])
 
 
-def row_update(rows: list, terms, t) -> None:
+def row_update(rows: list, terms, t: MultiPoly) -> None:
     """rows <- x(t) * rows in place, for a root with unipotent terms.
 
-    rows is a list of row lists over any ring with + - * and is_zero
-    (MultiPoly in this package); all products are taken before any row
-    changes.  A zero source leaves its entry as the same object."""
-    updates = []
-    for r, c, sign in terms:
-        coeff = t if sign == 1 else -t
-        updates.append((r, [None if p.is_zero() else coeff * p for p in rows[c]]))
-    for r, add in updates:
-        rows[r] = [a if b is None else a + b for a, b in zip(rows[r], add)]
+    rows is a list of row lists of MultiPoly over t's ring, checked once.
+    Each +-t * source folds into a copy of its target entry's terms; all
+    sources are read before any row changes, and a zero source leaves its
+    entry as the same object."""
+    rows[0][0]._check_compatible(t)
+    m = t.base.modulus
+    updates = [(r, (t if sign == 1 else -t).terms, rows[c]) for r, c, sign in terms]
+    for r, coeff, src in updates:
+        rows[r] = [
+            _mul_added(p, coeff, s.terms, m) if s.terms else p for p, s in zip(rows[r], src)
+        ]
 
 
-def column_update(rows: list, terms, t) -> None:
+def column_update(rows: list, terms, t: MultiPoly) -> None:
     """rows <- rows * x(t) in place; the column twin of row_update."""
-    updates = []
-    for r, c, sign in terms:
-        coeff = t if sign == 1 else -t
-        updates.append((c, [None if row[r].is_zero() else coeff * row[r] for row in rows]))
-    for c, add in updates:
-        for row, b in zip(rows, add):
-            if b is not None:
-                row[c] = row[c] + b
+    rows[0][0]._check_compatible(t)
+    m = t.base.modulus
+    updates = [
+        (c, (t if sign == 1 else -t).terms, [row[r].terms for row in rows]) for r, c, sign in terms
+    ]
+    for c, coeff, srcs in updates:
+        for row, s in zip(rows, srcs):
+            if s:
+                row[c] = _mul_added(row[c], coeff, s, m)
 
 
-def _one_zero(base: BaseRing, nvars: int) -> tuple:
-    return MultiPoly.const(base, nvars, 1), MultiPoly.zero(base, nvars)
+def _mul_added(p: MultiPoly, a: dict, b: dict, m: int | None) -> MultiPoly:
+    """p + a*b, folded into a copy of p's terms."""
+    acc = dict(p.terms)
+    _mul_add(acc, a, b, m)
+    return MultiPoly(p.base, p.nvars, acc, normalized=True)
 
 
-def _det(entries, one, zero):
-    """Division-free determinant: expansion with memo on column subsets.
-
-    Entries may come from any commutative ring with + - * and is_zero;
-    one and zero are its unit and zero."""
+def _det(entries, one: MultiPoly) -> MultiPoly:
+    """Division-free determinant of a square MultiPoly matrix: expansion
+    by rows with memo on column subsets, every product of a minor folded
+    into one accumulator; one is the unit of the entries' ring."""
     size = len(entries)
+    m = one.base.modulus
     memo: dict = {}
     full = (1 << size) - 1
 
-    def rec(row: int, colmask: int):
+    def rec(row: int, colmask: int) -> dict:
         if row == size:
-            return one
-        key = colmask
-        hit = memo.get(key)
+            return one.terms
+        hit = memo.get(colmask)
         if hit is not None:
             return hit
-        acc = zero
+        acc: dict = {}
         sign = 1
         for c in range(size):
             bit = 1 << c
             if not colmask & bit:
                 continue
             p = entries[row][c]
-            if not p.is_zero():
+            if p.terms:
                 sub = rec(row + 1, colmask & ~bit)
-                term = p * sub
-                acc = acc + (term if sign == 1 else -term)
+                _mul_add(acc, (p if sign == 1 else -p).terms, sub, m)
             sign = -sign
-        memo[key] = acc
+        memo[colmask] = acc
         return acc
 
-    return rec(0, full)
+    return MultiPoly(one.base, one.nvars, rec(0, full), normalized=True)
 
 
 def _adjugate(entries, base: BaseRing, nvars: int) -> list:
     size = len(entries)
-    one, zero = _one_zero(base, nvars)
+    one = MultiPoly.const(base, nvars, 1)
     out = [[None] * size for _ in range(size)]
     for i in range(size):
         rows = [entries[r] for r in range(size) if r != i]
@@ -401,7 +408,7 @@ def _adjugate(entries, base: BaseRing, nvars: int) -> list:
             minor = [
                 [row[c] for c in range(size) if c != j] for row in rows
             ]
-            d = _det(minor, one, zero) if minor else one
+            d = _det(minor, one) if minor else one
             out[j][i] = d if (i + j) % 2 == 0 else -d
     return out
 
@@ -418,7 +425,7 @@ def membership_check(matrix, rs: RootSystem) -> bool:
     base = entries[0][0].base
     nvars = entries[0][0].nvars
     if rs.kind == "A":
-        d = _det(entries, *_one_zero(base, nvars))
+        d = _det(entries, MultiPoly.const(base, nvars, 1))
         return d.is_constant() and d.constant_term() == base.one()
     J = rs.form_matrix(base, nvars)
     # J M is M's rows permuted by partner, the rows from rank on negated

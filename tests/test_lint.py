@@ -70,3 +70,18 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s/%s: %s" % (path.parent.name, path.name, name) for name in unused_imports(tree)]
     assert not found, "imports never read: " + ", ".join(found)
+
+
+def test_exponents_summed_only_by_the_adder():
+    # _mul_add picks one adder per call; tuple(map(add, ...)) is its
+    # generic fallback, and a second copy would bypass the unrolled ones
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "tuple(map(add" in line:
+                inner = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
+                found.append("%s: %s" % (path.name, name))
+    assert found == ["exactring.py: _add_any"], found
