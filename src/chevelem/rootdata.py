@@ -194,6 +194,7 @@ class GroupMatrix:
 
     Membership (det = 1 for type A, M^T J M = J for type C) is checked by
     membership_check at the public entry points, not on every construction.
+    All entries share one base ring and nvars, so products check them once.
     """
 
     __slots__ = ("rs", "entries")
@@ -206,6 +207,12 @@ class GroupMatrix:
             )
         self.rs = rs
         self.entries = tuple(tuple(row) for row in entries)
+        first = self.entries[0][0]
+        base, nvars = first.base, first.nvars
+        for row in self.entries:
+            for p in row:
+                if p.base is not base or p.nvars != nvars:
+                    first._check_compatible(p)
 
     @property
     def base(self) -> BaseRing:

@@ -195,8 +195,9 @@ def test_power_and_substitute_match_evaluation(base):
 
 @pytest.mark.parametrize("other", [BaseRing.integers_mod(6), Q], ids=str)
 def test_fused_updates_keep_base_checks(other):
-    """The updates and products no longer multiply through MultiPoly.__mul__;
-    a foreign base or a different nvars still raises BaseMismatch."""
+    """The updates and products check the base once, not per product; a
+    foreign base or a different nvars still raises BaseMismatch, and a
+    matrix cannot mix them, since the check reads one entry for all."""
     rs = SYSTEMS[2]
     g = eval_word(ElemWord(rs, [(rs.roots[0], MultiPoly.variable(Z, 1, 0))]), Z, 1)
     for t in (MultiPoly.variable(other, 1, 0), MultiPoly.variable(Z, 2, 1)):
@@ -208,3 +209,8 @@ def test_fused_updates_keep_base_checks(other):
             g * h
         with pytest.raises(BaseMismatch):
             h * g
+    for t in (MultiPoly.variable(other, 1, 0), MultiPoly.variable(Z, 2, 1)):
+        rows = [list(row) for row in g.entries]
+        rows[1][0] = t
+        with pytest.raises(BaseMismatch):
+            GroupMatrix(rs, rows)
