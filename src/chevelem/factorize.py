@@ -7,7 +7,10 @@ constant tail.  factor_polynomial certifies its word over Z[x..]; a
 greedy stall ends in NotFactored.  The Euclidean and field reductions
 are public on their own.  Every word produced anywhere is re-evaluated
 exactly against its target before it is returned; NotFactored is never
-a claim of non-membership.
+a claim of non-membership.  A word whose exact product is the target
+proves membership, so factor_polynomial checks only the constant-term
+matrix g(0) up front and runs the full invariant check on g only on a
+failure path.
 """
 
 from __future__ import annotations
@@ -528,19 +531,19 @@ def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
     first step also gives the integer-Euclid steps on the leading
     coefficients, floor and round."""
     partial, exact, first = _leading_term_division(tgt, src)
-    args = []
-    for terms in (exact, partial):
-        if terms:
-            q = MultiPoly(tgt.base, tgt.nvars, terms)
-            if not q.is_zero():
-                args.append(q)
+    # quotient coefficients come out of ring operations and are never zero
+    args = [
+        MultiPoly(tgt.base, tgt.nvars, terms, normalized=True)
+        for terms in (exact, partial)
+        if terms
+    ]
     if first is not None and tgt.base.kind == "Z":
         exps, ct, cs = first
         qf = ct // cs
         qr = (2 * ct + cs) // (2 * cs)
         for qc in {qf, qr}:
             if qc:
-                args.append(MultiPoly(tgt.base, tgt.nvars, {exps: qc}))
+                args.append(MultiPoly(tgt.base, tgt.nvars, {exps: qc}, normalized=True))
     return args, [-q for q in args]
 
 
@@ -552,15 +555,14 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
     iterating a set of polynomials would follow string hashing and make
     tie-breaks, hence certificates, depend on the interpreter's hash seed."""
     out: dict = {}
-    size = len(m)
     r1, c1, s1 = rs.unipotent_terms[root][0]
     if side == "right":
-        lines = [(m[i][c1], m[i][r1]) for i in range(size)]
+        lines = [(row[c1], row[r1]) for row in m]
     else:
-        lines = [(m[r1][j], m[c1][j]) for j in range(size)]
+        lines = zip(m[r1], m[c1])
     for key in lines:
         tgt, src = key
-        if src.is_zero() or tgt.is_zero():
+        if not (src.terms and tgt.terms):
             continue
         found = pairs.get(key)
         if found is None:
@@ -578,17 +580,15 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
     current entry (key (p, diagonal)) and the new size of a line (key
     (t, sign, old, src, diagonal)); most lines recur across steps."""
     m = rec.m
-    size = len(m)
     delta = 0
     for r, c, sign in rec.rs.unipotent_terms[root]:
         if side == "right":
-            lines = [(i, c, m[i][c], m[i][r]) for i in range(size)]
+            lines = [(i == c, row[c], row[r]) for i, row in enumerate(m)]
         else:
-            lines = [(r, j, m[r][j], m[c][j]) for j in range(size)]
-        for i, j, old, src in lines:
-            if src.is_zero():
+            lines = [(j == r, old, src) for j, (old, src) in enumerate(zip(m[r], m[c]))]
+        for diagonal, old, src in lines:
+            if not src.terms:
                 continue
-            diagonal = i == j
             key = (t, sign, old, src, diagonal)
             new = sizes.get(key)
             if new is None:
@@ -732,13 +732,15 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
 
     pairs (from the caller) and sizes (this pass's weighting) memoise
     candidates, entry sizes and candidate line sizes by value, so a step
-    computes them afresh only on the lines the last move changed."""
+    computes them afresh only on the lines the last move changed.  current
+    is the matrix size, kept up to date by each applied move's delta."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     sizes: dict = {}
+    current = _matrix_size(rec.m, degw, bitw, sizes)
     steps = 0
     while steps < max_steps:
         steps += 1
-        if _matrix_size(rec.m, degw, bitw, sizes) == 0:
+        if current == 0:
             break
         best = None
         scored = []
@@ -750,19 +752,19 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
         if best is None and scored:
             # two-ply escape: allow one non-improving move when a follow-up
             # more than pays it back
-            current = _matrix_size(rec.m, degw, bitw, sizes)
             snap = _snapshot(rec)
             scored.sort(key=lambda item: item[0])
             escaped = False
-            for _, root, t, side in scored[:8]:
+            for delta, root, t, side in scored[:8]:
                 _apply(rec, root, t, side)
                 follow = None
                 for root2, t2, side2 in _all_moves(rec, sides, pairs):
                     d2 = _move_delta(rec, root2, t2, side2, degw, bitw, sizes)
                     if follow is None or d2 < follow[0]:
                         follow = (d2, root2, t2, side2)
-                if follow and _matrix_size(rec.m, degw, bitw, sizes) + follow[0] < current:
+                if follow and delta + follow[0] < 0:
                     _apply(rec, follow[1], follow[2], follow[3])
+                    current += delta + follow[0]
                     escaped = True
                     break
                 _restore(rec, snap)
@@ -773,6 +775,7 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
                 _rank1_update(rec)
             break
         _apply(rec, best[1], best[2], best[3])
+        current += best[0]
     return rec
 
 
@@ -842,24 +845,37 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
     by the integer Euclidean reduction, so the certificate's residual is
     always the identity.  A greedy stall leaves a non-constant residual
     and raises NotFactored at once.
+
+    Membership is proved by the word: heuristic_reduce multiplies it back
+    exactly, and a word whose product is g puts g in E(R[x..]).  Up front
+    only the constant-term matrix g(0) is checked, which is exact for
+    rejection since evaluation at 0 is a ring map.  The full invariant
+    check on g runs only on a failure path, so a non-member still raises
+    NotInGroup rather than NotFactored.
     """
     budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
-    if not membership_check(g, g.rs):
-        raise NotInGroup("matrix fails the group invariant")
-    word, residual = heuristic_reduce(g, budget)
-    log.debug(
-        "heuristic stage: residual identity=%s, word length %d, max degree %d",
-        residual.is_identity(), len(word), word.max_degree(),
-    )
+    _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
+    try:
+        word, residual = heuristic_reduce(g, budget)
+    except (NotFactored, NotInGroup):
+        _require_member(g)
+        raise
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "heuristic stage: residual identity=%s, word length %d, max degree %d",
+            residual.is_identity(), len(word), word.max_degree(),
+        )
     if not residual.is_identity():
+        _require_member(g)
         raise NotFactored(
             "greedy stage left a non-constant residual (no size-reducing "
             "move, or Budget.max_steps=%d spent in a pass)" % budget.max_steps
         )
-    cert = FactorizationCertificate(target=g, word=word, residual_constant=residual, verified=False)
-    if not cert.check():
-        raise NotFactored("assembled certificate failed final verification")
-    cert.verified = True
-    return cert
+    return FactorizationCertificate(target=g, word=word, residual_constant=residual, verified=True)
+
+
+def _require_member(g: GroupMatrix) -> None:
+    if not membership_check(g, g.rs):
+        raise NotInGroup("matrix fails the group invariant")

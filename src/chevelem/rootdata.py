@@ -192,8 +192,10 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
 class GroupMatrix:
     """Square polynomial matrix tagged with its root system.
 
-    Membership (det = 1 for type A, M^T J M = J for type C) is checked by
-    membership_check at the public entry points, not on every construction.
+    Membership (det = 1 for type A, M^T J M = J for type C) is not checked
+    on construction.  membership_check runs at the Euclidean entry points;
+    in factor_polynomial the verified word proves membership, and the full
+    check runs only on a failure path.
     All entries share one base ring and nvars, so products check them once.
     """
 

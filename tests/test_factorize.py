@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem import fileio
+from chevelem import factorize, fileio
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     BaseMismatch,
@@ -32,11 +32,12 @@ from chevelem.factorize import (
     _OpRecorder,
     _all_moves,
     _apply,
+    _greedy_pass,
     _leading_term_division,
     _matrix_size,
     _move_delta,
 )
-from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
+from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent, membership_check
 from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
@@ -543,3 +544,115 @@ def test_factor_polynomial_greedy_stall_fails_fast(rs, seed, length):
         signal.signal(signal.SIGALRM, previous)
     assert "greedy stage" in str(exc.value)
     assert "max_steps" in str(exc.value)
+
+
+def bench_family_words(seeds):
+    """Seeded words of the four benchmark families: (rs, nvars, word)."""
+    for rs, nvars, length in ((A2, 1, 15), (A3, 2, 10), (C2, 1, 10), (C3, 1, 10)):
+        for seed in seeds:
+            yield rs, nvars, random_elementary_word(rs, seed, length, nvars=nvars)
+
+
+def perturbed_word_matrix():
+    """A genuine word's matrix with x1 added to one entry: g(0) is unchanged."""
+    g = eval_word(random_elementary_word(A2, 9500, 15), Z, 1)
+    rows = [list(row) for row in g.entries]
+    rows[0][0] = rows[0][0] + MultiPoly.variable(Z, 1, 0)
+    return GroupMatrix(A2, rows)
+
+
+def poly_matrix(rs, rows):
+    return GroupMatrix(rs, [[parse_poly(str(v), Z, 1) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: poly_matrix(A2, [["1+x1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+        # det 1, but x1 at (1, 2) lacks the partner entry a root unipotent has
+        lambda: poly_matrix(C2, [[1, "x1", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        perturbed_word_matrix,
+    ],
+    ids=["SL3-diag", "C2-nonsymplectic", "SL3-perturbed-word"],
+)
+def test_factor_polynomial_nonmember_with_member_constant_term(make):
+    # g(0) passes the up-front check, so the rejection comes from the full
+    # invariant check on the failure path, within the stall test's ceiling
+    g = make()
+    constant = g.map_entries(lambda p: MultiPoly.const(Z, 1, p.constant_term()))
+    assert membership_check(constant, g.rs) and not membership_check(g, g.rs)
+    previous = signal.signal(signal.SIGALRM, _raise_wall_ceiling)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(NotInGroup) as exc:
+            factor_polynomial(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == "matrix fails the group invariant"
+
+
+def test_factor_polynomial_word_proves_membership(monkeypatch):
+    # on success the full polynomial g never reaches membership_check, and
+    # the returned word is multiplied back exactly once
+    checked, evaluated = [], []
+    real_check, real_eval = factorize.membership_check, factorize.eval_word
+
+    def counting_check(matrix, rs):
+        checked.append(matrix)
+        return real_check(matrix, rs)
+
+    def counting_eval(word, *args):
+        evaluated.append(word)
+        return real_eval(word, *args)
+
+    monkeypatch.setattr(factorize, "membership_check", counting_check)
+    monkeypatch.setattr(factorize, "eval_word", counting_eval)
+    targets = [cohn_matrix()] + [
+        eval_word(word, Z, nvars) for _, nvars, word in bench_family_words((9500,))
+    ]
+    for g in targets:
+        assert not g.is_constant()
+        checked.clear()
+        evaluated.clear()
+        cert = factor_polynomial(g)
+        assert cert.verified and cert.residual_constant.is_identity()
+        assert checked and all(m != g for m in checked)
+        assert sum(w == cert.word for w in evaluated) == 1
+    assert real_eval(cert.word, Z, 1) == targets[-1]
+
+
+def test_greedy_running_size_matches_recount(monkeypatch):
+    # every move a greedy pass applies, escapes included, changes the
+    # matrix size by exactly its scored delta, so the pass's running total
+    # equals the size recomputed from scratch; and the quotient dicts that
+    # candidate moves are built from hold no zero coefficient
+    weights = []
+    moves = []
+    real_apply, real_division = factorize._apply, factorize._leading_term_division
+
+    def pass_with_weights(g, sides, degw, bitw, max_steps, pairs):
+        weights.append((degw, bitw, {}))
+        return _greedy_pass(g, sides, degw, bitw, max_steps, pairs)
+
+    def checked_apply(rec, root, t, side):
+        degw, bitw, sizes = weights[-1]
+        before = _matrix_size(rec.m, degw, bitw, {})
+        delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
+        real_apply(rec, root, t, side)
+        assert _matrix_size(rec.m, degw, bitw, {}) == before + delta
+        moves.append(delta)
+
+    def checked_division(a, b):
+        partial, exact, first = real_division(a, b)
+        for terms in (partial, exact or {}):
+            assert all(c != 0 for c in terms.values())
+        return partial, exact, first
+
+    monkeypatch.setattr(factorize, "_greedy_pass", pass_with_weights)
+    monkeypatch.setattr(factorize, "_apply", checked_apply)
+    monkeypatch.setattr(factorize, "_leading_term_division", checked_division)
+    for _, nvars, word in bench_family_words(range(9600, 9605)):
+        heuristic_reduce(eval_word(word, Z, nvars))
+    assert len(moves) > 100
+    assert any(d >= 0 for d in moves)  # a two-ply escape move was checked too
