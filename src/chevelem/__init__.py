@@ -14,7 +14,6 @@ from .errors import (
     NotAUnit,
     NotFactored,
     NotInGroup,
-    NotMonic,
     ParseError,
     PreconditionViolated,
     ProportionalRoots,
@@ -30,7 +29,6 @@ from .exactring import (
     base_ring_from_str,
     convert,
     emit_poly,
-    monic_divrem,
     parse_poly,
 )
 from .rootdata import (

@@ -13,10 +13,6 @@ class ParseError(ChevElemError):
     """Malformed polynomial text or input file."""
 
 
-class NotMonic(ChevElemError):
-    """Divisor is not monic in x1."""
-
-
 class RankTooLow(ChevElemError):
     """Root system rank below 2; rank-1 groups are not supported."""
 

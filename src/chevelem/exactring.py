@@ -23,7 +23,6 @@ from operator import add
 from .errors import (
     BaseMismatch,
     NotAUnit,
-    NotMonic,
     ParseError,
 )
 
@@ -500,46 +499,6 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# monic division
-
-
-def monic_divrem(g: MultiPoly, f: MultiPoly):
-    """Exact division g = q*f + r with deg_x1(r) < deg_x1(f).
-
-    f must be monic in x1: its leading coefficient with respect to x1 is
-    the constant 1.
-    """
-    g._check_compatible(f)
-    df = f.degree_in(0)
-    if df < 0:
-        raise NotMonic("zero divisor polynomial")
-    lead = _coeff_in_x1(f, df)
-    if not (lead.is_constant() and lead.constant_term() == g.base.one()):
-        raise NotMonic("leading coefficient in x1 is not 1")
-    base, nv = g.base, g.nvars
-    q = MultiPoly.zero(base, nv)
-    r = g
-    while True:
-        dr = r.degree_in(0)
-        if r.is_zero() or dr < df:
-            return q, r
-        lead_r = _coeff_in_x1(r, dr)
-        shift = (dr - df,) + (0,) * (nv - 1)
-        mono = MultiPoly(base, nv, {shift: base.one()})
-        qt = lead_r * mono
-        q = q + qt
-        r = r - qt * f
-
-
-def _coeff_in_x1(p: MultiPoly, deg: int) -> MultiPoly:
-    out = {}
-    for e, c in p.terms.items():
-        if e[0] == deg:
-            out[(0,) + e[1:]] = c
-    return MultiPoly(p.base, p.nvars, out)
-
-
-# ---------------------------------------------------------------------------
 # text grammar: integer (or integer/integer) literals, x1..x9, + - * / ^, parens
 
 
@@ -673,10 +632,13 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
     Text in emit_poly's canonical form is read in one linear pass; any
     other text goes through the recursive descent of _parse_general.
     """
-    if _CANONICAL.fullmatch(text):
-        p = _read_canonical(text, nvars)
-    else:
-        p = _parse_general(text, nvars)
+    try:
+        if _CANONICAL.fullmatch(text):
+            p = _read_canonical(text, nvars)
+        else:
+            p = _parse_general(text, nvars)
+    except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
     terms = {}
     for e, c in p.items():
         c = base.normalize(c)

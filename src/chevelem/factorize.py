@@ -5,9 +5,11 @@ rank-one commutator word where it applies, brings the matrix down to a
 constant, and over Z or a field the Euclidean reduction factors that
 constant tail.  factor_polynomial certifies its word over Z[x..]; a
 greedy stall ends in NotFactored.  The Euclidean and field reductions
-are public on their own.  Every word produced anywhere is re-evaluated
-exactly against its target before it is returned; NotFactored is never
-a claim of non-membership.  A word whose exact product is the target
+are public on their own.  Every reduction records its moves with one
+recorder, and every polynomial quotient, greedy or Euclidean, comes from
+one leading-term division.  Every word produced anywhere is re-evaluated
+exactly against its target before it is returned; NotFactored is never a
+claim of non-membership.  A word whose exact product is the target
 proves membership, so factor_polynomial checks only the constant-term
 matrix g(0) up front and runs the full invariant check on g only on a
 failure path.
@@ -16,6 +18,7 @@ failure path.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +31,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, _fold, _mul_add, monic_divrem
+from .exactring import BaseRing, MultiPoly, _fold, _mul_add
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
@@ -110,12 +113,8 @@ class _IntScalars:
     def size(self, p: MultiPoly):
         return abs(p.constant_term())
 
-    def divmod(self, a: MultiPoly, b: MultiPoly):
-        q, r = divmod(a.constant_term(), b.constant_term())
-        return (
-            MultiPoly.const(self.base, self.nvars, q),
-            MultiPoly.const(self.base, self.nvars, r),
-        )
+    def quotient(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        return MultiPoly.const(self.base, self.nvars, a.constant_term() // b.constant_term())
 
     def is_unit(self, p: MultiPoly) -> bool:
         return p.is_constant() and p.constant_term() in (1, -1)
@@ -134,10 +133,11 @@ class _FieldPolyScalars:
     def size(self, p: MultiPoly):
         return 0 if p.is_zero() else p.degree_in(0) + 1
 
-    def divmod(self, a: MultiPoly, b: MultiPoly):
-        inv = self.base.unit_inverse(_leading_coeff(b))
-        q, r = monic_divrem(a, b.scale(inv))
-        return q.scale(inv), r
+    def quotient(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        # in k[x1] graded-lex leading terms are x1-leading terms, so the
+        # leading-term division run to completion is Euclidean division
+        q, _, _ = _leading_term_division(a, b, math.inf)
+        return MultiPoly(self.base, self.nvars, q, normalized=True)
 
     def is_unit(self, p: MultiPoly) -> bool:
         return p.is_constant() and not p.is_zero()
@@ -146,18 +146,6 @@ class _FieldPolyScalars:
         return MultiPoly.const(
             self.base, self.nvars, self.base.unit_inverse(p.constant_term())
         )
-
-
-def _leading_coeff(p: MultiPoly):
-    """Leading coefficient in x1 of a polynomial in x1 alone."""
-    d = p.degree_in(0)
-    best = None
-    for e, c in p.terms.items():
-        if e[0] == d and not any(e[1:]):
-            best = c
-    if best is None:
-        raise PreconditionViolated("entry is not univariate in the pivot variable")
-    return best
 
 
 class _OpRecorder:
@@ -259,8 +247,7 @@ def _column_gcd(rec: _OpRecorder, ctx, rows, col: int, collapse: str) -> int:
         for r in nz:
             if r == r_min:
                 continue
-            q, _ = ctx.divmod(rec.m[r][col], rec.m[r_min][col])
-            rec.lmul(at(r, r_min), -q)
+            rec.lmul(at(r, r_min), -ctx.quotient(rec.m[r][col], rec.m[r_min][col]))
 
 
 def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
@@ -298,11 +285,9 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
                     _swap_into(rec, star(j), j)
                     continue
                 if ctx.size(b) >= ctx.size(a):
-                    q, _ = ctx.divmod(b, a)
-                    rec.lmul(at(star(j), j), -q)
+                    rec.lmul(at(star(j), j), -ctx.quotient(b, a))
                 else:
-                    q, _ = ctx.divmod(a, b)
-                    rec.lmul(at(j, star(j)), -q)
+                    rec.lmul(at(j, star(j)), -ctx.quotient(a, b))
         # (b) gcd across the unstarred rows
         pivot = _column_gcd(rec, ctx, range(stage, n), col, "not in the group")
         if pivot != stage:
@@ -324,7 +309,15 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
         _clear_pivot_row_c(rec, stage)
 
 
-def _finish_reduction(g: GroupMatrix, rec: _OpRecorder) -> ElemWord:
+def _euclid(g: GroupMatrix, scalars, not_in_group: str) -> ElemWord:
+    """The Euclidean reduction of g with the given scalar context, replayed
+    as a word and multiplied back; raises NotInGroup(not_in_group) when g
+    fails the membership check."""
+    if not membership_check(g, g.rs):
+        raise NotInGroup(not_in_group)
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
+    reduce = _reduce_type_a if g.rs.kind == "A" else _reduce_type_c
+    reduce(rec, scalars(g.base, g.nvars))
     if not rec.is_identity():
         raise NotInGroup("reduction did not reach the identity")
     word = free_reduce(rec.word())
@@ -338,11 +331,7 @@ def factor_integer_sl(g: GroupMatrix) -> ElemWord:
     _require_constant_int(g)
     if g.rs.kind != "A":
         raise PreconditionViolated("type A matrix expected")
-    if not membership_check(g, g.rs):
-        raise NotInGroup("determinant is not 1")
-    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    _reduce_type_a(rec, _IntScalars(g.base, g.nvars))
-    return _finish_reduction(g, rec)
+    return _euclid(g, _IntScalars, "determinant is not 1")
 
 
 def factor_integer_sp(g: GroupMatrix) -> ElemWord:
@@ -350,15 +339,7 @@ def factor_integer_sp(g: GroupMatrix) -> ElemWord:
     _require_constant_int(g)
     if g.rs.kind != "C":
         raise PreconditionViolated("type C matrix expected")
-    if not membership_check(g, g.rs):
-        raise NotInGroup("matrix does not preserve the symplectic form")
-    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    _reduce_type_c(rec, _IntScalars(g.base, g.nvars))
-    return _finish_reduction(g, rec)
-
-
-def factor_integer_constant(g: GroupMatrix) -> ElemWord:
-    return factor_integer_sl(g) if g.rs.kind == "A" else factor_integer_sp(g)
+    return _euclid(g, _IntScalars, "matrix does not preserve the symplectic form")
 
 
 def _require_constant_int(g: GroupMatrix) -> None:
@@ -377,15 +358,7 @@ def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
             for v in range(1, g.nvars):
                 if p.degree_in(v) > 0:
                     raise PreconditionViolated("entries must be univariate")
-    if not membership_check(g, g.rs):
-        raise NotInGroup("matrix fails the group invariant")
-    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    ctx = _FieldPolyScalars(g.base, g.nvars)
-    if g.rs.kind == "A":
-        _reduce_type_a(rec, ctx)
-    else:
-        _reduce_type_c(rec, ctx)
-    return _finish_reduction(g, rec)
+    return _euclid(g, _FieldPolyScalars, "matrix fails the group invariant")
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +370,26 @@ def _glex(e: tuple) -> tuple:
     return sum(e), e
 
 
-def _leading_term_division(a: MultiPoly, b: MultiPoly):
-    """Strip leading terms of a against b: the one division behind both
-    try_divide and partial_quotient.
+def _leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
+    """Strip leading terms of a against b: the one polynomial division in
+    the package, behind try_divide, partial_quotient and the field Euclid.
 
     Stops early when a leading exponent or coefficient does not divide.
     Returns (partial, exact, first).  partial holds the quotient terms
     found within the first 2*len(a)+8 steps; exact is the whole quotient
     when at most 4*(len(a)+len(b)+4) steps leave no remainder, else None.
-    The first limit is always the smaller one.  first is (exponent,
+    The first limit is always the smaller one.  A given limit replaces
+    both; math.inf runs the division to completion.  first is (exponent,
     leading coefficient of a, of b) of the first step, or None when b's
     leading monomial does not divide a's.  The remainder is one term dict,
     updated in place by each quotient term times b."""
     base = a.base
     m = base.modulus
-    partial_limit = 2 * len(a.terms) + 8
-    limit = 4 * (len(a.terms) + len(b.terms) + 4)
+    if limit is None:
+        partial_limit = 2 * len(a.terms) + 8
+        limit = 4 * (len(a.terms) + len(b.terms) + 4)
+    else:
+        partial_limit = limit
     q_terms: dict = {}
     partial = first = None
     r = dict(a.terms)
@@ -785,7 +762,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     Division-guided moves shrink a size measure under a cascade of scoring
     strategies; stalls fall back to a two-ply escape and the rank-one
     commutator finisher.  A constant leftover over Z or a field is
-    factored by the Euclidean reduction (factor_integer_constant,
+    factored by the Euclidean reduction (factor_integer_sl or _sp,
     factor_univar_euclidean), so the residual is then the identity.  Over
     other bases a constant leftover is returned as the residual; after a
     stall the residual is the best stall state.  A constant leftover
@@ -821,11 +798,14 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
         residual = final
     elif final.is_constant() and (g.base.kind == "Z" or g.base.is_field):
         # splice the Euclidean word of the constant leftover between the
-        # two op families so the residual is the identity
-        if g.base.kind == "Z":
-            mid = factor_integer_constant(final)
-        else:
+        # two op families so the residual is the identity; the module-level
+        # names are looked up here, so the bench tracer's wrappers see the calls
+        if g.base.kind != "Z":
             mid = factor_univar_euclidean(final)
+        elif rs.kind == "A":
+            mid = factor_integer_sl(final)
+        else:
+            mid = factor_integer_sp(final)
         word = free_reduce(ElemWord(rs, left + list(mid.letters) + right))
         residual = GroupMatrix.identity(rs, g.base, g.nvars)
     else:

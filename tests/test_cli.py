@@ -299,6 +299,28 @@ def test_verify_truncated_file(tmp_path):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
 
 
+# past the 4300 digits that int() reads by default
+HUGE_LITERAL = "1" + "0" * 5000
+
+
+def test_factor_oversized_literal(tmp_path, capsys):
+    data = cohn_dict()
+    data["entries"][2][2] = HUGE_LITERAL
+    matrix_file = tmp_path / "huge.json"
+    matrix_file.write_text(json.dumps(data))
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+    assert "literal too long" in capsys.readouterr().err
+
+
+def test_verify_oversized_target_literal(tmp_path, capsys):
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    data["target"][2][2] = HUGE_LITERAL
+    cert_file = tmp_path / "huge.json"
+    cert_file.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(cert_file)]) == EXIT_BAD_INPUT
+    assert "literal too long" in capsys.readouterr().err
+
+
 def test_factor_budget_exit_code(tmp_path, capsys, monkeypatch):
     from chevelem import cli as cli_mod
     from chevelem.errors import NotFactored

@@ -1,4 +1,4 @@
-"""Ring arithmetic, substitution, annihilators, monic division, grammar."""
+"""Ring arithmetic, substitution, annihilators, grammar."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from chevelem.errors import (
     BaseMismatch,
-    NotMonic,
     ParseError,
 )
 from chevelem.exactring import (
@@ -22,7 +21,6 @@ from chevelem.exactring import (
     convert,
     denominator_lcm,
     emit_poly,
-    monic_divrem,
     parse_poly,
     poly_s_valuation,
     s_valuation,
@@ -347,49 +345,6 @@ def test_s_valuation():
     assert s_valuation(Z, 0, 2) is None
     assert poly_s_valuation(P("2*x1 + 8", ZHALF), 2) == 1
     assert denominator_lcm(P("1/2*x1 + 1/3", Q)) == 6
-
-
-# -- monic division ------------------------------------------------------------
-
-
-def test_monic_divrem_simple():
-    q, r = monic_divrem(P("x1^2+1"), P("x1"))
-    assert q == P("x1") and r == P("1")
-
-
-def test_monic_divrem_zero():
-    q, r = monic_divrem(MultiPoly.zero(Z, 1), P("x1^2+1"))
-    assert q.is_zero() and r.is_zero()
-
-
-def test_monic_divrem_roundtrip_example():
-    g, f = P("x1^3+2*x1+1"), P("x1^2+1")
-    q, r = monic_divrem(g, f)
-    assert q * f + r == g
-    assert r.degree_in(0) < f.degree_in(0)
-    assert (q, r) == (P("x1"), P("x1+1"))
-
-
-def test_monic_divrem_rejects_nonmonic():
-    with pytest.raises(NotMonic):
-        monic_divrem(P("x1"), P("2*x1+1"))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 4), st.integers(1, 3), st.data())
-def test_monic_divrem_roundtrip_random(dg, df, data):
-    g_terms = {
-        (k,): data.draw(st.integers(-9, 9), label="g%d" % k) for k in range(dg + 1)
-    }
-    f_terms = {
-        (k,): data.draw(st.integers(-9, 9), label="f%d" % k) for k in range(df)
-    }
-    f_terms[(df,)] = 1
-    g = MultiPoly(Z, 1, g_terms)
-    f = MultiPoly(Z, 1, f_terms)
-    q, r = monic_divrem(g, f)
-    assert q * f + r == g
-    assert r.is_zero() or r.degree_in(0) < f.degree_in(0)
 
 
 # -- conversions -----------------------------------------------------------------

@@ -85,3 +85,44 @@ def test_exponents_summed_only_by_the_adder():
                 name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
                 found.append("%s: %s" % (path.name, name))
     assert found == ["exactring.py: _add_any"], found
+
+
+def reexported_names(tree):
+    """Names __init__.py imports from the package's modules to re-export."""
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def names_read_outside_own_definition(tree):
+    """Loaded names and attribute names a module reads, except reads inside
+    the top-level def or class of the same name."""
+    out = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def test_every_reexport_has_a_user():
+    # an export that only tests use is a helper to delete, not an API
+    bench = SRC.parents[1] / "bench"
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        if path == SRC / "__init__.py":
+            continue
+        read |= names_read_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    exported = reexported_names(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
+    unused = [name for name in exported if name not in read]
+    assert exported and not unused, "re-exports with no user in src/ or bench/: " + ", ".join(unused)
