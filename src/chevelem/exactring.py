@@ -532,9 +532,12 @@ def emit_poly(p: MultiPoly) -> str:
 
 def _coeff_text(c) -> str:
     q = Fraction(c)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError as exc:  # str() refuses ints past sys.get_int_max_str_digits()
+        raise ParseError("coefficient too long for polynomial text: %s" % exc) from None
 
 
 # emit_poly's output language: an optional leading "-", then monomials

@@ -582,58 +582,36 @@ def _rank1_difference(m):
     """Factor M - I = v w^T with w^T v = 0, or None.
 
     Such rank-one shapes (the Cohn block is one) factor exactly into an
-    eight-letter commutator through any spare coordinate."""
+    eight-letter commutator through any spare coordinate.  Each nonzero
+    column is tried once as v, over Z as its primitive part."""
     size = len(m)
     base = m[0][0].base
     nvars = m[0][0].nvars
     one = MultiPoly.const(base, nvars, 1)
     d = [[m[i][j] - one if i == j else m[i][j] for j in range(size)] for i in range(size)]
-    if all(p.is_zero() for row in d for p in row):
-        return None
-
-    def column(c):
-        return [d[i][c] for i in range(size)]
-
-    candidates = []
     for c in range(size):
-        col = column(c)
-        if any(not p.is_zero() for p in col):
-            candidates.append(col)
-            stripped = _strip_integer_content(col)
-            if stripped is not None:
-                candidates.append(stripped)
-    for v in candidates:
+        v = [d[i][c] for i in range(size)]
+        if all(p.is_zero() for p in v):
+            continue
+        if base.kind == "Z":
+            # v with integer content g works only if v/g (with g*w) does
+            g = gcd(*(coeff for p in v for coeff in p.coefficients()))
+            if g > 1:
+                v = [try_divide(p, MultiPoly.const(base, nvars, g)) for p in v]
         i0 = next(i for i in range(size) if not v[i].is_zero())
         w = []
-        good = True
         for j in range(size):
             wj = try_divide(d[i0][j], v[i0])
             if wj is None:
-                good = False
                 break
             w.append(wj)
-        if not good:
-            continue
-        if all((v[i] * w[j] - d[i][j]).is_zero() for i in range(size) for j in range(size)):
-            dot = MultiPoly.zero(base, nvars)
-            for i in range(size):
-                dot = dot + w[i] * v[i]
-            if dot.is_zero():
-                return v, w
+        if (
+            len(w) == size
+            and all((v[i] * w[j] - d[i][j]).is_zero() for i in range(size) for j in range(size))
+            and sum((w[i] * v[i] for i in range(size)), MultiPoly.zero(base, nvars)).is_zero()
+        ):
+            return v, w
     return None
-
-
-def _strip_integer_content(col):
-    base = col[0].base
-    if base.kind != "Z":
-        return None
-    g = 0
-    for p in col:
-        for c in p.coefficients():
-            g = gcd(g, abs(c))
-    if g <= 1:
-        return None
-    return [try_divide(p, MultiPoly.const(base, p.nvars, g)) for p in col]
 
 
 def _rank1_update(rec: _OpRecorder) -> bool:

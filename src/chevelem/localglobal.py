@@ -30,7 +30,7 @@ from .exactring import (
     poly_s_valuation,
     s_valuation,
 )
-from .rootdata import GroupMatrix, opposite_decomposition, structure_constants
+from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
 from .words import (
     ElemWord,
     congruence_check,
@@ -299,10 +299,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
                 return None
             out.extend(inner)
         else:
-            for i, j, delta, n in structure_constants(rs, beta, gamma):
-                arg = ((r ** i) * (t ** j)).scale(n)
-                if not arg.is_zero():
-                    out.append((delta, arg))
+            out.extend(commutator_expand(rs, beta, gamma, r, t).letters)
             out.append((gamma, t))
         if len(out) > budget.max_letters:
             return None
@@ -316,14 +313,13 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
     base, nvars = t.base, t.nvars
     zero = MultiPoly.zero(base, nvars)
     t0 = t.substitute({z: zero}, nvars_out=nvars)
-    parts = [(t - t0, True), (t0, False)]
+    d1, d2, i0, j0, constants = opposite_decomposition(rs, gamma)
+    n0 = dict(((i, j), n) for i, j, _, n in constants)[(i0, j0)]
+    const_power = j0 if i0 == 1 else i0
     out: list = []
-    for part, z_divisible in parts:
+    for part, z_divisible in ((t - t0, True), (t0, False)):
         if part.is_zero():
             continue
-        d1, d2, i0, j0, constants = opposite_decomposition(rs, gamma)
-        n0 = dict(((i, j), n) for i, j, _, n in constants)[(i0, j0)]
-        const_power = j0 if i0 == 1 else i0
         if z_divisible:
             m1 = max(1, reserve)
         else:
@@ -333,29 +329,14 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
                 return None
         u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
         const_arg = MultiPoly.const(base, nvars, s ** m1)
-        if i0 == 1:
-            v1, v2 = u, const_arg
-        else:
-            v1, v2 = const_arg, u
-        pre: list = []
-        post: list = []
-        seen_target = False
-        for i, j, delta, n in constants:
-            if (i, j) == (i0, j0):
-                seen_target = True
-                continue
-            arg = ((v1 ** i) * (v2 ** j)).scale(n)
-            if arg.is_zero():
-                continue
-            if seen_target:
-                post.append((delta, arg))
-            else:
-                pre.append((delta, arg))
-        # prod = pre . x_gamma(target) . post  =>  x_gamma = pre^-1 . comm . post^-1
-        letters = [(d, -a) for d, a in reversed(pre)]
-        letters += [(d1, v1), (d2, v2), (d1, -v1), (d2, -v2)]
-        letters += [(d, -a) for d, a in reversed(post)]
-        out.extend(letters)
+        v1, v2 = (u, const_arg) if i0 == 1 else (const_arg, u)
+        comm = commutator_expand(rs, d1, d2, v1, v2).letters
+        cut = [d for d, _ in comm].index(gamma)
+        pre, post = comm[:cut], comm[cut + 1:]
+        # comm = pre . x_gamma(target) . post  =>  x_gamma = pre^-1 . comm . post^-1
+        out += [(d, -a) for d, a in reversed(pre)]
+        out += [(d1, v1), (d2, v2), (d1, -v1), (d2, -v2)]
+        out += [(d, -a) for d, a in reversed(post)]
     return out
 
 
@@ -400,15 +381,12 @@ def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):
 class DilationCert:
     """Certificate that g(ax) g(bx)^{-1} is elementary once a = b mod s^k.
 
-    generator(a, b) emits a verified word for that element; the descended
-    word it specializes is kept for inspection.
+    generator(a, b) emits a verified word for that element.
     """
 
     s: int
     k: int
     generator: object
-    var: int = 0
-    word: ElemWord | None = None
 
 
 def _as_coeff_poly(value, base: BaseRing, nvars: int, forbid_var: int) -> MultiPoly:
@@ -416,7 +394,7 @@ def _as_coeff_poly(value, base: BaseRing, nvars: int, forbid_var: int) -> MultiP
         p = convert(value, base) if value.base != base else value
         p = p.extend_vars(nvars) if p.nvars < nvars else p
     else:
-        p = MultiPoly.const(base, nvars, int(value))
+        p = MultiPoly.const(base, nvars, value)
     if p.degree_in(forbid_var) > 0:
         raise PreconditionViolated("dilation arguments must not involve the dilated variable")
     return p
@@ -429,8 +407,9 @@ def dilation_factor(
 
     When w_s is already integral the certificate is direct with k = 0.
     Otherwise the word for g(x(y+z)) g(xy)^{-1} in two auxiliary variables
-    is descended, upgraded to exact equality over the base ring, and the
-    generator specializes y -> b, z -> (a-b)/s^k.
+    is descended, checked for exact equality over Z after z -> s^k z, and
+    the generator specializes y -> b, z -> (a-b)/s^k.  Over Z, a domain,
+    that check is what dilation_equalizer would decide with exponent 0.
     """
     base = g.base
     if base.kind != "Z":
@@ -443,24 +422,32 @@ def dilation_factor(
 
     x = MultiPoly.variable(base, nvars, var)
 
-    def specialize(m: GroupMatrix, a: MultiPoly) -> GroupMatrix:
-        return m.substitute({var: x * a}, nvars_out=nvars)
+    def verified_generator(word_for):
+        """generator(a, b): the free-reduced word_for(a, b), checked
+        against g(ax) g(bx)^{-1} exactly."""
 
-    if all(denominator_lcm(arg) == 1 for _, arg in w_s.letters):
-        w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
-
-        def generator_direct(a, b):
+        def generator(a, b):
             pa = _as_coeff_poly(a, base, nvars, var)
             pb = _as_coeff_poly(b, base, nvars, var)
-            wa = map_word(w_int, ("substitute", {var: x * pa}, nvars))
-            wb = map_word(w_int, ("substitute", {var: x * pb}, nvars))
-            word = free_reduce(wa.concat(invert_word(wb)))
-            expect = specialize(g, pa) * specialize(g, pb).inverse()
+            word = free_reduce(word_for(pa, pb))
+            expect = g.substitute({var: x * pa}, nvars_out=nvars) * (
+                g.substitute({var: x * pb}, nvars_out=nvars).inverse()
+            )
             if eval_word(word, base, nvars) != expect:
                 raise PreconditionViolated("generator output failed verification")
             return word
 
-        return DilationCert(s=s, k=0, generator=generator_direct, var=var, word=w_int)
+        return generator
+
+    if all(denominator_lcm(arg) == 1 for _, arg in w_s.letters):
+        w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
+
+        def direct(pa, pb):
+            wa = map_word(w_int, ("substitute", {var: x * pa}, nvars))
+            wb = map_word(w_int, ("substitute", {var: x * pb}, nvars))
+            return wa.concat(invert_word(wb))
+
+        return DilationCert(s=s, k=0, generator=verified_generator(direct))
 
     n2 = nvars + 2
     yv, zv = nvars, nvars + 1
@@ -482,35 +469,21 @@ def dilation_factor(
         g_ext.substitute({var: int_x * int_y}, nvars_out=n2).inverse()
     )
     sk = MultiPoly.const(base, n2, s ** k)
-    f_dilated = f_mat.substitute({zv: int_z * sk}, nvars_out=n2)
-    l = dilation_equalizer(eval_word(h, base, n2), f_dilated, s, var=zv)
-    big_k = k + l
-    sl = MultiPoly.const(base, n2, s ** l)
-    h2 = map_word(h, ("substitute", {zv: int_z * sl}, n2)) if l else h
+    if eval_word(h, base, n2) != f_mat.substitute({zv: int_z * sk}, nvars_out=n2):
+        raise PreconditionViolated("descended word differs from the dilated matrix over Z")
 
-    def generator_descended(a, b):
-        pa = _as_coeff_poly(a, base, nvars, var)
-        pb = _as_coeff_poly(b, base, nvars, var)
-        diff = pa - pb
-        mod = s ** big_k
+    def descended(pa, pb):
+        mod = s ** k
         quot = {}
-        for e, c in diff.terms.items():
+        for e, c in (pa - pb).terms.items():
             if c % mod:
-                raise PreconditionViolated(
-                    "arguments are not congruent mod %d^%d" % (s, big_k)
-                )
+                raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
             quot[e] = c // mod
         zq = MultiPoly(base, nvars, quot).extend_vars(n2)
-        word = map_word(
-            h2, ("substitute", {yv: pb.extend_vars(n2), zv: zq}, n2)
-        )
-        word = free_reduce(shrink_word_vars(word, nvars))
-        expect = specialize(g, pa) * specialize(g, pb).inverse()
-        if eval_word(word, base, nvars) != expect:
-            raise PreconditionViolated("generator output failed verification")
-        return word
+        word = map_word(h, ("substitute", {yv: pb.extend_vars(n2), zv: zq}, n2))
+        return shrink_word_vars(word, nvars)
 
-    return DilationCert(s=s, k=big_k, generator=generator_descended, var=var, word=h2)
+    return DilationCert(s=s, k=k, generator=verified_generator(descended))
 
 
 # ---------------------------------------------------------------------------

@@ -53,23 +53,15 @@ class RootSystem:
     # -- construction -------------------------------------------------------
 
     def _build_roots(self):
+        n = self.rank + 1 if self.kind == "A" else self.rank
         out = []
-        if self.kind == "A":
-            n = self.rank + 1
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        v = [0] * n
-                        v[i], v[j] = 1, -1
-                        out.append(tuple(v))
-        else:
-            n = self.rank
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        v = [0] * n
-                        v[i], v[j] = 1, -1
-                        out.append(tuple(v))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    v = [0] * n
+                    v[i], v[j] = 1, -1
+                    out.append(tuple(v))
+        if self.kind == "C":
             for i in range(n):
                 for j in range(i + 1, n):
                     for si in (1, -1):
@@ -313,14 +305,11 @@ class GroupMatrix:
             return GroupMatrix(
                 self.rs, [[entry(i, j) for j in range(size)] for i in range(size)]
             )
-        adj = self.adjugate()
+        adj = _adjugate(self.entries, self.base, self.nvars)
         d = self.det()
         if not (d.is_constant() and d.constant_term() == self.base.one()):
             raise SizeMismatch("inverse only for determinant-1 matrices")
         return GroupMatrix(self.rs, adj)
-
-    def adjugate(self) -> list:
-        return _adjugate(self.entries, self.base, self.nvars)
 
     def substitute(self, assignment: dict, nvars_out: int | None = None) -> "GroupMatrix":
         return GroupMatrix(
@@ -460,36 +449,23 @@ def weyl_and_torus(rs: RootSystem, alpha, u) -> tuple:
     """w_alpha(u) = x_a(u) x_{-a}(-1/u) x_a(u) and h_alpha(u) = w(u) w(1)^{-1}."""
     a = rs.check_root(alpha)
     neg = tuple(-x for x in a)
-    base = u.base if isinstance(u, MultiPoly) else None
-    if base is not None:
-        if not u.is_constant():
-            raise NotAUnit("torus parameter must be a constant")
-        nvars = u.nvars
-        uc = u.constant_term()
-    else:
+    if not isinstance(u, MultiPoly):
         raise NotAUnit("torus parameter must be a constant MultiPoly")
+    if not u.is_constant():
+        raise NotAUnit("torus parameter must be a constant")
+    base, nvars, uc = u.base, u.nvars, u.constant_term()
     if not base.is_unit(uc):
         raise NotAUnit("%r is not a unit of %s" % (uc, base))
-    uinv = base.unit_inverse(uc)
 
-    def w(val, val_inv):
-        c = MultiPoly.const(base, nvars, val)
-        cinv = MultiPoly.const(base, nvars, val_inv)
+    def w(c):
         m = GroupMatrix.identity(rs, base, nvars)
-        m = m.rmul_unipotent(a, c)
-        m = m.rmul_unipotent(neg, -cinv)
-        m = m.rmul_unipotent(a, c)
+        for root, val in ((a, c), (neg, -base.unit_inverse(c)), (a, c)):
+            m = m.rmul_unipotent(root, MultiPoly.const(base, nvars, val))
         return m
 
-    w_u = w(uc, uinv)
-    one = base.one()
-    # w(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1)
-    c1 = MultiPoly.const(base, nvars, one)
-    w1_inv = GroupMatrix.identity(rs, base, nvars)
-    w1_inv = w1_inv.rmul_unipotent(a, -c1)
-    w1_inv = w1_inv.rmul_unipotent(neg, c1)
-    w1_inv = w1_inv.rmul_unipotent(a, -c1)
-    return w_u, w_u * w1_inv
+    w_u = w(uc)
+    # w(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1) = w(-1)
+    return w_u, w_u * w(-base.one())
 
 
 # ---------------------------------------------------------------------------

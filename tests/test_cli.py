@@ -19,8 +19,8 @@ from chevelem.cli import (
 )
 from chevelem import exactring
 from chevelem.errors import ParseError, RankTooLow
-from chevelem.exactring import BaseRing
-from chevelem.factorize import factor_polynomial, random_elementary_word
+from chevelem.exactring import BaseRing, MultiPoly
+from chevelem.factorize import FactorizationCertificate, factor_polynomial, random_elementary_word
 from chevelem.fileio import (
     certificate_from_dict,
     certificate_to_dict,
@@ -28,8 +28,8 @@ from chevelem.fileio import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from chevelem.rootdata import build_root_system
-from chevelem.words import eval_word
+from chevelem.rootdata import GroupMatrix, build_root_system
+from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
 A2 = build_root_system("A", 2)
@@ -319,6 +319,24 @@ def test_verify_oversized_target_literal(tmp_path, capsys):
     cert_file.write_text(json.dumps(data))
     assert main(["verify", "--in", str(cert_file)]) == EXIT_BAD_INPUT
     assert "literal too long" in capsys.readouterr().err
+
+
+def test_factor_oversized_word_coefficient(tmp_path, capsys, monkeypatch):
+    # writing a certificate whose word holds a coefficient past the limit
+    # fails with ParseError, so the verb exits 3 instead of tracing back
+    from chevelem import cli as cli_mod
+
+    def oversized(g):
+        huge = MultiPoly.const(Z, 1, 10**5000)
+        word = ElemWord(A2, [((1, -1, 0), huge), ((1, -1, 0), -huge)])
+        ident = GroupMatrix.identity(A2, Z, 1)
+        return FactorizationCertificate(target=g, word=word, residual_constant=ident, verified=True)
+
+    monkeypatch.setattr(cli_mod, "factor_polynomial", oversized)
+    matrix_file = tmp_path / "m.json"
+    matrix_file.write_text(json.dumps(cohn_dict()))
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+    assert "coefficient too long" in capsys.readouterr().err
 
 
 def test_factor_budget_exit_code(tmp_path, capsys, monkeypatch):

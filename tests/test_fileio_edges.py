@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from chevelem.errors import BaseMismatch, NotAUnit, ParseError
-from chevelem.exactring import BaseRing, MultiPoly, annihilator_exponent, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, annihilator_exponent, emit_poly, parse_poly
 from chevelem.factorize import FactorizationCertificate
 from chevelem.fileio import certificate_from_dict, certificate_to_dict, matrix_from_dict
 from chevelem.rootdata import GroupMatrix, build_root_system, weyl_and_torus
@@ -73,6 +73,23 @@ def test_unknown_base_string():
     d = {"group": {"type": "A", "rank": 2}, "base": "R", "nvars": 1, "entries": []}
     with pytest.raises(ParseError):
         matrix_from_dict(d)
+
+
+# past the 4300 digits that str() writes by default
+@pytest.mark.parametrize("c", [10**5000, Fraction(1, 10**5000)], ids=["integer", "fraction"])
+def test_emit_poly_oversized_coefficient(c):
+    with pytest.raises(ParseError):
+        emit_poly(MultiPoly.const(BaseRing.rationals(), 1, c))
+
+
+def test_certificate_to_dict_oversized_letter():
+    q = BaseRing.rationals()
+    huge = MultiPoly.const(q, 1, Fraction(1, 10**5000))
+    word = ElemWord(A2, [((1, -1, 0), huge), ((1, -1, 0), -huge)])
+    ident = GroupMatrix.identity(A2, q, 1)
+    cert = FactorizationCertificate(target=ident, word=word, residual_constant=ident, verified=True)
+    with pytest.raises(ParseError):
+        certificate_to_dict(cert)
 
 
 def test_annihilator_zero_multiplier():

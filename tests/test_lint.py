@@ -87,6 +87,24 @@ def test_exponents_summed_only_by_the_adder():
     assert found == ["exactring.py: _add_any"], found
 
 
+def test_structure_constants_read_only_through_rootdata():
+    # commutator_expand turns the constants into letters; a module that
+    # read them itself would rebuild those letters by hand
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "structure_constants(" in line and "def structure_constants(" not in line:
+                inner = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
+                found.append("%s: %s" % (path.name, name))
+    assert found == [
+        "rootdata.py: commutator_expand",
+        "rootdata.py: opposite_decomposition",
+    ], found
+
+
 def reexported_names(tree):
     """Names __init__.py imports from the package's modules to re-export."""
     return [

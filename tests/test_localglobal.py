@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from chevelem import localglobal
 from chevelem.errors import (
+    BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
     PreconditionViolated,
 )
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
+from chevelem.factorize import random_elementary_word
 from chevelem.localglobal import (
     Budget,
     CoveringData,
@@ -23,7 +26,7 @@ from chevelem.localglobal import (
     telescoping_product,
     xgcd,
 )
-from chevelem.rootdata import GroupMatrix, build_root_system
+from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
 from chevelem.words import ElemWord, congruence_check, eval_word, map_word
 
 Z = BaseRing.integers()
@@ -293,6 +296,23 @@ def test_descend_longer_mixed_word():
     check_descent(w)
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("A", 3), ("C", 2), ("C", 3)])
+def test_opposite_rewrite_every_root(kind, rank):
+    # x_gamma(t) rewritten through roots non-proportional to gamma, for
+    # a z-divisible, a mixed and a z-free payload at each reserve
+    rs = build_root_system(kind, rank)
+    z = zvar()
+    payloads = [z.scale(Fraction(3, 4)), z * z + const(4, ZHALF), const(8, ZHALF)]
+    for gamma in rs.roots:
+        for t in payloads:
+            for reserve in range(3):
+                letters = localglobal._opposite_rewrite(rs, gamma, t, 0, 2, reserve)
+                assert letters is not None
+                assert not any(rs.proportional(root, gamma) for root, _ in letters)
+                word = ElemWord(rs, letters)
+                assert eval_word(word, ZHALF, 1) == elem_unipotent(rs, gamma, t)
+
+
 def test_descend_rejects_noncongruent():
     w = ElemWord(A2, [(E12, const(Fraction(1, 2), ZHALF))])
     with pytest.raises(PreconditionViolated):
@@ -441,6 +461,25 @@ def test_dilation_factor_with_descent():
     assert len(word31) >= 0
 
 
+def test_dilation_factor_checks_descended_word(monkeypatch):
+    # a descended word that misses one letter evaluates to another matrix
+    # over Z, and the exact check must refuse the certificate
+    real = localglobal.descend_word
+
+    def one_letter_short(w, s, z=0, budget=None):
+        h, k = real(w, s, z=z, budget=budget)
+        assert len(h) > 0
+        return ElemWord(h.rs, h.letters[1:]), k
+
+    w_s = halfling_word(random.Random(21), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    dilation_factor(g, w_s, 2)
+    monkeypatch.setattr(localglobal, "descend_word", one_letter_short)
+    with pytest.raises(PreconditionViolated):
+        dilation_factor(g, w_s, 2)
+
+
 def test_dilation_factor_empty_descent():
     # the descended word is empty; its congruence must be read off the
     # matrix, since an empty word carries no variable count
@@ -451,6 +490,16 @@ def test_dilation_factor_empty_descent():
     assert cert.k == 0
     word = cert.generator(3, 1)
     assert eval_word(word, Z, 1) == g
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 2), 2.9], ids=["fraction", "float"])
+def test_dilation_generator_rejects_non_integer_argument(a):
+    # a is coerced into Z, never truncated to a neighbouring integer
+    w = random_elementary_word(A2, 3, 4)
+    g = eval_word(w, Z, 1)
+    cert = dilation_factor(g, map_word(w, ("localize", 2)), 2)
+    with pytest.raises(BaseMismatch):
+        cert.generator(a, 1)
 
 
 def test_dilation_factor_rejects_bad_word():
