@@ -375,6 +375,27 @@ class MultiPoly:
             _mul_add(out, {kept: c}, {zero: 1} if prod is None else prod, m)
         return MultiPoly(base, nvars_out, out, normalized=True)
 
+    def dilate(self, var: int, c) -> "MultiPoly":
+        """Image under x_var -> c * x_var for a base-ring scalar c; with
+        c = 0 it is the value at x_var = 0.
+
+        A term map: each coefficient is multiplied by c^e[var] (mod m),
+        and terms that vanish are dropped.
+        """
+        if not 0 <= var < self.nvars:
+            raise ValueError("variable index %d out of range" % var)
+        c, m = self.base.normalize(c), self.base.modulus
+        out = {}
+        for e, c0 in self.terms.items():
+            if e[var]:
+                c0 = c0 * c ** e[var]
+                if m is not None:
+                    c0 %= m
+                if not c0:
+                    continue
+            out[e] = c0
+        return MultiPoly(self.base, self.nvars, out, normalized=True)
+
     def extend_vars(self, nvars: int) -> "MultiPoly":
         if nvars < self.nvars:
             raise ValueError("extend_vars cannot shrink")

@@ -155,13 +155,9 @@ def telescoping_chain(covering: CoveringData) -> list:
 
 def telescoping_product(g: GroupMatrix, chain, var: int = 0) -> GroupMatrix:
     """The exact matrix product of g(a_j x) g(a_{j+1} x)^{-1} along the chain."""
-    base, nvars = g.base, g.nvars
-    x = MultiPoly.variable(base, nvars, var)
-    out = GroupMatrix.identity(g.rs, base, nvars)
+    out = GroupMatrix.identity(g.rs, g.base, g.nvars)
     for a, b in zip(chain, chain[1:]):
-        ga = g.substitute({var: x.scale(a)}, nvars_out=nvars)
-        gb = g.substitute({var: x.scale(b)}, nvars_out=nvars)
-        out = out * ga * gb.inverse()
+        out = out * g.dilate(var, a) * g.dilate(var, b).inverse()
     return out
 
 
@@ -186,10 +182,8 @@ def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s, var: int = 0) -> int:
                 if n is None:
                     raise PreconditionViolated("localizations at s differ")
                 bound = max(bound, n)
-    x = MultiPoly.variable(base, g.nvars, var)
     for n in range(bound + 1):
-        img = {var: x.scale(s_elem ** n)}
-        if g.substitute(img, nvars_out=g.nvars) == h.substitute(img, nvars_out=g.nvars):
+        if g.dilate(var, s_elem ** n) == h.dilate(var, s_elem ** n):
             return n
     raise PreconditionViolated("no dilation exponent within the exact bound")
 
@@ -201,9 +195,7 @@ def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s, var: int = 0) -> int:
 def dilate_word(w: ElemWord, z: int, s: int, k: int) -> ElemWord:
     if k == 0 or not w.letters:
         return w
-    base, nvars = w.base_and_nvars()
-    x = MultiPoly.variable(base, nvars, z)
-    return map_word(w, ("substitute", {z: x.scale(s ** k)}, nvars))
+    return ElemWord(w.rs, [(r, a.dilate(z, s ** k)) for r, a in w.letters])
 
 
 def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
@@ -251,12 +243,10 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
     z-divisible arguments (cleared later by dilation) or z-free integral
     ones.  Returns None when stuck or over budget."""
     rs = w0.rs
-    base, nvars = w0.base_and_nvars()
-    zero = MultiPoly.zero(base, nvars)
     conjugators = []
     payloads = []
     for root, a in w0.letters:
-        a0 = a.substitute({z: zero}, nvars_out=nvars)
+        a0 = a.dilate(z, 0)
         payloads.append((root, a - a0))
         conjugators.append((root, a0))
     out: list = []
@@ -311,8 +301,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
     non-proportional to gamma.  Payload powers of s are reserved on the
     constant slot so that later conjugations keep integral arguments."""
     base, nvars = t.base, t.nvars
-    zero = MultiPoly.zero(base, nvars)
-    t0 = t.substitute({z: zero}, nvars_out=nvars)
+    t0 = t.dilate(z, 0)
     d1, d2, i0, j0, constants = opposite_decomposition(rs, gamma)
     n0 = dict(((i, j), n) for i, j, _, n in constants)[(i0, j0)]
     const_power = j0 if i0 == 1 else i0
@@ -358,19 +347,10 @@ def _clearing_exponent(letters, z: int, s: int):
 
 
 def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):
-    if not letters:
-        return ElemWord(rs, [])
-    base, nvars = letters[0][1].base, letters[0][1].nvars
-    x = MultiPoly.variable(base, nvars, z)
-    img = {z: x.scale(s ** k1)}
-    out = []
     try:
-        for root, arg in letters:
-            cleared = arg.substitute(img, nvars_out=nvars)
-            out.append((root, convert(cleared, target)))
+        return ElemWord(rs, [(r, convert(a.dilate(z, s ** k1), target)) for r, a in letters])
     except BaseMismatch:
         return None
-    return ElemWord(rs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +361,13 @@ def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):
 class DilationCert:
     """Certificate that g(ax) g(bx)^{-1} is elementary once a = b mod s^k.
 
-    generator(a, b) emits a verified word for that element.
+    generator(a, b) emits a verified word for that element; a and b
+    are integers.
     """
 
     s: int
     k: int
     generator: object
-
-
-def _as_coeff_poly(value, base: BaseRing, nvars: int, forbid_var: int) -> MultiPoly:
-    if isinstance(value, MultiPoly):
-        p = convert(value, base) if value.base != base else value
-        p = p.extend_vars(nvars) if p.nvars < nvars else p
-    else:
-        p = MultiPoly.const(base, nvars, value)
-    if p.degree_in(forbid_var) > 0:
-        raise PreconditionViolated("dilation arguments must not involve the dilated variable")
-    return p
 
 
 def dilation_factor(
@@ -417,23 +387,18 @@ def dilation_factor(
     nvars = g.nvars
     loc = BaseRing.integers_localized(s)
     g_loc = g.map_entries(lambda p: convert(p, loc))
+    # this check puts g in E(Z[1/s][x]), so every g(bx) below is invertible
     if eval_word(w_s, loc, nvars) != g_loc:
         raise PreconditionViolated("word does not evaluate to the localized matrix")
 
-    x = MultiPoly.variable(base, nvars, var)
-
     def verified_generator(word_for):
-        """generator(a, b): the free-reduced word_for(a, b), checked
-        against g(ax) g(bx)^{-1} exactly."""
+        """generator(a, b) for integers a, b: the free-reduced
+        word_for(a, b), checked exactly as eval(word) g(bx) = g(ax)."""
 
         def generator(a, b):
-            pa = _as_coeff_poly(a, base, nvars, var)
-            pb = _as_coeff_poly(b, base, nvars, var)
-            word = free_reduce(word_for(pa, pb))
-            expect = g.substitute({var: x * pa}, nvars_out=nvars) * (
-                g.substitute({var: x * pb}, nvars_out=nvars).inverse()
-            )
-            if eval_word(word, base, nvars) != expect:
+            a, b = base.normalize(a), base.normalize(b)
+            word = free_reduce(word_for(a, b))
+            if eval_word(word, base, nvars) * g.dilate(var, b) != g.dilate(var, a):
                 raise PreconditionViolated("generator output failed verification")
             return word
 
@@ -442,9 +407,9 @@ def dilation_factor(
     if all(denominator_lcm(arg) == 1 for _, arg in w_s.letters):
         w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
 
-        def direct(pa, pb):
-            wa = map_word(w_int, ("substitute", {var: x * pa}, nvars))
-            wb = map_word(w_int, ("substitute", {var: x * pb}, nvars))
+        def direct(a, b):
+            wa = ElemWord(w_int.rs, [(r, p.dilate(var, a)) for r, p in w_int])
+            wb = ElemWord(w_int.rs, [(r, p.dilate(var, b)) for r, p in w_int])
             return wa.concat(invert_word(wb))
 
         return DilationCert(s=s, k=0, generator=verified_generator(direct))
@@ -465,23 +430,18 @@ def dilation_factor(
     int_z = MultiPoly.variable(base, n2, zv)
     int_x = MultiPoly.variable(base, n2, var)
     g_ext = g.map_entries(lambda p: p.extend_vars(n2))
-    f_mat = g_ext.substitute({var: int_x * (int_y + int_z)}, nvars_out=n2) * (
-        g_ext.substitute({var: int_x * int_y}, nvars_out=n2).inverse()
-    )
-    sk = MultiPoly.const(base, n2, s ** k)
-    if eval_word(h, base, n2) != f_mat.substitute({zv: int_z * sk}, nvars_out=n2):
+    g_xy = g_ext.substitute({var: int_x * int_y}, nvars_out=n2)
+    g_xyz = g_ext.substitute({var: int_x * (int_y + int_z)}, nvars_out=n2)
+    # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
+    if eval_word(h, base, n2) * g_xy != g_xyz.dilate(zv, s ** k):
         raise PreconditionViolated("descended word differs from the dilated matrix over Z")
 
-    def descended(pa, pb):
-        mod = s ** k
-        quot = {}
-        for e, c in (pa - pb).terms.items():
-            if c % mod:
-                raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
-            quot[e] = c // mod
-        zq = MultiPoly(base, nvars, quot).extend_vars(n2)
-        word = map_word(h, ("substitute", {yv: pb.extend_vars(n2), zv: zq}, n2))
-        return shrink_word_vars(word, nvars)
+    def descended(a, b):
+        q, r = divmod(a - b, s ** k)
+        if r:
+            raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
+        img = {yv: MultiPoly.const(base, n2, b), zv: MultiPoly.const(base, n2, q)}
+        return shrink_word_vars(map_word(h, ("substitute", img, n2)), nvars)
 
     return DilationCert(s=s, k=k, generator=verified_generator(descended))
 

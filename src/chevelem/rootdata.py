@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import (
     NotAUnit,
+    NotInGroup,
     ProportionalRoots,
     RankTooLow,
     SizeMismatch,
@@ -308,7 +309,7 @@ class GroupMatrix:
         adj = _adjugate(self.entries, self.base, self.nvars)
         d = self.det()
         if not (d.is_constant() and d.constant_term() == self.base.one()):
-            raise SizeMismatch("inverse only for determinant-1 matrices")
+            raise NotInGroup("inverse only for determinant-1 matrices")
         return GroupMatrix(self.rs, adj)
 
     def substitute(self, assignment: dict, nvars_out: int | None = None) -> "GroupMatrix":
@@ -320,9 +321,12 @@ class GroupMatrix:
             ],
         )
 
+    def dilate(self, var: int, c) -> "GroupMatrix":
+        """Entrywise MultiPoly.dilate: the image under x_var -> c * x_var."""
+        return self.map_entries(lambda p: p.dilate(var, c))
+
     def at_zero(self, var: int) -> "GroupMatrix":
-        z = MultiPoly.zero(self.base, self.nvars)
-        return self.substitute({var: z}, nvars_out=self.nvars)
+        return self.dilate(var, 0)
 
     def map_entries(self, fn) -> "GroupMatrix":
         return GroupMatrix(self.rs, [[fn(p) for p in row] for row in self.entries])
@@ -561,10 +565,7 @@ def opposite_decomposition(rs: RootSystem, gamma):
                 rs.proportional(gg, g) for i, j, gg in cone if gg != g
             ):
                 continue
-            try:
-                constants = structure_constants(rs, d1, d2)
-            except ProportionalRoots:
-                continue
+            constants = structure_constants(rs, d1, d2)
             cmap = {(i, j): n for i, j, _, n in constants}
             i0, j0 = entry[0]
             n0 = cmap.get((i0, j0), 0)

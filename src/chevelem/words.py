@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BaseMismatch, UnknownRoot
-from .exactring import BaseRing, MultiPoly, convert
+from .errors import BaseMismatch
+from .exactring import BaseRing, convert
 from .rootdata import GroupMatrix, RootSystem, column_update
 
 
@@ -164,13 +164,7 @@ def congruence_check(w: ElemWord, z: int) -> CongruenceTag:
     """holds = True iff eval(w) becomes the identity under z -> 0."""
     if not w.letters:
         return CongruenceTag(variable=z, holds=True)
-    base, nvars = w.base_and_nvars()
-    if z >= nvars:
-        raise UnknownRoot("variable index %d out of range" % z)
-    m = eval_word(w)
-    zero = MultiPoly.zero(base, nvars)
-    at0 = m.substitute({z: zero}, nvars_out=nvars)
-    return CongruenceTag(variable=z, holds=at0.is_identity())
+    return CongruenceTag(variable=z, holds=eval_word(w).at_zero(z).is_identity())
 
 
 def extend_word_vars(w: ElemWord, nvars: int) -> ElemWord:

@@ -243,6 +243,36 @@ def test_substitute_matches_reference():
                 assert evaluate(got, point) == evaluate(p, inner)
 
 
+@pytest.mark.parametrize("base", [Z, Z8, F5, Q, ZHALF], ids=str)
+def test_dilate_matches_substitute(base):
+    # the term map against the general substitution x_var -> c * x_var,
+    # term order and coefficient types included
+    rng = random.Random(4326)
+    scalars = [0, 1, -1, 2] + ([Fraction(3, 2)] if base.kind in ("Q", "Zloc") else [])
+    for nvars in (1, 2, 3):
+        for _ in range(8):
+            p = random_poly(rng, base, nvars, max_terms=6)
+            for var in {0, nvars - 1}:
+                x = MultiPoly.variable(base, nvars, var)
+                for c in scalars:
+                    ref = p.substitute({var: x.scale(c)}, nvars)
+                    assert typed_items(p.dilate(var, c)) == typed_items(ref)
+    if base == Z8:  # 2^3 = 0: the x1^3 term vanishes, 4*x1 becomes 0 too
+        p = P("x1^3 + 4*x1 + 3", Z8)
+        assert p.dilate(0, 2) == P("3", Z8) == p.substitute({0: P("2*x1", Z8)})
+
+
+def test_dilate_rejects_variable_out_of_range():
+    p = P("x1*x2 + 1", Z, 2)
+    ident = GroupMatrix.identity(build_root_system("A", 2), Z, 2)
+    for target in (p, ident):
+        for var in (-1, 2):
+            with pytest.raises(ValueError):
+                target.dilate(var, 3)
+            with pytest.raises(ValueError):
+                target.dilate(var, 0)
+
+
 def test_substitute_error_branches():
     p = P("x1*x2", Z, 2)
     ident = GroupMatrix.identity(build_root_system("A", 2), Z, 2)

@@ -72,36 +72,49 @@ def test_no_unused_imports():
     assert not found, "imports never read: " + ", ".join(found)
 
 
-def test_exponents_summed_only_by_the_adder():
-    # _mul_add picks one adder per call; tuple(map(add, ...)) is its
-    # generic fallback, and a second copy would bypass the unrolled ones
+def functions_with_line(predicate):
+    """'file: function' for each line of src/ that predicate accepts, named
+    by the innermost def around it."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
         for lineno, line in enumerate(text.splitlines(), 1):
-            if "tuple(map(add" in line:
+            if predicate(line):
                 inner = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
                 name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
                 found.append("%s: %s" % (path.name, name))
+    return found
+
+
+def test_exponents_summed_only_by_the_adder():
+    # _mul_add picks one adder per call; tuple(map(add, ...)) is its
+    # generic fallback, and a second copy would bypass the unrolled ones
+    found = functions_with_line(lambda line: "tuple(map(add" in line)
     assert found == ["exactring.py: _add_any"], found
 
 
 def test_structure_constants_read_only_through_rootdata():
     # commutator_expand turns the constants into letters; a module that
     # read them itself would rebuild those letters by hand
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        funcs = [n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.FunctionDef)]
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if "structure_constants(" in line and "def structure_constants(" not in line:
-                inner = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
-                name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
-                found.append("%s: %s" % (path.name, name))
+    found = functions_with_line(
+        lambda line: "structure_constants(" in line and "def structure_constants(" not in line
+    )
     assert found == [
         "rootdata.py: commutator_expand",
         "rootdata.py: opposite_decomposition",
+    ], found
+
+
+def test_substitute_called_only_for_maps_that_are_not_dilations():
+    # x -> c*x and evaluation at zero go through the term map dilate; a
+    # substitute call elsewhere would rebuild a dilation image by hand
+    found = functions_with_line(lambda line: ".substitute(" in line)
+    assert found == [
+        "localglobal.py: dilation_factor",
+        "localglobal.py: dilation_factor",
+        "rootdata.py: substitute",
+        "words.py: map_word",
     ], found
 
 

@@ -12,7 +12,7 @@ from chevelem.errors import (
     DescentBudgetExceeded,
     PreconditionViolated,
 )
-from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, convert, denominator_lcm, parse_poly
 from chevelem.factorize import random_elementary_word
 from chevelem.localglobal import (
     Budget,
@@ -478,6 +478,40 @@ def test_dilation_factor_checks_descended_word(monkeypatch):
     monkeypatch.setattr(localglobal, "descend_word", one_letter_short)
     with pytest.raises(PreconditionViolated):
         dilation_factor(g, w_s, 2)
+
+
+def _direct_and_descended_certs():
+    w, g = integral_word_and_matrix(random.Random(7), A2)
+    direct = dilation_factor(g, map_word(w, ("localize", 2)), 2)
+    w_s = halfling_word(random.Random(21), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g2 = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    assert any(denominator_lcm(a) > 1 for _, a in w_s.letters)  # so it descends
+    return direct, dilation_factor(g2, w_s, 2)
+
+
+def test_dilation_generator_checks_its_word(monkeypatch):
+    # a generator word that misses its first letter evaluates to another
+    # matrix, and the multiplied-out check eval(word) g(bx) = g(ax) refuses it
+    certs = _direct_and_descended_certs()
+    real = localglobal.free_reduce
+
+    def first_letter_dropped(w):
+        reduced = real(w)
+        assert len(reduced) > 0
+        return ElemWord(reduced.rs, reduced.letters[1:])
+
+    monkeypatch.setattr(localglobal, "free_reduce", first_letter_dropped)
+    for cert in certs:
+        with pytest.raises(PreconditionViolated):
+            cert.generator(1 + 2 ** cert.k, 1)
+
+
+def test_dilation_generator_takes_integers_only():
+    # a polynomial argument is not coerced into Z: no word comes back
+    for cert in _direct_and_descended_certs():
+        with pytest.raises(TypeError):
+            cert.generator(MultiPoly.const(Z, 1, 3), 1)
 
 
 def test_dilation_factor_empty_descent():

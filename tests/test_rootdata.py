@@ -6,6 +6,7 @@ import pytest
 
 from chevelem.errors import (
     NotAUnit,
+    NotInGroup,
     ProportionalRoots,
     RankTooLow,
     SizeMismatch,
@@ -194,6 +195,15 @@ def test_membership_cohn_block():
 def test_membership_size_mismatch():
     with pytest.raises(SizeMismatch):
         membership_check([[const(Z, 1, 1)]], A2)
+
+
+def test_inverse_rejects_determinant_not_one():
+    # diag(2, 1, 1) has the right size; it fails the det check, not a size check
+    one = const(Z, 1, 1)
+    zero = MultiPoly.zero(Z, 1)
+    m = GroupMatrix(A2, [[const(Z, 1, 2), zero, zero], [zero, one, zero], [zero, zero, one]])
+    with pytest.raises(NotInGroup):
+        m.inverse()
 
 
 def test_det_against_permutation_sum():

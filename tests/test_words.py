@@ -149,6 +149,16 @@ def test_congruence_tag():
         assert congruence_check(ElemWord.empty(A2), z) == CongruenceTag(z, True)
 
 
+@pytest.mark.parametrize("z", [-1, 1], ids=["negative", "nvars"])
+def test_variable_out_of_range_raises(z):
+    # an index that names no variable is an error, never a no-op
+    w = ElemWord(A2, [(E12, MultiPoly.variable(Z, 1, 0))])
+    with pytest.raises(ValueError):
+        congruence_check(w, z)
+    with pytest.raises(ValueError):
+        eval_word(w).at_zero(z)
+
+
 def test_congruence_commutator_pattern():
     z = MultiPoly.variable(Z, 1, 0)
     one = const(1)
