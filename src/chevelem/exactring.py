@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd
 from operator import add
@@ -119,13 +120,19 @@ class BaseRing:
 
         Raises BaseMismatch when there is none: a denominator that is not
         1 over Z, not invertible mod m, or not dividing a power of s.
+        Strings and bools are not ring elements and raise TypeError.
         """
         m = self.modulus
-        if isinstance(c, int):
+        if type(c) is int:
             if m is not None:
                 return c % m
             return c if self.kind == KIND_INTEGERS else Fraction(c)
-        q = c if isinstance(c, Fraction) else Fraction(c)
+        if type(c) is Fraction:
+            q = c
+        elif isinstance(c, (str, bool)):
+            raise TypeError("a ring element is an int or a rational, not %r" % (c,))
+        else:
+            q = Fraction(c)
         den = q.denominator
         if m is not None:
             if gcd(den, m) != 1:
@@ -655,6 +662,8 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
 
     Text in emit_poly's canonical form is read in one linear pass; any
     other text goes through the recursive descent of _parse_general.
+    Both readers give int coefficients to text without a "/", which over
+    Z are already normalized and so are kept as read.
     """
     try:
         if _CANONICAL.fullmatch(text):
@@ -663,6 +672,8 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
             p = _parse_general(text, nvars)
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
+    if base.kind == KIND_INTEGERS and "/" not in text:
+        return MultiPoly(base, nvars, p, normalized=True)
     terms = {}
     for e, c in p.items():
         c = base.normalize(c)
@@ -690,21 +701,28 @@ def _read_canonical(text: str, nvars: int) -> dict:
             num, _, chain = mono.partition("*")
             n, slash, d = num.partition("/")
             c = Fraction(int(n), int(d)) if slash else int(n)
-        e = [0] * nvars
-        if chain:
-            for f in chain.split("*"):
-                i = int(f[1]) - 1
-                if i >= nvars:
-                    raise ParseError("variable x%d beyond declared nvars=%d" % (i + 1, nvars))
-                e[i] += int(f[3:]) if len(f) > 2 else 1
+        key = _chain_exponents(chain, nvars)
         if c:
-            key = tuple(e)
             v = acc.get(key, 0) + (-c if neg else c)
             if v:
                 acc[key] = v
             elif key in acc:
                 del acc[key]
     return acc
+
+
+@lru_cache(maxsize=4096)
+def _chain_exponents(chain: str, nvars: int) -> tuple:
+    """The exponent tuple of a variable part such as "x1^3*x2" ("" for a
+    constant); memoised, as certificates repeat a few hundred of them."""
+    e = [0] * nvars
+    if chain:
+        for f in chain.split("*"):
+            i = int(f[1]) - 1
+            if i >= nvars:
+                raise ParseError("variable x%d beyond declared nvars=%d" % (i + 1, nvars))
+            e[i] += int(f[3:]) if len(f) > 2 else 1
+    return tuple(e)
 
 
 def _parse_general(text: str, nvars: int) -> dict:

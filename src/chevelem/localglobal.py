@@ -33,7 +33,6 @@ from .exactring import (
 from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
 from .words import (
     ElemWord,
-    congruence_check,
     eval_word,
     extend_word_vars,
     free_reduce,
@@ -209,7 +208,8 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
     base, nvars = w.base_and_nvars()
     if base.kind not in ("Zloc",):
         raise PreconditionViolated("descent expects a word over Z[1/s]")
-    if not congruence_check(w, z).holds:
+    gw = eval_word(w, base, nvars)
+    if not gw.at_zero(z).is_identity():
         raise PreconditionViolated("word is not congruent to the identity at z=0")
 
     target = BaseRing.integers()
@@ -229,9 +229,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         if h is None:
             continue
         k = k0 + k1
-        dilated = dilate_word(w, z, s, k)
         lhs = eval_word(h, target, nvars).map_entries(lambda p: convert(p, base))
-        if lhs == eval_word(dilated, base, nvars) and lhs.at_zero(z).is_identity():
+        # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map
+        if lhs == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
     raise DescentBudgetExceeded(
         "no verified descent within %d dilation levels" % DILATION_LEVELS

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BaseMismatch
-from .exactring import BaseRing, convert
-from .rootdata import GroupMatrix, RootSystem, column_update
+from .exactring import BaseRing, MultiPoly, _mul_add, convert
+from .rootdata import GroupMatrix, RootSystem
 
 
 class ElemWord:
@@ -89,11 +89,24 @@ def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = Non
     else:
         base = base or BaseRing.integers()
         nvars = 1 if nvars is None else nvars
-    rows = [list(row) for row in GroupMatrix.identity(w.rs, base, nvars).entries]
+    size, m, unipotent_terms = w.rs.matrix_size, base.modulus, w.rs.unipotent_terms
+    one = {(0,) * nvars: base.one()}
+    rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
+    # column_update copies each entry, as the greedy keeps old matrices as
+    # memo keys; these dicts are ours, and no root's target columns are its
+    # source columns, so each letter folds in place
     for root, arg in w.letters:
-        if not arg.is_zero():
-            column_update(rows, w.rs.unipotent_terms[root], arg)
-    return GroupMatrix(w.rs, rows)
+        neg = None
+        for r, c, sign in unipotent_terms[root]:
+            if sign < 0 and neg is None:
+                neg = (-arg).terms
+            coeff = arg.terms if sign > 0 else neg
+            for row in rows:
+                if row[r]:
+                    _mul_add(row[c], coeff, row[r], m)
+    return GroupMatrix(
+        w.rs, [[MultiPoly(base, nvars, p, normalized=True) for p in row] for row in rows]
+    )
 
 
 def invert_word(w: ElemWord) -> ElemWord:

@@ -93,6 +93,23 @@ def test_normalize_contract():
     assert (z4.modulus, F5.modulus, Z.modulus, Q.modulus, ZHALF.modulus) == (4, 5, None, None, None)
 
 
+@pytest.mark.parametrize("base", [Z, Q, Z4, F5, ZHALF], ids=str)
+def test_normalize_refuses_strings_and_bools(base):
+    for c in ("3", "1/3", True, False):
+        with pytest.raises(TypeError):
+            base.normalize(c)
+        with pytest.raises(TypeError):
+            MultiPoly.const(base, 1, c)
+
+
+def test_normalize_keeps_float_behaviour():
+    # floats still go through Fraction: exact values pass, others mismatch
+    assert Z.normalize(2.0) == 2 and type(Z.normalize(2.0)) is int
+    assert Q.normalize(0.5) == Fraction(1, 2)
+    with pytest.raises(BaseMismatch):
+        Z.normalize(2.9)
+
+
 def test_localized_denominator_check():
     with pytest.raises(BaseMismatch):
         ZHALF.normalize(Fraction(1, 3))
@@ -581,3 +598,38 @@ def test_parse_long_text_uses_no_polynomial_products(monkeypatch):
         )
     assert parse_poly(text, Q, 2) == p
     assert calls == []
+
+
+def test_reader_memo_keys_on_nvars():
+    # one chain read under two variable counts gives tuples of each length
+    assert list(parse_poly("x1^3*x2", Z, 2).terms) == [(3, 1)]
+    assert list(parse_poly("x1^3*x2", Z, 3).terms) == [(3, 1, 0)]
+    assert list(parse_poly("2*x1^3*x2", Q, 2).terms) == [(3, 1)]
+
+
+def test_reader_raises_again_on_a_chain_it_refused():
+    # exceptions are not memoised: the same text fails the same way twice
+    for _ in range(2):
+        with pytest.raises(ParseError, match="variable x2 beyond declared nvars=1"):
+            parse_poly("x2", Z, 1)
+        with pytest.raises(ParseError, match="variable x3 beyond declared nvars=2"):
+            parse_poly("0*x1*x3", Z, 2)
+
+
+def test_reader_over_z_keeps_ints_and_refuses_fractions():
+    p = parse_poly("x1^2*x2 - 3*x2 + 4", Z, 2)
+    assert typed_items(p) == [((2, 1), 1, int), ((0, 1), -3, int), ((0, 0), 4, int)]
+    assert typed_items(parse_poly("4/2*x1 + 1", Z, 1)) == [((1,), 2, int), ((0,), 1, int)]
+    assert typed_items(parse_poly("(x1 + 1)^2 - 1", Z, 1)) == [((2,), 1, int), ((1,), 2, int)]
+    for text in ("1/2", "x1 + 1/2"):
+        with pytest.raises(BaseMismatch):
+            parse_poly(text, Z, 1)
+
+
+@pytest.mark.parametrize("base", [Z, Q, ZHALF], ids=str)
+def test_reader_two_variable_roundtrip(base):
+    text = "-x1*x2^3 + 3*x1^2*x2 + x1^2 - 7*x2 + 5"
+    p = parse_poly(text, base, 2)
+    assert emit_poly(p) == text
+    assert parse_poly(emit_poly(p), base, 2) == p
+    assert emit_poly(parse_poly("3*x1^2*x2 + x1^2 - x1*x2^3 + 5 - 7*x2", base, 2)) == text

@@ -514,6 +514,16 @@ def test_dilation_generator_takes_integers_only():
             cert.generator(MultiPoly.const(Z, 1, 3), 1)
 
 
+@pytest.mark.parametrize("a", ["3", True], ids=["string", "bool"])
+def test_dilation_generator_refuses_strings_and_bools(a):
+    # "3" and True are not integers of Z, though Fraction() would take them
+    for cert in _direct_and_descended_certs():
+        with pytest.raises(TypeError):
+            cert.generator(a, 1)
+        with pytest.raises(TypeError):
+            cert.generator(1, a)
+
+
 def test_dilation_factor_empty_descent():
     # the descended word is empty; its congruence must be read off the
     # matrix, since an empty word carries no variable count

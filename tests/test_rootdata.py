@@ -442,3 +442,16 @@ def test_opposite_decomposition_everywhere():
             for (i, j), (other, _) in cmap.items():
                 if other != g:
                     assert not rs.proportional(other, g)
+
+
+@pytest.mark.parametrize(
+    "kind,rank", [("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)]
+)
+def test_unipotent_targets_are_never_sources(kind, rank):
+    # eval_word folds each letter into its target columns in place; that
+    # reads no changed entry only if no target column is a source column
+    # (A1 is left out: build_root_system refuses rank 1)
+    rs = build_root_system(kind, rank)
+    for root in rs.roots:
+        terms = rs.unipotent_terms[root]
+        assert not {c for _, c, _ in terms} & {r for r, _, _ in terms}, root

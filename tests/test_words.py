@@ -1,12 +1,13 @@
 """Word evaluation, inversion, reduction, transport, congruence tags."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from chevelem.errors import BaseMismatch
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
-from chevelem.rootdata import build_root_system
+from chevelem.rootdata import GroupMatrix, build_root_system
 from chevelem.words import (
     CongruenceTag,
     ElemWord,
@@ -164,3 +165,73 @@ def test_congruence_commutator_pattern():
     one = const(1)
     w = ElemWord(A2, [(E12, z), (E21, one), (E12, -z), (E21, -one)])
     assert congruence_check(w, 0).holds
+
+
+# -- eval_word against a letter-by-letter reference ---------------------------
+
+EVAL_BASES = [
+    Z,
+    BaseRing.integers_mod(8),
+    BaseRing.prime_field(5),
+    BaseRing.rationals(),
+    ZHALF,
+]
+EVAL_SYSTEMS = [build_root_system(k, r) for k, r in (("A", 2), ("A", 3), ("C", 2), ("C", 3))]
+
+
+def typed_entries(g):
+    """Each entry's terms sorted by exponent, with coefficient types."""
+    return [[sorted((e, c, type(c)) for e, c in p.terms.items()) for p in row] for row in g.entries]
+
+
+def reference_eval(w, base, nvars):
+    """The product of the letters by rmul_unipotent, one at a time."""
+    g = GroupMatrix.identity(w.rs, base, nvars)
+    for root, arg in w.letters:
+        g = g.rmul_unipotent(root, arg)
+    return g
+
+
+def rand_arg(rng, base, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        c = rng.randint(-5, 5)
+        if base.kind == "Q":
+            c = Fraction(c, rng.randint(1, 3))
+        elif base.kind == "Zloc":
+            c = Fraction(c, 2 ** rng.randint(0, 2))
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(base, nvars, terms)
+
+
+@pytest.mark.parametrize("rs", EVAL_SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
+@pytest.mark.parametrize("base", EVAL_BASES, ids=str)
+def test_eval_word_matches_letter_by_letter_reference(base, rs):
+    rng = random.Random("eval-%s-%s%d" % (base, rs.kind, rs.rank))
+    for nvars in (1, 2, 3):
+        identity = typed_entries(GroupMatrix.identity(rs, base, nvars))
+        for _ in range(3):
+            letters = [(rng.choice(rs.roots), rand_arg(rng, base, nvars)) for _ in range(8)]
+            w = ElemWord(rs, letters)
+            got = eval_word(w, base, nvars)
+            assert typed_entries(got) == typed_entries(reference_eval(w, base, nvars))
+            # w then its inverse: every entry cancels back to the identity's
+            assert typed_entries(eval_word(w.concat(invert_word(w)), base, nvars)) == identity
+        empty = eval_word(ElemWord.empty(rs), base, nvars)
+        assert (empty.base, empty.nvars) == (base, nvars)
+        assert typed_entries(empty) == identity
+
+
+def test_eval_word_leaves_letters_alone():
+    # eval_word folds into dicts of its own: no letter's terms change, and
+    # no entry of the product is a letter's dict
+    rng = random.Random(2020)
+    for rs in EVAL_SYSTEMS:
+        for base in EVAL_BASES:
+            letters = [(rng.choice(rs.roots), rand_arg(rng, base, 2)) for _ in range(12)]
+            before = [dict(arg.terms) for _, arg in letters]
+            g = eval_word(ElemWord(rs, letters), base, 2)
+            assert [arg.terms for _, arg in letters] == before
+            owned = {id(arg.terms) for _, arg in letters}
+            assert not any(id(p.terms) in owned for row in g.entries for p in row)
