@@ -45,14 +45,8 @@ EXIT_NOT_FACTORED = 2
 EXIT_BAD_INPUT = 3
 
 
-def _rand_poly(rng: random.Random, nvars: int, max_degree: int = 2, bound: int = 9) -> MultiPoly:
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        e = tuple(rng.randint(0, max_degree) for _ in range(nvars))
-        c = rng.randint(-bound, bound)
-        if c:
-            terms[e] = terms.get(e, 0) + c
-    return MultiPoly(Z, nvars, terms)
+def _rand_poly(rng: random.Random, nvars: int) -> MultiPoly:
+    return MultiPoly.random(rng, Z, nvars, 3, 2, 9)
 
 
 def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from .errors import (
     BaseMismatch,
@@ -212,14 +212,12 @@ class MultiPoly:
         if normalized:
             self.terms = terms
         else:
-            clean = {}
-            for exps, c in terms.items():
-                c = base.normalize(c)
-                if c != 0:
-                    if len(exps) != nvars:
-                        raise ValueError("exponent tuple %r has wrong length" % (exps,))
-                    clean[tuple(exps)] = c
-            self.terms = clean
+            for exps in terms:  # every key, also one with a zero coefficient
+                if type(exps) is not tuple or len(exps) != nvars or not (
+                    set(map(type, exps)) <= {int} and min(exps, default=0) >= 0
+                ):
+                    raise ValueError("exponent tuple %r is not %d ints >= 0" % (exps, nvars))
+            self.terms = _coerced(terms, base)
         self._hash = None
 
     # -- constructors ----------------------------------------------------
@@ -234,6 +232,18 @@ class MultiPoly:
         if c == 0:
             return MultiPoly.zero(base, nvars)
         return MultiPoly(base, nvars, {(0,) * nvars: c}, normalized=True)
+
+    @staticmethod
+    def random(rng, base: BaseRing, nvars: int, max_terms: int, max_degree: int, bound: int):
+        """1 to max_terms terms of degree <= max_degree in each variable and
+        coefficients in [-bound, bound], drawn from rng."""
+        terms: dict = {}
+        for _ in range(rng.randint(1, max_terms)):
+            e = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            c = rng.randint(-bound, bound)
+            if c:
+                terms[e] = terms.get(e, 0) + c
+        return MultiPoly(base, nvars, _coerced(terms, base), normalized=True)
 
     @staticmethod
     def variable(base: BaseRing, nvars: int, index: int) -> "MultiPoly":
@@ -253,6 +263,10 @@ class MultiPoly:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, self.base.zero())
 
+    def coefficient(self, exps: tuple):
+        """The coefficient of the monomial with exponent tuple exps."""
+        return self.terms.get(tuple(exps), self.base.zero())
+
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -265,6 +279,20 @@ class MultiPoly:
 
     def coefficients(self):
         return self.terms.values()
+
+    def weighted_size(self, degw: int, bitw: int, minus_one: bool = False) -> int:
+        """Sum over the terms of 1 + degw*deg^2 + bitw*bits, with deg the
+        total degree and bits the coefficient's length; of self - 1, not
+        built, when minus_one."""
+        total = 0
+        for e, c in self.terms.items():
+            bits = abs(c).bit_length() + 1 if type(c) is int else _bits(c)
+            total += 1 + degw * sum(e) ** 2 + bitw * bits
+        if minus_one:  # the constant term c becomes d = c - 1
+            c = self.terms.get((0,) * self.nvars, 0)
+            d = c - 1 if self.base.modulus is None else (c - 1) % self.base.modulus
+            total += (1 + bitw * _bits(d) if d else 0) - (1 + bitw * _bits(c) if c else 0)
+        return total
 
     def _check_compatible(self, other: "MultiPoly") -> None:
         same_base = self.base is other.base or self.base == other.base
@@ -429,6 +457,112 @@ class MultiPoly:
         return emit_poly(self)
 
 
+def _coerced(terms: dict, base: BaseRing) -> dict:
+    """terms with each coefficient normalized into base, zeros dropped."""
+    out = {}
+    for e, c in terms.items():
+        c = base.normalize(c)
+        if c:
+            out[e] = c
+    return out
+
+
+def _bits(c) -> int:
+    """Length of an int or a fraction in bits, sign bit included."""
+    if type(c) is int:
+        return abs(c).bit_length() + 1
+    return abs(c.numerator).bit_length() + c.denominator.bit_length()
+
+
+# ---------------------------------------------------------------------------
+# products and division, on whole polynomials
+
+
+def add_product(p: MultiPoly, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """p + a*b, folded into one copy of p's terms; p itself when a or b is
+    zero.  The operands are not checked against each other: callers pass
+    entries of one matrix, which was checked once."""
+    if not (a.terms and b.terms):
+        return p
+    acc = dict(p.terms)
+    _mul_add(acc, a.terms, b.terms, p.base.modulus)
+    return MultiPoly(p.base, p.nvars, acc, normalized=True)
+
+
+def sum_of_products(pairs, base: BaseRing, nvars: int) -> MultiPoly:
+    """The sum of a*b over the (a, b) in pairs, all over base in nvars
+    variables and, as in add_product, not checked against each other."""
+    m = base.modulus
+    acc = None  # the first nonzero product starts the sum
+    for a, b in pairs:
+        x, y = a.terms, b.terms
+        if x and y:
+            if acc is None:
+                acc = _mul_terms(x, y, m)
+            else:
+                _mul_add(acc, x, y, m)
+    return MultiPoly(base, nvars, acc or {}, normalized=True)
+
+
+def _glex(e: tuple) -> tuple:
+    """Graded-lex sort key of an exponent tuple (x1 > x2 > ...)."""
+    return sum(e), e
+
+
+def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
+    """Strip leading terms of a against b: the one polynomial division in
+    the package, behind the greedy's candidates and the field Euclid.
+
+    Stops early when a leading exponent or coefficient does not divide.
+    Returns (partial, exact, first).  partial is the quotient found within
+    the first 2*len(a)+8 steps; exact is the whole quotient when at most
+    4*(len(a)+len(b)+4) steps leave no remainder, else None.  A given
+    limit replaces both; math.inf runs the division to completion.  first
+    is (leading monomial of a over that of b, with coefficient 1, leading
+    coefficient of a, of b), or None when that monomial does not exist.
+    The remainder is one term dict, less each quotient term times b."""
+    base, nvars = a.base, a.nvars
+    m = base.modulus
+    if limit is None:
+        partial_limit = 2 * len(a.terms) + 8
+        limit = 4 * (len(a.terms) + len(b.terms) + 4)
+    else:
+        partial_limit = limit
+    q_terms: dict = {}
+    partial = first = None
+    r = dict(a.terms)
+    lead_b = max(b.terms, key=_glex)
+    cb = b.terms[lead_b]
+    steps = 0
+    while r and steps < limit:
+        if steps == partial_limit:
+            partial = dict(q_terms)
+        steps += 1
+        lead_r = max(r, key=_glex)
+        cr = r[lead_r]
+        exps = tuple(map(sub, lead_r, lead_b))
+        if any(e < 0 for e in exps):
+            break
+        if first is None:
+            first = (MultiPoly(base, nvars, {exps: base.one()}, normalized=True), cr, cb)
+        if base.kind == KIND_PRIME_FIELD:
+            coeff = cr * pow(cb, -1, m) % m
+        elif base.kind == KIND_INTEGERS:
+            coeff, rem = divmod(cr, cb)
+            if rem:
+                break
+        else:
+            try:
+                coeff = base.normalize(Fraction(cr) / Fraction(cb))
+            except BaseMismatch:
+                break
+        q_terms[exps] = coeff
+        _mul_add(r, {exps: -coeff}, b.terms, m)
+    q = MultiPoly(base, nvars, q_terms, normalized=True)
+    part = q if partial is None else MultiPoly(base, nvars, partial, normalized=True)
+    return part, (None if r else q), first
+
+
 # ---------------------------------------------------------------------------
 # annihilators and s-valuations
 
@@ -491,6 +625,23 @@ def poly_s_valuation(p: MultiPoly, s: int) -> int | None:
     return min(vals)
 
 
+def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
+    """Smallest k >= 0 making p s-integral after x_z -> s^k x_z, or None
+    when a term free of x_z has a coefficient that is not."""
+    k = 0
+    for exps, c in p.terms.items():
+        if c.denominator == 1:
+            continue
+        v = s_valuation(p.base, c, s)
+        if v >= 0:
+            continue
+        cz = exps[z]
+        if cz == 0:
+            return None
+        k = max(k, (-v + cz - 1) // cz)
+    return k
+
+
 def denominator_lcm(p: MultiPoly) -> int:
     """LCM of coefficient denominators (1 for integral polynomials)."""
     out = 1
@@ -518,12 +669,7 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
         m2 = new_base.modulus
         if m2 is None or p.base.modulus % m2 != 0:
             raise BaseMismatch("no ring map %s -> %s" % (p.base, new_base))
-    out = {}
-    for e, c in p.terms.items():
-        c = new_base.normalize(c)
-        if c:
-            out[e] = c
-    return MultiPoly(new_base, p.nvars, out, normalized=True)
+    return MultiPoly(new_base, p.nvars, _coerced(p.terms, new_base), normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +681,9 @@ def emit_poly(p: MultiPoly) -> str:
         return "0"
     if p.nvars > 9:
         raise ParseError("text form supports at most 9 variables")
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     pieces = []
-    for e, c in items:
+    for e in sorted(p.terms, key=_glex, reverse=True):
+        c = p.terms[e]
         mono = "*".join(
             "x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
             for i, k in enumerate(e)
@@ -580,6 +726,8 @@ _CANONICAL = re.compile(r"-?%s(?: [-+] %s)*" % (_MONO, _MONO))
 _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 # the descent spends four Python frames per parenthesis level
 _MAX_PAREN_DEPTH = 100
+# monomial products that one product of the general reader may take (about 50 ms)
+MAX_PARSE_PRODUCTS = 100_000
 
 
 def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
@@ -642,8 +790,8 @@ def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
     return out
 
 
-def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None) -> dict:
-    """p**n on term dicts by repeated squaring; may return p itself."""
+def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None, mul=_mul_terms) -> dict:
+    """p**n on term dicts by repeated squaring with mul; may return p itself."""
     if len(p) == 1:
         ((e, c),) = p.items()
         c = pow(c, n, m)
@@ -651,10 +799,18 @@ def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None) -> dict:
     result, square = None, p
     while n:
         if n & 1:
-            result = square if result is None else _mul_terms(result, square, m)
+            result = square if result is None else mul(result, square, m)
         n >>= 1
-        square = _mul_terms(square, square, m) if n else square
+        square = mul(square, square, m) if n else square
     return {zero: 1} if result is None else result
+
+
+def _capped_mul(a: dict, b: dict, m: int | None = None) -> dict:
+    """_mul_terms for the general reader, refused past MAX_PARSE_PRODUCTS."""
+    if len(a) * len(b) > MAX_PARSE_PRODUCTS:
+        raise ParseError("a product of %d by %d terms exceeds %d monomial products"
+                         % (len(a), len(b), MAX_PARSE_PRODUCTS))
+    return _mul_terms(a, b, m)
 
 
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
@@ -672,14 +828,9 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
             p = _parse_general(text, nvars)
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
-    if base.kind == KIND_INTEGERS and "/" not in text:
-        return MultiPoly(base, nvars, p, normalized=True)
-    terms = {}
-    for e, c in p.items():
-        c = base.normalize(c)
-        if c:
-            terms[e] = c
-    return MultiPoly(base, nvars, terms, normalized=True)
+    if base.kind != KIND_INTEGERS or "/" in text:
+        p = _coerced(p, base)
+    return MultiPoly(base, nvars, p, normalized=True)
 
 
 def _read_canonical(text: str, nvars: int) -> dict:
@@ -730,7 +881,9 @@ def _parse_general(text: str, nvars: int) -> dict:
 
     A recursive descent on dicts without zero coefficients: sums fold
     into one accumulator and a power of one term scales its exponents,
-    so only products of parenthesised sums cost more than linear time.
+    so only products of parenthesised sums cost more than linear time,
+    and each such product, squarings of a power included, is refused past
+    MAX_PARSE_PRODUCTS monomial products.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -760,7 +913,7 @@ def _parse_general(text: str, nvars: int) -> dict:
             times = toks.pop()[0] == "*"
             rhs = factor()
             if times:
-                node = _mul_terms(node, rhs)
+                node = _capped_mul(node, rhs)
             elif len(rhs) == 1 and zero in rhs:
                 d = Fraction(rhs[zero])
                 node = {e: c / d for e, c in node.items()}
@@ -780,7 +933,7 @@ def _parse_general(text: str, nvars: int) -> dict:
             kind, n = toks.pop()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
-            node = _pow_terms(node, n, zero)
+            node = _pow_terms(node, n, zero, mul=_capped_mul)
         return {e: -c for e, c in node.items()} if negate else node
 
     def atom() -> dict:

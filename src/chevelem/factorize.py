@@ -21,17 +21,14 @@ import logging
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from operator import sub
 
 from .errors import (
-    BaseMismatch,
     NotFactored,
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, _fold, _mul_add
+from .exactring import BaseRing, MultiPoly, add_product, leading_term_division
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
@@ -87,13 +84,7 @@ def random_elementary_word(
     letters = []
     while len(letters) < length:
         root = rng.choice(rs.roots)
-        terms = {}
-        for _ in range(rng.randint(1, 2)):
-            e = tuple(rng.randint(0, max_degree) for _ in range(nvars))
-            c = rng.randint(-coeff_bound, coeff_bound)
-            if c:
-                terms[e] = terms.get(e, 0) + c
-        arg = MultiPoly(base, nvars, terms)
+        arg = MultiPoly.random(rng, base, nvars, 2, max_degree, coeff_bound)
         if not arg.is_zero():
             letters.append((root, arg))
     return ElemWord(rs, letters)
@@ -136,8 +127,8 @@ class _FieldPolyScalars:
     def quotient(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         # in k[x1] graded-lex leading terms are x1-leading terms, so the
         # leading-term division run to completion is Euclidean division
-        q, _, _ = _leading_term_division(a, b, math.inf)
-        return MultiPoly(self.base, self.nvars, q, normalized=True)
+        q, _, _ = leading_term_division(a, b, math.inf)
+        return q
 
     def is_unit(self, p: MultiPoly) -> bool:
         return p.is_constant() and not p.is_zero()
@@ -365,76 +356,12 @@ def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
 # the greedy heuristic
 
 
-def _glex(e: tuple) -> tuple:
-    """Graded-lex sort key of an exponent tuple."""
-    return sum(e), e
-
-
-def _leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
-    """Strip leading terms of a against b: the one polynomial division in
-    the package, behind try_divide, partial_quotient and the field Euclid.
-
-    Stops early when a leading exponent or coefficient does not divide.
-    Returns (partial, exact, first).  partial holds the quotient terms
-    found within the first 2*len(a)+8 steps; exact is the whole quotient
-    when at most 4*(len(a)+len(b)+4) steps leave no remainder, else None.
-    The first limit is always the smaller one.  A given limit replaces
-    both; math.inf runs the division to completion.  first is (exponent,
-    leading coefficient of a, of b) of the first step, or None when b's
-    leading monomial does not divide a's.  The remainder is one term dict,
-    updated in place by each quotient term times b."""
-    base = a.base
-    m = base.modulus
-    if limit is None:
-        partial_limit = 2 * len(a.terms) + 8
-        limit = 4 * (len(a.terms) + len(b.terms) + 4)
-    else:
-        partial_limit = limit
-    q_terms: dict = {}
-    partial = first = None
-    r = dict(a.terms)
-    lead_b = max(b.terms, key=_glex)
-    cb = b.terms[lead_b]
-    steps = 0
-    while r and steps < limit:
-        if steps == partial_limit:
-            partial = dict(q_terms)
-        steps += 1
-        lead_r = max(r, key=_glex)
-        cr = r[lead_r]
-        exps = tuple(map(sub, lead_r, lead_b))
-        if any(e < 0 for e in exps):
-            break
-        if first is None:
-            first = (exps, cr, cb)
-        if base.kind == "Fp":
-            coeff = cr * pow(cb, -1, m) % m
-        elif base.kind == "Z":
-            coeff, rem = divmod(cr, cb)
-            if rem:
-                break
-        else:
-            try:
-                coeff = base.normalize(Fraction(cr) / Fraction(cb))
-            except BaseMismatch:
-                break
-        q_terms[exps] = coeff
-        _mul_add(r, {exps: -coeff}, b.terms, m)
-    if partial is None:
-        partial = q_terms
-    return partial, (None if r else q_terms), first
-
-
 def try_divide(a: MultiPoly, b: MultiPoly):
     """Exact quotient a / b, or None.  Graded-lex leading-term division."""
     if b.is_zero():
         return None
-    if a.is_zero():
-        return MultiPoly.zero(a.base, a.nvars)
-    _, exact, _ = _leading_term_division(a, b)
-    if exact is None:
-        return None
-    return MultiPoly(a.base, a.nvars, exact)
+    _, exact, _ = leading_term_division(a, b)
+    return exact
 
 
 def partial_quotient(a: MultiPoly, b: MultiPoly):
@@ -442,54 +369,19 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
 
     Unlike try_divide the remainder may be nonzero; the quotient is the
     move argument that strips a's leading terms against b."""
-    if a.is_zero() or b.is_zero():
+    if b.is_zero():
         return None
-    partial, _, _ = _leading_term_division(a, b)
-    if not partial:
-        return None
-    return MultiPoly(a.base, a.nvars, partial)
-
-
-def _terms_size(terms: dict, degw: int, bitw: int) -> int:
-    """Size of a term dict; a zero coefficient counts for nothing."""
-    total = 0
-    for e, c in terms.items():
-        if not c:
-            continue
-        if type(c) is int:
-            bits = abs(c).bit_length() + 1
-        else:
-            bits = abs(c.numerator).bit_length() + c.denominator.bit_length()
-        total += 1 + degw * sum(e) ** 2 + bitw * bits
-    return total
-
-
-def _sum_size(
-    old: MultiPoly, t: MultiPoly, sign: int, src: MultiPoly, diagonal: bool, degw: int, bitw: int
-) -> int:
-    """_entry_size of old + sign*t*src, summed on one term dict: neither
-    the product nor the sum is built as a polynomial."""
-    m = old.base.modulus
-    out = dict(old.terms)
-    _mul_add(out, (t if sign == 1 else -t).terms, src.terms, m)
-    if diagonal:
-        _fold(out, {(0,) * old.nvars: -1}, m)
-    return _terms_size(out, degw, bitw)
-
-
-def _entry_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int) -> int:
-    """Size of one entry's distance from the identity entry."""
-    if diagonal:
-        p = p - MultiPoly.const(p.base, p.nvars, 1)
-    return _terms_size(p.terms, degw, bitw)
+    partial, _, _ = leading_term_division(a, b)
+    return None if partial.is_zero() else partial
 
 
 def _line_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int, sizes: dict) -> int:
-    """_entry_size memoised in sizes, which serves one (degw, bitw) only."""
+    """Size of one entry's distance from the identity entry, memoised in
+    sizes, which serves one (degw, bitw) only."""
     key = (p, diagonal)
     s = sizes.get(key)
     if s is None:
-        s = sizes[key] = _entry_size(p, diagonal, degw, bitw)
+        s = sizes[key] = p.weighted_size(degw, bitw, diagonal)
     return s
 
 
@@ -507,20 +399,15 @@ def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
     The exact and the partial quotient come from one division; over Z its
     first step also gives the integer-Euclid steps on the leading
     coefficients, floor and round."""
-    partial, exact, first = _leading_term_division(tgt, src)
-    # quotient coefficients come out of ring operations and are never zero
-    args = [
-        MultiPoly(tgt.base, tgt.nvars, terms, normalized=True)
-        for terms in (exact, partial)
-        if terms
-    ]
+    partial, exact, first = leading_term_division(tgt, src)
+    args = [q for q in (exact, partial) if q is not None and not q.is_zero()]
     if first is not None and tgt.base.kind == "Z":
-        exps, ct, cs = first
+        mono, ct, cs = first
         qf = ct // cs
         qr = (2 * ct + cs) // (2 * cs)
         for qc in {qf, qr}:
             if qc:
-                args.append(MultiPoly(tgt.base, tgt.nvars, {exps: qc}, normalized=True))
+                args.append(mono.scale(qc))
     return args, [-q for q in args]
 
 
@@ -539,7 +426,7 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
         lines = zip(m[r1], m[c1])
     for key in lines:
         tgt, src = key
-        if not (src.terms and tgt.terms):
+        if src.is_zero() or tgt.is_zero():
             continue
         found = pairs.get(key)
         if found is None:
@@ -564,12 +451,13 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
         else:
             lines = [(j == r, old, src) for j, (old, src) in enumerate(zip(m[r], m[c]))]
         for diagonal, old, src in lines:
-            if not src.terms:
+            if src.is_zero():
                 continue
             key = (t, sign, old, src, diagonal)
             new = sizes.get(key)
             if new is None:
-                new = sizes[key] = _sum_size(old, t, sign, src, diagonal, degw, bitw)
+                line = add_product(old, t if sign == 1 else -t, src)
+                new = sizes[key] = line.weighted_size(degw, bitw, diagonal)
             delta += new - _line_size(old, diagonal, degw, bitw, sizes)
     return delta
 

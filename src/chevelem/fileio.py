@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, SizeMismatch
 from .exactring import BaseRing, base_ring_from_str, parse_poly
 from .factorize import FactorizationCertificate
 from .rootdata import GroupMatrix, RootSystem, build_root_system
@@ -25,17 +25,28 @@ def _group_header(rs: RootSystem, base: BaseRing, nvars: int) -> dict:
     }
 
 
-def _read_header(data: dict):
+def _read_header(data: dict, rows_key: str):
+    """(root system, base, nvars) of a file whose matrix is data[rows_key];
+    a wrong shape is refused first, as building costs rank^3."""
     try:
         group = data["group"]
-        rs = build_root_system(group["type"], int(group["rank"]))
+        kind, rank = group["type"], int(group["rank"])
+        size = {"A": rank + 1, "C": 2 * rank}.get(kind) if rank >= 2 else None
+        if size is None:
+            build_root_system(kind, rank)  # raises UnsupportedType or RankTooLow
         base = base_ring_from_str(data["base"])
         nvars = int(data["nvars"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed header: %s" % exc) from exc
     if nvars < 0 or nvars > 9:
         raise ParseError("nvars out of the supported range 0..9")
-    return rs, base, nvars
+    rows = data.get(rows_key)
+    shape = [rows] + rows if isinstance(rows, list) else []  # the rows, then each row
+    if any(isinstance(r, list) and len(r) != size for r in shape):
+        raise SizeMismatch(
+            "expected %dx%d matrix for RootSystem(%s, %d)" % (size, size, kind, rank)
+        )
+    return build_root_system(kind, rank), base, nvars
 
 
 def matrix_to_dict(m: GroupMatrix) -> dict:
@@ -45,7 +56,7 @@ def matrix_to_dict(m: GroupMatrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> GroupMatrix:
-    rs, base, nvars = _read_header(data)
+    rs, base, nvars = _read_header(data, "entries")
     try:
         rows = data["entries"]
         entries = [[parse_poly(t, base, nvars) for t in row] for row in rows]
@@ -83,7 +94,7 @@ def certificate_to_dict(cert: FactorizationCertificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> FactorizationCertificate:
-    rs, base, nvars = _read_header(data)
+    rs, base, nvars = _read_header(data, "target")
     try:
         target = GroupMatrix(
             rs, [[parse_poly(t, base, nvars) for t in row] for row in data["target"]]

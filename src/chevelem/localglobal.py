@@ -25,10 +25,10 @@ from .exactring import (
     BaseRing,
     MultiPoly,
     annihilator_exponent,
+    clearing_exponent,
     convert,
     denominator_lcm,
     poly_s_valuation,
-    s_valuation,
 )
 from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
 from .words import (
@@ -222,9 +222,11 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         letters = _expand_good(w0, z, s, k0, budget)
         if letters is None:
             continue
-        k1 = _clearing_exponent(letters, z, s)
-        if k1 is None:
+        # the smallest k1 making every argument integral after z -> s^k1 z
+        ks = [clearing_exponent(arg, z, s) for _, arg in letters]
+        if None in ks:
             continue
+        k1 = max(ks, default=0)
         h = _clear_and_lift(w0.rs, letters, z, s, k1, target)
         if h is None:
             continue
@@ -327,23 +329,6 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
         out += [(d1, v1), (d2, v2), (d1, -v1), (d2, -v2)]
         out += [(d, -a) for d, a in reversed(post)]
     return out
-
-
-def _clearing_exponent(letters, z: int, s: int):
-    """Smallest k making every argument integral after z -> s^k z."""
-    k = 0
-    for _, arg in letters:
-        for exps, c in arg.terms.items():
-            cz = exps[z]
-            if c.denominator == 1:
-                continue
-            v = s_valuation(arg.base, c, s)
-            if v >= 0:
-                continue
-            if cz == 0:
-                return None
-            k = max(k, (-v + cz - 1) // cz)
-    return k
 
 
 def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):

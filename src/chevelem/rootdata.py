@@ -22,7 +22,7 @@ from .errors import (
     UnknownRoot,
     UnsupportedType,
 )
-from .exactring import BaseRing, MultiPoly, _mul_add, _mul_terms
+from .exactring import BaseRing, MultiPoly, add_product, sum_of_products
 
 Root = tuple  # integer vector in the ambient basis
 
@@ -254,24 +254,11 @@ class GroupMatrix:
             raise SizeMismatch("matrix sizes differ")
         a, b = self.entries, other.entries
         a[0][0]._check_compatible(b[0][0])
-        base, nvars, m = self.base, self.nvars, self.base.modulus
-        size = len(a)
-        out = []
-        for ai in a:
-            row = []
-            for j in range(size):
-                acc = None  # the first nonzero product starts the sum
-                for k in range(size):
-                    x = ai[k].terms
-                    y = b[k][j].terms
-                    if x and y:
-                        if acc is None:
-                            acc = _mul_terms(x, y, m)
-                        else:
-                            _mul_add(acc, x, y, m)
-                row.append(MultiPoly(base, nvars, acc or {}, normalized=True))
-            out.append(row)
-        return GroupMatrix(self.rs, out)
+        base, nvars = self.base, self.nvars
+        cols = list(zip(*b))
+        return GroupMatrix(
+            self.rs, [[sum_of_products(zip(ai, col), base, nvars) for col in cols] for ai in a]
+        )
 
     def rmul_unipotent(self, root: Root, t: MultiPoly) -> "GroupMatrix":
         """Fast product self * x_root(t): sparse column updates."""
@@ -336,68 +323,47 @@ def row_update(rows: list, terms, t: MultiPoly) -> None:
     """rows <- x(t) * rows in place, for a root with unipotent terms.
 
     rows is a list of row lists of MultiPoly over t's ring, checked once.
-    Each +-t * source folds into a copy of its target entry's terms; all
+    Each +-t * source is added to its target entry by add_product; all
     sources are read before any row changes, and a zero source leaves its
     entry as the same object."""
     rows[0][0]._check_compatible(t)
-    m = t.base.modulus
-    updates = [(r, (t if sign == 1 else -t).terms, rows[c]) for r, c, sign in terms]
+    updates = [(r, t if sign == 1 else -t, rows[c]) for r, c, sign in terms]
     for r, coeff, src in updates:
-        rows[r] = [
-            _mul_added(p, coeff, s.terms, m) if s.terms else p for p, s in zip(rows[r], src)
-        ]
+        rows[r] = [add_product(p, coeff, s) for p, s in zip(rows[r], src)]
 
 
 def column_update(rows: list, terms, t: MultiPoly) -> None:
     """rows <- rows * x(t) in place; the column twin of row_update."""
     rows[0][0]._check_compatible(t)
-    m = t.base.modulus
-    updates = [
-        (c, (t if sign == 1 else -t).terms, [row[r].terms for row in rows]) for r, c, sign in terms
-    ]
+    updates = [(c, t if sign == 1 else -t, [row[r] for row in rows]) for r, c, sign in terms]
     for c, coeff, srcs in updates:
         for row, s in zip(rows, srcs):
-            if s:
-                row[c] = _mul_added(row[c], coeff, s, m)
-
-
-def _mul_added(p: MultiPoly, a: dict, b: dict, m: int | None) -> MultiPoly:
-    """p + a*b, folded into a copy of p's terms."""
-    acc = dict(p.terms)
-    _mul_add(acc, a, b, m)
-    return MultiPoly(p.base, p.nvars, acc, normalized=True)
+            row[c] = add_product(row[c], coeff, s)
 
 
 def _det(entries, one: MultiPoly) -> MultiPoly:
     """Division-free determinant of a square MultiPoly matrix: expansion
-    by rows with memo on column subsets, every product of a minor folded
-    into one accumulator; one is the unit of the entries' ring."""
+    by rows with memo on column subsets, each row's signed products of
+    minors summed by sum_of_products; one is the unit of the entries' ring."""
     size = len(entries)
-    m = one.base.modulus
     memo: dict = {}
-    full = (1 << size) - 1
 
-    def rec(row: int, colmask: int) -> dict:
+    def rec(row: int, colmask: int) -> MultiPoly:
         if row == size:
-            return one.terms
+            return one
         hit = memo.get(colmask)
-        if hit is not None:
-            return hit
-        acc: dict = {}
-        sign = 1
-        for c in range(size):
-            bit = 1 << c
-            if not colmask & bit:
-                continue
-            p = entries[row][c]
-            if p.terms:
-                sub = rec(row + 1, colmask & ~bit)
-                _mul_add(acc, (p if sign == 1 else -p).terms, sub, m)
-            sign = -sign
-        memo[colmask] = acc
-        return acc
+        if hit is None:
+            pairs, sign = [], 1
+            for c in range(size):
+                if colmask >> c & 1:
+                    p = entries[row][c]
+                    if not p.is_zero():
+                        pairs.append((p if sign == 1 else -p, rec(row + 1, colmask & ~(1 << c))))
+                    sign = -sign
+            hit = memo[colmask] = sum_of_products(pairs, one.base, one.nvars)
+        return hit
 
-    return MultiPoly(one.base, one.nvars, rec(0, full), normalized=True)
+    return rec(0, (1 << size) - 1)
 
 
 def _adjugate(entries, base: BaseRing, nvars: int) -> list:
@@ -503,10 +469,8 @@ def structure_constants(rs: RootSystem, alpha, beta):
     cone = rs.cone_roots(a, b)
     constants = []
     for i, j, gamma in cone:
-        want = (i, j)
         r0, c0, sign0 = rs.unipotent_terms[gamma][0]
-        coeff = comm.entries[r0][c0].terms.get(want, 0)
-        n = coeff * sign0
+        n = comm.entries[r0][c0].coefficient((i, j)) * sign0
         if n:
             constants.append((i, j, gamma, n))
     # verification: rebuild and compare against the literal commutator

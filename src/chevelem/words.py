@@ -90,11 +90,11 @@ def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = Non
         base = base or BaseRing.integers()
         nvars = 1 if nvars is None else nvars
     size, m, unipotent_terms = w.rs.matrix_size, base.modulus, w.rs.unipotent_terms
-    one = {(0,) * nvars: base.one()}
+    one = MultiPoly.const(base, nvars, 1).terms
     rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
     # column_update copies each entry, as the greedy keeps old matrices as
-    # memo keys; these dicts are ours, and no root's target columns are its
-    # source columns, so each letter folds in place
+    # memo keys; these dicts are ours, only the kernel reads them, and no
+    # root's target columns are its source columns, so letters fold in place
     for root, arg in w.letters:
         neg = None
         for r, c, sign in unipotent_terms[root]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,25 @@ def test_factor_sl2_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_BAD_INPUT
     assert "rank" in err.lower()
+
+
+@pytest.mark.parametrize("rank", [10**6, 10**100], ids=["1e6", "1e100"])
+@pytest.mark.parametrize("kind", ["A", "C"])
+def test_huge_header_rank_refused_before_building(tmp_path, capsys, kind, rank):
+    # a 1x1 matrix under a huge rank exits 3 at once: the root system,
+    # cubic in the rank, is never built
+    header = {"group": {"type": kind, "rank": rank}, "nvars": 1, "base": "Z"}
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(dict(header, entries=[["1"]])))
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        json.dumps(dict(header, target=[["1"]], residual=[["1"]], word=[], verified=True))
+    )
+    start = time.perf_counter()
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+    assert main(["verify", "--in", str(cert_file)]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.count("matrix for RootSystem(%s, %d)" % (kind, rank)) == 2
 
 
 def test_factor_nonmember_rejected(tmp_path, capsys):

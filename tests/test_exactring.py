@@ -1,6 +1,7 @@
 """Ring arithmetic, substitution, annihilators, grammar."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from chevelem.errors import (
 )
 from chevelem.exactring import (
     _CANONICAL,
+    MAX_PARSE_PRODUCTS,
     BaseRing,
     MultiPoly,
     _parse_general,
@@ -598,6 +600,40 @@ def test_parse_long_text_uses_no_polynomial_products(monkeypatch):
         )
     assert parse_poly(text, Q, 2) == p
     assert calls == []
+
+
+def test_general_reader_refuses_a_product_past_the_bound():
+    # (1+x1+x2)^500 would square a 33153-term power; the reader stops at
+    # the first product past the bound, in milliseconds
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds %d monomial products" % MAX_PARSE_PRODUCTS):
+        parse_poly("(1+x1+x2)^500", Z, 2)
+    with pytest.raises(ParseError, match="monomial products"):
+        parse_poly("(1+x1+x2)^24*(1+x1+x2)^24", Z, 2)
+    assert time.perf_counter() - start < 1.0
+    # a power of one term and a small sum still read at once
+    assert list(parse_poly("x1^1000000", Z, 1).terms) == [(1000000,)]
+    assert parse_poly("-(x1+1)^3", Z, 1) == P("-x1^3 - 3*x1^2 - 3*x1 - 1")
+    assert len(parse_poly("(1+x1+x2)^23*(1+x1+x2)^23", Z, 2).terms) == 1128
+
+
+@pytest.mark.parametrize(
+    "nvars,terms",
+    [
+        (1, {(-1,): 3}),
+        (1, {(1.5,): 2}),
+        (1, {(True,): 1}),
+        (1, {("1",): 1}),
+        (1, {(1, 2): 1}),
+        (2, {(1,): 0}),
+        (2, {(0, -1): 0}),
+    ],
+    ids=["negative", "float", "bool", "string", "too-long", "short-zero", "negative-zero"],
+)
+def test_tuple_constructor_validates_every_key(nvars, terms):
+    # every key is checked, also one whose coefficient is zero
+    with pytest.raises(ValueError, match="exponent tuple"):
+        MultiPoly(Z, nvars, terms)
 
 
 def test_reader_memo_keys_on_nvars():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem.errors import BaseMismatch, NotAUnit, ParseError
+from chevelem import rootdata
+from chevelem.errors import BaseMismatch, NotAUnit, ParseError, SizeMismatch
 from chevelem.exactring import BaseRing, MultiPoly, annihilator_exponent, emit_poly, parse_poly
 from chevelem.factorize import FactorizationCertificate
 from chevelem.fileio import certificate_from_dict, certificate_to_dict, matrix_from_dict
@@ -67,6 +68,15 @@ def test_header_nvars_bound():
     d = {"group": {"type": "A", "rank": 2}, "base": "Z", "nvars": 12, "entries": []}
     with pytest.raises(ParseError):
         matrix_from_dict(d)
+
+
+@pytest.mark.parametrize("rows", [[[]] * 1001, [["1"]]], ids=["row-length", "row-count"])
+def test_header_shape_refused_before_building(rows):
+    # a small file cannot make A1000's root system be built
+    d = {"group": {"type": "A", "rank": 1000}, "base": "Z", "nvars": 1, "entries": rows}
+    with pytest.raises(SizeMismatch, match="expected 1001x1001 matrix"):
+        matrix_from_dict(d)
+    assert ("A", 1000) not in rootdata._ROOT_SYSTEM_CACHE
 
 
 def test_unknown_base_string():

@@ -1,6 +1,7 @@
 """Static checks on the package source and the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
@@ -157,3 +158,33 @@ def test_every_reexport_has_a_user():
     exported = reexported_names(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
     unused = [name for name in exported if name not in read]
     assert exported and not unused, "re-exports with no user in src/ or bench/: " + ", ".join(unused)
+
+
+GLEX_KEY = re.compile(r"sum\(([\w\[\]]+)\), \1\b")
+
+
+def test_only_exactring_reads_exponent_keys():
+    # the term-dict format has one owner: outside exactring, .terms is
+    # read only as the opaque handle eval_word passes back to the kernel,
+    # and no module builds a zero key, subtracts keys or orders them
+    def outside(found):
+        return [f for f in found if not f.startswith("exactring.py: ")]
+
+    assert outside(functions_with_line(lambda line: re.search(r"\.terms\b", line))) == [
+        "words.py: eval_word",
+        "words.py: eval_word",
+        "words.py: eval_word",
+    ]
+    for pattern in ("(0,) *", "tuple(map(sub"):
+        assert outside(functions_with_line(lambda line: pattern in line)) == [], pattern
+    assert functions_with_line(lambda line: GLEX_KEY.search(line)) == ["exactring.py: _glex"]
+    for name in ("factorize.py", "rootdata.py", "localglobal.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "exactring"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == [], "%s imports %s from exactring" % (name, ", ".join(private))

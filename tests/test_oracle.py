@@ -1,0 +1,116 @@
+"""The grid oracle against FactorizationCertificate.check, on factor
+certificates and on genuine and mutated verify-style certificates."""
+
+import ast
+import random
+from pathlib import Path
+
+import grid_oracle
+from chevelem.cli import cohn_matrix
+from chevelem.exactring import BaseRing, MultiPoly
+from chevelem.factorize import FactorizationCertificate, factor_polynomial, random_elementary_word
+from chevelem.rootdata import GroupMatrix, build_root_system
+from chevelem.words import ElemWord, eval_word
+
+Z = BaseRing.integers()
+
+
+def certificate(target, letters):
+    rs = target.rs
+    return FactorizationCertificate(
+        target=target,
+        word=ElemWord(rs, letters),
+        residual_constant=GroupMatrix.identity(rs, Z, target.nvars),
+        verified=True,
+    )
+
+
+def factor_corpus():
+    yield factor_polynomial(cohn_matrix())
+    families = (("A", 2, 1, 8), ("A", 3, 2, 5), ("C", 2, 1, 6), ("A", 2, 2, 6))
+    for seed in range(8100, 8103):
+        for kind, rank, nvars, length in families:
+            rs = build_root_system(kind, rank)
+            word = random_elementary_word(rs, seed, length, nvars=nvars)
+            yield factor_polynomial(eval_word(word, Z, nvars))
+
+
+def verify_corpus():
+    """Genuine certificates of random words and mutated twins, as the
+    verify benchmark makes them: one argument moved by a nonzero constant,
+    or one letter dropped."""
+    rng = random.Random(8200)
+    groups = (("A", 2), ("A", 3), ("C", 2), ("C", 3))
+    for i in range(24):
+        rs = build_root_system(*groups[i % 4])
+        nvars = 1 + i % 8 // 4
+        word = random_elementary_word(
+            rs, rng.randrange(1 << 31), 10 + i % 3 * 10, nvars=nvars, max_degree=1, coeff_bound=3
+        )
+        target = eval_word(word, Z, nvars)
+        letters = list(word.letters)
+        genuine = i % 2 == 0
+        if not genuine:
+            k = rng.randrange(len(letters))
+            if rng.random() < 0.5:
+                root, arg = letters[k]
+                letters[k] = (root, arg + MultiPoly.const(Z, nvars, rng.choice((-2, -1, 1, 2))))
+            else:
+                del letters[k]
+        yield certificate(target, letters), genuine
+
+
+def mutants(cert):
+    """One letter dropped, and one coefficient of a letter moved by 1: each
+    changes the product."""
+    letters = list(cert.word.letters)
+    for k in (0, len(letters) // 2, len(letters) - 1):
+        yield letters[:k] + letters[k + 1 :]
+        root, arg = letters[k]
+        (e, c), *_ = arg.terms.items()
+        moved = MultiPoly(Z, arg.nvars, {**arg.terms, e: c + 1})
+        yield letters[:k] + [(root, moved)] + letters[k + 1 :]
+
+
+def test_oracle_agrees_with_check_on_factor_certificates():
+    count = 0
+    for cert in factor_corpus():
+        assert cert.check() and grid_oracle.check_certificate(cert)
+        count += 1
+    assert count == 13
+
+
+def test_oracle_agrees_with_check_on_verify_certificates():
+    verdicts = []
+    for cert, genuine in verify_corpus():
+        verdict = cert.check()
+        assert verdict == genuine
+        assert grid_oracle.check_certificate(cert) == verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) == verdicts.count(False) == 12
+
+
+def test_oracle_rejects_mutants():
+    count = 0
+    for cert in list(factor_corpus())[:5]:
+        for letters in mutants(cert):
+            bad = certificate(cert.target, letters)
+            assert not bad.check()
+            assert not grid_oracle.check_certificate(bad)
+            count += 1
+    assert count == 30
+
+
+def test_oracle_imports_no_product_path():
+    # the oracle must not share a bug with the kernel it checks
+    source = (Path(__file__).resolve().parent / "grid_oracle.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported == ["Fraction", "product", "prod"], imported
+    for name in ("_mul_add", "_mul_terms", "_pow_terms", "eval_word", "GroupMatrix", "__mul__"):
+        assert name not in source, name
