@@ -10,6 +10,7 @@ from .errors import (
     BaseMismatch,
     ChevElemError,
     CoveringInconsistent,
+    DegreeOverflow,
     DescentBudgetExceeded,
     NotAUnit,
     NotFactored,

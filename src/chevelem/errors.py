@@ -29,6 +29,10 @@ class ProportionalRoots(ChevElemError):
     """Commutator expansion needs a non-proportional root pair."""
 
 
+class DegreeOverflow(ChevElemError):
+    """A total degree past exactring.MAX_DEGREE, the packed monomials' cap."""
+
+
 class NotAUnit(ChevElemError):
     """Element is not invertible in the base ring."""
 

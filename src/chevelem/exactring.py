@@ -5,10 +5,15 @@ anywhere in the package.  Supported coefficient rings: the integers, the
 integers mod m, prime fields, the rationals, and the integers with a single
 element s inverted (fractions whose denominators divide a power of s).
 
-Polynomials are sparse maps from exponent tuples to nonzero coefficients,
-canonically ordered graded-lexicographically (x1 > x2 > ...) for text
-emission.  The text grammar accepted and emitted here is the substrate of
-every file format in the package.
+Polynomials are sparse maps from packed monomial keys to nonzero
+coefficients: ((deg << W | e1) << W | e2) ... << W | en for exponents
+e1..en of total degree deg and one field width W.  Integer order is the
+graded-lex order (x1 > x2 > ...) of text emission, and keys multiply by +.
+Degrees stay at most MAX_DEGREE = 2^(W-1) - 1, so no field carries and
+each keeps a guard bit; past it a product raises DegreeOverflow and the
+reader ParseError.  Only this module reads a key; MultiPoly.exponent_items
+is the tuple view.  The text grammar accepted and emitted here is the
+substrate of every file format in the package.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import add, sub
 
 from .errors import (
     BaseMismatch,
+    DegreeOverflow,
     NotAUnit,
     ParseError,
 )
@@ -32,6 +37,10 @@ KIND_MOD = "Zmod"
 KIND_PRIME_FIELD = "Fp"
 KIND_RATIONALS = "Q"
 KIND_LOCALIZED = "Zloc"
+
+_W = 21  # bits per exponent field; x1^1000000 still fits
+_MASK = (1 << _W) - 1
+MAX_DEGREE = (1 << _W - 1) - 1  # the top bit of each field is its guard
 
 
 def _s_smooth(n: int, s: int) -> bool:
@@ -201,7 +210,9 @@ def base_ring_from_str(text: str) -> BaseRing:
 class MultiPoly:
     """Sparse exact multivariate polynomial over a BaseRing.
 
-    Immutable by contract: never mutate `terms` after construction.
+    The constructor packs exponent-tuple keys; normalized=True takes packed
+    keys and normal coefficients as they are.  Immutable by contract: never
+    mutate `terms` after construction.
     """
 
     __slots__ = ("base", "nvars", "terms", "_hash")
@@ -212,12 +223,14 @@ class MultiPoly:
         if normalized:
             self.terms = terms
         else:
-            for exps in terms:  # every key, also one with a zero coefficient
+            packed = {}
+            for exps, c in terms.items():  # every key, also one with a zero coefficient
                 if type(exps) is not tuple or len(exps) != nvars or not (
                     set(map(type, exps)) <= {int} and min(exps, default=0) >= 0
                 ):
                     raise ValueError("exponent tuple %r is not %d ints >= 0" % (exps, nvars))
-            self.terms = _coerced(terms, base)
+                packed[_pack(exps)] = c
+            self.terms = _coerced(packed, base)
         self._hash = None
 
     # -- constructors ----------------------------------------------------
@@ -231,7 +244,7 @@ class MultiPoly:
         c = base.normalize(value)
         if c == 0:
             return MultiPoly.zero(base, nvars)
-        return MultiPoly(base, nvars, {(0,) * nvars: c}, normalized=True)
+        return MultiPoly(base, nvars, {0: c}, normalized=True)
 
     @staticmethod
     def random(rng, base: BaseRing, nvars: int, max_terms: int, max_degree: int, bound: int):
@@ -239,7 +252,7 @@ class MultiPoly:
         coefficients in [-bound, bound], drawn from rng."""
         terms: dict = {}
         for _ in range(rng.randint(1, max_terms)):
-            e = tuple(rng.randint(0, max_degree) for _ in range(nvars))
+            e = _pack(tuple(rng.randint(0, max_degree) for _ in range(nvars)))
             c = rng.randint(-bound, bound)
             if c:
                 terms[e] = terms.get(e, 0) + c
@@ -249,8 +262,8 @@ class MultiPoly:
     def variable(base: BaseRing, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise ValueError("variable index %d out of range" % index)
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return MultiPoly(base, nvars, {exps: base.one()}, normalized=True)
+        key = _pack(tuple(int(i == index) for i in range(nvars)))
+        return MultiPoly(base, nvars, {key: base.one()}, normalized=True)
 
     # -- predicates and views --------------------------------------------
 
@@ -258,38 +271,47 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, self.base.zero())
+        return self.terms.get(0, self.base.zero())
 
     def coefficient(self, exps: tuple):
         """The coefficient of the monomial with exponent tuple exps."""
-        return self.terms.get(tuple(exps), self.base.zero())
+        return self.terms.get(_pack(tuple(exps)), self.base.zero())
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _W * self.nvars
 
     def degree_in(self, var: int) -> int:
+        if not 0 <= var < self.nvars:
+            raise ValueError("variable index %d out of range" % var)
         if not self.terms:
             return -1
-        return max(e[var] for e in self.terms)
+        shift = _W * (self.nvars - 1 - var)
+        return max(k >> shift & _MASK for k in self.terms)
 
     def coefficients(self):
         return self.terms.values()
+
+    def exponent_items(self) -> list:
+        """(exponent tuple, coefficient) pairs in term order: the tuple view
+        of the packed keys, for readers outside this module."""
+        n = self.nvars
+        return [(_unpack(k, n), c) for k, c in self.terms.items()]
 
     def weighted_size(self, degw: int, bitw: int, minus_one: bool = False) -> int:
         """Sum over the terms of 1 + degw*deg^2 + bitw*bits, with deg the
         total degree and bits the coefficient's length; of self - 1, not
         built, when minus_one."""
-        total = 0
-        for e, c in self.terms.items():
+        total, shift = 0, _W * self.nvars
+        for k, c in self.terms.items():
             bits = abs(c).bit_length() + 1 if type(c) is int else _bits(c)
-            total += 1 + degw * sum(e) ** 2 + bitw * bits
+            total += 1 + degw * (k >> shift) ** 2 + bitw * bits
         if minus_one:  # the constant term c becomes d = c - 1
-            c = self.terms.get((0,) * self.nvars, 0)
+            c = self.terms.get(0, 0)
             d = c - 1 if self.base.modulus is None else (c - 1) % self.base.modulus
             total += (1 + bitw * _bits(d) if d else 0) - (1 + bitw * _bits(c) if c else 0)
         return total
@@ -323,7 +345,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = _mul_terms(self.terms, other.terms, self.base.modulus)
+        out = _mul_terms(self.terms, other.terms, self.nvars, self.base.modulus)
         return MultiPoly(self.base, self.nvars, out, normalized=True)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -331,7 +353,7 @@ class MultiPoly:
             raise ValueError("negative power")
         if n == 0:
             return MultiPoly.const(self.base, self.nvars, 1)
-        terms = _pow_terms(self.terms, n, (0,) * self.nvars, self.base.modulus)
+        terms = _pow_terms(self.terms, n, self.nvars, self.base.modulus)
         return MultiPoly(self.base, self.nvars, terms, normalized=True)
 
     def scale(self, c) -> "MultiPoly":
@@ -376,38 +398,39 @@ class MultiPoly:
         Unassigned variables map to themselves (the output must have at
         least that many variables).  All images share one base ring.
 
-        Works on term dicts: unassigned variables keep their exponents,
-        each power of an image is built once per call, and every scaled
-        term folds in place into one accumulator, so the cost is linear
-        in the terms each product makes.
+        Works on term dicts: each key loses the fields of the assigned
+        variables, read by shift and mask, and keeps the rest; each power
+        of an image is built once per call, and every scaled term folds in
+        place into one accumulator, so the cost is linear in the terms
+        each product makes.
         """
-        base, m = self.base, self.base.modulus
+        base, m, n = self.base, self.base.modulus, self.nvars
         if nvars_out is None:
-            nvars_out = max(
-                [self.nvars] + [img.nvars for img in assignment.values()]
-            )
+            nvars_out = max([n] + [img.nvars for img in assignment.values()])
         images = {}
         for v, img in assignment.items():
             if img.base is not base and img.base != base:
                 raise BaseMismatch("substitution image over %s, poly over %s" % (img.base, base))
             images[v] = img.extend_vars(nvars_out).terms
-        free = [v for v in range(self.nvars) if v not in images]
-        for v in free:
-            if v >= nvars_out:
+        for v in range(nvars_out, n):
+            if v not in images:
                 raise BaseMismatch("variable x%d has no slot in the output ring" % (v + 1,))
-        zero = (0,) * nvars_out
+        fields = [(v, _W * (n - 1 - v)) for v in sorted(images) if 0 <= v < n]
+        widen = _W * (nvars_out - n)  # negative when trailing variables go
         out: dict = {}
         powers: dict = {}
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             prod = None
-            for v, e in enumerate(exps):
-                if e and v in images:
+            for v, shift in fields:
+                e = key >> shift & _MASK
+                if e:
+                    key -= (e << shift) + (e << _W * n)  # the field and its share of deg
                     pw = powers.get((v, e))
                     if pw is None:
-                        pw = powers[(v, e)] = _pow_terms(images[v], e, zero, m)
-                    prod = pw if prod is None else _mul_terms(prod, pw, m)
-            kept = tuple(exps[v] if v in free else 0 for v in range(nvars_out)) if free else zero
-            _mul_add(out, {kept: c}, {zero: 1} if prod is None else prod, m)
+                        pw = powers[(v, e)] = _pow_terms(images[v], e, nvars_out, m)
+                    prod = pw if prod is None else _mul_terms(prod, pw, nvars_out, m)
+            kept = key << widen if widen >= 0 else key >> -widen
+            _mul_add(out, {kept: c}, {0: 1} if prod is None else prod, nvars_out, m)
         return MultiPoly(base, nvars_out, out, normalized=True)
 
     def dilate(self, var: int, c) -> "MultiPoly":
@@ -420,15 +443,17 @@ class MultiPoly:
         if not 0 <= var < self.nvars:
             raise ValueError("variable index %d out of range" % var)
         c, m = self.base.normalize(c), self.base.modulus
+        shift = _W * (self.nvars - 1 - var)
         out = {}
-        for e, c0 in self.terms.items():
-            if e[var]:
-                c0 = c0 * c ** e[var]
+        for k, c0 in self.terms.items():
+            e = k >> shift & _MASK
+            if e:
+                c0 = c0 * c ** e
                 if m is not None:
                     c0 %= m
                 if not c0:
                     continue
-            out[e] = c0
+            out[k] = c0
         return MultiPoly(self.base, self.nvars, out, normalized=True)
 
     def extend_vars(self, nvars: int) -> "MultiPoly":
@@ -436,19 +461,21 @@ class MultiPoly:
             raise ValueError("extend_vars cannot shrink")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
-        out = {e + pad: c for e, c in self.terms.items()}
+        shift = _W * (nvars - self.nvars)
+        out = {k << shift: c for k, c in self.terms.items()}
         return MultiPoly(self.base, nvars, out, normalized=True)
 
     def shrink_vars(self, nvars: int) -> "MultiPoly":
         """Drop trailing variables, which must not occur."""
         if nvars > self.nvars:
             raise ValueError("shrink_vars cannot grow")
+        shift = _W * (self.nvars - nvars)
+        low = (1 << shift) - 1
         out = {}
-        for e, c in self.terms.items():
-            if any(e[nvars:]):
+        for k, c in self.terms.items():
+            if k & low:
                 raise BaseMismatch("variable beyond x%d still occurs" % nvars)
-            out[e[:nvars]] = c
+            out[k >> shift] = c
         return MultiPoly(self.base, nvars, out, normalized=True)
 
     # -- text form -----------------------------------------------------------
@@ -465,6 +492,27 @@ def _coerced(terms: dict, base: BaseRing) -> dict:
         if c:
             out[e] = c
     return out
+
+
+def _pack(exps: tuple) -> int:
+    """The packed key of an exponent tuple; DegreeOverflow past the cap."""
+    key = sum(exps)
+    _check_degree(key, 0)
+    for e in exps:
+        key = key << _W | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed key in nvars variables."""
+    return tuple(key >> _W * (nvars - 1 - i) & _MASK for i in range(nvars))
+
+
+def _check_degree(key: int, nvars: int) -> None:
+    """DegreeOverflow when a key in nvars variables has degree past MAX_DEGREE."""
+    deg = key >> _W * nvars
+    if deg > MAX_DEGREE:
+        raise DegreeOverflow("total degree %d exceeds the cap %d" % (deg, MAX_DEGREE))
 
 
 def _bits(c) -> int:
@@ -485,7 +533,7 @@ def add_product(p: MultiPoly, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if not (a.terms and b.terms):
         return p
     acc = dict(p.terms)
-    _mul_add(acc, a.terms, b.terms, p.base.modulus)
+    _mul_add(acc, a.terms, b.terms, p.nvars, p.base.modulus)
     return MultiPoly(p.base, p.nvars, acc, normalized=True)
 
 
@@ -498,15 +546,10 @@ def sum_of_products(pairs, base: BaseRing, nvars: int) -> MultiPoly:
         x, y = a.terms, b.terms
         if x and y:
             if acc is None:
-                acc = _mul_terms(x, y, m)
+                acc = _mul_terms(x, y, nvars, m)
             else:
-                _mul_add(acc, x, y, m)
+                _mul_add(acc, x, y, nvars, m)
     return MultiPoly(base, nvars, acc or {}, normalized=True)
-
-
-def _glex(e: tuple) -> tuple:
-    """Graded-lex sort key of an exponent tuple (x1 > x2 > ...)."""
-    return sum(e), e
 
 
 def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
@@ -520,7 +563,8 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
     limit replaces both; math.inf runs the division to completion.  first
     is (leading monomial of a over that of b, with coefficient 1, leading
     coefficient of a, of b), or None when that monomial does not exist.
-    The remainder is one term dict, less each quotient term times b."""
+    The remainder is one term dict, less each quotient term times b.  A
+    quotient key with an exponent below 0 borrows: a guard bit or the sign."""
     base, nvars = a.base, a.nvars
     m = base.modulus
     if limit is None:
@@ -531,17 +575,18 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
     q_terms: dict = {}
     partial = first = None
     r = dict(a.terms)
-    lead_b = max(b.terms, key=_glex)
+    guard = ((1 << _W * nvars) - 1) // _MASK << _W - 1  # the top bit of each field
+    lead_b = max(b.terms)
     cb = b.terms[lead_b]
     steps = 0
     while r and steps < limit:
         if steps == partial_limit:
             partial = dict(q_terms)
         steps += 1
-        lead_r = max(r, key=_glex)
+        lead_r = max(r)
         cr = r[lead_r]
-        exps = tuple(map(sub, lead_r, lead_b))
-        if any(e < 0 for e in exps):
+        exps = lead_r - lead_b
+        if exps < 0 or exps & guard:
             break
         if first is None:
             first = (MultiPoly(base, nvars, {exps: base.one()}, normalized=True), cr, cb)
@@ -557,7 +602,7 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
             except BaseMismatch:
                 break
         q_terms[exps] = coeff
-        _mul_add(r, {exps: -coeff}, b.terms, m)
+        _mul_add(r, {exps: -coeff}, b.terms, nvars, m)
     q = MultiPoly(base, nvars, q_terms, normalized=True)
     part = q if partial is None else MultiPoly(base, nvars, partial, normalized=True)
     return part, (None if r else q), first
@@ -628,14 +673,14 @@ def poly_s_valuation(p: MultiPoly, s: int) -> int | None:
 def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
     """Smallest k >= 0 making p s-integral after x_z -> s^k x_z, or None
     when a term free of x_z has a coefficient that is not."""
-    k = 0
-    for exps, c in p.terms.items():
+    k, shift = 0, _W * (p.nvars - 1 - z)
+    for key, c in p.terms.items():
         if c.denominator == 1:
             continue
         v = s_valuation(p.base, c, s)
         if v >= 0:
             continue
-        cz = exps[z]
+        cz = key >> shift & _MASK
         if cz == 0:
             return None
         k = max(k, (-v + cz - 1) // cz)
@@ -682,13 +727,9 @@ def emit_poly(p: MultiPoly) -> str:
     if p.nvars > 9:
         raise ParseError("text form supports at most 9 variables")
     pieces = []
-    for e in sorted(p.terms, key=_glex, reverse=True):
-        c = p.terms[e]
-        mono = "*".join(
-            "x%d" % (i + 1) if k == 1 else "x%d^%d" % (i + 1, k)
-            for i, k in enumerate(e)
-            if k
-        )
+    for key in sorted(p.terms, reverse=True):
+        c = p.terms[key]
+        mono = _chain_text(key, p.nvars)
         neg = c < 0
         ca = -c if neg else c
         if mono and ca == 1:
@@ -702,6 +743,14 @@ def emit_poly(p: MultiPoly) -> str:
         else:
             pieces.append(("- " if neg else "+ ") + body)
     return " ".join(pieces)
+
+
+@lru_cache(maxsize=4096)
+def _chain_text(key: int, nvars: int) -> str:
+    """The variable part of a packed key, such as "x1^3*x2" ("" for a
+    constant): _chain_exponents inverted, and memoised the same way."""
+    exps = enumerate(_unpack(key, nvars), 1)
+    return "*".join("x%d" % i if k == 1 else "x%d^%d" % (i, k) for i, k in exps if k)
 
 
 def _coeff_text(c) -> str:
@@ -742,30 +791,21 @@ def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
             del acc[e]
 
 
-_ADDERS = {  # exponent sums unrolled by arity
-    1: lambda a, b: (a[0] + b[0],),
-    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-}
+def _mul_add(acc: dict, a: dict, b: dict, nvars: int, m: int | None = None) -> None:
+    """acc += a * b in place on term dicts in nvars variables (mod m when
+    given), dropping coefficients that cancel as _fold does: the one
+    product loop.
 
-
-def _add_any(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def _mul_add(acc: dict, a: dict, b: dict, m: int | None = None) -> None:
-    """acc += a * b in place on term dicts (mod m when given), dropping
-    coefficients that cancel as _fold does: the one product loop.
-
-    Exponents are summed by one adder picked from the arity per call."""
+    Packed keys multiply by +; the largest product key is checked against
+    the degree cap once per call, so no field carries."""
     if not a or not b:
         return
-    plus = _ADDERS.get(len(next(iter(a))), _add_any)
+    _check_degree(max(a) + max(b), nvars)
     get = acc.get
     b_terms = b.items()
     for e1, c1 in a.items():
         for e2, c2 in b_terms:
-            e = plus(e1, e2)
+            e = e1 + e2
             v = get(e, 0) + c1 * c2
             if m is not None:
                 v %= m
@@ -775,42 +815,46 @@ def _mul_add(acc: dict, a: dict, b: dict, m: int | None = None) -> None:
                 del acc[e]
 
 
-def _mul_terms(a: dict, b: dict, m: int | None = None) -> dict:
-    """a * b on term dicts (mod m when given), as a new dict."""
+def _mul_terms(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
+    """a * b on term dicts in nvars variables (mod m when given), as a new dict."""
     if len(b) == 1:
         ((e2, c2),) = b.items()
-        if c2 == 1 and not any(e2):  # a * 1, as an identity residual gives
+        if c2 == 1 and not e2:  # a * 1, as an identity residual gives
             return dict(a)
         if len(a) == 1:
             ((e1, c1),) = a.items()
+            e = e1 + e2
+            _check_degree(e, nvars)
             c = c1 * c2 if m is None else c1 * c2 % m
-            return {_ADDERS.get(len(e1), _add_any)(e1, e2): c} if c else {}
+            return {e: c} if c else {}
     out: dict = {}
-    _mul_add(out, a, b, m)
+    _mul_add(out, a, b, nvars, m)
     return out
 
 
-def _pow_terms(p: dict, n: int, zero: tuple, m: int | None = None, mul=_mul_terms) -> dict:
+def _pow_terms(p: dict, n: int, nvars: int, m: int | None = None, mul=_mul_terms) -> dict:
     """p**n on term dicts by repeated squaring with mul; may return p itself."""
     if len(p) == 1:
         ((e, c),) = p.items()
+        e *= n  # every field times n: no carry below the cap
+        _check_degree(e, nvars)
         c = pow(c, n, m)
-        return {tuple(k * n for k in e): c} if c else {}
+        return {e: c} if c else {}
     result, square = None, p
     while n:
         if n & 1:
-            result = square if result is None else mul(result, square, m)
+            result = square if result is None else mul(result, square, nvars, m)
         n >>= 1
-        square = mul(square, square, m) if n else square
-    return {zero: 1} if result is None else result
+        square = mul(square, square, nvars, m) if n else square
+    return {0: 1} if result is None else result
 
 
-def _capped_mul(a: dict, b: dict, m: int | None = None) -> dict:
+def _capped_mul(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
     """_mul_terms for the general reader, refused past MAX_PARSE_PRODUCTS."""
     if len(a) * len(b) > MAX_PARSE_PRODUCTS:
         raise ParseError("a product of %d by %d terms exceeds %d monomial products"
                          % (len(a), len(b), MAX_PARSE_PRODUCTS))
-    return _mul_terms(a, b, m)
+    return _mul_terms(a, b, nvars, m)
 
 
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
@@ -828,13 +872,15 @@ def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
             p = _parse_general(text, nvars)
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
+    except DegreeOverflow as exc:
+        raise ParseError("polynomial text past the degree cap: %s" % exc) from None
     if base.kind != KIND_INTEGERS or "/" in text:
         p = _coerced(p, base)
     return MultiPoly(base, nvars, p, normalized=True)
 
 
 def _read_canonical(text: str, nvars: int) -> dict:
-    """The {exponents: rational} dict of text matching _CANONICAL.
+    """The {packed key: rational} dict of text matching _CANONICAL.
 
     Folds each signed monomial into one accumulator as _fold does, so
     terms, their order and their types are those of _parse_general.
@@ -863,8 +909,8 @@ def _read_canonical(text: str, nvars: int) -> dict:
 
 
 @lru_cache(maxsize=4096)
-def _chain_exponents(chain: str, nvars: int) -> tuple:
-    """The exponent tuple of a variable part such as "x1^3*x2" ("" for a
+def _chain_exponents(chain: str, nvars: int) -> int:
+    """The packed key of a variable part such as "x1^3*x2" ("" for a
     constant); memoised, as certificates repeat a few hundred of them."""
     e = [0] * nvars
     if chain:
@@ -873,11 +919,11 @@ def _chain_exponents(chain: str, nvars: int) -> tuple:
             if i >= nvars:
                 raise ParseError("variable x%d beyond declared nvars=%d" % (i + 1, nvars))
             e[i] += int(f[3:]) if len(f) > 2 else 1
-    return tuple(e)
+    return _pack(tuple(e))
 
 
 def _parse_general(text: str, nvars: int) -> dict:
-    """The {exponents: rational} dict of any text in the grammar.
+    """The {packed key: rational} dict of any text in the grammar.
 
     A recursive descent on dicts without zero coefficients: sums fold
     into one accumulator and a power of one term scales its exponents,
@@ -898,7 +944,6 @@ def _parse_general(text: str, nvars: int) -> dict:
     ) > _MAX_PAREN_DEPTH:
         raise ParseError("parentheses nested deeper than %d" % _MAX_PAREN_DEPTH)
     toks = [(None, None)] + toks[::-1]  # a stack: next token on top, end marker at the bottom
-    zero = (0,) * nvars
 
     def expr() -> dict:
         acc = dict(term())
@@ -913,9 +958,9 @@ def _parse_general(text: str, nvars: int) -> dict:
             times = toks.pop()[0] == "*"
             rhs = factor()
             if times:
-                node = _capped_mul(node, rhs)
-            elif len(rhs) == 1 and zero in rhs:
-                d = Fraction(rhs[zero])
+                node = _capped_mul(node, rhs, nvars)
+            elif len(rhs) == 1 and 0 in rhs:
+                d = Fraction(rhs[0])
                 node = {e: c / d for e, c in node.items()}
             else:
                 raise ParseError("division only by nonzero constants")
@@ -933,17 +978,17 @@ def _parse_general(text: str, nvars: int) -> dict:
             kind, n = toks.pop()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
-            node = _pow_terms(node, n, zero, mul=_capped_mul)
+            node = _pow_terms(node, n, nvars, mul=_capped_mul)
         return {e: -c for e, c in node.items()} if negate else node
 
     def atom() -> dict:
         kind, val = toks.pop()
         if kind == "int":
-            return {zero: val} if val else {}
+            return {0: val} if val else {}
         if kind == "var":
             if val >= nvars:
                 raise ParseError("variable x%d beyond declared nvars=%d" % (val + 1, nvars))
-            return {zero[:val] + (1,) + zero[val + 1 :]: 1}
+            return {_pack(tuple(int(i == val) for i in range(nvars))): 1}
         if kind == "(":
             node = expr()
             if toks.pop()[0] != ")":

@@ -11,8 +11,9 @@ one leading-term division.  Every word produced anywhere is re-evaluated
 exactly against its target before it is returned; NotFactored is never a
 claim of non-membership.  A word whose exact product is the target
 proves membership, so factor_polynomial checks only the constant-term
-matrix g(0) up front and runs the full invariant check on g only on a
-failure path.
+matrix g(0) up front; after a stall it checks the stall matrix, which is
+in the group exactly when g is, and the full invariant check on g runs
+only when the search itself raises.
 """
 
 from __future__ import annotations
@@ -623,7 +624,8 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
 
 
 def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
-    """Greedy elementary reduction: (word, residual) with word*residual = g.
+    """Greedy elementary reduction: (word, residual, stall) with
+    word*residual = g, and stall the matrix the best pass stopped at.
 
     Division-guided moves shrink a size measure under a cascade of scoring
     strategies; stalls fall back to a two-ply escape and the rank-one
@@ -631,8 +633,9 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     factored by the Euclidean reduction (factor_integer_sl or _sp,
     factor_univar_euclidean), so the residual is then the identity.  Over
     other bases a constant leftover is returned as the residual; after a
-    stall the residual is the best stall state.  A constant leftover
-    outside the group raises NotInGroup.
+    stall the residual is the best stall state times the undone column
+    moves.  Either way g = L * stall * R for elementary words L and R.  A
+    constant leftover outside the group raises NotInGroup.
     """
     budget = budget or DEFAULT_BUDGET
     rs = g.rs
@@ -681,7 +684,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
         residual = final * eval_word(ElemWord(rs, right), g.base, g.nvars)
     if eval_word(word, g.base, g.nvars) * residual != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
-    return word, residual
+    return word, residual, final
 
 
 def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> FactorizationCertificate:
@@ -695,16 +698,17 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
     Membership is proved by the word: heuristic_reduce multiplies it back
     exactly, and a word whose product is g puts g in E(R[x..]).  Up front
     only the constant-term matrix g(0) is checked, which is exact for
-    rejection since evaluation at 0 is a ring map.  The full invariant
-    check on g runs only on a failure path, so a non-member still raises
-    NotInGroup rather than NotFactored.
+    rejection since evaluation at 0 is a ring map.  A stall checks the
+    stall matrix: g = L * stall * R with L, R elementary (det 1, form
+    kept), so g is in the group exactly when it is; only a search that
+    raises checks g.  A non-member raises NotInGroup, not NotFactored.
     """
     budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
     _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
     try:
-        word, residual = heuristic_reduce(g, budget)
+        word, residual, stall = heuristic_reduce(g, budget)
     except (NotFactored, NotInGroup):
         _require_member(g)
         raise
@@ -714,10 +718,13 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
             residual.is_identity(), len(word), word.max_degree(),
         )
     if not residual.is_identity():
-        _require_member(g)
+        _require_member(stall)
+        entries = [p for row in stall.entries for p in row]
+        size = sum(len(p.coefficients()) for p in entries), max(p.total_degree() for p in entries)
         raise NotFactored(
-            "greedy stage left a non-constant residual (no size-reducing "
-            "move, or Budget.max_steps=%d spent in a pass)" % budget.max_steps
+            "greedy stage left a non-constant residual (no size-reducing move, or "
+            "Budget.max_steps=%d spent in a pass); the stall matrix has %d terms "
+            "of total degree up to %d" % ((budget.max_steps,) + size)
         )
     return FactorizationCertificate(target=g, word=word, residual_constant=residual, verified=True)
 

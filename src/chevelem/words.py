@@ -103,7 +103,7 @@ def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = Non
             coeff = arg.terms if sign > 0 else neg
             for row in rows:
                 if row[r]:
-                    _mul_add(row[c], coeff, row[r], m)
+                    _mul_add(row[c], coeff, row[r], nvars, m)
     return GroupMatrix(
         w.rs, [[MultiPoly(base, nvars, p, normalized=True) for p in row] for row in rows]
     )

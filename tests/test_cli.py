@@ -303,6 +303,23 @@ def test_verify_deep_parentheses(tmp_path, capsys):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["x1^1048576"], ["x1^600000", "x1^600000"]],
+    ids=["letter-past-cap", "product-past-cap"],
+)
+def test_verify_degree_past_the_cap(tmp_path, capsys, args):
+    # a letter past the degree cap is a parse error; letters under it
+    # whose product crosses it fail in the kernel; both exit 3
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    roots = ([1, -1, 0], [0, 1, -1])
+    data["word"] = [{"root": root, "arg": arg} for root, arg in zip(roots, args)] + data["word"]
+    bad = tmp_path / "cap.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert "exceeds the cap 1048575" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     # argparse's own exit status 2 would read as NotFactored
     matrix_file = tmp_path / "m.json"

@@ -9,20 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 from chevelem.errors import (
     BaseMismatch,
+    DegreeOverflow,
     ParseError,
 )
 from chevelem.exactring import (
     _CANONICAL,
+    MAX_DEGREE,
     MAX_PARSE_PRODUCTS,
     BaseRing,
     MultiPoly,
+    _coerced,
     _parse_general,
     _read_canonical,
+    add_product,
     annihilator_exponent,
     base_ring_from_str,
     convert,
     denominator_lcm,
     emit_poly,
+    leading_term_division,
     parse_poly,
     poly_s_valuation,
     s_valuation,
@@ -73,7 +78,7 @@ def test_normalize_contract():
             assert type(base.normalize(c)) is elem
         assert type(base.zero()) is elem and type(base.one()) is elem
         assert type(MultiPoly.const(base, 1, 3).constant_term()) is elem
-        assert type(MultiPoly(base, 1, {(1,): 3}).terms[(1,)]) is elem
+        assert type(MultiPoly(base, 1, {(1,): 3}).coefficient((1,))) is elem
     assert Z12.normalize(-1) == 11
     assert F5.normalize(Fraction(1, 2)) == 3
     assert Q.normalize(Fraction(1, 3)) == Fraction(1, 3)
@@ -170,7 +175,7 @@ def reference_substitute(p, assignment, nvars_out):
     for v in range(p.nvars):
         images.setdefault(v, MultiPoly.variable(base, nvars_out, v))
     out = MultiPoly.zero(base, nvars_out)
-    for exps, c in p.terms.items():
+    for exps, c in p.exponent_items():
         term = MultiPoly.const(base, nvars_out, 1)
         for v, e in enumerate(exps):
             if e:
@@ -180,16 +185,22 @@ def reference_substitute(p, assignment, nvars_out):
 
 
 def typed_items(p):
-    """Terms in insertion order, with each coefficient's type."""
-    terms = p if isinstance(p, dict) else p.terms
-    return [(e, c, type(c)) for e, c in terms.items()]
+    """Terms in insertion order, with each coefficient's type: packed keys
+    for a reader's dict, exponent tuples for a polynomial."""
+    items = p.items() if isinstance(p, dict) else p.exponent_items()
+    return [(e, c, type(c)) for e, c in items]
+
+
+def exponents(p):
+    """The exponent tuples of p's terms, in insertion order."""
+    return [e for e, _ in p.exponent_items()]
 
 
 def evaluate(p, point):
     """p at an integer point in plain base-ring arithmetic, not the term kernel."""
     m = p.base.modulus
     total = 0
-    for exps, c in p.terms.items():
+    for exps, c in p.exponent_items():
         for x, e in zip(point, exps):
             c *= x ** e if m is None else pow(x, e, m)
         total += c
@@ -505,7 +516,7 @@ def test_parse_edge_cases(text, base, expected):
 
 def general(text, base, nvars):
     """parse_poly with the canonical reader left out."""
-    return MultiPoly(base, nvars, _parse_general(text, nvars))
+    return MultiPoly(base, nvars, _coerced(_parse_general(text, nvars), base), normalized=True)
 
 
 def outcome(parse, text, base, nvars):
@@ -612,7 +623,7 @@ def test_general_reader_refuses_a_product_past_the_bound():
         parse_poly("(1+x1+x2)^24*(1+x1+x2)^24", Z, 2)
     assert time.perf_counter() - start < 1.0
     # a power of one term and a small sum still read at once
-    assert list(parse_poly("x1^1000000", Z, 1).terms) == [(1000000,)]
+    assert exponents(parse_poly("x1^1000000", Z, 1)) == [(1000000,)]
     assert parse_poly("-(x1+1)^3", Z, 1) == P("-x1^3 - 3*x1^2 - 3*x1 - 1")
     assert len(parse_poly("(1+x1+x2)^23*(1+x1+x2)^23", Z, 2).terms) == 1128
 
@@ -636,11 +647,68 @@ def test_tuple_constructor_validates_every_key(nvars, terms):
         MultiPoly(Z, nvars, terms)
 
 
+def test_degree_cap_pinned():
+    # one field width for every key: x1^1000000 fits, 2^20 does not
+    assert MAX_DEGREE == 2**20 - 1
+    top = MultiPoly(Z, 2, {(MAX_DEGREE - 1, 1): 1})
+    assert top.total_degree() == MAX_DEGREE and top.degree_in(1) == 1
+    assert exponents(MultiPoly(Z, 2, {(0, MAX_DEGREE): 3})) == [(0, MAX_DEGREE)]
+    x1, x2 = MultiPoly.variable(Z, 2, 0), MultiPoly.variable(Z, 2, 1)
+    with pytest.raises(DegreeOverflow, match="exceeds the cap %d" % MAX_DEGREE):
+        MultiPoly(Z, 2, {(MAX_DEGREE, 1): 1})
+    with pytest.raises(DegreeOverflow):
+        MultiPoly(Z, 1, {(2**100,): 0})  # checked even when the term is dropped
+    for cross in (
+        lambda: top * x1,
+        lambda: top * (x1 + x2),
+        lambda: add_product(x1, top, x2),
+        lambda: x1 ** (MAX_DEGREE + 1),
+        lambda: x1 ** 2**100,
+        lambda: MultiPoly(Z, 1, {(2**19,): 1, (0,): 1}) ** 2,
+        lambda: top.substitute({1: x1 * x2}),
+    ):
+        with pytest.raises(DegreeOverflow):
+            cross()
+    assert (x1 ** (MAX_DEGREE - 1) * x2).exponent_items() == [((MAX_DEGREE - 1, 1), 1)]
+
+
+def test_division_guard_bits_at_the_cap():
+    # a quotient exponent below zero borrows from the field above and sets
+    # its guard bit, also when the fields below the cap are full
+    top = MultiPoly(Z, 2, {(MAX_DEGREE - 1, 1): 1})
+    for divisor, quotient in (
+        ({(0, 2): 1}, None),
+        ({(MAX_DEGREE, 0): 1}, None),
+        ({(1, 0): 1}, (MAX_DEGREE - 2, 1)),
+        ({(0, 1): 1}, (MAX_DEGREE - 1, 0)),
+        ({(MAX_DEGREE - 1, 1): 1}, (0, 0)),
+    ):
+        partial, exact, _ = leading_term_division(top, MultiPoly(Z, 2, divisor))
+        if quotient is None:
+            assert partial.is_zero() and exact is None
+        else:
+            assert exponents(exact) == [quotient]
+
+
+def test_text_past_the_degree_cap_is_a_parse_error():
+    assert exponents(parse_poly("x1^%d" % MAX_DEGREE, Z, 1)) == [(MAX_DEGREE,)]
+    for text in (
+        "x1^%d" % (MAX_DEGREE + 1),  # canonical, one chain
+        "x1^%d*x2" % MAX_DEGREE,  # canonical, a chain of two factors
+        "x1^99999999999999999999",
+        "(x1^%d)*x2" % MAX_DEGREE,  # general reader, a product
+        "(x1^%d)^2" % (2**19),  # general reader, a power of one term
+        "(x1^%d + 1)^2" % (2**19),  # general reader, a power of a sum
+    ):
+        with pytest.raises(ParseError, match="degree cap"):
+            parse_poly(text, Q, 2)
+
+
 def test_reader_memo_keys_on_nvars():
     # one chain read under two variable counts gives tuples of each length
-    assert list(parse_poly("x1^3*x2", Z, 2).terms) == [(3, 1)]
-    assert list(parse_poly("x1^3*x2", Z, 3).terms) == [(3, 1, 0)]
-    assert list(parse_poly("2*x1^3*x2", Q, 2).terms) == [(3, 1)]
+    assert exponents(parse_poly("x1^3*x2", Z, 2)) == [(3, 1)]
+    assert exponents(parse_poly("x1^3*x2", Z, 3)) == [(3, 1, 0)]
+    assert exponents(parse_poly("2*x1^3*x2", Q, 2)) == [(3, 1)]
 
 
 def test_reader_raises_again_on_a_chain_it_refused():

@@ -268,25 +268,28 @@ def test_move_delta_matches_applied_moves():
 
 
 def reference_division(a, b):
-    """Leading-term division on whole polynomials: r <- r - q*b per step."""
+    """Leading-term division on whole polynomials: r <- r - q*b per step,
+    on exponent tuples ordered by (total degree, tuple)."""
     base = a.base
     partial_limit = 2 * len(a.terms) + 8
     limit = 4 * (len(a.terms) + len(b.terms) + 4)
     q_terms: dict = {}
     partial = None
     r = a
-    lead_b = max(b.terms, key=lambda e: (sum(e), e))
+    b_terms = dict(b.exponent_items())
+    lead_b = max(b_terms, key=lambda e: (sum(e), e))
     steps = 0
     while not r.is_zero() and steps < limit:
         if steps == partial_limit:
             partial = dict(q_terms)
         steps += 1
-        lead_r = max(r.terms, key=lambda e: (sum(e), e))
+        r_terms = dict(r.exponent_items())
+        lead_r = max(r_terms, key=lambda e: (sum(e), e))
         exps = tuple(x - y for x, y in zip(lead_r, lead_b))
         if any(e < 0 for e in exps):
             break
         try:
-            coeff = base.normalize(Fraction(r.terms[lead_r]) / Fraction(b.terms[lead_b]))
+            coeff = base.normalize(Fraction(r_terms[lead_r]) / Fraction(b_terms[lead_b]))
         except BaseMismatch:
             break
         q_terms[exps] = coeff
@@ -319,11 +322,11 @@ def test_leading_term_division_matches_reference():
     for a, b in division_inputs():
         partial, exact, _ = leading_term_division(a, b)
         want_partial, want_exact = reference_division(a, b)
-        assert list(partial.terms.items()) == list(want_partial.items())
+        assert partial.exponent_items() == list(want_partial.items())
         if want_exact is None:
             assert exact is None
         else:
-            assert list(exact.terms.items()) == list(want_exact.items())
+            assert exact.exponent_items() == list(want_exact.items())
         outcomes.add((not partial.is_zero(), exact is not None))
         count += 1
     assert count > 1000
@@ -430,7 +433,7 @@ def cohn_embedded():
 
 def test_heuristic_identity():
     g = GroupMatrix.identity(A2, Z, 1)
-    word, residual = heuristic_reduce(g)
+    word, residual, _ = heuristic_reduce(g)
     assert len(word) == 0 and residual.is_identity()
 
 
@@ -438,14 +441,14 @@ def test_heuristic_unitriangular():
     g = GroupMatrix.identity(A2, Z, 1)
     g = g.rmul_unipotent((1, -1, 0), parse_poly("x1^2+1", Z, 1))
     g = g.rmul_unipotent((1, 0, -1), parse_poly("3*x1", Z, 1))
-    word, residual = heuristic_reduce(g)
+    word, residual, _ = heuristic_reduce(g)
     assert residual.is_identity()
     assert eval_word(word, Z, 1) == g
 
 
 def test_heuristic_cracks_cohn():
     g = cohn_embedded()
-    word, residual = heuristic_reduce(g)
+    word, residual, _ = heuristic_reduce(g)
     assert residual.is_identity()
     assert eval_word(word, Z, 1) == g
 
@@ -453,7 +456,7 @@ def test_heuristic_cracks_cohn():
 def test_heuristic_factors_constant_leftover_over_q():
     # over a field the Euclidean reduction factors the constant leftover
     g = int_matrix(A2, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]], base=Q)
-    word, residual = heuristic_reduce(g)
+    word, residual, _ = heuristic_reduce(g)
     assert residual.is_identity()
     assert eval_word(word, Q, 1) == g
     assert len(word) == 4
@@ -462,7 +465,7 @@ def test_heuristic_factors_constant_leftover_over_q():
 def test_heuristic_conservation_on_stall():
     # a constant residual is legitimate; the invariant word*residual = g holds
     g = int_matrix(A2, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
-    word, residual = heuristic_reduce(g)
+    word, residual, _ = heuristic_reduce(g)
     assert eval_word(word, Z, 1) * residual == g
 
 
@@ -478,7 +481,7 @@ def test_constant_tail_calls_factor_integer_sl_by_module_name(monkeypatch):
     monkeypatch.setattr(factorize, "factor_integer_sl", counted)
     # with no greedy steps the whole constant matrix is the tail
     g = int_matrix(A2, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
-    word, residual = heuristic_reduce(g, Budget(max_steps=0))
+    word, residual, _ = heuristic_reduce(g, Budget(max_steps=0))
     assert calls == [g] and residual.is_identity()
     assert eval_word(word, Z, 1) == g
 
@@ -589,6 +592,30 @@ def test_factor_polynomial_greedy_stall_fails_fast(rs, seed, length):
         signal.signal(signal.SIGALRM, previous)
     assert "greedy stage" in str(exc.value)
     assert "max_steps" in str(exc.value)
+
+
+def test_stall_checks_membership_on_the_stall_matrix(monkeypatch):
+    # after a stall the invariant is checked on g(0) and on the matrix the
+    # greedy stopped at, never on g; the message sizes that matrix
+    checked = []
+    real_check = factorize.membership_check
+
+    def counting_check(matrix, rs):
+        checked.append(matrix)
+        return real_check(matrix, rs)
+
+    monkeypatch.setattr(factorize, "membership_check", counting_check)
+    g = eval_word(random_elementary_word(A2, 5013, 30), Z, 1)
+    _, residual, stall = heuristic_reduce(g)
+    assert not residual.is_identity() and not stall.is_constant()
+    checked.clear()
+    with pytest.raises(NotFactored) as exc:
+        factor_polynomial(g)
+    assert len(checked) == 2 and checked[0].is_constant() and checked[1] == stall
+    assert all(m != g for m in checked)
+    terms = sum(len(p.coefficients()) for row in stall.entries for p in row)
+    degree = max(p.total_degree() for row in stall.entries for p in row)
+    assert "has %d terms of total degree up to %d" % (terms, degree) in str(exc.value)
 
 
 def bench_family_words(seeds):

@@ -121,5 +121,4 @@ def test_torus_with_localized_unit():
 
 def test_parse_fraction_literal_and_division():
     p = parse_poly("(3/4)*x1 - 1/2", BaseRing.rationals(), 1)
-    assert p.terms[(1,)] == Fraction(3, 4)
-    assert p.terms[(0,)] == Fraction(-1, 2)
+    assert p.exponent_items() == [((1,), Fraction(3, 4)), ((0,), Fraction(-1, 2))]

@@ -89,10 +89,10 @@ def functions_with_line(predicate):
 
 
 def test_exponents_summed_only_by_the_adder():
-    # _mul_add picks one adder per call; tuple(map(add, ...)) is its
-    # generic fallback, and a second copy would bypass the unrolled ones
+    # packed keys multiply by integer +; a tuple adder anywhere would mean
+    # a second monomial format beside the packed one
     found = functions_with_line(lambda line: "tuple(map(add" in line)
-    assert found == ["exactring.py: _add_any"], found
+    assert found == [], found
 
 
 def test_structure_constants_read_only_through_rootdata():
@@ -166,7 +166,8 @@ GLEX_KEY = re.compile(r"sum\(([\w\[\]]+)\), \1\b")
 def test_only_exactring_reads_exponent_keys():
     # the term-dict format has one owner: outside exactring, .terms is
     # read only as the opaque handle eval_word passes back to the kernel,
-    # and no module builds a zero key, subtracts keys or orders them
+    # no module packs or unpacks a key, and with packed keys no module
+    # builds a zero tuple, subtracts tuples or orders them by a key
     def outside(found):
         return [f for f in found if not f.startswith("exactring.py: ")]
 
@@ -175,9 +176,11 @@ def test_only_exactring_reads_exponent_keys():
         "words.py: eval_word",
         "words.py: eval_word",
     ]
-    for pattern in ("(0,) *", "tuple(map(sub"):
-        assert outside(functions_with_line(lambda line: pattern in line)) == [], pattern
-    assert functions_with_line(lambda line: GLEX_KEY.search(line)) == ["exactring.py: _glex"]
+    packers = functions_with_line(lambda line: re.search(r"\b_(un)?pack\(", line))
+    assert packers and outside(packers) == [], packers
+    for pattern in ("(0,) *", "tuple(map(sub", "_glex"):
+        assert functions_with_line(lambda line: pattern in line) == [], pattern
+    assert functions_with_line(lambda line: GLEX_KEY.search(line)) == []
     for name in ("factorize.py", "rootdata.py", "localglobal.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
         private = [

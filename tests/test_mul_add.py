@@ -29,7 +29,7 @@ BASES = [
     BaseRing.integers_localized(2),
 ]
 SYSTEMS = [build_root_system(k, r) for k, r in (("A", 2), ("A", 3), ("C", 2), ("C", 3))]
-NVARS = (1, 2, 3, 4)  # 4 variables reach the generic adder
+NVARS = (1, 2, 3, 4)
 
 
 def coeff(rng, base):
@@ -59,7 +59,7 @@ def pool_rows(rng, rs, base, nvars):
 def value(p, point):
     m = p.base.modulus
     total = 0
-    for exps, c in p.terms.items():
+    for exps, c in p.exponent_items():
         for x, e in zip(point, exps):
             c *= x ** e if m is None else pow(x, e, m)
         total += c

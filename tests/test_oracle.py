@@ -1,9 +1,13 @@
 """The grid oracle against FactorizationCertificate.check, on factor
-certificates and on genuine and mutated verify-style certificates."""
+certificates and on genuine and mutated verify-style certificates over Z,
+F_p, Q and Z[1/2]."""
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import grid_oracle
 from chevelem.cli import cohn_matrix
@@ -20,7 +24,7 @@ def certificate(target, letters):
     return FactorizationCertificate(
         target=target,
         word=ElemWord(rs, letters),
-        residual_constant=GroupMatrix.identity(rs, Z, target.nvars),
+        residual_constant=GroupMatrix.identity(rs, target.base, target.nvars),
         verified=True,
     )
 
@@ -35,26 +39,27 @@ def factor_corpus():
             yield factor_polynomial(eval_word(word, Z, nvars))
 
 
-def verify_corpus():
+def verify_corpus(base=Z, count=24, lengths=(10, 20, 30), scale=1, seed=8200):
     """Genuine certificates of random words and mutated twins, as the
     verify benchmark makes them: one argument moved by a nonzero constant,
-    or one letter dropped."""
-    rng = random.Random(8200)
+    or one letter dropped.  Each letter is scaled by scale."""
+    rng = random.Random(seed)
     groups = (("A", 2), ("A", 3), ("C", 2), ("C", 3))
-    for i in range(24):
+    for i in range(count):
         rs = build_root_system(*groups[i % 4])
         nvars = 1 + i % 8 // 4
         word = random_elementary_word(
-            rs, rng.randrange(1 << 31), 10 + i % 3 * 10, nvars=nvars, max_degree=1, coeff_bound=3
+            rs, rng.randrange(1 << 31), lengths[i % len(lengths)], nvars=nvars,
+            max_degree=1, coeff_bound=3, base=base,
         )
-        target = eval_word(word, Z, nvars)
-        letters = list(word.letters)
+        letters = [(root, arg.scale(scale)) for root, arg in word.letters]
+        target = eval_word(ElemWord(rs, letters), base, nvars)
         genuine = i % 2 == 0
         if not genuine:
             k = rng.randrange(len(letters))
             if rng.random() < 0.5:
                 root, arg = letters[k]
-                letters[k] = (root, arg + MultiPoly.const(Z, nvars, rng.choice((-2, -1, 1, 2))))
+                letters[k] = (root, arg + MultiPoly.const(base, nvars, rng.choice((-2, -1, 1, 2))))
             else:
                 del letters[k]
         yield certificate(target, letters), genuine
@@ -67,8 +72,9 @@ def mutants(cert):
     for k in (0, len(letters) // 2, len(letters) - 1):
         yield letters[:k] + letters[k + 1 :]
         root, arg = letters[k]
-        (e, c), *_ = arg.terms.items()
-        moved = MultiPoly(Z, arg.nvars, {**arg.terms, e: c + 1})
+        items = arg.exponent_items()
+        (e, c), *_ = items
+        moved = MultiPoly(Z, arg.nvars, {**dict(items), e: c + 1})
         yield letters[:k] + [(root, moved)] + letters[k + 1 :]
 
 
@@ -88,6 +94,40 @@ def test_oracle_agrees_with_check_on_verify_certificates():
         assert grid_oracle.check_certificate(cert) == verdict
         verdicts.append(verdict)
     assert verdicts.count(True) == verdicts.count(False) == 12
+
+
+@pytest.mark.parametrize(
+    "base, lengths, scale",
+    [
+        (BaseRing.prime_field(5), (2, 3), 1),
+        (BaseRing.prime_field(101), (10, 20), 1),
+        (BaseRing.rationals(), (10, 20), Fraction(2, 3)),
+        (BaseRing.integers_localized(2), (10, 20), Fraction(3, 4)),
+    ],
+    ids=["F5", "F101", "Q", "Z[1/2]"],
+)
+def test_oracle_agrees_with_check_beyond_z(base, lengths, scale):
+    # the product kernel against arithmetic it does not share, on every
+    # base where a grid decides: F_p with p above every degree bound, Q
+    # and Z[1/2] with coefficients that are not integers
+    verdicts = []
+    for cert, genuine in verify_corpus(base, 12, lengths, scale, seed=8300):
+        verdict = cert.check()
+        assert verdict == genuine
+        assert grid_oracle.check_certificate(cert) == verdict
+        verdicts.append(verdict)
+    assert verdicts.count(True) == verdicts.count(False) == 6
+
+
+def test_oracle_refuses_where_no_grid_decides():
+    f5 = BaseRing.prime_field(5)
+    (cert, _), *_ = verify_corpus(f5, 1, (30,), seed=8400)
+    with pytest.raises(ValueError, match="not F5"):
+        grid_oracle.check_certificate(cert)
+    z8 = BaseRing.integers_mod(8)
+    (cert, _), *_ = verify_corpus(z8, 1, (2,), seed=8400)
+    with pytest.raises(ValueError, match="refuses Z/8"):
+        grid_oracle.check_certificate(cert)
 
 
 def test_oracle_rejects_mutants():

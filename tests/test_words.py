@@ -181,7 +181,7 @@ EVAL_SYSTEMS = [build_root_system(k, r) for k, r in (("A", 2), ("A", 3), ("C", 2
 
 def typed_entries(g):
     """Each entry's terms sorted by exponent, with coefficient types."""
-    return [[sorted((e, c, type(c)) for e, c in p.terms.items()) for p in row] for row in g.entries]
+    return [[sorted((e, c, type(c)) for e, c in p.exponent_items()) for p in row] for row in g.entries]
 
 
 def reference_eval(w, base, nvars):
