@@ -537,6 +537,31 @@ def add_product(p: MultiPoly, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly(p.base, p.nvars, acc, normalized=True)
 
 
+def size_change(p: MultiPoly, a: MultiPoly, b: MultiPoly, sign: int, degw: int, bitw: int,
+                minus_one: bool = False) -> int:
+    """weighted_size(p + sign*a*b) - weighted_size(p) for sign +-1, with
+    minus_one as in weighted_size, sized on the keys that a*b touches only:
+    p is not copied and no MultiPoly is built.  The degree cap is checked
+    as in add_product."""
+    touched: dict = {}
+    _mul_add(touched, a.terms, b.terms, p.nvars, p.base.modulus)
+    m, shift, terms = p.base.modulus, _W * p.nvars, p.terms
+    delta = 0
+    for k, v in touched.items():
+        old = terms.get(k, 0)
+        new = old + v if sign == 1 else old - v
+        if minus_one and not k:  # the constant term is sized as c - 1
+            old, new = old - 1, new - 1
+        if m is not None:
+            old, new = old % m, new % m
+        if new and old:
+            delta += bitw * (_bits(new) - _bits(old))
+        elif new or old:
+            size = 1 + degw * (k >> shift) ** 2 + bitw * _bits(new or old)
+            delta += size if new else -size
+    return delta
+
+
 def sum_of_products(pairs, base: BaseRing, nvars: int) -> MultiPoly:
     """The sum of a*b over the (a, b) in pairs, all over base in nvars
     variables and, as in add_product, not checked against each other."""
@@ -777,6 +802,8 @@ _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 _MAX_PAREN_DEPTH = 100
 # monomial products that one product of the general reader may take (about 50 ms)
 MAX_PARSE_PRODUCTS = 100_000
+# bits of the longest integer literal the reader takes (4300 digits, Python's int-string limit)
+_MAX_LITERAL_BITS = (10**4300 - 1).bit_length()
 
 
 def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
@@ -929,7 +956,8 @@ def _parse_general(text: str, nvars: int) -> dict:
     into one accumulator and a power of one term scales its exponents,
     so only products of parenthesised sums cost more than linear time,
     and each such product, squarings of a power included, is refused past
-    MAX_PARSE_PRODUCTS monomial products.
+    MAX_PARSE_PRODUCTS monomial products.  A power of one term is refused
+    when its coefficient would be longer than the longest literal.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -978,6 +1006,11 @@ def _parse_general(text: str, nvars: int) -> dict:
             kind, n = toks.pop()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
+            if len(node) == 1:  # a power of one term: bound its coefficient before making it
+                c = Fraction(*node.values())
+                big, cap = max(abs(c.numerator), c.denominator), _MAX_LITERAL_BITS
+                if n * (big.bit_length() - 1) >= cap or (big**n).bit_length() > cap:
+                    raise ParseError("a power's coefficient exceeds %d bits" % cap)
             node = _pow_terms(node, n, nvars, mul=_capped_mul)
         return {e: -c for e, c in node.items()} if negate else node
 

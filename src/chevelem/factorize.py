@@ -29,7 +29,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, add_product, leading_term_division
+from .exactring import BaseRing, MultiPoly, leading_term_division, size_change
 from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import (
     GroupMatrix,
@@ -376,22 +376,13 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     return None if partial.is_zero() else partial
 
 
-def _line_size(p: MultiPoly, diagonal: bool, degw: int, bitw: int, sizes: dict) -> int:
-    """Size of one entry's distance from the identity entry, memoised in
-    sizes, which serves one (degw, bitw) only."""
-    key = (p, diagonal)
-    s = sizes.get(key)
-    if s is None:
-        s = sizes[key] = p.weighted_size(degw, bitw, diagonal)
-    return s
-
-
-def _matrix_size(m, degw: int, bitw: int, sizes: dict) -> int:
-    total = 0
-    for i, row in enumerate(m):
-        for j, p in enumerate(row):
-            total += _line_size(p, i == j, degw, bitw, sizes)
-    return total
+def _matrix_size(m, degw: int, bitw: int, _memo=None) -> int:
+    """Size of m's distance from the identity, each entry sized afresh: a
+    pass sizes its matrix once and then adds move deltas.  _memo is
+    accepted for callers that pass a memo, and not read."""
+    return sum(
+        p.weighted_size(degw, bitw, i == j) for i, row in enumerate(m) for j, p in enumerate(row)
+    )
 
 
 def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
@@ -438,12 +429,12 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
 
 
 def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw: int, sizes: dict) -> int:
-    """Size change of a candidate move, computed on the affected lines.
+    """Size change of a candidate move, summed over the affected lines.
 
     A line whose source entry is zero keeps its entry and is skipped.
-    sizes memoises by value, for one (degw, bitw), both the size of a
-    current entry (key (p, diagonal)) and the new size of a line (key
-    (t, sign, old, src, diagonal)); most lines recur across steps."""
+    sizes memoises by value, for one (degw, bitw), the size change of each
+    line under the key (t, sign, old, src, diagonal): one lookup per line,
+    and most lines recur across steps."""
     m = rec.m
     delta = 0
     for r, c, sign in rec.rs.unipotent_terms[root]:
@@ -455,11 +446,10 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
             if src.is_zero():
                 continue
             key = (t, sign, old, src, diagonal)
-            new = sizes.get(key)
-            if new is None:
-                line = add_product(old, t if sign == 1 else -t, src)
-                new = sizes[key] = line.weighted_size(degw, bitw, diagonal)
-            delta += new - _line_size(old, diagonal, degw, bitw, sizes)
+            d = sizes.get(key)
+            if d is None:
+                d = sizes[key] = size_change(old, t, src, sign, degw, bitw, diagonal)
+            delta += d
     return delta
 
 
@@ -574,13 +564,14 @@ def _restore(rec: _OpRecorder, snap) -> None:
 def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pairs: dict) -> _OpRecorder:
     """One strictly-descending greedy run with a two-ply escape at stalls.
 
-    pairs (from the caller) and sizes (this pass's weighting) memoise
-    candidates, entry sizes and candidate line sizes by value, so a step
-    computes them afresh only on the lines the last move changed.  current
-    is the matrix size, kept up to date by each applied move's delta."""
+    pairs (from the caller) and sizes (this pass's weighting) memoise by
+    value the candidates and the size change of each candidate line, so a
+    step computes them afresh only on the lines the last move changed.
+    current is the matrix size, sized once and then kept up to date by each
+    applied move's delta."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     sizes: dict = {}
-    current = _matrix_size(rec.m, degw, bitw, sizes)
+    current = _matrix_size(rec.m, degw, bitw)
     steps = 0
     while steps < max_steps:
         steps += 1
@@ -652,7 +643,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
                 sides, degw, bitw, len(rec.left), len(rec.right),
             )
             break
-        score = _matrix_size(rec.m, 1, 1, {})
+        score = _matrix_size(rec.m, 1, 1)
         log.debug(
             "greedy pass sides=%s degw=%d bitw=%d stalled at size %d",
             sides, degw, bitw, score,

@@ -320,6 +320,17 @@ def test_verify_degree_past_the_cap(tmp_path, capsys, args):
     assert "exceeds the cap 1048575" in capsys.readouterr().err
 
 
+def test_verify_power_past_the_longest_literal(tmp_path, capsys):
+    # a constant power whose value no literal could spell is refused by
+    # the reader, before it is computed, and the verb exits 3
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    data["word"][0]["arg"] = "(2)^30000000"
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert "coefficient exceeds" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     # argparse's own exit status 2 would read as NotFactored
     matrix_file = tmp_path / "m.json"

@@ -31,6 +31,7 @@ from chevelem.exactring import (
     parse_poly,
     poly_s_valuation,
     s_valuation,
+    size_change,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system
 
@@ -737,3 +738,64 @@ def test_reader_two_variable_roundtrip(base):
     assert emit_poly(p) == text
     assert parse_poly(emit_poly(p), base, 2) == p
     assert emit_poly(parse_poly("3*x1^2*x2 + x1^2 - x1*x2^3 + 5 - 7*x2", base, 2)) == text
+
+
+@pytest.mark.parametrize("base", [Z, Z4, F5, Q, ZHALF], ids=str)
+def test_size_change_matches_the_applied_product(base):
+    # the greedy's scoring kernel against the line it scores: p + sign*a*b
+    # built by add_product and sized whole, under every weighting and both
+    # readings of minus_one; zero operands, cancelling products and a
+    # constant term that lands on exactly 1 are drawn on purpose
+    rng = random.Random(23)
+    checked = 0
+    for nvars in (1, 2, 3):
+        one = MultiPoly.const(base, nvars, 1)
+        for _ in range(30):
+            p, a, b = (random_poly(rng, base, nvars, max_terms=4) for _ in range(3))
+            zero = MultiPoly.zero(base, nvars)
+            cases = [(p, a, b), (p, zero, b), (p, a, zero), (zero, a, b)]
+            cases.append((a * b + p, a, b))  # sign -1 cancels back to p
+            cases.append((-(a * b), a, b))  # sign 1 cancels every term
+            cases.append((one + a * b, a, b))  # sign -1 leaves exactly 1
+            for q, x, y in cases:
+                for sign in (1, -1):
+                    line = add_product(q, x if sign == 1 else -x, y)
+                    for degw, bitw in ((1, 1), (3, 0), (0, 1), (2, 5)):
+                        for minus_one in (False, True):
+                            want = line.weighted_size(degw, bitw, minus_one)
+                            want -= q.weighted_size(degw, bitw, minus_one)
+                            assert size_change(q, x, y, sign, degw, bitw, minus_one) == want
+                            checked += 1
+    assert checked == 3 * 30 * 7 * 2 * 4 * 2
+    # a diagonal 3 + x1 that the move takes to 1 + x1 sheds its constant
+    # term, which was sized as 3 - 1 = 2: one term plus 3 bits
+    x1 = MultiPoly.variable(base, 1, 0)
+    three, two, unit = (MultiPoly.const(base, 1, c) for c in (3, 2, 1))
+    assert size_change(three + x1, two, unit, -1, 1, 1, True) == -(1 + 3)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_size_change_past_the_degree_cap(sign):
+    # the kernel checks the cap as add_product does, before sizing anything
+    x1, x2 = MultiPoly.variable(Z, 2, 0), MultiPoly.variable(Z, 2, 1)
+    top = MultiPoly(Z, 2, {(MAX_DEGREE - 1, 1): 1})
+    with pytest.raises(DegreeOverflow, match="exceeds the cap %d" % MAX_DEGREE):
+        add_product(x1, top, x2)
+    for minus_one in (False, True):
+        with pytest.raises(DegreeOverflow, match="exceeds the cap %d" % MAX_DEGREE):
+            size_change(x1, top, x2, sign, 1, 1, minus_one)
+    assert size_change(x1, top, MultiPoly.const(Z, 2, 1), sign, 1, 1) == 1 + MAX_DEGREE**2 + 2
+
+
+def test_general_reader_bounds_the_bits_of_a_power():
+    # a power of one term may not make a coefficient longer than the
+    # longest literal the reader takes; it is refused before it is made
+    start = time.perf_counter()
+    for text in ("(2)^30000000", "(2)^14285", "(3)^9100", "(-1/2)^20000", "(2*x1)^20000"):
+        with pytest.raises(ParseError, match="coefficient exceeds 14285 bits"):
+            parse_poly(text, Q, 1)
+    assert time.perf_counter() - start < 0.5
+    assert parse_poly("(2)^100", Z, 1) == MultiPoly.const(Z, 1, 2**100)
+    assert parse_poly("(1/3)^50", Q, 1) == MultiPoly.const(Q, 1, Fraction(1, 3**50))
+    assert parse_poly("(2)^14284", Z, 1).constant_term() == 2**14284
+    assert parse_poly("(-1)^99999999999999999999 + (x1)^3", Z, 1) == P("x1^3 - 1")
