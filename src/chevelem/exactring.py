@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BaseMismatch,
@@ -877,11 +877,30 @@ def _pow_terms(p: dict, n: int, nvars: int, m: int | None = None, mul=_mul_terms
 
 
 def _capped_mul(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
-    """_mul_terms for the general reader, refused past MAX_PARSE_PRODUCTS."""
+    """_mul_terms for the general reader, refused past MAX_PARSE_PRODUCTS
+    and when its coefficients could pass _MAX_LITERAL_BITS."""
     if len(a) * len(b) > MAX_PARSE_PRODUCTS:
         raise ParseError("a product of %d by %d terms exceeds %d monomial products"
                          % (len(a), len(b), MAX_PARSE_PRODUCTS))
+    _check_height(_height(a) * _height(b), 1, "product")
     return _mul_terms(a, b, nvars, m)
+
+
+def _height(p: dict) -> int:
+    """max(D, sum of |c|*D) over p's coefficients c, D their common
+    denominator: the numerators and denominators of p*q are at most
+    _height(p)*_height(q), those of p**n at most _height(p)**n.  For one
+    term it is max(|numerator|, denominator)."""
+    d = lcm(*(c.denominator for c in p.values()))
+    return max(d, sum(abs(c.numerator) * (d // c.denominator) for c in p.values()))
+
+
+def _check_height(h: int, n: int, what: str) -> None:
+    """ParseError when h**n has more bits than the longest literal; a
+    cheap lower bound first, so no int much past the cap is made."""
+    cap = _MAX_LITERAL_BITS
+    if n * (h.bit_length() - 1) >= cap or (h**n).bit_length() > cap:
+        raise ParseError("a %s's coefficient exceeds %d bits, or may by its bound" % (what, cap))
 
 
 def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
@@ -956,8 +975,9 @@ def _parse_general(text: str, nvars: int) -> dict:
     into one accumulator and a power of one term scales its exponents,
     so only products of parenthesised sums cost more than linear time,
     and each such product, squarings of a power included, is refused past
-    MAX_PARSE_PRODUCTS monomial products.  A power of one term is refused
-    when its coefficient would be longer than the longest literal.
+    MAX_PARSE_PRODUCTS monomial products.  A product or a power is
+    refused before it is made when _height bounds its coefficients past
+    the longest literal; for a power of one term that bound is exact.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -1006,11 +1026,7 @@ def _parse_general(text: str, nvars: int) -> dict:
             kind, n = toks.pop()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
-            if len(node) == 1:  # a power of one term: bound its coefficient before making it
-                c = Fraction(*node.values())
-                big, cap = max(abs(c.numerator), c.denominator), _MAX_LITERAL_BITS
-                if n * (big.bit_length() - 1) >= cap or (big**n).bit_length() > cap:
-                    raise ParseError("a power's coefficient exceeds %d bits" % cap)
+            _check_height(_height(node), n, "power")  # before the power is made
             node = _pow_terms(node, n, nvars, mul=_capped_mul)
         return {e: -c for e, c in node.items()} if negate else node
 

@@ -12,8 +12,9 @@ exactly against its target before it is returned; NotFactored is never a
 claim of non-membership.  A word whose exact product is the target
 proves membership, so factor_polynomial checks only the constant-term
 matrix g(0) up front; after a stall it checks the stall matrix, which is
-in the group exactly when g is, and the full invariant check on g runs
-only when the search itself raises.
+in the group exactly when g is.  A constant leftover is factored by the
+Euclidean reduction, whose own membership check rejects it exactly when
+g is not in the group; the full invariant check on g never runs.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ from .errors import (
 )
 from .exactring import BaseRing, MultiPoly, leading_term_division, size_change
 from .localglobal import DEFAULT_BUDGET, Budget
-from .rootdata import (
-    GroupMatrix,
-    RootSystem,
-    column_update,
-    membership_check,
-    row_update,
-)
+from .rootdata import GroupMatrix, RootSystem, apply_moves, membership_check
 from .words import ElemWord, eval_word, free_reduce
 
 Z = BaseRing.integers()
@@ -155,27 +150,12 @@ class _OpRecorder:
         self.left: list = []
         self.right: list = []
 
-    def lmul(self, root, t) -> None:
+    def move(self, root, t, side: str) -> None:
+        """m <- x_root(t) * m on the left side, m * x_root(t) on the right."""
         if t.is_zero():
             return
-        row_update(self.m, self.rs.unipotent_terms[root], t)
-        self.left.append((root, t))
-
-    def rmul(self, root, t) -> None:
-        if t.is_zero():
-            return
-        column_update(self.m, self.rs.unipotent_terms[root], t)
-        self.right.append((root, t))
-
-    def entry_is(self, i: int, j: int, want_one: bool) -> bool:
-        e = self.m[i][j]
-        return e == self.one if want_one else e.is_zero()
-
-    def is_identity(self) -> bool:
-        size = len(self.m)
-        return all(
-            self.entry_is(i, j, i == j) for i in range(size) for j in range(size)
-        )
+        apply_moves(self.m, self.rs.moves[side][root], t)
+        (self.left if side == "left" else self.right).append((root, t))
 
     def matrix(self) -> GroupMatrix:
         return GroupMatrix(self.rs, self.m)
@@ -197,8 +177,8 @@ def _swap_into(rec: _OpRecorder, src: int, dst: int) -> None:
     """Row dst += row src, then row src -= row dst: with dst zero in the
     pivot column, this moves src's entry there into dst."""
     at = rec.rs.root_at
-    rec.lmul(at(dst, src), rec.one)
-    rec.lmul(at(src, dst), -rec.one)
+    rec.move(at(dst, src), rec.one, "left")
+    rec.move(at(src, dst), -rec.one, "left")
 
 
 def _normalize_pivot(rec: _OpRecorder, pivot: int, spare: int, d_inv) -> None:
@@ -206,9 +186,9 @@ def _normalize_pivot(rec: _OpRecorder, pivot: int, spare: int, d_inv) -> None:
     a spare row whose entry in the pivot column is zero."""
     at = rec.rs.root_at
     d = rec.m[pivot][pivot]
-    rec.lmul(at(spare, pivot), d_inv)
-    rec.lmul(at(pivot, spare), rec.one - d)
-    rec.lmul(at(spare, pivot), -rec.one)
+    rec.move(at(spare, pivot), d_inv, "left")
+    rec.move(at(pivot, spare), rec.one - d, "left")
+    rec.move(at(spare, pivot), -rec.one, "left")
 
 
 def _clear_pivot_row_c(rec: _OpRecorder, stage: int) -> None:
@@ -217,11 +197,12 @@ def _clear_pivot_row_c(rec: _OpRecorder, stage: int) -> None:
     rs = rec.rs
     later = list(range(stage + 1, rs.rank))
     for c in later + [rs.partner(c) for c in later] + [rs.partner(stage)]:
-        rec.rmul(rs.root_at(stage, c), -rec.m[stage][c])
+        rec.move(rs.root_at(stage, c), -rec.m[stage][c], "right")
+    unit = GroupMatrix.identity(rs, rec.base, rec.nvars).entries
     for fixed in (stage, rs.partner(stage)):
-        for c in range(rs.matrix_size):
-            if not (rec.entry_is(fixed, c, c == fixed) and rec.entry_is(c, fixed, c == fixed)):
-                raise NotInGroup("matrix does not preserve the symplectic form")
+        # row and column fixed are the identity's
+        if not tuple(rec.m[fixed]) == tuple(row[fixed] for row in rec.m) == unit[fixed]:
+            raise NotInGroup("matrix does not preserve the symplectic form")
 
 
 def _column_gcd(rec: _OpRecorder, ctx, rows, col: int, collapse: str) -> int:
@@ -239,7 +220,7 @@ def _column_gcd(rec: _OpRecorder, ctx, rows, col: int, collapse: str) -> int:
         for r in nz:
             if r == r_min:
                 continue
-            rec.lmul(at(r, r_min), -ctx.quotient(rec.m[r][col], rec.m[r_min][col]))
+            rec.move(at(r, r_min), -ctx.quotient(rec.m[r][col], rec.m[r_min][col]), "left")
 
 
 def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
@@ -258,7 +239,7 @@ def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
             _normalize_pivot(rec, col, col + 1, ctx.unit_inverse(d))
         for r in range(size):
             if r != col:
-                rec.lmul(at(r, col), -rec.m[r][col])
+                rec.move(at(r, col), -rec.m[r][col], "left")
 
 
 def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
@@ -277,9 +258,9 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
                     _swap_into(rec, star(j), j)
                     continue
                 if ctx.size(b) >= ctx.size(a):
-                    rec.lmul(at(star(j), j), -ctx.quotient(b, a))
+                    rec.move(at(star(j), j), -ctx.quotient(b, a), "left")
                 else:
-                    rec.lmul(at(j, star(j)), -ctx.quotient(a, b))
+                    rec.move(at(j, star(j)), -ctx.quotient(a, b), "left")
         # (b) gcd across the unstarred rows
         pivot = _column_gcd(rec, ctx, range(stage, n), col, "not in the group")
         if pivot != stage:
@@ -296,7 +277,7 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
         # only to starred rows, except on stage*.  (e) rejects anything else.
         for r in list(range(n)) + [star(stage)]:
             if r != stage:
-                rec.lmul(at(r, stage), -rec.m[r][col])
+                rec.move(at(r, stage), -rec.m[r][col], "left")
         # (e) clear the pivot row by column operations
         _clear_pivot_row_c(rec, stage)
 
@@ -310,7 +291,7 @@ def _euclid(g: GroupMatrix, scalars, not_in_group: str) -> ElemWord:
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     reduce = _reduce_type_a if g.rs.kind == "A" else _reduce_type_c
     reduce(rec, scalars(g.base, g.nvars))
-    if not rec.is_identity():
+    if not rec.matrix().is_identity():
         raise NotInGroup("reduction did not reach the identity")
     word = free_reduce(rec.word())
     if eval_word(word, g.base, g.nvars) != g:
@@ -376,10 +357,9 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     return None if partial.is_zero() else partial
 
 
-def _matrix_size(m, degw: int, bitw: int, _memo=None) -> int:
+def _matrix_size(m, degw: int, bitw: int) -> int:
     """Size of m's distance from the identity, each entry sized afresh: a
-    pass sizes its matrix once and then adds move deltas.  _memo is
-    accepted for callers that pass a memo, and not read."""
+    pass sizes its matrix once and then adds move deltas."""
     return sum(
         p.weighted_size(degw, bitw, i == j) for i, row in enumerate(m) for j, p in enumerate(row)
     )
@@ -411,19 +391,15 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
     iterating a set of polynomials would follow string hashing and make
     tie-breaks, hence certificates, depend on the interpreter's hash seed."""
     out: dict = {}
-    r1, c1, s1 = rs.unipotent_terms[root][0]
-    if side == "right":
-        lines = [(row[c1], row[r1]) for row in m]
-    else:
-        lines = zip(m[r1], m[c1])
-    for key in lines:
-        tgt, src = key
+    # the first term's lines: one per row or column
+    for ti, tj, si, sj, sign in rs.moves[side][root][:rs.matrix_size]:
+        key = tgt, src = m[ti][tj], m[si][sj]
         if src.is_zero() or tgt.is_zero():
             continue
         found = pairs.get(key)
         if found is None:
             found = pairs[key] = _pair_candidates(tgt, src)
-        for q in found[1] if s1 == 1 else found[0]:
+        for q in found[1] if sign == 1 else found[0]:
             out[q] = None
     return list(out)
 
@@ -437,19 +413,16 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
     and most lines recur across steps."""
     m = rec.m
     delta = 0
-    for r, c, sign in rec.rs.unipotent_terms[root]:
-        if side == "right":
-            lines = [(i == c, row[c], row[r]) for i, row in enumerate(m)]
-        else:
-            lines = [(j == r, old, src) for j, (old, src) in enumerate(zip(m[r], m[c]))]
-        for diagonal, old, src in lines:
-            if src.is_zero():
-                continue
-            key = (t, sign, old, src, diagonal)
-            d = sizes.get(key)
-            if d is None:
-                d = sizes[key] = size_change(old, t, src, sign, degw, bitw, diagonal)
-            delta += d
+    for ti, tj, si, sj, sign in rec.rs.moves[side][root]:
+        src = m[si][sj]
+        if src.is_zero():
+            continue
+        old = m[ti][tj]
+        key = (t, sign, old, src, ti == tj)
+        d = sizes.get(key)
+        if d is None:
+            d = sizes[key] = size_change(old, t, src, sign, degw, bitw, ti == tj)
+        delta += d
     return delta
 
 
@@ -524,8 +497,8 @@ def _rank1_update(rec: _OpRecorder) -> bool:
         + [(r, -t) for r, t in reversed(q_part)]
     )
     for root, t in reversed(full):
-        rec.lmul(root, t)
-    return rec.is_identity()
+        rec.move(root, t, "left")
+    return rec.matrix().is_identity()
 
 
 _STRATEGIES = (
@@ -544,10 +517,7 @@ def _all_moves(rec: _OpRecorder, sides, pairs: dict):
 
 
 def _apply(rec: _OpRecorder, root, t, side) -> None:
-    if side == "right":
-        rec.rmul(root, t)
-    else:
-        rec.lmul(root, t)
+    rec.move(root, t, side)
 
 
 def _snapshot(rec: _OpRecorder):
@@ -691,18 +661,15 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
     only the constant-term matrix g(0) is checked, which is exact for
     rejection since evaluation at 0 is a ring map.  A stall checks the
     stall matrix: g = L * stall * R with L, R elementary (det 1, form
-    kept), so g is in the group exactly when it is; only a search that
-    raises checks g.  A non-member raises NotInGroup, not NotFactored.
+    kept), so g is in the group exactly when it is; a constant leftover
+    c = L^-1 g R^-1 is likewise checked by the Euclidean reduction.  A
+    non-member raises NotInGroup, not NotFactored.
     """
     budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
     _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
-    try:
-        word, residual, stall = heuristic_reduce(g, budget)
-    except (NotFactored, NotInGroup):
-        _require_member(g)
-        raise
+    word, residual, stall = heuristic_reduce(g, budget)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "heuristic stage: residual identity=%s, word length %d, max degree %d",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
     PreconditionViolated,
@@ -227,9 +226,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         if None in ks:
             continue
         k1 = max(ks, default=0)
-        h = _clear_and_lift(w0.rs, letters, z, s, k1, target)
-        if h is None:
-            continue
+        # z -> s^k1 z gives each non-integral coefficient at least its
+        # s-power denominator back, so the lift to Z cannot fail
+        h = ElemWord(w0.rs, [(r, convert(a.dilate(z, s ** k1), target)) for r, a in letters])
         k = k0 + k1
         lhs = eval_word(h, target, nvars).map_entries(lambda p: convert(p, base))
         # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map
@@ -329,13 +328,6 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
         out += [(d1, v1), (d2, v2), (d1, -v1), (d2, -v2)]
         out += [(d, -a) for d, a in reversed(post)]
     return out
-
-
-def _clear_and_lift(rs, letters, z: int, s: int, k1: int, target: BaseRing):
-    try:
-        return ElemWord(rs, [(r, convert(a.dilate(z, s ** k1), target)) for r, a in letters])
-    except BaseMismatch:
-        return None
 
 
 # ---------------------------------------------------------------------------

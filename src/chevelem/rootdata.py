@@ -48,6 +48,16 @@ class RootSystem:
         self.unipotent_terms = {a: self._terms_for(a) for a in self.roots}
         # (row, col) of each root's first unipotent term -> the root
         self._root_at = {t[0][:2]: a for a, t in self.unipotent_terms.items()}
+        # side -> root -> ((target row, target col, source row, source col,
+        # sign), ...): x_root(t) on that side adds sign*t*source to target,
+        # the first term's entries first.  No target is a source.
+        n = range(self.matrix_size)
+        self.moves = {
+            "right": {a: tuple((i, c, i, r, s) for r, c, s in t for i in n)
+                      for a, t in self.unipotent_terms.items()},
+            "left": {a: tuple((r, j, c, j, s) for r, c, s in t for j in n)
+                     for a, t in self.unipotent_terms.items()},
+        }
         self._commutator_cache: dict = {}
         self._decomposition_cache: dict = {}
 
@@ -261,19 +271,18 @@ class GroupMatrix:
         )
 
     def rmul_unipotent(self, root: Root, t: MultiPoly) -> "GroupMatrix":
-        """Fast product self * x_root(t): sparse column updates."""
-        if t.is_zero():
-            return self
-        rows = [list(row) for row in self.entries]
-        column_update(rows, self.rs.unipotent_terms[root], t)
-        return GroupMatrix(self.rs, rows)
+        """Fast product self * x_root(t)."""
+        return self._moved(self.rs.moves["right"][root], t)
 
     def lmul_unipotent(self, root: Root, t: MultiPoly) -> "GroupMatrix":
-        """Fast product x_root(t) * self: sparse row updates."""
+        """Fast product x_root(t) * self."""
+        return self._moved(self.rs.moves["left"][root], t)
+
+    def _moved(self, moves, t: MultiPoly) -> "GroupMatrix":
         if t.is_zero():
             return self
         rows = [list(row) for row in self.entries]
-        row_update(rows, self.rs.unipotent_terms[root], t)
+        apply_moves(rows, moves, t)
         return GroupMatrix(self.rs, rows)
 
     def det(self) -> MultiPoly:
@@ -319,51 +328,46 @@ class GroupMatrix:
         return GroupMatrix(self.rs, [[fn(p) for p in row] for row in self.entries])
 
 
-def row_update(rows: list, terms, t: MultiPoly) -> None:
-    """rows <- x(t) * rows in place, for a root with unipotent terms.
+def apply_moves(rows: list, moves, t: MultiPoly) -> None:
+    """rows <- one root unipotent x(t) applied in place, on the side its
+    move table rs.moves[side][root] was taken from.
 
     rows is a list of row lists of MultiPoly over t's ring, checked once.
-    Each +-t * source is added to its target entry by add_product; all
-    sources are read before any row changes, and a zero source leaves its
-    entry as the same object."""
+    Each sign*t * source is added to its target entry by add_product; no
+    target is a source, and a zero source leaves its entry as the same
+    object."""
     rows[0][0]._check_compatible(t)
-    updates = [(r, t if sign == 1 else -t, rows[c]) for r, c, sign in terms]
-    for r, coeff, src in updates:
-        rows[r] = [add_product(p, coeff, s) for p, s in zip(rows[r], src)]
-
-
-def column_update(rows: list, terms, t: MultiPoly) -> None:
-    """rows <- rows * x(t) in place; the column twin of row_update."""
-    rows[0][0]._check_compatible(t)
-    updates = [(c, t if sign == 1 else -t, [row[r] for row in rows]) for r, c, sign in terms]
-    for c, coeff, srcs in updates:
-        for row, s in zip(rows, srcs):
-            row[c] = add_product(row[c], coeff, s)
+    neg = None
+    for ti, tj, si, sj, sign in moves:
+        if sign < 0 and neg is None:
+            neg = -t
+        rows[ti][tj] = add_product(rows[ti][tj], t if sign > 0 else neg, rows[si][sj])
 
 
 def _det(entries, one: MultiPoly) -> MultiPoly:
     """Division-free determinant of a square MultiPoly matrix: expansion
     by rows with memo on column subsets, each row's signed products of
     minors summed by sum_of_products; one is the unit of the entries' ring."""
-    size = len(entries)
-    memo: dict = {}
+    return _minor(entries, one, {}, 0, (1 << len(entries)) - 1)
 
-    def rec(row: int, colmask: int) -> MultiPoly:
-        if row == size:
-            return one
-        hit = memo.get(colmask)
-        if hit is None:
-            pairs, sign = [], 1
-            for c in range(size):
-                if colmask >> c & 1:
-                    p = entries[row][c]
-                    if not p.is_zero():
-                        pairs.append((p if sign == 1 else -p, rec(row + 1, colmask & ~(1 << c))))
-                    sign = -sign
-            hit = memo[colmask] = sum_of_products(pairs, one.base, one.nvars)
-        return hit
 
-    return rec(0, (1 << size) - 1)
+def _minor(entries, one: MultiPoly, memo: dict, row: int, colmask: int) -> MultiPoly:
+    """The minor of _det on rows row.. and the columns in colmask.  A
+    module function, not a closure over itself, so a call leaves no
+    reference cycle holding its memo."""
+    if row == len(entries):
+        return one
+    hit = memo.get(colmask)
+    if hit is None:
+        pairs, sign = [], 1
+        for c, p in enumerate(entries[row]):
+            if colmask >> c & 1:
+                if not p.is_zero():
+                    rest = _minor(entries, one, memo, row + 1, colmask & ~(1 << c))
+                    pairs.append((p if sign == 1 else -p, rest))
+                sign = -sign
+        hit = memo[colmask] = sum_of_products(pairs, one.base, one.nvars)
+    return hit
 
 
 def _adjugate(entries, base: BaseRing, nvars: int) -> list:

@@ -89,21 +89,20 @@ def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = Non
     else:
         base = base or BaseRing.integers()
         nvars = 1 if nvars is None else nvars
-    size, m, unipotent_terms = w.rs.matrix_size, base.modulus, w.rs.unipotent_terms
+    size, m, moves = w.rs.matrix_size, base.modulus, w.rs.moves["right"]
     one = MultiPoly.const(base, nvars, 1).terms
     rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
-    # column_update copies each entry, as the greedy keeps old matrices as
+    # apply_moves copies each entry, as the greedy keeps old matrices as
     # memo keys; these dicts are ours, only the kernel reads them, and no
-    # root's target columns are its source columns, so letters fold in place
+    # move's target is a source, so letters fold in place
     for root, arg in w.letters:
         neg = None
-        for r, c, sign in unipotent_terms[root]:
-            if sign < 0 and neg is None:
-                neg = (-arg).terms
-            coeff = arg.terms if sign > 0 else neg
-            for row in rows:
-                if row[r]:
-                    _mul_add(row[c], coeff, row[r], nvars, m)
+        for ti, tj, si, sj, sign in moves[root]:
+            src = rows[si][sj]
+            if src:
+                if sign < 0 and neg is None:
+                    neg = (-arg).terms
+                _mul_add(rows[ti][tj], arg.terms if sign > 0 else neg, src, nvars, m)
     return GroupMatrix(
         w.rs, [[MultiPoly(base, nvars, p, normalized=True) for p in row] for row in rows]
     )

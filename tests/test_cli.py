@@ -331,6 +331,19 @@ def test_verify_power_past_the_longest_literal(tmp_path, capsys):
     assert "coefficient exceeds" in capsys.readouterr().err
 
 
+def test_verify_power_of_a_sum_past_the_longest_literal(tmp_path, capsys):
+    # a power of a sum whose coefficients could outgrow every literal is
+    # refused by the reader before it is multiplied out, and the verb exits 3
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    data["word"][0]["arg"] = "(" + "9" * 300 + " + x1)^128"
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "coefficient exceeds" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     # argparse's own exit status 2 would read as NotFactored
     matrix_file = tmp_path / "m.json"

@@ -799,3 +799,27 @@ def test_general_reader_bounds_the_bits_of_a_power():
     assert parse_poly("(1/3)^50", Q, 1) == MultiPoly.const(Q, 1, Fraction(1, 3**50))
     assert parse_poly("(2)^14284", Z, 1).constant_term() == 2**14284
     assert parse_poly("(-1)^99999999999999999999 + (x1)^3", Z, 1) == P("x1^3 - 1")
+
+
+def test_general_reader_bounds_the_bits_of_products_of_sums():
+    # a power or product of sums is refused before it is made when its
+    # coefficients could pass the longest literal; without the bound the
+    # first text took seconds and made 127,563-bit coefficients
+    big = "9" * 2000
+    refused = [
+        "(" + "9" * 300 + " + x1)^128",
+        "(" + "9" * 1000 + " + x1)^128",
+        "(" + "9" * 4000 + " + x1)*(" + "9" * 4000 + " - x1)",
+        "(%s + x1)^2*(%s + x1)^2" % (big, big),  # each factor alone reads
+        "(1/%s + x1/7)^3" % big,  # the denominators count too
+    ]
+    start = time.perf_counter()
+    for text in refused:
+        with pytest.raises(ParseError, match="coefficient exceeds 14285 bits"):
+            parse_poly(text, Q, 1)
+    assert time.perf_counter() - start < 0.5
+    # under the bound the reader multiplies out as MultiPoly does
+    assert parse_poly("(%s + x1)^2" % big, Z, 1) == P("%s + x1" % big) ** 2
+    assert parse_poly("(%s + x1)^128" % ("9" * 30), Z, 1) == P("9" * 30 + " + x1") ** 128
+    want = P("1/3 + x1/7", Q) ** 40 * P("2 - x1", Q)
+    assert parse_poly("(1/3 + x1/7)^40*(2 - x1)", Q, 1) == want

@@ -250,14 +250,14 @@ def test_move_delta_matches_applied_moves():
             pairs: dict = {}
             sizes: dict = {}
             for _ in range(3):
-                before = _matrix_size(rec.m, degw, bitw, {})
+                before = _matrix_size(rec.m, degw, bitw)
                 best = None
                 for root, t, side in _all_moves(rec, sides, pairs):
                     delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
                     assert _move_delta(rec, root, t, side, degw, bitw, sizes) == delta
                     moved = _OpRecorder(rs, rec.m, one)
                     _apply(moved, root, t, side)
-                    assert delta == _matrix_size(moved.m, degw, bitw, {}) - before
+                    assert delta == _matrix_size(moved.m, degw, bitw) - before
                     checked += 1
                     if best is None or delta < best[0]:
                         best = (delta, root, t, side)
@@ -709,10 +709,10 @@ def test_greedy_running_size_matches_recount(monkeypatch):
 
     def checked_apply(rec, root, t, side):
         degw, bitw, sizes = weights[-1]
-        before = _matrix_size(rec.m, degw, bitw, {})
+        before = _matrix_size(rec.m, degw, bitw)
         delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
         real_apply(rec, root, t, side)
-        assert _matrix_size(rec.m, degw, bitw, {}) == before + delta
+        assert _matrix_size(rec.m, degw, bitw) == before + delta
         moves.append(delta)
 
     def checked_division(a, b, limit=None):

@@ -135,6 +135,15 @@ def test_greedy_lines_scored_by_one_kernel():
     ]
 
 
+def test_only_rootdata_reads_the_unipotent_terms():
+    # RootSystem derives its move table from unipotent_terms; every other
+    # module applies or scores a letter through that table, so which
+    # entries a letter changes is spelled out in rootdata alone (the grid
+    # oracle under tests/ keeps its own model on purpose)
+    found = functions_with_line(lambda line: "unipotent_terms" in line)
+    assert found and all(f.startswith("rootdata.py: ") for f in found), found
+
+
 def reexported_names(tree):
     """Names __init__.py imports from the package's modules to re-export."""
     return [

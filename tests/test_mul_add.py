@@ -1,6 +1,6 @@
 """The multiply-accumulate kernel against plain base-ring arithmetic.
 
-Row and column updates, matrix products, determinants, powers and
+Unipotent moves on either side, matrix products, determinants, powers and
 substitutions all run on exactring._mul_add.  The reference here never
 does: it evaluates every entry at integer points and multiplies the
 values as Python ints and Fractions (pow(x, e, m) over Z/m).  Results
@@ -15,7 +15,7 @@ import pytest
 
 from chevelem.errors import BaseMismatch
 from chevelem.exactring import BaseRing, MultiPoly
-from chevelem.rootdata import GroupMatrix, build_root_system, column_update, row_update
+from chevelem.rootdata import GroupMatrix, apply_moves, build_root_system
 from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
@@ -120,8 +120,8 @@ def points(rng, nvars, n=2):
 @pytest.mark.parametrize("rs", SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
 @pytest.mark.parametrize("base", BASES, ids=str)
 def test_updates_match_evaluation(base, rs):
-    """Every root, type-C roots with two unipotent terms included: a column
-    update, then a row update that reads the entries it changed."""
+    """Every root, type-C roots with two unipotent terms included: a right
+    move, then a left move that reads the entries it changed."""
     rng = random.Random("%s-%s%d" % (base, rs.kind, rs.rank))
     for nvars in NVARS:
         for root in rs.roots:
@@ -130,10 +130,7 @@ def test_updates_match_evaluation(base, rs):
             want = [values(rows, pt) for pt in pts]
             for left in (False, True):
                 t = rand_poly(rng, base, nvars, max_terms=2, max_deg=1)
-                if left:
-                    row_update(rows, rs.unipotent_terms[root], t)
-                else:
-                    column_update(rows, rs.unipotent_terms[root], t)
+                apply_moves(rows, rs.moves["left" if left else "right"][root], t)
                 for k, pt in enumerate(pts):
                     x = unipotent(rs, root, value(t, pt))
                     want[k] = matmul(base, x, want[k]) if left else matmul(base, want[k], x)

@@ -1,5 +1,6 @@
 """Root systems, unipotents, derived structure constants, membership."""
 
+import gc
 import random
 
 import pytest
@@ -229,6 +230,24 @@ def test_det_against_permutation_sum():
         assert m.det() == acc
 
 
+def test_membership_check_leaves_no_cyclic_garbage():
+    # the determinant's memo of minors is freed when a call returns, not
+    # kept alive by a reference cycle until the cyclic collector runs
+    rng = random.Random(17)
+    m = GroupMatrix.identity(A3, Z, 1)
+    for _ in range(8):
+        m = m.rmul_unipotent(rng.choice(A3.roots), rand_poly(rng))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            assert membership_check(m, A3)
+        assert m.inverse() * m == GroupMatrix.identity(A3, Z, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_inverse():
     rng = random.Random(5)
     for rs in (A2, C2):
@@ -448,10 +467,20 @@ def test_opposite_decomposition_everywhere():
     "kind,rank", [("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)]
 )
 def test_unipotent_targets_are_never_sources(kind, rank):
-    # eval_word folds each letter into its target columns in place; that
-    # reads no changed entry only if no target column is a source column
+    # apply_moves and eval_word fold each letter into its target entries in
+    # place; that reads no changed entry only if no target column is a
+    # source column, so on either side of the move table no target entry
+    # is a source entry; the first term's matrix_size lines lead the table
     # (A1 is left out: build_root_system refuses rank 1)
     rs = build_root_system(kind, rank)
+    size = rs.matrix_size
     for root in rs.roots:
         terms = rs.unipotent_terms[root]
         assert not {c for _, c, _ in terms} & {r for r, _, _ in terms}, root
+        (r1, c1, s1), lines = terms[0], range(size)
+        for side, first in (("right", [(i, c1, i, r1, s1) for i in lines]),
+                            ("left", [(r1, j, c1, j, s1) for j in lines])):
+            moves = rs.moves[side][root]
+            assert len(moves) == size * len(terms) and list(moves[:size]) == first
+            targets = {(ti, tj) for ti, tj, _, _, _ in moves}
+            assert not targets & {(si, sj) for _, _, si, sj, _ in moves}, (side, root)

@@ -103,6 +103,38 @@ def test_map_word_localize():
     assert out.letters[0][1].base == ZHALF
 
 
+@pytest.mark.parametrize(
+    "base,s,target",
+    [
+        (ZHALF, 3, BaseRing.integers_localized(6)),
+        (BaseRing.integers_localized(6), 4, BaseRing.integers_localized(24)),
+        (BaseRing.rationals(), 5, BaseRing.rationals()),
+        (BaseRing.prime_field(5), 3, BaseRing.prime_field(5)),
+    ],
+    ids=str,
+)
+def test_map_word_localize_beyond_z(base, s, target):
+    # Z[1/s] goes to Z[1/(s*s')], Q and F_p with s a unit stay put, and
+    # evaluation commutes with the transport
+    rng = random.Random("localize-%s-%d" % (base, s))
+    for rs in (A2, C2):
+        for nvars in (1, 2):
+            w = ElemWord(rs, [(rng.choice(rs.roots), rand_arg(rng, base, nvars)) for _ in range(6)])
+            out = map_word(w, ("localize", s))
+            assert {arg.base for _, arg in out.letters} == {target}
+            assert eval_word(out) == eval_word(w).map_entries(lambda p: convert(p, target))
+
+
+@pytest.mark.parametrize(
+    "base,s", [(BaseRing.prime_field(5), 10), (BaseRing.integers_mod(8), 3)], ids=str
+)
+def test_map_word_localize_refused(base, s):
+    # s is 0 in F_p when p divides it, and Z/m has no localization here
+    w = ElemWord(A2, [(E12, const(1, base)), (E13, const(2, base))])
+    with pytest.raises(BaseMismatch):
+        map_word(w, ("localize", s))
+
+
 def test_eval_commutes_with_maps():
     rng = random.Random(31)
     x = MultiPoly.variable(Z, 1, 0)
