@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
     PreconditionViolated,
@@ -152,10 +153,16 @@ def telescoping_chain(covering: CoveringData) -> list:
 
 
 def telescoping_product(g: GroupMatrix, chain, var: int = 0) -> GroupMatrix:
-    """The exact matrix product of g(a_j x) g(a_{j+1} x)^{-1} along the chain."""
-    out = GroupMatrix.identity(g.rs, g.base, g.nvars)
-    for a, b in zip(chain, chain[1:]):
-        out = out * g.dilate(var, a) * g.dilate(var, b).inverse()
+    """The exact matrix product of g(a_j x) g(a_{j+1} x)^{-1} along the chain.
+
+    Each g(a_j x) is built once; the product starts from the first step.
+    """
+    points = [g.dilate(var, a) for a in chain]
+    if len(points) < 2:
+        return GroupMatrix.identity(g.rs, g.base, g.nvars)
+    out = points[0] * points[1].inverse()
+    for p, q in zip(points[1:], points[2:]):
+        out = out * p * q.inverse()
     return out
 
 
@@ -230,9 +237,15 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         # s-power denominator back, so the lift to Z cannot fail
         h = ElemWord(w0.rs, [(r, convert(a.dilate(z, s ** k1), target)) for r, a in letters])
         k = k0 + k1
-        lhs = eval_word(h, target, nvars).map_entries(lambda p: convert(p, base))
-        # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map
-        if lhs == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():
+        # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map.  Z[z]
+        # -> Z[1/s][z] is injective, so the match is checked over Z, and a
+        # product that is not integral matches no eval(h)
+        try:
+            rhs = gw.dilate(z, s ** k).map_entries(lambda p: convert(p, target))
+        except BaseMismatch:
+            continue
+        lhs = eval_word(h, target, nvars)
+        if lhs == rhs and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
     raise DescentBudgetExceeded(
         "no verified descent within %d dilation levels" % DILATION_LEVELS
@@ -320,13 +333,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
         u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
         const_arg = MultiPoly.const(base, nvars, s ** m1)
         v1, v2 = (u, const_arg) if i0 == 1 else (const_arg, u)
-        comm = commutator_expand(rs, d1, d2, v1, v2).letters
-        cut = [d for d, _ in comm].index(gamma)
-        pre, post = comm[:cut], comm[cut + 1:]
-        # comm = pre . x_gamma(target) . post  =>  x_gamma = pre^-1 . comm . post^-1
-        out += [(d, -a) for d, a in reversed(pre)]
-        out += [(d1, v1), (d2, v2), (d1, -v1), (d2, -v2)]
-        out += [(d, -a) for d, a in reversed(post)]
+        out += commutator_expand(rs, d1, d2, v1, v2, solve_for=gamma).letters
     return out
 
 
@@ -352,10 +359,11 @@ def dilation_factor(
 ) -> DilationCert:
     """Build a dilation certificate from a local word for F_s(g).
 
-    When w_s is already integral the certificate is direct with k = 0.
-    Otherwise the word for g(x(y+z)) g(xy)^{-1} in two auxiliary variables
-    is descended, checked for exact equality over Z after z -> s^k z, and
-    the generator specializes y -> b, z -> (a-b)/s^k.  Over Z, a domain,
+    When w_s is already integral the certificate is direct with k = 0,
+    and the check that w_s evaluates to g runs over Z.  Otherwise that
+    check runs over Z[1/s], and the word for g(x(y+z)) g(xy)^{-1} in two
+    auxiliary variables is descended, checked for exact equality over Z
+    after z -> s^k z, and the generator specializes y -> b, z -> (a-b)/s^k.  Over Z, a domain,
     that check is what dilation_equalizer would decide with exponent 0.
     """
     base = g.base
@@ -363,9 +371,17 @@ def dilation_factor(
         raise PreconditionViolated("dilation certificates are built over Z here")
     nvars = g.nvars
     loc = BaseRing.integers_localized(s)
-    g_loc = g.map_entries(lambda p: convert(p, loc))
+    if w_s.letters and w_s.base_and_nvars()[0] != loc:
+        raise PreconditionViolated("word does not evaluate to the localized matrix")
+    integral = all(denominator_lcm(arg) == 1 for _, arg in w_s.letters)
+    if integral:
+        w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
+        # Z[x] -> Z[1/s][x] is injective: this is the check over Z[1/s]
+        matches = eval_word(w_int, base, nvars) == g
+    else:
+        matches = eval_word(w_s, loc, nvars) == g.map_entries(lambda p: convert(p, loc))
     # this check puts g in E(Z[1/s][x]), so every g(bx) below is invertible
-    if eval_word(w_s, loc, nvars) != g_loc:
+    if not matches:
         raise PreconditionViolated("word does not evaluate to the localized matrix")
 
     def verified_generator(word_for):
@@ -381,8 +397,7 @@ def dilation_factor(
 
         return generator
 
-    if all(denominator_lcm(arg) == 1 for _, arg in w_s.letters):
-        w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
+    if integral:
 
         def direct(a, b):
             wa = ElemWord(w_int.rs, [(r, p.dilate(var, a)) for r, p in w_int])

@@ -494,18 +494,38 @@ def structure_constants(rs: RootSystem, alpha, beta):
     return out
 
 
-def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly):
-    """Word equal to x_a(s) x_b(t) x_a(-s) x_b(-t), exactly."""
+def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly, solve_for=None):
+    """Word equal to x_a(s) x_b(t) x_a(-s) x_b(-t), exactly.
+
+    With solve_for a root gamma of that word, the word equals instead its
+    gamma letter: the commutator is pre . x_gamma(.) . post, so the letter
+    is pre^-1 . x_a(s) x_b(t) x_a(-s) x_b(-t) . post^-1, and its argument
+    is never built.
+    """
     from .words import ElemWord  # local import to avoid a cycle
 
     constants = structure_constants(rs, alpha, beta)
     letters = []
+    cut = None
     for i, j, gamma, n in constants:
+        if gamma == solve_for:
+            cut = len(letters)
+            continue
         arg = (s ** i) * (t ** j)
         arg = arg.scale(n)
         if not arg.is_zero():
             letters.append((gamma, arg))
-    return ElemWord(rs, letters)
+    if solve_for is None:
+        return ElemWord(rs, letters)
+    if cut is None:
+        raise UnknownRoot("%r is not a root of this commutator" % (solve_for,))
+    pre, post = letters[:cut], letters[cut:]
+    return ElemWord(
+        rs,
+        [(d, -a) for d, a in reversed(pre)]
+        + [(alpha, s), (beta, t), (alpha, -s), (beta, -t)]
+        + [(d, -a) for d, a in reversed(post)],
+    )
 
 
 def opposite_decomposition(rs: RootSystem, gamma):

@@ -10,6 +10,7 @@ from chevelem.errors import (
     BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
+    NotInGroup,
     PreconditionViolated,
 )
 from chevelem.exactring import BaseRing, MultiPoly, convert, denominator_lcm, parse_poly
@@ -33,6 +34,7 @@ Z = BaseRing.integers()
 ZHALF = BaseRing.integers_localized(2)
 A2 = build_root_system("A", 2)
 C2 = build_root_system("C", 2)
+A3 = build_root_system("A", 3)
 
 E12 = (1, -1, 0)
 E21 = (-1, 1, 0)
@@ -108,6 +110,41 @@ def test_telescoping_constant_matrix():
     cov = CoveringData.from_elements([2, 3])
     g = eval_word(ElemWord(A2, [(E12, const(3))]), Z, 1)
     assert telescoping_product(g, telescoping_chain(cov)).is_identity()
+
+
+def dilated(g, a):
+    """g(a x), through substitute rather than the dilation under test."""
+    x = MultiPoly.variable(Z, 1, 0)
+    return g.substitute({0: x.scale(a)}, nvars_out=1)
+
+
+@pytest.mark.parametrize("rs", [A2, C2, A3], ids=["A2", "C2", "A3"])
+@pytest.mark.parametrize("chain", [[3], [1, 0], [1, -2, 5, 0]], ids=["1", "2", "4"])
+def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypatch):
+    # out * g(a x) * g(b x)^{-1} from the identity, step by step; each
+    # chain point is dilated once
+    g = eval_word(random_elementary_word(rs, 2500 + len(chain), 6), Z, 1)
+    expect = GroupMatrix.identity(rs, Z, 1)
+    for a, b in zip(chain, chain[1:]):
+        expect = expect * dilated(g, a) * dilated(g, b).inverse()
+    calls = []
+    real = GroupMatrix.dilate
+
+    def counted(self, var, c):
+        calls.append(c)
+        return real(self, var, c)
+
+    monkeypatch.setattr(GroupMatrix, "dilate", counted)
+    assert telescoping_product(g, chain) == expect
+    assert calls == chain
+
+
+def test_telescoping_product_refuses_a_non_member():
+    # det = 2, so g(b x) has no inverse over Z[x]
+    entries = [[const(2 if i == j == 0 else int(i == j)) for j in range(3)] for i in range(3)]
+    g = GroupMatrix(A2, entries)
+    with pytest.raises(NotInGroup):
+        telescoping_product(g, [1, 0])
 
 
 # -- dilation equalizer ---------------------------------------------------------
@@ -567,6 +604,56 @@ def test_dilation_generator_rejects_incongruent_args():
     )
     h, k = descend_word(w, 2)
     assert k > 0
+
+
+def incongruent_args_word():
+    z = zvar()
+    return ElemWord(
+        A2,
+        [
+            (E23, const(Fraction(1, 2), ZHALF)),
+            (E12, z.scale(Fraction(1, 2))),
+            (E23, const(Fraction(-1, 2), ZHALF)),
+        ],
+    )
+
+
+def test_descend_word_refuses_a_wrong_expansion(monkeypatch):
+    # an expansion that misses its first letter evaluates to another
+    # matrix, so every level fails descend_word's own check; on a level
+    # whose dilated product is not integral that is a failed level, not a
+    # BaseMismatch
+    check_descent(incongruent_args_word())
+    real = localglobal._expand_good
+
+    def first_letter_dropped(*args):
+        letters = real(*args)
+        return None if letters is None else letters[1:]
+
+    products = []
+    real_dilate = GroupMatrix.dilate
+
+    def recorded(self, var, c):
+        out = real_dilate(self, var, c)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(localglobal, "_expand_good", first_letter_dropped)
+    monkeypatch.setattr(GroupMatrix, "dilate", recorded)
+    with pytest.raises(DescentBudgetExceeded):
+        descend_word(incongruent_args_word(), 2)
+    assert any(denominator_lcm(p) > 1 for m in products for row in m.entries for p in row)
+
+
+def test_dilation_factor_refuses_words_not_over_the_localization():
+    # integral letters over Z, or over Z[1/3] at s = 2, are not a word
+    # over Z[1/2] even though they evaluate to g
+    w, g = integral_word_and_matrix(random.Random(23), A2)
+    assert dilation_factor(g, map_word(w, ("localize", 2)), 2).k == 0
+    for wrong in (w, map_word(w, ("localize", 3))):
+        assert all(denominator_lcm(a) == 1 for _, a in wrong.letters)
+        with pytest.raises(PreconditionViolated):
+            dilation_factor(g, wrong, 2)
 
 
 # -- patch ------------------------------------------------------------------------------

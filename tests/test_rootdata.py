@@ -348,6 +348,26 @@ def test_commutator_all_pairs_sound():
                     assert eval_word(w, Z, 2) == brute_commutator(rs, a, b, s, t)
 
 
+def test_commutator_solved_for_each_of_its_letters():
+    # solve_for=gamma gives a word for the commutator's gamma letter alone,
+    # through the other letters, none proportional to gamma
+    rng = random.Random(17)
+    for rs in (A2, C2):
+        for a in rs.roots:
+            for b in rs.roots:
+                if rs.proportional(a, b):
+                    continue
+                s = rand_poly(rng, nvars=2)
+                t = rand_poly(rng, nvars=2)
+                full = commutator_expand(rs, a, b, s, t)
+                for gamma, arg in full.letters:
+                    w = commutator_expand(rs, a, b, s, t, solve_for=gamma)
+                    assert gamma not in [r for r, _ in w.letters]
+                    assert eval_word(w, Z, 2) == elem_unipotent(rs, gamma, arg)
+                with pytest.raises(UnknownRoot):
+                    commutator_expand(rs, a, b, s, t, solve_for=tuple(-v for v in a))
+
+
 def test_structure_constant_ranges():
     for a in A3.roots:
         for b in A3.roots:
