@@ -800,8 +800,8 @@ _CANONICAL = re.compile(r"-?%s(?: [-+] %s)*" % (_MONO, _MONO))
 _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
 # the descent spends four Python frames per parenthesis level
 _MAX_PAREN_DEPTH = 100
-# monomial products that one product of the general reader may take (about 50 ms)
-MAX_PARSE_PRODUCTS = 100_000
+# monomial products that all the products of one general read may take (under 0.1 s)
+MAX_PARSE_PRODUCTS = 115_000
 # bits of the longest integer literal the reader takes (4300 digits, Python's int-string limit)
 _MAX_LITERAL_BITS = (10**4300 - 1).bit_length()
 
@@ -874,16 +874,6 @@ def _pow_terms(p: dict, n: int, nvars: int, m: int | None = None, mul=_mul_terms
         n >>= 1
         square = mul(square, square, nvars, m) if n else square
     return {0: 1} if result is None else result
-
-
-def _capped_mul(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
-    """_mul_terms for the general reader, refused past MAX_PARSE_PRODUCTS
-    and when its coefficients could pass _MAX_LITERAL_BITS."""
-    if len(a) * len(b) > MAX_PARSE_PRODUCTS:
-        raise ParseError("a product of %d by %d terms exceeds %d monomial products"
-                         % (len(a), len(b), MAX_PARSE_PRODUCTS))
-    _check_height(_height(a) * _height(b), 1, "product")
-    return _mul_terms(a, b, nvars, m)
 
 
 def _height(p: dict) -> int:
@@ -974,10 +964,10 @@ def _parse_general(text: str, nvars: int) -> dict:
     A recursive descent on dicts without zero coefficients: sums fold
     into one accumulator and a power of one term scales its exponents,
     so only products of parenthesised sums cost more than linear time,
-    and each such product, squarings of a power included, is refused past
-    MAX_PARSE_PRODUCTS monomial products.  A product or a power is
-    refused before it is made when _height bounds its coefficients past
-    the longest literal; for a power of one term that bound is exact.
+    and the text is refused once all its products, squarings of a power
+    included, pass MAX_PARSE_PRODUCTS monomial products.  A product or a
+    power is refused before it is made when _height bounds its
+    coefficients past the longest literal, exactly for a power of one term.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -992,6 +982,16 @@ def _parse_general(text: str, nvars: int) -> dict:
     ) > _MAX_PAREN_DEPTH:
         raise ParseError("parentheses nested deeper than %d" % _MAX_PAREN_DEPTH)
     toks = [(None, None)] + toks[::-1]  # a stack: next token on top, end marker at the bottom
+    spent = [0]  # monomial products of this text so far
+
+    def capped_mul(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
+        """_mul_terms, refused past MAX_PARSE_PRODUCTS for the whole text
+        and when its coefficients could pass _MAX_LITERAL_BITS."""
+        spent[0] += len(a) * len(b)
+        if spent[0] > MAX_PARSE_PRODUCTS:
+            raise ParseError("polynomial text exceeds %d monomial products" % MAX_PARSE_PRODUCTS)
+        _check_height(_height(a) * _height(b), 1, "product")
+        return _mul_terms(a, b, nvars, m)
 
     def expr() -> dict:
         acc = dict(term())
@@ -1006,7 +1006,7 @@ def _parse_general(text: str, nvars: int) -> dict:
             times = toks.pop()[0] == "*"
             rhs = factor()
             if times:
-                node = _capped_mul(node, rhs, nvars)
+                node = capped_mul(node, rhs, nvars)
             elif len(rhs) == 1 and 0 in rhs:
                 d = Fraction(rhs[0])
                 node = {e: c / d for e, c in node.items()}
@@ -1027,7 +1027,7 @@ def _parse_general(text: str, nvars: int) -> dict:
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
             _check_height(_height(node), n, "power")  # before the power is made
-            node = _pow_terms(node, n, nvars, mul=_capped_mul)
+            node = _pow_terms(node, n, nvars, mul=capped_mul)
         return {e: -c for e, c in node.items()} if negate else node
 
     def atom() -> dict:

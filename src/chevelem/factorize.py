@@ -3,13 +3,15 @@
 heuristic_reduce is greedy: a division-guided reduction, finished by a
 rank-one commutator word where it applies, brings the matrix down to a
 constant, and over Z or a field the Euclidean reduction factors that
-constant tail.  factor_polynomial certifies its word over Z[x..]; a
-greedy stall ends in NotFactored.  The Euclidean and field reductions
-are public on their own.  Every reduction records its moves with one
-recorder, and every polynomial quotient, greedy or Euclidean, comes from
-one leading-term division.  Every word produced anywhere is re-evaluated
-exactly against its target before it is returned; NotFactored is never a
-claim of non-membership.  A word whose exact product is the target
+constant tail.  It hands back g = L * r * R for elementary words L and
+R, where r is the identity exactly when a word was found and otherwise
+the matrix the search stalled at.  factor_polynomial certifies its word
+over Z[x..]; a greedy stall ends in NotFactored.  The Euclidean and
+field reductions are public on their own.  Every reduction records its
+moves with one recorder, and every polynomial quotient, greedy or
+Euclidean, comes from one leading-term division.  Every word produced
+anywhere is re-evaluated exactly against its target before it is
+returned; NotFactored is never a claim of non-membership.  A word whose exact product is the target
 proves membership, so factor_polynomial checks only the constant-term
 matrix g(0) up front; after a stall it checks the stall matrix, which is
 in the group exactly when g is.  A constant leftover is factored by the
@@ -585,18 +587,18 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
 
 
 def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
-    """Greedy elementary reduction: (word, residual, stall) with
-    word*residual = g, and stall the matrix the best pass stopped at.
+    """Greedy elementary reduction: (left, r, right), free-reduced words
+    left and right with eval(left) * r * eval(right) = g.
 
     Division-guided moves shrink a size measure under a cascade of scoring
     strategies; stalls fall back to a two-ply escape and the rank-one
     commutator finisher.  A constant leftover over Z or a field is
     factored by the Euclidean reduction (factor_integer_sl or _sp,
-    factor_univar_euclidean), so the residual is then the identity.  Over
-    other bases a constant leftover is returned as the residual; after a
-    stall the residual is the best stall state times the undone column
-    moves.  Either way g = L * stall * R for elementary words L and R.  A
-    constant leftover outside the group raises NotInGroup.
+    factor_univar_euclidean), whose word is appended to left.  So r is the
+    identity exactly when a word was found, free_reduce(left + right);
+    otherwise r is the matrix the best pass stopped at, and a word for r
+    gives g's word as left + word(r) + right.  A constant leftover
+    outside the group raises NotInGroup.
     """
     budget = budget or DEFAULT_BUDGET
     rs = g.rs
@@ -620,32 +622,27 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
         )
         if best_score is None or score < best_score:
             best_rec, best_score = rec, score
-    rec = best_rec
-    final = rec.matrix()
-    left, right = rec.inverse_letters()
-    if final.is_identity():
-        word = free_reduce(ElemWord(rs, left + right))
-        residual = final
-    elif final.is_constant() and (g.base.kind == "Z" or g.base.is_field):
-        # splice the Euclidean word of the constant leftover between the
-        # two op families so the residual is the identity; the module-level
-        # names are looked up here, so the bench tracer's wrappers see the calls
+    r = best_rec.matrix()
+    left, right = best_rec.inverse_letters()
+    if r.is_constant() and not r.is_identity() and (g.base.kind == "Z" or g.base.is_field):
+        # the module-level names are looked up here, so the bench tracer's
+        # wrappers see the calls
         if g.base.kind != "Z":
-            mid = factor_univar_euclidean(final)
+            mid = factor_univar_euclidean(r)
         elif rs.kind == "A":
-            mid = factor_integer_sl(final)
+            mid = factor_integer_sl(r)
         else:
-            mid = factor_integer_sp(final)
-        word = free_reduce(ElemWord(rs, left + list(mid.letters) + right))
-        residual = GroupMatrix.identity(rs, g.base, g.nvars)
+            mid = factor_integer_sp(r)
+        left += mid.letters
+        r = GroupMatrix.identity(rs, g.base, g.nvars)
+    left, right = free_reduce(ElemWord(rs, left)), free_reduce(ElemWord(rs, right))
+    if r.is_identity():
+        product = eval_word(free_reduce(left.concat(right)), g.base, g.nvars)
     else:
-        # the leftover sits between the two op families; keep the left
-        # word and fold the undone column ops into the residual
-        word = free_reduce(ElemWord(rs, left))
-        residual = final * eval_word(ElemWord(rs, right), g.base, g.nvars)
-    if eval_word(word, g.base, g.nvars) * residual != g:
+        product = eval_word(left, g.base, g.nvars) * r * eval_word(right, g.base, g.nvars)
+    if product != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
-    return word, residual, final
+    return left, r, right
 
 
 def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> FactorizationCertificate:
@@ -653,15 +650,15 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
 
     heuristic_reduce brings g down to a constant matrix and factors that
     by the integer Euclidean reduction, so the certificate's residual is
-    always the identity.  A greedy stall leaves a non-constant residual
-    and raises NotFactored at once.
+    always the identity.  A greedy stall leaves a non-constant matrix
+    between the two words and raises NotFactored at once.
 
     Membership is proved by the word: heuristic_reduce multiplies it back
     exactly, and a word whose product is g puts g in E(R[x..]).  Up front
     only the constant-term matrix g(0) is checked, which is exact for
     rejection since evaluation at 0 is a ring map.  A stall checks the
-    stall matrix: g = L * stall * R with L, R elementary (det 1, form
-    kept), so g is in the group exactly when it is; a constant leftover
+    stall matrix r: g = L * r * R with L, R elementary (det 1, form kept),
+    so g is in the group exactly when r is; a constant leftover
     c = L^-1 g R^-1 is likewise checked by the Euclidean reduction.  A
     non-member raises NotInGroup, not NotFactored.
     """
@@ -669,22 +666,20 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
     _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
-    word, residual, stall = heuristic_reduce(g, budget)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "heuristic stage: residual identity=%s, word length %d, max degree %d",
-            residual.is_identity(), len(word), word.max_degree(),
-        )
-    if not residual.is_identity():
-        _require_member(stall)
-        entries = [p for row in stall.entries for p in row]
+    left, r, right = heuristic_reduce(g, budget)
+    if not r.is_identity():
+        _require_member(r)
+        entries = [p for row in r.entries for p in row]
         size = sum(len(p.coefficients()) for p in entries), max(p.total_degree() for p in entries)
         raise NotFactored(
             "greedy stage left a non-constant residual (no size-reducing move, or "
             "Budget.max_steps=%d spent in a pass); the stall matrix has %d terms "
             "of total degree up to %d" % ((budget.max_steps,) + size)
         )
-    return FactorizationCertificate(target=g, word=word, residual_constant=residual, verified=True)
+    word = free_reduce(left.concat(right))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("heuristic stage: word length %d, max degree %d", len(word), word.max_degree())
+    return FactorizationCertificate(target=g, word=word, residual_constant=r, verified=True)
 
 
 def _require_member(g: GroupMatrix) -> None:

@@ -152,12 +152,12 @@ def telescoping_chain(covering: CoveringData) -> list:
     return [sum(products[: n - j]) for j in range(n + 1)]
 
 
-def telescoping_product(g: GroupMatrix, chain, var: int = 0) -> GroupMatrix:
-    """The exact matrix product of g(a_j x) g(a_{j+1} x)^{-1} along the chain.
+def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
+    """The exact matrix product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
 
-    Each g(a_j x) is built once; the product starts from the first step.
+    Each g(a_j x1) is built once; the product starts from the first step.
     """
-    points = [g.dilate(var, a) for a in chain]
+    points = [g.dilate(0, a) for a in chain]
     if len(points) < 2:
         return GroupMatrix.identity(g.rs, g.base, g.nvars)
     out = points[0] * points[1].inverse()
@@ -170,14 +170,14 @@ def telescoping_product(g: GroupMatrix, chain, var: int = 0) -> GroupMatrix:
 # dilation equalizer
 
 
-def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s, var: int = 0) -> int:
-    """Smallest n with g(s^n z) = h(s^n z), given g(0) = h(0) and equal
-    localizations at s.  Over a domain this forces n = 0."""
+def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s) -> int:
+    """Smallest n with g(s^n x1) = h(s^n x1), given g = h at x1 = 0 and
+    equal localizations at s.  Over a domain this forces n = 0."""
     if g.rs is not h.rs or g.base != h.base or g.nvars != h.nvars:
         raise PreconditionViolated("matrices over different rings")
     base = g.base
     s_elem = base.normalize(s)
-    if g.at_zero(var) != h.at_zero(var):
+    if g.at_zero(0) != h.at_zero(0):
         raise PreconditionViolated("matrices differ at z = 0")
     bound = 0
     for row_g, row_h in zip(g.entries, h.entries):
@@ -188,7 +188,7 @@ def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s, var: int = 0) -> int:
                     raise PreconditionViolated("localizations at s differ")
                 bound = max(bound, n)
     for n in range(bound + 1):
-        if g.dilate(var, s_elem ** n) == h.dilate(var, s_elem ** n):
+        if g.dilate(0, s_elem ** n) == h.dilate(0, s_elem ** n):
             return n
     raise PreconditionViolated("no dilation exponent within the exact bound")
 
@@ -354,10 +354,8 @@ class DilationCert:
     generator: object
 
 
-def dilation_factor(
-    g: GroupMatrix, w_s: ElemWord, s: int, var: int = 0, budget: Budget | None = None
-) -> DilationCert:
-    """Build a dilation certificate from a local word for F_s(g).
+def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget | None = None) -> DilationCert:
+    """Build a dilation certificate, dilating in x1, from a local word for F_s(g).
 
     When w_s is already integral the certificate is direct with k = 0,
     and the check that w_s evaluates to g runs over Z.  Otherwise that
@@ -391,7 +389,7 @@ def dilation_factor(
         def generator(a, b):
             a, b = base.normalize(a), base.normalize(b)
             word = free_reduce(word_for(a, b))
-            if eval_word(word, base, nvars) * g.dilate(var, b) != g.dilate(var, a):
+            if eval_word(word, base, nvars) * g.dilate(0, b) != g.dilate(0, a):
                 raise PreconditionViolated("generator output failed verification")
             return word
 
@@ -400,8 +398,8 @@ def dilation_factor(
     if integral:
 
         def direct(a, b):
-            wa = ElemWord(w_int.rs, [(r, p.dilate(var, a)) for r, p in w_int])
-            wb = ElemWord(w_int.rs, [(r, p.dilate(var, b)) for r, p in w_int])
+            wa = ElemWord(w_int.rs, [(r, p.dilate(0, a)) for r, p in w_int])
+            wb = ElemWord(w_int.rs, [(r, p.dilate(0, b)) for r, p in w_int])
             return wa.concat(invert_word(wb))
 
         return DilationCert(s=s, k=0, generator=verified_generator(direct))
@@ -410,20 +408,20 @@ def dilation_factor(
     yv, zv = nvars, nvars + 1
     loc_y = MultiPoly.variable(loc, n2, yv)
     loc_z = MultiPoly.variable(loc, n2, zv)
-    loc_x = MultiPoly.variable(loc, n2, var)
+    loc_x = MultiPoly.variable(loc, n2, 0)
     wx = extend_word_vars(w_s, n2)
-    part_a = map_word(wx, ("substitute", {var: loc_x * (loc_y + loc_z)}, n2))
-    part_b = invert_word(map_word(wx, ("substitute", {var: loc_x * loc_y}, n2)))
+    part_a = map_word(wx, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
+    part_b = invert_word(map_word(wx, ("substitute", {0: loc_x * loc_y}, n2)))
     w_f = part_a.concat(part_b)
 
     h, k = descend_word(w_f, s, z=zv, budget=budget)
 
     int_y = MultiPoly.variable(base, n2, yv)
     int_z = MultiPoly.variable(base, n2, zv)
-    int_x = MultiPoly.variable(base, n2, var)
+    int_x = MultiPoly.variable(base, n2, 0)
     g_ext = g.map_entries(lambda p: p.extend_vars(n2))
-    g_xy = g_ext.substitute({var: int_x * int_y}, nvars_out=n2)
-    g_xyz = g_ext.substitute({var: int_x * (int_y + int_z)}, nvars_out=n2)
+    g_xy = g_ext.substitute({0: int_x * int_y}, nvars_out=n2)
+    g_xyz = g_ext.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
     # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
     if eval_word(h, base, n2) * g_xy != g_xyz.dilate(zv, s ** k):
         raise PreconditionViolated("descended word differs from the dilated matrix over Z")
@@ -442,8 +440,9 @@ def dilation_factor(
 # the telescoping patch
 
 
-def patch(g: GroupMatrix, certs, covering: CoveringData, var: int = 0) -> ElemWord:
-    """Assemble local dilation certificates into a word for g * g(0)^{-1}.
+def patch(g: GroupMatrix, certs, covering: CoveringData) -> ElemWord:
+    """Assemble local dilation certificates into a word for g * g(0)^{-1},
+    g(0) being g at x1 = 0.
 
     The chain a_0 = 1, ..., a_N = 0 telescopes exactly; each step's
     difference a_j - a_{j+1} is divisible by the matching certificate's
@@ -466,7 +465,7 @@ def patch(g: GroupMatrix, certs, covering: CoveringData, var: int = 0) -> ElemWo
         step = certs[i][1].generator(chain[j], chain[j + 1])
         word = word.concat(step)
     word = free_reduce(word)
-    expect = g * g.at_zero(var).inverse()
+    expect = g * g.at_zero(0).inverse()
     if eval_word(word, g.base, g.nvars) != expect:
         raise CoveringInconsistent("patched word failed exact verification")
     return word

@@ -629,6 +629,17 @@ def test_general_reader_refuses_a_product_past_the_bound():
     assert len(parse_poly("(1+x1+x2)^23*(1+x1+x2)^23", Z, 2).terms) == 1128
 
 
+def test_general_reader_bounds_the_products_of_one_text():
+    # 2000 factors (1+x1) make no product past the bound on its own, but
+    # some four million monomial products together; the reader counts them
+    # per text and stops at the bound, so the refusal comes at once
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds %d monomial products" % MAX_PARSE_PRODUCTS):
+        parse_poly("*".join(["(1+x1)"] * 2000), Z, 1)
+    assert time.perf_counter() - start < 0.5
+    assert parse_poly("*".join(["(1+x1)"] * 300), Z, 1).degree_in(0) == 300
+
+
 @pytest.mark.parametrize(
     "nvars,terms",
     [

@@ -39,7 +39,7 @@ from chevelem.factorize import (
     _move_delta,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent, membership_check
-from chevelem.words import ElemWord, eval_word
+from chevelem.words import ElemWord, eval_word, free_reduce
 
 Z = BaseRing.integers()
 Q = BaseRing.rationals()
@@ -431,42 +431,51 @@ def cohn_embedded():
     return GroupMatrix(A2, [[parse_poly(t, Z, 1) for t in row] for row in rows])
 
 
+def split_reduce(g, budget=None):
+    """heuristic_reduce(g, budget) with its contract checked: left and
+    right are free-reduced and eval(left) * r * eval(right) = g."""
+    left, r, right = heuristic_reduce(g, budget)
+    assert free_reduce(left) == left and free_reduce(right) == right
+    assert eval_word(left, g.base, g.nvars) * r * eval_word(right, g.base, g.nvars) == g
+    return left, r, right
+
+
+def reduced_word(g, budget=None):
+    """The word heuristic_reduce found for g: r must be the identity."""
+    left, r, right = split_reduce(g, budget)
+    assert r.is_identity()
+    word = free_reduce(left.concat(right))
+    assert eval_word(word, g.base, g.nvars) == g
+    return word
+
+
 def test_heuristic_identity():
     g = GroupMatrix.identity(A2, Z, 1)
-    word, residual, _ = heuristic_reduce(g)
-    assert len(word) == 0 and residual.is_identity()
+    assert len(reduced_word(g)) == 0
 
 
 def test_heuristic_unitriangular():
     g = GroupMatrix.identity(A2, Z, 1)
     g = g.rmul_unipotent((1, -1, 0), parse_poly("x1^2+1", Z, 1))
     g = g.rmul_unipotent((1, 0, -1), parse_poly("3*x1", Z, 1))
-    word, residual, _ = heuristic_reduce(g)
-    assert residual.is_identity()
-    assert eval_word(word, Z, 1) == g
+    reduced_word(g)
 
 
 def test_heuristic_cracks_cohn():
-    g = cohn_embedded()
-    word, residual, _ = heuristic_reduce(g)
-    assert residual.is_identity()
-    assert eval_word(word, Z, 1) == g
+    reduced_word(cohn_embedded())
 
 
 def test_heuristic_factors_constant_leftover_over_q():
     # over a field the Euclidean reduction factors the constant leftover
     g = int_matrix(A2, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]], base=Q)
-    word, residual, _ = heuristic_reduce(g)
-    assert residual.is_identity()
-    assert eval_word(word, Q, 1) == g
-    assert len(word) == 4
+    assert len(reduced_word(g)) == 4
 
 
 def test_heuristic_conservation_on_stall():
-    # a constant residual is legitimate; the invariant word*residual = g holds
+    # a constant leftover over Z is factored by the Euclidean tail, so the
+    # matrix between the two words is the identity and g = eval(left + right)
     g = int_matrix(A2, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
-    word, residual, _ = heuristic_reduce(g)
-    assert eval_word(word, Z, 1) * residual == g
+    reduced_word(g)
 
 
 def test_constant_tail_calls_factor_integer_sl_by_module_name(monkeypatch):
@@ -481,9 +490,8 @@ def test_constant_tail_calls_factor_integer_sl_by_module_name(monkeypatch):
     monkeypatch.setattr(factorize, "factor_integer_sl", counted)
     # with no greedy steps the whole constant matrix is the tail
     g = int_matrix(A2, [[2, 1, 0], [1, 1, 0], [0, 0, 1]])
-    word, residual, _ = heuristic_reduce(g, Budget(max_steps=0))
-    assert calls == [g] and residual.is_identity()
-    assert eval_word(word, Z, 1) == g
+    reduced_word(g, Budget(max_steps=0))
+    assert calls == [g]
 
 
 # -- factor_polynomial ------------------------------------------------------------------
@@ -537,6 +545,15 @@ def test_factor_polynomial_constant_residual_mode():
     cert = factor_polynomial(g)
     assert certificate_ok(cert, g)
     assert cert.residual_constant.is_identity()
+
+
+def test_factor_polynomial_zero_step_budget_ends_in_not_factored():
+    # with no greedy step a non-constant member is its own stall matrix:
+    # the call names the spent budget field instead of rejecting g
+    g = eval_word(random_elementary_word(A2, 6000, 10), Z, 1)
+    assert not g.is_constant() and certificate_ok(factor_polynomial(g), g)
+    with pytest.raises(NotFactored, match=r"Budget\.max_steps=0 spent"):
+        factor_polynomial(g, Budget(max_steps=0))
 
 
 def test_factor_polynomial_rejects_nonmember():
@@ -606,8 +623,8 @@ def test_stall_checks_membership_on_the_stall_matrix(monkeypatch):
 
     monkeypatch.setattr(factorize, "membership_check", counting_check)
     g = eval_word(random_elementary_word(A2, 5013, 30), Z, 1)
-    _, residual, stall = heuristic_reduce(g)
-    assert not residual.is_identity() and not stall.is_constant()
+    _, stall, _ = split_reduce(g)
+    assert not stall.is_constant()
     checked.clear()
     with pytest.raises(NotFactored) as exc:
         factor_polynomial(g)
@@ -725,6 +742,6 @@ def test_greedy_running_size_matches_recount(monkeypatch):
     monkeypatch.setattr(factorize, "_apply", checked_apply)
     monkeypatch.setattr(factorize, "leading_term_division", checked_division)
     for nvars, word in bench_family_words(range(9600, 9605)):
-        heuristic_reduce(eval_word(word, Z, nvars))
+        reduced_word(eval_word(word, Z, nvars))
     assert len(moves) > 100
     assert any(d >= 0 for d in moves)  # a two-ply escape move was checked too

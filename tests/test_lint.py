@@ -216,3 +216,53 @@ def test_only_exactring_reads_exponent_keys():
             if alias.name.startswith("_")
         ]
         assert private == [], "%s imports %s from exactring" % (name, ", ".join(private))
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, position) for each defaulted parameter of the
+    module's public top-level functions; keyword-only ones have no position."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(node.name, p.arg, i) for i, p in enumerate(positional) if i >= first]
+        out += [(node.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+    return out
+
+
+def passed_arguments(tree):
+    """(callee name, keyword or position) for each argument a call passes;
+    "*" stands for every position from a starred argument on, "**" for
+    every keyword of a ** argument."""
+    out = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        for i, arg in enumerate(n.args):
+            if isinstance(arg, ast.Starred):
+                out.add((name, "*"))
+                break
+            out.add((name, i))
+        out |= {(name, k.arg or "**") for k in n.keywords}
+    return out
+
+
+def test_every_default_parameter_has_a_caller():
+    # a default that no call in src/, bench/ or tests/ overrides is a
+    # constant in disguise, or an option nothing exercises
+    bench = SRC.parents[1] / "bench"
+    paths = sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    passed = set()
+    for path in paths:
+        passed |= passed_arguments(ast.parse(path.read_text(encoding="utf-8")))
+    unpassed = [
+        "%s(%s)" % (func, param)
+        for path in sorted(SRC.glob("*.py"))
+        for func, param, pos in defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not passed & {(func, param), (func, pos), (func, "*"), (func, "**")}
+    ]
+    assert not unpassed, "defaulted parameters no call passes: " + ", ".join(unpassed)

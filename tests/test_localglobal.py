@@ -498,6 +498,22 @@ def test_dilation_factor_with_descent():
     assert len(word31) >= 0
 
 
+def test_dilation_factor_letter_budget_bounds_the_descent():
+    # a half-integral word is descended under the caller's budget: none
+    # left stops it, the default yields a certificate that multiplies back
+    w_s = halfling_word(random.Random(21), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    assert any(denominator_lcm(a) > 1 for _, a in w_s.letters)
+    with pytest.raises(DescentBudgetExceeded):
+        dilation_factor(g, w_s, 2, budget=Budget(max_letters=0))
+    cert = dilation_factor(g, w_s, 2)
+    x = MultiPoly.variable(Z, 1, 0)
+    a = 1 + 2 ** cert.k
+    expect = g.substitute({0: x.scale(a)}, nvars_out=1) * g.inverse()
+    assert eval_word(cert.generator(a, 1), Z, 1) == expect
+
+
 def test_dilation_factor_checks_descended_word(monkeypatch):
     # a descended word that misses one letter evaluates to another matrix
     # over Z, and the exact check must refuse the certificate
