@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 verification or relation failure, 2 not
 factored (NotFactored: no word found), 3 invalid input (usage errors,
-parse errors, rank gate, non-membership).  Reports on stdout are deterministic for
-fixed inputs and seeds; timing goes to stderr.
+parse errors, rank gate, non-membership).  A verb lets a ChevElemError
+rise; main alone maps it to an exit code, NotFactored to 2 and any other
+to 3.  Reports on stdout are deterministic for fixed inputs and seeds;
+timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,17 +15,13 @@ import random
 import sys
 import time
 
-from .errors import (
-    ChevElemError,
-    NotFactored,
-    RankTooLow,
-    UnsupportedType,
-)
+from .errors import ChevElemError, NotFactored
 from .exactring import BaseRing, MultiPoly, parse_poly
 from .factorize import factor_polynomial, random_elementary_word
 from .fileio import (
     certificate_from_dict,
     certificate_to_dict,
+    dumps,
     load,
     matrix_from_dict,
     save,
@@ -116,30 +114,15 @@ def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:
 
 
 def cmd_factor(args) -> int:
-    try:
-        data = load(args.infile)
-        g = matrix_from_dict(data)
-    except ChevElemError as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    g = matrix_from_dict(load(args.infile))
     t0 = time.monotonic()
-    try:
-        cert = factor_polynomial(g)
-    except NotFactored as exc:
-        print("not factored: %s" % exc, file=sys.stderr)
-        print("the search found no word; this is not a non-membership proof", file=sys.stderr)
-        return EXIT_NOT_FACTORED
-    except ChevElemError as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    cert = factor_polynomial(g)
     elapsed = time.monotonic() - t0
     payload = certificate_to_dict(cert)
     if args.outfile:
         save(args.outfile, payload)
         print("certificate written to %s" % args.outfile)
     else:
-        from .fileio import dumps
-
         sys.stdout.write(dumps(payload))
     print(
         "verified=%s word_length=%d max_degree=%d"
@@ -150,12 +133,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = load(args.infile)
-        cert = certificate_from_dict(data)
-    except ChevElemError as exc:
-        print("invalid certificate file: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    cert = certificate_from_dict(load(args.infile))
     if cert.check():
         print("certificate verifies: word * residual = target exactly")
         return EXIT_OK
@@ -164,11 +142,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    try:
-        report = run_relation_suite(args.type, args.rank, args.trials, args.seed)
-    except (RankTooLow, UnsupportedType) as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = run_relation_suite(args.type, args.rank, args.trials, args.seed)
     print(
         "relations %s%d: pairs=%d trials=%d commutator_failures=%d "
         "additivity_failures=%d torus_failures=%d"
@@ -187,11 +161,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        rs = build_root_system(args.type, args.rank)
-    except (RankTooLow, UnsupportedType) as exc:
-        print("invalid input: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    rs = build_root_system(args.type, args.rank)
     master = random.Random(args.seed)
     failures = 0
     not_factored = 0
@@ -312,8 +282,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotFactored as exc:
+        print("not factored: %s" % exc, file=sys.stderr)
+        print("the search found no word; this is not a non-membership proof", file=sys.stderr)
+        return EXIT_NOT_FACTORED
     except ChevElemError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -193,6 +193,8 @@ class BaseRing:
 
 def base_ring_from_str(text: str) -> BaseRing:
     """Inverse of str(BaseRing); used by all file headers."""
+    if not isinstance(text, str):
+        raise ParseError("base ring must be a string, got %r" % (text,))
     t = text.strip()
     if t == "Z":
         return BaseRing.integers()

@@ -595,10 +595,10 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     commutator finisher.  A constant leftover over Z or a field is
     factored by the Euclidean reduction (factor_integer_sl or _sp,
     factor_univar_euclidean), whose word is appended to left.  So r is the
-    identity exactly when a word was found, free_reduce(left + right);
-    otherwise r is the matrix the best pass stopped at, and a word for r
-    gives g's word as left + word(r) + right.  A constant leftover
-    outside the group raises NotInGroup.
+    identity exactly when a word was found; then left is that word, free-
+    reduced once, and right is empty.  Otherwise r is the matrix the best
+    pass stopped at, and a word for r gives g's word as left + word(r) +
+    right.  A constant leftover outside the group raises NotInGroup.
     """
     budget = budget or DEFAULT_BUDGET
     rs = g.rs
@@ -635,10 +635,11 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
             mid = factor_integer_sp(r)
         left += mid.letters
         r = GroupMatrix.identity(rs, g.base, g.nvars)
-    left, right = free_reduce(ElemWord(rs, left)), free_reduce(ElemWord(rs, right))
     if r.is_identity():
-        product = eval_word(free_reduce(left.concat(right)), g.base, g.nvars)
+        left, right = free_reduce(ElemWord(rs, left + right)), ElemWord(rs, [])
+        product = eval_word(left, g.base, g.nvars)
     else:
+        left, right = free_reduce(ElemWord(rs, left)), free_reduce(ElemWord(rs, right))
         product = eval_word(left, g.base, g.nvars) * r * eval_word(right, g.base, g.nvars)
     if product != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
@@ -676,7 +677,7 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
             "Budget.max_steps=%d spent in a pass); the stall matrix has %d terms "
             "of total degree up to %d" % ((budget.max_steps,) + size)
         )
-    word = free_reduce(left.concat(right))
+    word = left  # right is empty when r is the identity
     if log.isEnabledFor(logging.DEBUG):
         log.debug("heuristic stage: word length %d, max degree %d", len(word), word.max_degree())
     return FactorizationCertificate(target=g, word=word, residual_constant=r, verified=True)

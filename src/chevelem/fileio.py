@@ -30,12 +30,13 @@ def _read_header(data: dict, rows_key: str):
     a wrong shape is refused first, as building costs rank^3."""
     try:
         group = data["group"]
-        kind, rank = group["type"], int(group["rank"])
+        kind, rank, nvars = group["type"], group["rank"], data["nvars"]
+        if type(rank) is not int or type(nvars) is not int:  # bool and float too
+            raise TypeError("rank and nvars must be integers, got %r and %r" % (rank, nvars))
         size = {"A": rank + 1, "C": 2 * rank}.get(kind) if rank >= 2 else None
         if size is None:
             build_root_system(kind, rank)  # raises UnsupportedType or RankTooLow
         base = base_ring_from_str(data["base"])
-        nvars = int(data["nvars"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed header: %s" % exc) from exc
     if nvars < 0 or nvars > 9:

@@ -2,13 +2,14 @@
 
 Type A_n is realized as SL_{n+1}; type C_n as Sp_{2n} with coordinates
 ordered (1, ..., n, n*, ..., 1*) and the symplectic form pairing i with i*
-(+1 in the upper right, -1 in the lower left).  Roots are integer vectors
-in the ambient coordinate basis.
+with sign RootSystem.eps(i) (+1 in the upper right, -1 in the lower left).
+Roots are integer vectors in the ambient coordinate basis.
 
-Chevalley structure constants are not transcribed from tables: they are
-derived at build time by expanding commutators of the model's unipotent
-matrices with formal arguments, and the derived product is re-multiplied
-and compared against the literal commutator before use.
+Nothing of the model is transcribed from tables.  The roots and their
+unipotents are read off the form, and the Chevalley structure constants
+are derived at build time by expanding commutators of the model's
+unipotent matrices with formal arguments; the derived product is
+re-multiplied and compared against the literal commutator before use.
 """
 
 from __future__ import annotations
@@ -41,17 +42,33 @@ class RootSystem:
             raise RankTooLow("isotropic rank >= 2 required, got rank %d" % rank)
         self.kind = kind
         self.rank = rank
-        self.matrix_size = rank + 1 if kind == "A" else 2 * rank
-        self.roots: tuple = self._build_roots()
+        self.matrix_size = size = rank + 1 if kind == "A" else 2 * rank
+        star, eps = self.partner, self.eps
+        # coordinate i has weight w(i) = eps(i) e_j, j = i where eps(i) = 1
+        # and j = i* where eps(i) = -1; E(r, c) has weight w(r) - w(c).  A
+        # type-C unipotent pairs E(r, c) with -eps(r) eps(c) E(c*, r*), the
+        # smaller row first, and is E(r, c) alone where c = r*
+        w = [[0] * (size if kind == "A" else rank) for _ in range(size)]
+        for i in range(size):
+            w[i][i if eps(i) > 0 else star(i)] = eps(i)
+        terms = {}
+        for r in range(size):
+            for c in range(size):
+                a = tuple(x - y for x, y in zip(w[r], w[c]))
+                if r != c and a not in terms:
+                    terms[a] = ((r, c, 1),)
+                    if kind == "C" and c != star(r):
+                        terms[a] += ((star(c), star(r), -eps(r) * eps(c)),)
+        self.roots: tuple = tuple(sorted(terms, reverse=True))
         self._root_set = set(self.roots)
         # root -> tuple of (row, col, sign): x_root(t) = I + t * sum sign*E(row,col)
-        self.unipotent_terms = {a: self._terms_for(a) for a in self.roots}
+        self.unipotent_terms = {a: terms[a] for a in self.roots}
         # (row, col) of each root's first unipotent term -> the root
         self._root_at = {t[0][:2]: a for a, t in self.unipotent_terms.items()}
         # side -> root -> ((target row, target col, source row, source col,
         # sign), ...): x_root(t) on that side adds sign*t*source to target,
         # the first term's entries first.  No target is a source.
-        n = range(self.matrix_size)
+        n = range(size)
         self.moves = {
             "right": {a: tuple((i, c, i, r, s) for r, c, s in t for i in n)
                       for a, t in self.unipotent_terms.items()},
@@ -60,52 +77,6 @@ class RootSystem:
         }
         self._commutator_cache: dict = {}
         self._decomposition_cache: dict = {}
-
-    # -- construction -------------------------------------------------------
-
-    def _build_roots(self):
-        n = self.rank + 1 if self.kind == "A" else self.rank
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    v = [0] * n
-                    v[i], v[j] = 1, -1
-                    out.append(tuple(v))
-        if self.kind == "C":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for si in (1, -1):
-                        v = [0] * n
-                        v[i], v[j] = si, si
-                        out.append(tuple(v))
-            for i in range(n):
-                for si in (1, -1):
-                    v = [0] * n
-                    v[i] = 2 * si
-                    out.append(tuple(v))
-        return tuple(sorted(out, reverse=True))
-
-    def _terms_for(self, a: Root):
-        if self.kind == "A":
-            i = a.index(1)
-            j = a.index(-1)
-            return ((i, j, 1),)
-        star = self.partner
-        support = [(i, v) for i, v in enumerate(a) if v]
-        if len(support) == 1:
-            i, v = support[0]
-            if v == 2:
-                return ((i, star(i), 1),)
-            return ((star(i), i, 1),)
-        (i, vi), (j, vj) = support
-        if vi == 1 and vj == -1:
-            return ((i, j, 1), (star(j), star(i), -1))
-        if vi == -1 and vj == 1:
-            return ((j, i, 1), (star(i), star(j), -1))
-        if vi == 1 and vj == 1:
-            return ((i, star(j), 1), (j, star(i), 1))
-        return ((star(j), i, 1), (star(i), j, 1))
 
     # -- queries ---------------------------------------------------------------
 
@@ -125,6 +96,11 @@ class RootSystem:
     def partner(self, i: int) -> int:
         """The coordinate the type-C form pairs with i (i* = size-1-i)."""
         return self.matrix_size - 1 - i
+
+    def eps(self, i: int) -> int:
+        """The sign of coordinate i in the form: J[i][i*] = eps(i), +1 in
+        type A and below the rank in type C, -1 from the rank on."""
+        return -1 if self.kind == "C" and i >= self.rank else 1
 
     def pairing(self, beta: Root, alpha: Root) -> int:
         """Cartan integer <beta, alpha> = 2 (beta, alpha) / (alpha, alpha)."""
@@ -169,9 +145,8 @@ class RootSystem:
         zero = MultiPoly.zero(base, nvars)
         one = MultiPoly.const(base, nvars, 1)
         J = [[zero] * size for _ in range(size)]
-        for i in range(self.rank):
-            J[i][self.partner(i)] = one
-            J[self.partner(i)][i] = -one
+        for i in range(size):
+            J[i][self.partner(i)] = one if self.eps(i) > 0 else -one
         return J
 
 
@@ -291,13 +266,13 @@ class GroupMatrix:
     def inverse(self) -> "GroupMatrix":
         if self.rs.kind == "C":
             # M^{-1} = -J M^T J for symplectic M; J is a signed permutation,
-            # so inv[i][j] = eps(i) eps(j) M[j*][i*] with eps = +1 below rank
-            rank, star, m = self.rs.rank, self.rs.partner, self.entries
+            # so inv[i][j] = eps(i) eps(j) M[j*][i*]
+            eps, star, m = self.rs.eps, self.rs.partner, self.entries
             size = self.rs.matrix_size
 
             def entry(i, j):
                 p = m[star(j)][star(i)]
-                return p if (i < rank) == (j < rank) else -p
+                return p if eps(i) == eps(j) else -p
 
             return GroupMatrix(
                 self.rs, [[entry(i, j) for j in range(size)] for i in range(size)]
@@ -400,9 +375,9 @@ def membership_check(matrix, rs: RootSystem) -> bool:
         d = _det(entries, MultiPoly.const(base, nvars, 1))
         return d.is_constant() and d.constant_term() == base.one()
     J = rs.form_matrix(base, nvars)
-    # J M is M's rows permuted by partner, the rows from rank on negated
+    # row i of J M is eps(i) times row i* of M
     jm = [
-        entries[rs.partner(i)] if i < rs.rank else [-p for p in entries[rs.partner(i)]]
+        entries[rs.partner(i)] if rs.eps(i) > 0 else [-p for p in entries[rs.partner(i)]]
         for i in range(size)
     ]
     lhs = (GroupMatrix(rs, list(zip(*entries))) * GroupMatrix(rs, jm)).entries

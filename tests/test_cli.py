@@ -166,6 +166,33 @@ def test_huge_header_rank_refused_before_building(tmp_path, capsys, kind, rank):
     assert capsys.readouterr().err.count("matrix for RootSystem(%s, %d)" % (kind, rank)) == 2
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("base", 7), ("base", ["Z"]), ("rank", 2.5), ("rank", True), ("nvars", 1.5), ("nvars", True)],
+    ids=["base-int", "base-list", "rank-float", "rank-bool", "nvars-float", "nvars-bool"],
+)
+def test_header_of_wrong_type_exits_bad_input(tmp_path, capsys, field, value):
+    # a base that is not a string, or a rank or nvars that is not an
+    # integer, is invalid input for both verbs, not truncated by int()
+    header = {"group": {"type": "A", "rank": 2}, "nvars": 1, "base": "Z"}
+    if field == "rank":
+        header["group"]["rank"] = value
+    else:
+        header[field] = value
+    ident = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(dict(header, entries=ident)))
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        json.dumps(dict(header, target=ident, residual=ident, word=[], verified=True))
+    )
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+    assert main(["verify", "--in", str(cert_file)]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("invalid input: ") == 2
+
+
 def test_factor_nonmember_rejected(tmp_path, capsys):
     data = cohn_dict()
     data["entries"][0][0] = "2+2*x1"

@@ -465,6 +465,15 @@ def test_heuristic_cracks_cohn():
     reduced_word(cohn_embedded())
 
 
+def test_solved_word_is_handed_back_once():
+    # on success the checked word comes back as left, right is empty, and
+    # factor_polynomial returns that word as it is
+    for g in (cohn_embedded(), eval_word(random_elementary_word(C2, 11, 6), Z, 1)):
+        left, r, right = heuristic_reduce(g)
+        assert r.is_identity() and len(right) == 0
+        assert factor_polynomial(g).word == left == free_reduce(left)
+
+
 def test_heuristic_factors_constant_leftover_over_q():
     # over a field the Euclidean reduction factors the constant leftover
     g = int_matrix(A2, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]], base=Q)

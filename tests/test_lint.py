@@ -144,6 +144,33 @@ def test_only_rootdata_reads_the_unipotent_terms():
     assert found and all(f.startswith("rootdata.py: ") for f in found), found
 
 
+def is_rank(node):
+    return getattr(node, "id", None) == "rank" or getattr(node, "attr", None) == "rank"
+
+
+def test_form_sign_read_only_through_eps():
+    # the sign of coordinate i in the form J is RootSystem.eps(i); a
+    # comparison of anything but a rank with a rank restates that rule,
+    # unless it is one of the two rank gates
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Compare):
+                continue
+            operands = [n.left] + n.comparators
+            if any(map(is_rank, operands)) and not all(map(is_rank, operands)):
+                inner = [f for f in funcs if f.lineno <= n.lineno <= f.end_lineno]
+                name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
+                found.append("%s: %s" % (path.name, name))
+    assert sorted(found) == [
+        "fileio.py: _read_header",
+        "rootdata.py: __init__",
+        "rootdata.py: eps",
+    ], found
+
+
 def reexported_names(tree):
     """Names __init__.py imports from the package's modules to re-export."""
     return [

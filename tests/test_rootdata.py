@@ -80,6 +80,59 @@ def test_c2_roots_standard():
     assert set(C2.roots) == expected
 
 
+# root -> unipotent terms (row, col, sign), in the order of rs.roots
+PINNED_MODELS = {
+    ("A", 2): {
+        (1, 0, -1): ((0, 2, 1),),
+        (1, -1, 0): ((0, 1, 1),),
+        (0, 1, -1): ((1, 2, 1),),
+        (0, -1, 1): ((2, 1, 1),),
+        (-1, 1, 0): ((1, 0, 1),),
+        (-1, 0, 1): ((2, 0, 1),),
+    },
+    ("C", 2): {
+        (2, 0): ((0, 3, 1),),
+        (1, 1): ((0, 2, 1), (1, 3, 1)),
+        (1, -1): ((0, 1, 1), (2, 3, -1)),
+        (0, 2): ((1, 2, 1),),
+        (0, -2): ((2, 1, 1),),
+        (-1, 1): ((1, 0, 1), (3, 2, -1)),
+        (-1, -1): ((2, 0, 1), (3, 1, 1)),
+        (-2, 0): ((3, 0, 1),),
+    },
+    ("C", 3): {
+        (2, 0, 0): ((0, 5, 1),),
+        (1, 1, 0): ((0, 4, 1), (1, 5, 1)),
+        (1, 0, 1): ((0, 3, 1), (2, 5, 1)),
+        (1, 0, -1): ((0, 2, 1), (3, 5, -1)),
+        (1, -1, 0): ((0, 1, 1), (4, 5, -1)),
+        (0, 2, 0): ((1, 4, 1),),
+        (0, 1, 1): ((1, 3, 1), (2, 4, 1)),
+        (0, 1, -1): ((1, 2, 1), (3, 4, -1)),
+        (0, 0, 2): ((2, 3, 1),),
+        (0, 0, -2): ((3, 2, 1),),
+        (0, -1, 1): ((2, 1, 1), (4, 3, -1)),
+        (0, -1, -1): ((3, 1, 1), (4, 2, 1)),
+        (0, -2, 0): ((4, 1, 1),),
+        (-1, 1, 0): ((1, 0, 1), (5, 4, -1)),
+        (-1, 0, 1): ((2, 0, 1), (5, 3, -1)),
+        (-1, 0, -1): ((3, 0, 1), (5, 2, 1)),
+        (-1, -1, 0): ((4, 0, 1), (5, 1, 1)),
+        (-2, 0, 0): ((5, 0, 1),),
+    },
+}
+
+
+@pytest.mark.parametrize("kind,rank", sorted(PINNED_MODELS))
+def test_model_tables_pinned(kind, rank):
+    # every word, certificate and move is read off these tables: root
+    # order, term order and signs stay as written here
+    rs = build_root_system(kind, rank)
+    pinned = PINNED_MODELS[kind, rank]
+    assert rs.roots == tuple(pinned)
+    assert list(rs.unipotent_terms.items()) == list(pinned.items())
+
+
 def test_rank_gate():
     with pytest.raises(RankTooLow):
         build_root_system("A", 1)
