@@ -54,18 +54,31 @@ def _s_smooth(n: int, s: int) -> bool:
     return True
 
 
+# the first twelve primes: as Miller-Rabin bases they decide primality
+# exactly below 3.18e23 (Sorenson and Webster), past prime_field's cap
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < 3.18e23."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -100,6 +113,8 @@ class BaseRing:
 
     @staticmethod
     def prime_field(p: int) -> "BaseRing":
+        if p >= 2**64:
+            raise ValueError("prime field modulus must be below 2^64, got %r" % (p,))
         if not _is_prime(p):
             raise ValueError("prime field needs a prime modulus, got %r" % (p,))
         return BaseRing(KIND_PRIME_FIELD, p)
@@ -310,12 +325,12 @@ class MultiPoly:
         built, when minus_one."""
         total, shift = 0, _W * self.nvars
         for k, c in self.terms.items():
-            bits = abs(c).bit_length() + 1 if type(c) is int else _bits(c)
+            bits = abs(c).bit_length() + 1 if type(c) is int else coeff_bits(c)
             total += 1 + degw * (k >> shift) ** 2 + bitw * bits
         if minus_one:  # the constant term c becomes d = c - 1
             c = self.terms.get(0, 0)
             d = c - 1 if self.base.modulus is None else (c - 1) % self.base.modulus
-            total += (1 + bitw * _bits(d) if d else 0) - (1 + bitw * _bits(c) if c else 0)
+            total += (1 + bitw * coeff_bits(d) if d else 0) - (1 + bitw * coeff_bits(c) if c else 0)
         return total
 
     def _check_compatible(self, other: "MultiPoly") -> None:
@@ -517,7 +532,7 @@ def _check_degree(key: int, nvars: int) -> None:
         raise DegreeOverflow("total degree %d exceeds the cap %d" % (deg, MAX_DEGREE))
 
 
-def _bits(c) -> int:
+def coeff_bits(c) -> int:
     """Length of an int or a fraction in bits, sign bit included."""
     if type(c) is int:
         return abs(c).bit_length() + 1
@@ -557,9 +572,9 @@ def size_change(p: MultiPoly, a: MultiPoly, b: MultiPoly, sign: int, degw: int, 
         if m is not None:
             old, new = old % m, new % m
         if new and old:
-            delta += bitw * (_bits(new) - _bits(old))
+            delta += bitw * (coeff_bits(new) - coeff_bits(old))
         elif new or old:
-            size = 1 + degw * (k >> shift) ** 2 + bitw * _bits(new or old)
+            size = 1 + degw * (k >> shift) ** 2 + bitw * coeff_bits(new or old)
             delta += size if new else -size
     return delta
 

@@ -89,52 +89,28 @@ def random_elementary_word(
 
 
 # ---------------------------------------------------------------------------
-# scalar contexts for the shared Euclidean engine
+# rings for the shared Euclidean engine: each is a (size, quotient) pair
 
 
-class _IntScalars:
+def _int_size(p: MultiPoly) -> int:
     """Constant integer entries: sizes are absolute values."""
-
-    def __init__(self, base: BaseRing, nvars: int):
-        self.base = base
-        self.nvars = nvars
-
-    def size(self, p: MultiPoly):
-        return abs(p.constant_term())
-
-    def quotient(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        return MultiPoly.const(self.base, self.nvars, a.constant_term() // b.constant_term())
-
-    def is_unit(self, p: MultiPoly) -> bool:
-        return p.is_constant() and p.constant_term() in (1, -1)
-
-    def unit_inverse(self, p: MultiPoly) -> MultiPoly:
-        return p
+    return abs(p.constant_term())
 
 
-class _FieldPolyScalars:
+def _int_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    return MultiPoly.const(a.base, a.nvars, a.constant_term() // b.constant_term())
+
+
+def _field_size(p: MultiPoly) -> int:
     """Entries in k[x1] over a field k: sizes are shifted degrees."""
+    return 0 if p.is_zero() else p.degree_in(0) + 1
 
-    def __init__(self, base: BaseRing, nvars: int):
-        self.base = base
-        self.nvars = nvars
 
-    def size(self, p: MultiPoly):
-        return 0 if p.is_zero() else p.degree_in(0) + 1
-
-    def quotient(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
-        # in k[x1] graded-lex leading terms are x1-leading terms, so the
-        # leading-term division run to completion is Euclidean division
-        q, _, _ = leading_term_division(a, b, math.inf)
-        return q
-
-    def is_unit(self, p: MultiPoly) -> bool:
-        return p.is_constant() and not p.is_zero()
-
-    def unit_inverse(self, p: MultiPoly) -> MultiPoly:
-        return MultiPoly.const(
-            self.base, self.nvars, self.base.unit_inverse(p.constant_term())
-        )
+def _field_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    # in k[x1] graded-lex leading terms are x1-leading terms, so the
+    # leading-term division run to completion is Euclidean division
+    q, _, _ = leading_term_division(a, b, math.inf)
+    return q
 
 
 class _OpRecorder:
@@ -183,12 +159,17 @@ def _swap_into(rec: _OpRecorder, src: int, dst: int) -> None:
     rec.move(at(src, dst), -rec.one, "left")
 
 
-def _normalize_pivot(rec: _OpRecorder, pivot: int, spare: int, d_inv) -> None:
-    """Turn the unit pivot d on the diagonal into 1 by three moves through
-    a spare row whose entry in the pivot column is zero."""
+def _normalize_pivot(rec: _OpRecorder, pivot: int, spare: int) -> None:
+    """Turn the pivot d on the diagonal into 1 by three moves through a
+    spare row whose entry in the pivot column is zero; raises NotInGroup
+    unless d is a unit of the base ring."""
     at = rec.rs.root_at
     d = rec.m[pivot][pivot]
-    rec.move(at(spare, pivot), d_inv, "left")
+    c = d.constant_term()
+    if not (d.is_constant() and rec.base.is_unit(c)):
+        raise NotInGroup("column gcd %r is not a unit" % (d,))
+    inverse = MultiPoly.const(rec.base, rec.nvars, rec.base.unit_inverse(c))
+    rec.move(at(spare, pivot), inverse, "left")
     rec.move(at(pivot, spare), rec.one - d, "left")
     rec.move(at(spare, pivot), -rec.one, "left")
 
@@ -207,72 +188,62 @@ def _clear_pivot_row_c(rec: _OpRecorder, stage: int) -> None:
             raise NotInGroup("matrix does not preserve the symplectic form")
 
 
-def _column_gcd(rec: _OpRecorder, ctx, rows, col: int, collapse: str) -> int:
-    """Euclid down column col across rows by row moves until one entry
-    is left nonzero; returns its row.  Raises NotInGroup with the given
-    reason when the whole column is zero."""
+def _column_gcd(rec: _OpRecorder, ring, rows, col: int):
+    """Euclid down column col across rows by row moves, in the ring's
+    (size, quotient), until at most one entry is nonzero; returns its row,
+    or None when the whole column is zero.  Of rows of equal size the
+    first pivots."""
+    size, quotient = ring
     at = rec.rs.root_at
     while True:
-        nz = [r for r in rows if ctx.size(rec.m[r][col]) != 0]
-        if not nz:
-            raise NotInGroup("column collapses to zero; " + collapse)
-        if len(nz) == 1:
-            return nz[0]
-        r_min = min(nz, key=lambda r: ctx.size(rec.m[r][col]))
+        nz = [r for r in rows if size(rec.m[r][col]) != 0]
+        if len(nz) <= 1:
+            return nz[0] if nz else None
+        r_min = min(nz, key=lambda r: size(rec.m[r][col]))
         for r in nz:
-            if r == r_min:
-                continue
-            rec.move(at(r, r_min), -ctx.quotient(rec.m[r][col], rec.m[r_min][col]), "left")
+            if r != r_min:
+                rec.move(at(r, r_min), -quotient(rec.m[r][col], rec.m[r_min][col]), "left")
 
 
-def _reduce_type_a(rec: _OpRecorder, ctx) -> None:
+def _reduce_type_a(rec: _OpRecorder, ring) -> None:
     size = len(rec.m)
     at = rec.rs.root_at
     for col in range(size):
-        pivot = _column_gcd(rec, ctx, range(col, size), col, "matrix is singular")
+        pivot = _column_gcd(rec, ring, range(col, size), col)
+        if pivot is None:
+            raise NotInGroup("column collapses to zero; matrix is singular")
         if pivot != col:
             _swap_into(rec, pivot, col)
-        d = rec.m[col][col]
-        if d != rec.one:
+        if rec.m[col][col] != rec.one:
             if col == size - 1:
                 raise NotInGroup("final pivot is not 1; determinant is not 1")
-            if not ctx.is_unit(d):
-                raise NotInGroup("column gcd %r is not a unit" % (d,))
-            _normalize_pivot(rec, col, col + 1, ctx.unit_inverse(d))
+            _normalize_pivot(rec, col, col + 1)
         for r in range(size):
             if r != col:
                 rec.move(at(r, col), -rec.m[r][col], "left")
 
 
-def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
+def _reduce_type_c(rec: _OpRecorder, ring) -> None:
     rs = rec.rs
     n = rs.rank
     at, star = rs.root_at, rs.partner
 
     for stage in range(n):
         col = stage
-        # (a) gcd within each active hyperbolic pair via long-root ops
+        # (a) gcd within each active hyperbolic pair via long-root ops,
+        # left in the unstarred row
         for j in range(stage, n):
-            while ctx.size(rec.m[star(j)][col]) != 0:
-                a = rec.m[j][col]
-                b = rec.m[star(j)][col]
-                if ctx.size(a) == 0:
-                    _swap_into(rec, star(j), j)
-                    continue
-                if ctx.size(b) >= ctx.size(a):
-                    rec.move(at(star(j), j), -ctx.quotient(b, a), "left")
-                else:
-                    rec.move(at(j, star(j)), -ctx.quotient(a, b), "left")
+            if _column_gcd(rec, ring, (j, star(j)), col) == star(j):
+                _swap_into(rec, star(j), j)
         # (b) gcd across the unstarred rows
-        pivot = _column_gcd(rec, ctx, range(stage, n), col, "not in the group")
+        pivot = _column_gcd(rec, ring, range(stage, n), col)
+        if pivot is None:
+            raise NotInGroup("column collapses to zero; not in the group")
         if pivot != stage:
             _swap_into(rec, pivot, stage)
         # (c) normalize the pivot using the hyperbolic partner
-        d = rec.m[stage][col]
-        if d != rec.one:
-            if not ctx.is_unit(d):
-                raise NotInGroup("column gcd %r is not a unit" % (d,))
-            _normalize_pivot(rec, stage, star(stage), ctx.unit_inverse(d))
+        if rec.m[stage][col] != rec.one:
+            _normalize_pivot(rec, stage, star(stage))
         # (d) clear the rest of the column.  Of the starred rows only
         # stage* can be nonzero: (a) zeroed j* for j >= stage, earlier
         # stages left j* clean for j < stage, and (b)/(c) add starred rows
@@ -284,15 +255,15 @@ def _reduce_type_c(rec: _OpRecorder, ctx) -> None:
         _clear_pivot_row_c(rec, stage)
 
 
-def _euclid(g: GroupMatrix, scalars, not_in_group: str) -> ElemWord:
-    """The Euclidean reduction of g with the given scalar context, replayed
-    as a word and multiplied back; raises NotInGroup(not_in_group) when g
-    fails the membership check."""
+def _euclid(g: GroupMatrix, ring, not_in_group: str) -> ElemWord:
+    """The Euclidean reduction of g in the ring's (size, quotient),
+    replayed as a word and multiplied back; raises NotInGroup(not_in_group)
+    when g fails the membership check."""
     if not membership_check(g, g.rs):
         raise NotInGroup(not_in_group)
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     reduce = _reduce_type_a if g.rs.kind == "A" else _reduce_type_c
-    reduce(rec, scalars(g.base, g.nvars))
+    reduce(rec, ring)
     if not rec.matrix().is_identity():
         raise NotInGroup("reduction did not reach the identity")
     word = free_reduce(rec.word())
@@ -303,25 +274,23 @@ def _euclid(g: GroupMatrix, scalars, not_in_group: str) -> ElemWord:
 
 def factor_integer_sl(g: GroupMatrix) -> ElemWord:
     """Euclidean factorization of a constant matrix in SL_N(Z)."""
-    _require_constant_int(g)
-    if g.rs.kind != "A":
-        raise PreconditionViolated("type A matrix expected")
-    return _euclid(g, _IntScalars, "determinant is not 1")
+    _require_constant_int(g, "A")
+    return _euclid(g, (_int_size, _int_quotient), "determinant is not 1")
 
 
 def factor_integer_sp(g: GroupMatrix) -> ElemWord:
     """Pairwise Euclidean factorization of a constant matrix in Sp_2N(Z)."""
-    _require_constant_int(g)
-    if g.rs.kind != "C":
-        raise PreconditionViolated("type C matrix expected")
-    return _euclid(g, _IntScalars, "matrix does not preserve the symplectic form")
+    _require_constant_int(g, "C")
+    return _euclid(g, (_int_size, _int_quotient), "matrix does not preserve the symplectic form")
 
 
-def _require_constant_int(g: GroupMatrix) -> None:
+def _require_constant_int(g: GroupMatrix, kind: str) -> None:
     if g.base.kind != "Z":
         raise PreconditionViolated("integer matrix expected")
     if not g.is_constant():
         raise PreconditionViolated("entries must be constant")
+    if g.rs.kind != kind:
+        raise PreconditionViolated("type %s matrix expected" % kind)
 
 
 def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
@@ -333,7 +302,7 @@ def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
             for v in range(1, g.nvars):
                 if p.degree_in(v) > 0:
                     raise PreconditionViolated("entries must be univariate")
-    return _euclid(g, _FieldPolyScalars, "matrix fails the group invariant")
+    return _euclid(g, (_field_size, _field_quotient), "matrix fails the group invariant")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .exactring import (
     MultiPoly,
     annihilator_exponent,
     clearing_exponent,
+    coeff_bits,
     convert,
     denominator_lcm,
     poly_s_valuation,
@@ -66,13 +67,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-
-def _poly_bits(p: MultiPoly) -> int:
-    total = 0
-    for c in p.coefficients():
-        total += abs(c.numerator).bit_length() + c.denominator.bit_length()
-    return total
 
 
 def xgcd(a: int, b: int):
@@ -290,7 +284,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
             continue
         if max(t.total_degree(), r.total_degree()) > budget.max_degree:
             return None
-        if _poly_bits(t) > budget.max_coeff_bits:
+        if sum(map(coeff_bits, t.coefficients())) > budget.max_coeff_bits:
             return None
         if gamma == beta:
             out.append((gamma, t))

@@ -371,6 +371,19 @@ def test_verify_power_of_a_sum_past_the_longest_literal(tmp_path, capsys):
     assert "coefficient exceeds" in capsys.readouterr().err
 
 
+def test_verify_prime_field_past_the_cap(tmp_path, capsys):
+    # 2^64 + 13 is the smallest prime past the cap on a prime-field
+    # modulus; the header is refused before any primality work
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    data["base"] = "F18446744073709551629"
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "below 2^64" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     # argparse's own exit status 2 would read as NotFactored
     matrix_file = tmp_path / "m.json"

@@ -1,5 +1,6 @@
 """Ring arithmetic, substitution, annihilators, grammar."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from chevelem.exactring import (
     BaseRing,
     MultiPoly,
     _coerced,
+    _is_prime,
     _parse_general,
     _read_canonical,
     add_product,
@@ -58,6 +60,33 @@ def test_base_ring_validation():
         BaseRing.prime_field(6)
     with pytest.raises(ValueError):
         BaseRing.integers_localized(0)
+
+
+def test_prime_test_matches_trial_division():
+    def trial(p):
+        return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(5000) if _is_prime(p)] == [p for p in range(5000) if trial(p)]
+
+
+def test_prime_field_refuses_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError, match="prime modulus"):
+            BaseRing.prime_field(n)
+
+
+def test_prime_field_of_a_large_prime_is_fast():
+    start = time.perf_counter()
+    assert BaseRing.prime_field(2**61 - 1).modulus == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_field_capped_below_2_64():
+    assert BaseRing.prime_field(2**64 - 59).modulus == 2**64 - 59  # the largest prime below
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        BaseRing.prime_field(2**64 + 13)
 
 
 def test_base_ring_str_roundtrip():

@@ -187,6 +187,23 @@ def test_univar_euclid_rejects_multivariate():
         factor_univar_euclidean(g)
 
 
+@pytest.mark.parametrize(
+    "factor, g, message",
+    [
+        (factor_integer_sl, GroupMatrix.identity(C2, Z, 1), "type A matrix expected"),
+        (factor_integer_sp, GroupMatrix.identity(A2, Z, 1), "type C matrix expected"),
+        (factor_integer_sl, GroupMatrix.identity(A2, Q, 1), "integer matrix expected"),
+        (factor_integer_sp, elem_unipotent(C2, (2, 0), parse_poly("x1", Z, 1)),
+         "entries must be constant"),
+        (factor_univar_euclidean, GroupMatrix.identity(A2, Z, 1), "field base ring expected"),
+    ],
+    ids=["sl-on-C2", "sp-on-A2", "sl-over-Q", "sp-not-constant", "univar-over-Z"],
+)
+def test_euclid_entry_guards(factor, g, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        factor(g)
+
+
 # -- heuristic -----------------------------------------------------------------------
 
 
@@ -346,7 +363,7 @@ def test_field_quotient_is_euclidean(base, a_exps, db, data):
     a = MultiPoly(base, 1, {(k,): data.draw(_COEFFS) for k in a_exps})
     lead = data.draw(_COEFFS.filter(lambda c: base.normalize(c) != 0))
     b = MultiPoly(base, 1, {**{(k,): data.draw(_COEFFS) for k in range(db)}, (db,): lead})
-    q = factorize._FieldPolyScalars(base, 1).quotient(a, b)
+    q = factorize._field_quotient(a, b)
     r = a - q * b
     assert r.is_zero() or r.degree_in(0) < b.degree_in(0)
 
@@ -356,7 +373,7 @@ def test_field_quotient_runs_past_the_greedy_limit(base):
     # 100 division steps; the greedy stops leading-term division after 32
     a = parse_poly("x1^100 - 1", base, 1)
     b = parse_poly("x1 + 1", base, 1)
-    q = factorize._FieldPolyScalars(base, 1).quotient(a, b)
+    q = factorize._field_quotient(a, b)
     assert q * b == a
 
 

@@ -171,6 +171,23 @@ def test_form_sign_read_only_through_eps():
     ], found
 
 
+def test_units_decided_only_by_base_ring():
+    # BaseRing.is_unit and unit_inverse own which elements are units; a
+    # second definition elsewhere would restate that rule for one ring
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            owner = getattr(scope, "name", type(scope).__name__)
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.FunctionDef) and node.name in ("is_unit", "unit_inverse"):
+                    found.append("%s: %s.%s" % (path.name, owner, node.name))
+    assert sorted(found) == [
+        "exactring.py: BaseRing.is_unit",
+        "exactring.py: BaseRing.unit_inverse",
+    ], found
+
+
 def reexported_names(tree):
     """Names __init__.py imports from the package's modules to re-export."""
     return [
