@@ -768,23 +768,23 @@ def emit_poly(p: MultiPoly) -> str:
         return "0"
     if p.nvars > 9:
         raise ParseError("text form supports at most 9 variables")
-    pieces = []
-    for key in sorted(p.terms, reverse=True):
-        c = p.terms[key]
-        mono = _chain_text(key, p.nvars)
-        neg = c < 0
-        ca = -c if neg else c
-        if mono and ca == 1:
-            body = mono
-        elif mono:
-            body = "%s*%s" % (_coeff_text(ca), mono)
-        else:
-            body = _coeff_text(ca)
-        if not pieces:
-            pieces.append("-" + body if neg else body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    terms, nvars = p.terms, p.nvars
+    pieces = []  # signed terms without spaces: " + -" occurs only where one is joined
+    try:
+        for key in sorted(terms, reverse=True):
+            c = str(terms[key])  # an int's or a reduced Fraction's literal, "n" or "n/d"
+            mono = _chain_text(key, nvars)
+            if not mono:
+                pieces.append(c)
+            elif c == "1":
+                pieces.append(mono)
+            elif c == "-1":
+                pieces.append("-" + mono)
+            else:
+                pieces.append(c + "*" + mono)
+    except ValueError as exc:  # str() refuses ints past sys.get_int_max_str_digits()
+        raise ParseError("coefficient too long for polynomial text: %s" % exc) from None
+    return " + ".join(pieces).replace(" + -", " - ")
 
 
 @lru_cache(maxsize=4096)
@@ -793,16 +793,6 @@ def _chain_text(key: int, nvars: int) -> str:
     constant): _chain_exponents inverted, and memoised the same way."""
     exps = enumerate(_unpack(key, nvars), 1)
     return "*".join("x%d" % i if k == 1 else "x%d^%d" % (i, k) for i, k in exps if k)
-
-
-def _coeff_text(c) -> str:
-    q = Fraction(c)
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return "%d/%d" % (q.numerator, q.denominator)
-    except ValueError as exc:  # str() refuses ints past sys.get_int_max_str_digits()
-        raise ParseError("coefficient too long for polynomial text: %s" % exc) from None
 
 
 # emit_poly's output language: an optional leading "-", then monomials
@@ -910,19 +900,21 @@ def _check_height(h: int, n: int, what: str) -> None:
         raise ParseError("a %s's coefficient exceeds %d bits, or may by its bound" % (what, cap))
 
 
-def parse_poly(text: str, base: BaseRing, nvars: int) -> MultiPoly:
+def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = None) -> MultiPoly:
     """Parse the polynomial grammar over the rationals, then coerce.
 
     Text in emit_poly's canonical form is read in one linear pass; any
     other text goes through the recursive descent of _parse_general.
     Both readers give int coefficients to text without a "/", which over
-    Z are already normalized and so are kept as read.
+    Z are already normalized and so are kept as read.  spent, a one-item
+    list, counts the monomial products of every text read with it, so
+    MAX_PARSE_PRODUCTS bounds them together; by default each text alone.
     """
     try:
         if _CANONICAL.fullmatch(text):
             p = _read_canonical(text, nvars)
         else:
-            p = _parse_general(text, nvars)
+            p = _parse_general(text, nvars, spent)
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
     except DegreeOverflow as exc:
@@ -975,16 +967,17 @@ def _chain_exponents(chain: str, nvars: int) -> int:
     return _pack(tuple(e))
 
 
-def _parse_general(text: str, nvars: int) -> dict:
+def _parse_general(text: str, nvars: int, spent: list | None = None) -> dict:
     """The {packed key: rational} dict of any text in the grammar.
 
     A recursive descent on dicts without zero coefficients: sums fold
     into one accumulator and a power of one term scales its exponents,
     so only products of parenthesised sums cost more than linear time,
-    and the text is refused once all its products, squarings of a power
-    included, pass MAX_PARSE_PRODUCTS monomial products.  A product or a
-    power is refused before it is made when _height bounds its
-    coefficients past the longest literal, exactly for a power of one term.
+    and the text is refused once its products, squarings of a power
+    included, take spent[0] past MAX_PARSE_PRODUCTS monomial products
+    (by default spent counts this text alone).  A product or a power is
+    refused before it is made when _height bounds its coefficients past
+    the longest literal, exactly for a power of one term.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -999,10 +992,10 @@ def _parse_general(text: str, nvars: int) -> dict:
     ) > _MAX_PAREN_DEPTH:
         raise ParseError("parentheses nested deeper than %d" % _MAX_PAREN_DEPTH)
     toks = [(None, None)] + toks[::-1]  # a stack: next token on top, end marker at the bottom
-    spent = [0]  # monomial products of this text so far
+    spent = [0] if spent is None else spent
 
     def capped_mul(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
-        """_mul_terms, refused past MAX_PARSE_PRODUCTS for the whole text
+        """_mul_terms, refused past MAX_PARSE_PRODUCTS for all the counted texts
         and when its coefficients could pass _MAX_LITERAL_BITS."""
         spent[0] += len(a) * len(b)
         if spent[0] > MAX_PARSE_PRODUCTS:

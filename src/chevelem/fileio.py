@@ -58,9 +58,10 @@ def matrix_to_dict(m: GroupMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> GroupMatrix:
     rs, base, nvars = _read_header(data, "entries")
+    spent = [0]  # the monomial products of the whole file, as parse_poly counts them
     try:
         rows = data["entries"]
-        entries = [[parse_poly(t, base, nvars) for t in row] for row in rows]
+        entries = [[parse_poly(t, base, nvars, spent=spent) for t in row] for row in rows]
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed matrix entries: %s" % exc) from exc
     return GroupMatrix(rs, entries)
@@ -70,12 +71,12 @@ def word_to_records(w: ElemWord) -> list:
     return [{"root": list(r), "arg": a.to_text()} for r, a in w.letters]
 
 
-def word_from_records(records, rs: RootSystem, base: BaseRing, nvars: int) -> ElemWord:
+def word_from_records(records, rs: RootSystem, base: BaseRing, nvars: int, spent: list) -> ElemWord:
     letters = []
     try:
         for rec in records:
             root = tuple(int(v) for v in rec["root"])
-            arg = parse_poly(rec["arg"], base, nvars)
+            arg = parse_poly(rec["arg"], base, nvars, spent=spent)
             letters.append((root, arg))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed word record: %s" % exc) from exc
@@ -96,14 +97,14 @@ def certificate_to_dict(cert: FactorizationCertificate) -> dict:
 
 def certificate_from_dict(data: dict) -> FactorizationCertificate:
     rs, base, nvars = _read_header(data, "target")
+    spent = [0]  # the monomial products of the whole file, as parse_poly counts them
+
+    def read(rows):
+        return GroupMatrix(rs, [[parse_poly(t, base, nvars, spent=spent) for t in r] for r in rows])
+
     try:
-        target = GroupMatrix(
-            rs, [[parse_poly(t, base, nvars) for t in row] for row in data["target"]]
-        )
-        residual = GroupMatrix(
-            rs, [[parse_poly(t, base, nvars) for t in row] for row in data["residual"]]
-        )
-        word = word_from_records(data["word"], rs, base, nvars)
+        target, residual = read(data["target"]), read(data["residual"])
+        word = word_from_records(data["word"], rs, base, nvars, spent)
         verified = bool(data["verified"])
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed certificate: %s" % exc) from exc

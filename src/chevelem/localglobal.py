@@ -12,6 +12,7 @@ exception, never an unverified word.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,7 +203,10 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
 
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
-    when the expansion or dilation search exhausts its budget.
+    when no dilation level gives a verified word, naming the stages that
+    stopped the levels (expansion refused by the budget, no clearing
+    exponent, dilated product not integral, check mismatch), each with
+    its count.
     """
     budget = budget or DEFAULT_BUDGET
     base, nvars = w.base_and_nvars()
@@ -217,14 +221,17 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         h = ElemWord(w.rs, [(r, convert(a, target)) for r, a in w.letters])
         return h, 0
 
+    stops = Counter()  # the levels each stage stopped
     for k0 in range(DILATION_LEVELS + 1):
         w0 = dilate_word(w, z, s, k0)
         letters = _expand_good(w0, z, s, k0, budget)
         if letters is None:
+            stops["expansion refused"] += 1
             continue
         # the smallest k1 making every argument integral after z -> s^k1 z
         ks = [clearing_exponent(arg, z, s) for _, arg in letters]
         if None in ks:
+            stops["no clearing exponent"] += 1
             continue
         k1 = max(ks, default=0)
         # z -> s^k1 z gives each non-integral coefficient at least its
@@ -237,12 +244,15 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
         try:
             rhs = gw.dilate(z, s ** k).map_entries(lambda p: convert(p, target))
         except BaseMismatch:
+            stops["dilated product not integral"] += 1
             continue
         lhs = eval_word(h, target, nvars)
         if lhs == rhs and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
+        stops["check mismatch"] += 1
     raise DescentBudgetExceeded(
-        "no verified descent within %d dilation levels" % DILATION_LEVELS
+        "no verified descent within %d dilation levels; stopped by %s"
+        % (DILATION_LEVELS, ", ".join("%s: %d" % kv for kv in stops.items()))
     )
 
 

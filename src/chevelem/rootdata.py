@@ -278,7 +278,8 @@ class GroupMatrix:
                 self.rs, [[entry(i, j) for j in range(size)] for i in range(size)]
             )
         adj = _adjugate(self.entries, self.base, self.nvars)
-        d = self.det()
+        # row 0's cofactors are column 0 of the adjugate: no second expansion
+        d = sum_of_products(zip(self.entries[0], [row[0] for row in adj]), self.base, self.nvars)
         if not (d.is_constant() and d.constant_term() == self.base.one()):
             raise NotInGroup("inverse only for determinant-1 matrices")
         return GroupMatrix(self.rs, adj)

@@ -270,7 +270,9 @@ def test_verify_reads_hand_edited_text(tmp_path, capsys, monkeypatch):
     general = []
     real = exactring._parse_general
     monkeypatch.setattr(
-        exactring, "_parse_general", lambda text, nvars: general.append(text) or real(text, nvars)
+        exactring,
+        "_parse_general",
+        lambda text, nvars, spent: general.append(text) or real(text, nvars, spent),
     )
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(edited))
@@ -369,6 +371,19 @@ def test_verify_power_of_a_sum_past_the_longest_literal(tmp_path, capsys):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
     assert time.perf_counter() - start < 1.0
     assert "coefficient exceeds" in capsys.readouterr().err
+
+
+def test_verify_bounds_the_products_of_one_file(tmp_path, capsys):
+    # eight arguments under the product bound each, past it together
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    for rec in data["word"]:
+        rec["arg"] = "*".join(["(1+x1)"] * 330)
+    bad = tmp_path / "products.json"
+    bad.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "monomial products" in capsys.readouterr().err
 
 
 def test_verify_prime_field_past_the_cap(tmp_path, capsys):

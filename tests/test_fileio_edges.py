@@ -1,14 +1,24 @@
 """Serialization edges: localized bases, fraction literals, guards."""
 
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 
 from chevelem import rootdata
 from chevelem.errors import BaseMismatch, NotAUnit, ParseError, SizeMismatch
-from chevelem.exactring import BaseRing, MultiPoly, annihilator_exponent, emit_poly, parse_poly
-from chevelem.factorize import FactorizationCertificate
-from chevelem.fileio import certificate_from_dict, certificate_to_dict, matrix_from_dict
+from chevelem.cli import cohn_matrix
+from chevelem.exactring import (
+    MAX_PARSE_PRODUCTS,
+    BaseRing,
+    MultiPoly,
+    annihilator_exponent,
+    emit_poly,
+    parse_poly,
+)
+from chevelem.factorize import FactorizationCertificate, factor_polynomial, random_elementary_word
+from chevelem.fileio import certificate_from_dict, certificate_to_dict, dumps, matrix_from_dict
 from chevelem.rootdata import GroupMatrix, build_root_system, weyl_and_torus
 from chevelem.words import ElemWord, eval_word
 
@@ -100,6 +110,101 @@ def test_certificate_to_dict_oversized_letter():
     cert = FactorizationCertificate(target=ident, word=word, residual_constant=ident, verified=True)
     with pytest.raises(ParseError):
         certificate_to_dict(cert)
+
+
+# every base a certificate file can name, with the scale of its odd
+# letters: Q and Z[1/2] get denominators, and their even letters keep 1
+PIN_BASES = [
+    (Z, 1),
+    (BaseRing.integers_mod(8), 1),
+    (BaseRing.prime_field(5), 1),
+    (BaseRing.rationals(), Fraction(2, 3)),
+    (ZHALF, Fraction(-3, 2)),
+]
+# SHA-256 of dumps(certificate_to_dict(cert)) over pinned_certificates()
+CERTIFICATE_BYTES_SHA256 = "29b18c9cb64ea6acc3ab62d4db0504f3cf75f4ce6ebf1b0d3613ae6705a0b326"
+
+
+def pinned_certificates():
+    """Seeded certificates of 5-letter A2 and C2 words over every base in
+    1 to 3 variables: negative, unit and constant terms, and fractions."""
+    c2 = build_root_system("C", 2)
+    for base, scale in PIN_BASES:
+        for nvars in (1, 2, 3):
+            for seed in range(6400, 6404):
+                rs = (A2, c2)[seed % 2]
+                w = random_elementary_word(rs, seed, 5, nvars, 1, 3, base)
+                letters = [(r, a.scale(scale) if i % 2 else a) for i, (r, a) in enumerate(w)]
+                w = ElemWord(rs, letters)
+                yield FactorizationCertificate(
+                    target=eval_word(w, base, nvars),
+                    word=w,
+                    residual_constant=GroupMatrix.identity(rs, base, nvars),
+                    verified=True,
+                )
+
+
+def reference_emit(p: MultiPoly) -> str:
+    """emit_poly as a plain formatter: terms by descending total degree,
+    then exponents, each coefficient printed through Fraction(c)."""
+    pieces = []
+    for e, c in sorted(p.exponent_items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        exps = enumerate(e, 1)
+        mono = "*".join("x%d" % i if k == 1 else "x%d^%d" % (i, k) for i, k in exps if k)
+        q = abs(Fraction(c))
+        body = str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+        if mono:
+            body = mono if q == 1 else "%s*%s" % (body, mono)
+        if pieces:
+            pieces.append(("- " if c < 0 else "+ ") + body)
+        else:
+            pieces.append("-" + body if c < 0 else body)
+    return " ".join(pieces) or "0"
+
+
+def pinned_polys():
+    for cert in pinned_certificates():
+        yield from (p for row in cert.target.entries for p in row)
+        yield from (a for _, a in cert.word.letters)
+
+
+def test_certificate_bytes_pinned_on_every_base():
+    digest = hashlib.sha256()
+    for cert in pinned_certificates():
+        digest.update(dumps(certificate_to_dict(cert)).encode())
+    assert digest.hexdigest() == CERTIFICATE_BYTES_SHA256
+
+
+def test_emit_poly_matches_reference_formatter():
+    polys = list(pinned_polys())
+    for p in polys:
+        assert emit_poly(p) == reference_emit(p)
+    # the corpus has every kind of term the formatter distinguishes
+    coeffs = [c for p in polys for c in p.coefficients()]
+    assert any(c < 0 for c in coeffs) and 1 in coeffs and -1 in coeffs
+    assert any(p.is_constant() and not p.is_zero() for p in polys)
+    assert any(type(c) is Fraction and c.denominator > 1 for c in coeffs)
+    assert any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+
+
+def test_certificate_reader_bounds_the_products_of_one_file():
+    # each argument, 330 factors (1+x1), stays under the bound on its own,
+    # but the eight of the Cohn certificate pass it together: the reader
+    # counts them per file and refuses the file at once
+    text = "*".join(["(1+x1)"] * 330)
+    assert parse_poly(text, Z, 1).degree_in(0) == 330
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    assert len(data["word"]) == 8
+    for rec in data["word"]:
+        rec["arg"] = text
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds %d monomial products" % MAX_PARSE_PRODUCTS):
+        certificate_from_dict(data)
+    assert time.perf_counter() - start < 0.5
+    matrix = {k: data[k] for k in ("group", "base", "nvars")}
+    matrix["entries"] = [[text] * 3 for _ in range(3)]
+    with pytest.raises(ParseError, match="exceeds %d monomial products" % MAX_PARSE_PRODUCTS):
+        matrix_from_dict(matrix)
 
 
 def test_annihilator_zero_multiplier():

@@ -514,6 +514,17 @@ def test_dilation_factor_letter_budget_bounds_the_descent():
     assert eval_word(cert.generator(a, 1), Z, 1) == expect
 
 
+def test_descent_names_the_stage_that_stopped_it():
+    # no budget field runs out here: at every one of the 9 levels a z-free
+    # letter keeps its denominator, so clearing_exponent finds none
+    w_s = halfling_word(random.Random(190), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    stage = "within 8 dilation levels; stopped by no clearing exponent: 9$"
+    with pytest.raises(DescentBudgetExceeded, match=stage):
+        dilation_factor(g, w_s, 2)
+
+
 def test_dilation_factor_checks_descended_word(monkeypatch):
     # a descended word that misses one letter evaluates to another matrix
     # over Z, and the exact check must refuse the certificate
