@@ -27,7 +27,8 @@ def _group_header(rs: RootSystem, base: BaseRing, nvars: int) -> dict:
 
 def _read_header(data: dict, rows_key: str):
     """(root system, base, nvars) of a file whose matrix is data[rows_key];
-    a wrong shape is refused first, as building costs rank^3."""
+    anything but size lists of size is refused first, as building costs
+    rank^3."""
     try:
         group = data["group"]
         kind, rank, nvars = group["type"], group["rank"], data["nvars"]
@@ -42,8 +43,8 @@ def _read_header(data: dict, rows_key: str):
     if nvars < 0 or nvars > 9:
         raise ParseError("nvars out of the supported range 0..9")
     rows = data.get(rows_key)
-    shape = [rows] + rows if isinstance(rows, list) else []  # the rows, then each row
-    if any(isinstance(r, list) and len(r) != size for r in shape):
+    shape = [rows] + (rows if isinstance(rows, list) else [])  # the rows, then each row
+    if not all(isinstance(r, list) and len(r) == size for r in shape):
         raise SizeMismatch(
             "expected %dx%d matrix for RootSystem(%s, %d)" % (size, size, kind, rank)
         )

@@ -174,18 +174,17 @@ def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s) -> int:
     s_elem = base.normalize(s)
     if g.at_zero(0) != h.at_zero(0):
         raise PreconditionViolated("matrices differ at z = 0")
-    bound = 0
+    # x1 -> s^n x1 scales the term c x1^e ... of g - h by s^(n e), and e >= 1
+    # here, so that term vanishes once n e reaches c's annihilator exponent
+    n = 0
     for row_g, row_h in zip(g.entries, h.entries):
         for a, b in zip(row_g, row_h):
-            for c in (a - b).coefficients():
-                n = annihilator_exponent(base, c, s_elem)
-                if n is None:
+            for exps, c in (a - b).exponent_items():
+                t = annihilator_exponent(base, c, s_elem)
+                if t is None:
                     raise PreconditionViolated("localizations at s differ")
-                bound = max(bound, n)
-    for n in range(bound + 1):
-        if g.dilate(0, s_elem ** n) == h.dilate(0, s_elem ** n):
-            return n
-    raise PreconditionViolated("no dilation exponent within the exact bound")
+                n = max(n, -(-t // exps[0]))
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -260,29 +260,29 @@ class GroupMatrix:
         apply_moves(rows, moves, t)
         return GroupMatrix(self.rs, rows)
 
-    def det(self) -> MultiPoly:
-        return _det(self.entries, MultiPoly.const(self.base, self.nvars, 1))
-
     def inverse(self) -> "GroupMatrix":
+        eps, star, m = self.rs.eps, self.rs.partner, self.entries
         if self.rs.kind == "C":
             # M^{-1} = -J M^T J for symplectic M; J is a signed permutation,
             # so inv[i][j] = eps(i) eps(j) M[j*][i*]
-            eps, star, m = self.rs.eps, self.rs.partner, self.entries
-            size = self.rs.matrix_size
-
             def entry(i, j):
                 p = m[star(j)][star(i)]
                 return p if eps(i) == eps(j) else -p
+        else:
+            # inv[i][j] = (-1)^(i+j) times the minor without row j and column
+            # i; one memo of minors serves them all and the determinant, whose
+            # expansion along row 0 leaves row 0's cofactors in it
+            one, memo, full = MultiPoly.const(self.base, self.nvars, 1), {}, (1 << len(m)) - 1
+            d = _minor(m, one, memo, full, full)
+            if not (d.is_constant() and d.constant_term() == self.base.one()):
+                raise NotInGroup("inverse only for determinant-1 matrices")
 
-            return GroupMatrix(
-                self.rs, [[entry(i, j) for j in range(size)] for i in range(size)]
-            )
-        adj = _adjugate(self.entries, self.base, self.nvars)
-        # row 0's cofactors are column 0 of the adjugate: no second expansion
-        d = sum_of_products(zip(self.entries[0], [row[0] for row in adj]), self.base, self.nvars)
-        if not (d.is_constant() and d.constant_term() == self.base.one()):
-            raise NotInGroup("inverse only for determinant-1 matrices")
-        return GroupMatrix(self.rs, adj)
+            def entry(i, j):
+                c = _minor(m, one, memo, full & ~(1 << j), full & ~(1 << i))
+                return c if (i + j) % 2 == 0 else -c
+
+        size = self.rs.matrix_size
+        return GroupMatrix(self.rs, [[entry(i, j) for j in range(size)] for i in range(size)])
 
     def substitute(self, assignment: dict, nvars_out: int | None = None) -> "GroupMatrix":
         return GroupMatrix(
@@ -321,44 +321,33 @@ def apply_moves(rows: list, moves, t: MultiPoly) -> None:
 
 
 def _det(entries, one: MultiPoly) -> MultiPoly:
-    """Division-free determinant of a square MultiPoly matrix: expansion
-    by rows with memo on column subsets, each row's signed products of
-    minors summed by sum_of_products; one is the unit of the entries' ring."""
-    return _minor(entries, one, {}, 0, (1 << len(entries)) - 1)
+    """Division-free determinant of a square MultiPoly matrix; one is the
+    unit of the entries' ring."""
+    full = (1 << len(entries)) - 1
+    return _minor(entries, one, {}, full, full)
 
 
-def _minor(entries, one: MultiPoly, memo: dict, row: int, colmask: int) -> MultiPoly:
-    """The minor of _det on rows row.. and the columns in colmask.  A
-    module function, not a closure over itself, so a call leaves no
-    reference cycle holding its memo."""
-    if row == len(entries):
+def _minor(entries, one: MultiPoly, memo: dict, rows: int, cols: int) -> MultiPoly:
+    """The minor of entries on the rows and the columns in the bitmasks
+    rows and cols, of one size: expansion along the lowest row in rows,
+    its signed products of minors summed by sum_of_products, memoised in
+    memo on (rows, cols).  A module function, not a closure over itself,
+    so a call leaves no reference cycle holding its memo."""
+    if not rows:
         return one
-    hit = memo.get(colmask)
+    hit = memo.get((rows, cols))
     if hit is None:
+        row = (rows & -rows).bit_length() - 1
+        rest = rows & (rows - 1)
         pairs, sign = [], 1
         for c, p in enumerate(entries[row]):
-            if colmask >> c & 1:
+            if cols >> c & 1:
                 if not p.is_zero():
-                    rest = _minor(entries, one, memo, row + 1, colmask & ~(1 << c))
-                    pairs.append((p if sign == 1 else -p, rest))
+                    sub = _minor(entries, one, memo, rest, cols & ~(1 << c))
+                    pairs.append((p if sign == 1 else -p, sub))
                 sign = -sign
-        hit = memo[colmask] = sum_of_products(pairs, one.base, one.nvars)
+        hit = memo[rows, cols] = sum_of_products(pairs, one.base, one.nvars)
     return hit
-
-
-def _adjugate(entries, base: BaseRing, nvars: int) -> list:
-    size = len(entries)
-    one = MultiPoly.const(base, nvars, 1)
-    out = [[None] * size for _ in range(size)]
-    for i in range(size):
-        rows = [entries[r] for r in range(size) if r != i]
-        for j in range(size):
-            minor = [
-                [row[c] for c in range(size) if c != j] for row in rows
-            ]
-            d = _det(minor, one) if minor else one
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return out
 
 
 def membership_check(matrix, rs: RootSystem) -> bool:

@@ -166,6 +166,23 @@ def test_huge_header_rank_refused_before_building(tmp_path, capsys, kind, rank):
     assert capsys.readouterr().err.count("matrix for RootSystem(%s, %d)" % (kind, rank)) == 2
 
 
+def test_matrix_that_is_not_lists_refused_before_building(tmp_path, capsys):
+    # a 90-byte file whose matrix is a string exits 3 at once: A400 is
+    # never built (at rank 200 that build took seconds)
+    header = {"group": {"type": "A", "rank": 400}, "nvars": 1, "base": "Z"}
+    matrix_file = tmp_path / "matrix.json"
+    matrix_file.write_text(json.dumps(dict(header, entries="x")))
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(
+        json.dumps(dict(header, target="x", residual="x", word=[], verified=True))
+    )
+    start = time.perf_counter()
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+    assert main(["verify", "--in", str(cert_file)]) == EXIT_BAD_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.count("expected 401x401 matrix") == 2
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("base", 7), ("base", ["Z"]), ("rank", 2.5), ("rank", True), ("nvars", 1.5), ("nvars", True)],

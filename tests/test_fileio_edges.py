@@ -80,12 +80,18 @@ def test_header_nvars_bound():
         matrix_from_dict(d)
 
 
-@pytest.mark.parametrize("rows", [[[]] * 1001, [["1"]]], ids=["row-length", "row-count"])
+@pytest.mark.parametrize(
+    "rows",
+    [[[]] * 1001, [["1"]], "x", ["1"] * 1001],
+    ids=["row-length", "row-count", "string", "string-rows"],
+)
 def test_header_shape_refused_before_building(rows):
-    # a small file cannot make A1000's root system be built
-    d = {"group": {"type": "A", "rank": 1000}, "base": "Z", "nvars": 1, "entries": rows}
-    with pytest.raises(SizeMismatch, match="expected 1001x1001 matrix"):
-        matrix_from_dict(d)
+    # a small file cannot make A1000's root system be built, as a matrix
+    # or as a certificate's target
+    header = {"group": {"type": "A", "rank": 1000}, "base": "Z", "nvars": 1}
+    for read, key in ((matrix_from_dict, "entries"), (certificate_from_dict, "target")):
+        with pytest.raises(SizeMismatch, match="expected 1001x1001 matrix"):
+            read(dict(header, **{key: rows}))
     assert ("A", 1000) not in rootdata._ROOT_SYSTEM_CACHE
 
 

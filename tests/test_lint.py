@@ -135,6 +135,16 @@ def test_greedy_lines_scored_by_one_kernel():
     ]
 
 
+def test_minors_expanded_only_by_minor():
+    # det, inverse and membership share _minor's memoised table of minors;
+    # a sum of products elsewhere in rootdata would expand a minor again
+    found = functions_with_line(lambda line: "sum_of_products(" in line)
+    assert [f for f in found if f.startswith("rootdata.py: ")] == [
+        "rootdata.py: __mul__",
+        "rootdata.py: _minor",
+    ], found
+
+
 def test_only_rootdata_reads_the_unipotent_terms():
     # RootSystem derives its move table from unipotent_terms; every other
     # module applies or scores a letter through that table, so which

@@ -222,6 +222,18 @@ def test_equalizer_matches_brute_force_mod_powers_of_two():
                 g = g.rmul_unipotent(root, arg)
             n = dilation_equalizer(g, h, 2)
             assert n == brute_minimal_dilation(g, h, 2, e)
+    # the term c x1^e needs n e >= t, t the annihilator exponent of c: over
+    # Z/16, 2 x1^3 (t = 3) needs only n = 1 and x1^2 x2 (t = 4) n = 2
+    z16 = BaseRing.integers_mod(16)
+    for arg, want in (
+        ("2*x1^3", 1),
+        ("2*x1^3 + 4*x1*x2", 2),
+        ("8*x1^2 + 2*x1^4", 1),
+        ("x1^2*x2 + 2*x1", 3),
+    ):
+        h = eval_word(rand_word(rng, A2, 3, base=z16, nvars=2), z16, 2)
+        g = h.rmul_unipotent(E12, parse_poly(arg, z16, 2))
+        assert dilation_equalizer(g, h, 2) == brute_minimal_dilation(g, h, 2, 4) == want
 
 
 # -- descent ----------------------------------------------------------------------
