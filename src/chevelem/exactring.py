@@ -378,6 +378,10 @@ class MultiPoly:
         c = self.base.normalize(c)
         if c == 0:
             return MultiPoly.zero(self.base, self.nvars)
+        if c == 1:
+            return self
+        if c == -1:  # only without a modulus: mod m, -1 normalizes to m - 1
+            return -self
         m = self.base.modulus
         out = {}
         for e, c0 in self.terms.items():
@@ -455,12 +459,18 @@ class MultiPoly:
         c = 0 it is the value at x_var = 0.
 
         A term map: each coefficient is multiplied by c^e[var] (mod m),
-        and terms that vanish are dropped.
+        and terms that vanish are dropped.  With c = 1 it is self, and
+        with c = 0 it keeps the terms free of x_var.
         """
         if not 0 <= var < self.nvars:
             raise ValueError("variable index %d out of range" % var)
         c, m = self.base.normalize(c), self.base.modulus
+        if c == 1:
+            return self
         shift = _W * (self.nvars - 1 - var)
+        if c == 0:
+            out = {k: c0 for k, c0 in self.terms.items() if not k >> shift & _MASK}
+            return MultiPoly(self.base, self.nvars, out, normalized=True)
         out = {}
         for k, c0 in self.terms.items():
             e = k >> shift & _MASK
@@ -868,6 +878,8 @@ def _mul_terms(a: dict, b: dict, nvars: int, m: int | None = None) -> dict:
 
 def _pow_terms(p: dict, n: int, nvars: int, m: int | None = None, mul=_mul_terms) -> dict:
     """p**n on term dicts by repeated squaring with mul; may return p itself."""
+    if n == 1:
+        return p
     if len(p) == 1:
         ((e, c),) = p.items()
         e *= n  # every field times n: no carry below the cap

@@ -65,7 +65,7 @@ class FactorizationCertificate:
         res, g = self.residual_constant, self.target
         if not (res.is_constant() and membership_check(res, g.rs)):
             return False
-        return eval_word(self.word, g.base, g.nvars) * res == g
+        return eval_word(self.word, onto=res) == g
 
 
 def random_elementary_word(

@@ -287,11 +287,12 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
 def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
     """Letters of x_beta(r) * (product of letters) * x_beta(-r)."""
     neg_beta = tuple(-v for v in beta)
+    r_degree = r.total_degree()
     out: list = []
     for gamma, t in letters:
         if t.is_zero():
             continue
-        if max(t.total_degree(), r.total_degree()) > budget.max_degree:
+        if max(t.total_degree(), r_degree) > budget.max_degree:
             return None
         if sum(map(coeff_bits, t.coefficients())) > budget.max_coeff_bits:
             return None
@@ -392,7 +393,7 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget | None
         def generator(a, b):
             a, b = base.normalize(a), base.normalize(b)
             word = free_reduce(word_for(a, b))
-            if eval_word(word, base, nvars) * g.dilate(0, b) != g.dilate(0, a):
+            if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):
                 raise PreconditionViolated("generator output failed verification")
             return word
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BaseMismatch
+from .errors import BaseMismatch, SizeMismatch
 from .exactring import BaseRing, MultiPoly, _mul_add, convert
 from .rootdata import GroupMatrix, RootSystem
 
@@ -78,31 +78,51 @@ class CongruenceTag:
     holds: bool
 
 
-def eval_word(w: ElemWord, base: BaseRing | None = None, nvars: int | None = None) -> GroupMatrix:
-    """Exact matrix product of the letters, in order.
+def eval_word(
+    w: ElemWord,
+    base: BaseRing | None = None,
+    nvars: int | None = None,
+    onto: GroupMatrix | None = None,
+) -> GroupMatrix:
+    """Exact matrix product of the letters, in order; with onto, the
+    product eval(w) * onto, without building eval(w).
 
     For the empty word the ambient ring is ambiguous; pass base/nvars
-    explicitly or accept integers in one variable.
+    explicitly or accept integers in one variable.  With onto the ring is
+    onto's, and letters over another ring raise BaseMismatch.
     """
-    if w.letters:
-        base, nvars = w.letters[0][1].base, w.letters[0][1].nvars
+    letters = w.letters
+    if onto is not None:
+        if onto.rs.matrix_size != w.rs.matrix_size:
+            raise SizeMismatch("matrix sizes differ")
+        base, nvars = onto.base, onto.nvars
+        if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
+            letters[0][1]._check_compatible(onto.entries[0][0])
+        # x_1 ... x_k * onto: each letter multiplies from the left, the
+        # last one first
+        moves, letters = w.rs.moves["left"], reversed(letters)
+        rows = [[dict(p.terms) for p in row] for row in onto.entries]
     else:
-        base = base or BaseRing.integers()
-        nvars = 1 if nvars is None else nvars
-    size, m, moves = w.rs.matrix_size, base.modulus, w.rs.moves["right"]
-    one = MultiPoly.const(base, nvars, 1).terms
-    rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
+        if letters:
+            base, nvars = letters[0][1].base, letters[0][1].nvars
+        else:
+            base = base or BaseRing.integers()
+            nvars = 1 if nvars is None else nvars
+        size, moves = w.rs.matrix_size, w.rs.moves["right"]
+        one = MultiPoly.const(base, nvars, 1).terms
+        rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
+    m = base.modulus
     # apply_moves copies each entry, as the greedy keeps old matrices as
     # memo keys; these dicts are ours, only the kernel reads them, and no
     # move's target is a source, so letters fold in place
-    for root, arg in w.letters:
+    for root, arg in letters:
         neg = None
         for ti, tj, si, sj, sign in moves[root]:
             src = rows[si][sj]
             if src:
                 if sign < 0 and neg is None:
-                    neg = (-arg).terms
-                _mul_add(rows[ti][tj], arg.terms if sign > 0 else neg, src, nvars, m)
+                    neg = -arg
+                _mul_add(rows[ti][tj], (arg if sign > 0 else neg).terms, src, nvars, m)
     return GroupMatrix(
         w.rs, [[MultiPoly(base, nvars, p, normalized=True) for p in row] for row in rows]
     )

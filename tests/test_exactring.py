@@ -303,7 +303,7 @@ def test_substitute_matches_reference():
                 assert evaluate(got, point) == evaluate(p, inner)
 
 
-@pytest.mark.parametrize("base", [Z, Z8, F5, Q, ZHALF], ids=str)
+@pytest.mark.parametrize("base", [Z, Z8, Z12, F5, Q, ZHALF], ids=str)
 def test_dilate_matches_substitute(base):
     # the term map against the general substitution x_var -> c * x_var,
     # term order and coefficient types included
@@ -320,6 +320,28 @@ def test_dilate_matches_substitute(base):
     if base == Z8:  # 2^3 = 0: the x1^3 term vanishes, 4*x1 becomes 0 too
         p = P("x1^3 + 4*x1 + 3", Z8)
         assert p.dilate(0, 2) == P("3", Z8) == p.substitute({0: P("2*x1", Z8)})
+
+
+@pytest.mark.parametrize("base", [Z, Q, Z4, Z12, F5, ZHALF], ids=str)
+def test_unit_shortcuts_match_the_general_path(base):
+    # scale by 1 and -1 and the first power skip the term work; each
+    # agrees with a path that does it, term order and coefficient types
+    # included (dilate by 0 and 1: test_dilate_matches_substitute)
+    rng = random.Random("shortcuts-%s" % base)
+    elem = type(base.one())
+
+    def scaled(p, c):  # the loop of scale, by hand
+        c = base.normalize(c)
+        return MultiPoly(base, p.nvars, {e: c0 * c for e, c0 in p.exponent_items()})
+
+    for nvars in (1, 2, 3):
+        for _ in range(8):
+            p = random_poly(rng, base, nvars, max_terms=6)
+            got = [p.scale(1), p.scale(-1), p ** 1]
+            assert typed_items(got[0]) == typed_items(scaled(p, 1))
+            assert typed_items(got[1]) == typed_items(scaled(p, -1))
+            assert typed_items(got[2]) == typed_items(reference_pow(p, 1))
+            assert all(type(c) is elem for q in got for c in q.coefficients())
 
 
 def test_dilate_rejects_variable_out_of_range():

@@ -491,6 +491,25 @@ def test_solved_word_is_handed_back_once():
         assert factor_polynomial(g).word == left == free_reduce(left)
 
 
+def test_certificate_check_multiplies_no_matrices(monkeypatch):
+    # check folds the word onto the residual, so with a type-A residual,
+    # whose membership is a determinant, it multiplies no two matrices
+    real, calls = GroupMatrix.__mul__, []
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    word = random_elementary_word(A2, 31, 8)
+    res = int_matrix(A2, [[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+    good = factorize.FactorizationCertificate(eval_word(word) * res, word, res, True)
+    bad = factorize.FactorizationCertificate(eval_word(word), word, res, True)
+    monkeypatch.setattr(GroupMatrix, "__mul__", spy)
+    verdicts = good.check(), bad.check()
+    monkeypatch.undo()
+    assert verdicts == (True, False) and calls == []
+
+
 def test_heuristic_factors_constant_leftover_over_q():
     # over a field the Euclidean reduction factors the constant leftover
     g = int_matrix(A2, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]], base=Q)

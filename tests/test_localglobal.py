@@ -583,6 +583,22 @@ def test_dilation_generator_checks_its_word(monkeypatch):
             cert.generator(1 + 2 ** cert.k, 1)
 
 
+def test_dilation_generator_multiplies_no_matrices(monkeypatch):
+    # eval(word) g(bx) is folded letter by letter onto g(bx): neither
+    # certificate's check multiplies two matrices
+    certs = _direct_and_descended_certs()
+    real, calls = GroupMatrix.__mul__, []
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(GroupMatrix, "__mul__", spy)
+    words = [cert.generator(1 + 2 ** cert.k, 1) for cert in certs]
+    monkeypatch.undo()
+    assert calls == [] and all(len(w) > 0 for w in words)
+
+
 def test_dilation_generator_takes_integers_only():
     # a polynomial argument is not coerced into Z: no word comes back
     for cert in _direct_and_descended_certs():

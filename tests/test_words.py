@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem.errors import BaseMismatch
+from chevelem.errors import BaseMismatch, SizeMismatch
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import GroupMatrix, build_root_system
 from chevelem.words import (
@@ -267,3 +267,58 @@ def test_eval_word_leaves_letters_alone():
             assert [arg.terms for _, arg in letters] == before
             owned = {id(arg.terms) for _, arg in letters}
             assert not any(id(p.terms) in owned for row in g.entries for p in row)
+
+
+# -- eval_word onto a matrix ---------------------------------------------------
+
+ONTO_BASES = [
+    Z,
+    BaseRing.rationals(),
+    BaseRing.prime_field(5),
+    BaseRing.integers_mod(4),
+    ZHALF,
+]
+
+
+def rand_matrix(rng, rs, base, nvars):
+    """A matrix of random entries, as a rule in no group."""
+    size = rs.matrix_size
+    return GroupMatrix(rs, [[rand_arg(rng, base, nvars) for _ in range(size)] for _ in range(size)])
+
+
+@pytest.mark.parametrize("rs", EVAL_SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
+@pytest.mark.parametrize("base", ONTO_BASES, ids=str)
+def test_eval_word_onto_is_the_product(base, rs):
+    # eval_word(w, onto=m) is eval(w) * m, coefficient types included, for
+    # a group element m and for a matrix in no group; m is left alone
+    rng = random.Random("onto-%s-%s%d" % (base, rs.kind, rs.rank))
+    for nvars in (1, 2):
+        member = reference_eval(ElemWord(rs, [(rng.choice(rs.roots), rand_arg(rng, base, nvars))
+                                              for _ in range(5)]), base, nvars)
+        for m in (member, rand_matrix(rng, rs, base, nvars)):
+            before = typed_entries(m)
+            for _ in range(2):
+                letters = [(rng.choice(rs.roots), rand_arg(rng, base, nvars)) for _ in range(8)]
+                w = ElemWord(rs, letters)
+                assert typed_entries(eval_word(w, onto=m)) == typed_entries(eval_word(w) * m)
+            empty = eval_word(ElemWord.empty(rs), onto=m)
+            assert empty == m and typed_entries(empty) == before == typed_entries(m)
+
+
+def test_eval_word_onto_keeps_the_letter_order():
+    # x12(1) x21(1) and x21(1) x12(1) differ: the letters fold onto m last
+    # first, and the other way round gives the swapped word's product
+    m = GroupMatrix.identity(A2, Z, 1)
+    ab = ElemWord(A2, [(E12, const(1)), (E21, const(1))])
+    ba = ElemWord(A2, [(E21, const(1)), (E12, const(1))])
+    assert eval_word(ab, onto=m) == eval_word(ab) != eval_word(ba) == eval_word(ba, onto=m)
+
+
+def test_eval_word_onto_refuses_another_ring():
+    m = GroupMatrix.identity(A2, Z, 1)
+    for base, nvars in ((ZHALF, 1), (BaseRing.integers_mod(4), 1), (Z, 2)):
+        w = ElemWord(A2, [(E12, const(1, base, nvars))])
+        with pytest.raises(BaseMismatch):
+            eval_word(w, onto=m)
+    with pytest.raises(SizeMismatch):
+        eval_word(ElemWord(A2, [(E12, const(1))]), onto=GroupMatrix.identity(C2, Z, 1))
