@@ -609,7 +609,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
         product = eval_word(left, g.base, g.nvars)
     else:
         left, right = free_reduce(ElemWord(rs, left)), free_reduce(ElemWord(rs, right))
-        product = eval_word(left, g.base, g.nvars) * r * eval_word(right, g.base, g.nvars)
+        product = eval_word(left, onto=r * eval_word(right, g.base, g.nvars))
     if product != g:
         raise NotInGroup("heuristic invariant broken")  # defensive; never expected
     return left, r, right

@@ -427,7 +427,7 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget | None
     g_xy = g_ext.substitute({0: int_x * int_y}, nvars_out=n2)
     g_xyz = g_ext.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
     # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
-    if eval_word(h, base, n2) * g_xy != g_xyz.dilate(zv, s ** k):
+    if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
         raise PreconditionViolated("descended word differs from the dilated matrix over Z")
 
     def descended(a, b):
@@ -469,7 +469,7 @@ def patch(g: GroupMatrix, certs, covering: CoveringData) -> ElemWord:
         step = certs[i][1].generator(chain[j], chain[j + 1])
         word = word.concat(step)
     word = free_reduce(word)
-    expect = g * g.at_zero(0).inverse()
-    if eval_word(word, g.base, g.nvars) != expect:
+    # eval(word) = g g(0)^{-1}, checked as eval(word) g(0) = g: no inverse
+    if eval_word(word, onto=g.at_zero(0)) != g:
         raise CoveringInconsistent("patched word failed exact verification")
     return word

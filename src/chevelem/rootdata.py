@@ -135,20 +135,6 @@ class RootSystem:
     def __hash__(self):
         return hash((self.kind, self.rank))
 
-    # -- symplectic form -------------------------------------------------------
-
-    def form_matrix(self, base: BaseRing, nvars: int):
-        """The invariant symplectic form J (type C only)."""
-        if self.kind != "C":
-            raise UnsupportedType("form matrix only exists for type C")
-        size = self.matrix_size
-        zero = MultiPoly.zero(base, nvars)
-        one = MultiPoly.const(base, nvars, 1)
-        J = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            J[i][self.partner(i)] = one if self.eps(i) > 0 else -one
-        return J
-
 
 _ROOT_SYSTEM_CACHE: dict = {}
 
@@ -364,14 +350,10 @@ def membership_check(matrix, rs: RootSystem) -> bool:
     if rs.kind == "A":
         d = _det(entries, MultiPoly.const(base, nvars, 1))
         return d.is_constant() and d.constant_term() == base.one()
-    J = rs.form_matrix(base, nvars)
-    # row i of J M is eps(i) times row i* of M
-    jm = [
-        entries[rs.partner(i)] if rs.eps(i) > 0 else [-p for p in entries[rs.partner(i)]]
-        for i in range(size)
-    ]
-    lhs = (GroupMatrix(rs, list(zip(*entries))) * GroupMatrix(rs, jm)).entries
-    return lhs == tuple(tuple(row) for row in J)
+    # M (-J M^T J) = I <=> M J M^T = J <=> M^T J M = J: a one-sided
+    # inverse of a square matrix over a commutative ring is two-sided
+    m = GroupMatrix(rs, entries)
+    return (m * m.inverse()).is_identity()
 
 
 # ---------------------------------------------------------------------------

@@ -92,30 +92,25 @@ def eval_word(
     onto's, and letters over another ring raise BaseMismatch.
     """
     letters = w.letters
-    if onto is not None:
-        if onto.rs.matrix_size != w.rs.matrix_size:
-            raise SizeMismatch("matrix sizes differ")
-        base, nvars = onto.base, onto.nvars
-        if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
-            letters[0][1]._check_compatible(onto.entries[0][0])
-        # x_1 ... x_k * onto: each letter multiplies from the left, the
-        # last one first
-        moves, letters = w.rs.moves["left"], reversed(letters)
-        rows = [[dict(p.terms) for p in row] for row in onto.entries]
-    else:
+    if onto is None:
         if letters:
             base, nvars = letters[0][1].base, letters[0][1].nvars
         else:
             base = base or BaseRing.integers()
             nvars = 1 if nvars is None else nvars
-        size, moves = w.rs.matrix_size, w.rs.moves["right"]
-        one = MultiPoly.const(base, nvars, 1).terms
-        rows = [[dict(one) if i == j else {} for j in range(size)] for i in range(size)]
-    m = base.modulus
+        onto = GroupMatrix.identity(w.rs, base, nvars)
+    elif onto.rs.matrix_size != w.rs.matrix_size:
+        raise SizeMismatch("matrix sizes differ")
+    base, nvars = onto.base, onto.nvars
+    if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
+        letters[0][1]._check_compatible(onto.entries[0][0])
+    # x_1 ... x_k * onto: each letter multiplies from the left, last first
+    rows = [[dict(p.terms) for p in row] for row in onto.entries]
+    m, moves = base.modulus, w.rs.moves["left"]
     # apply_moves copies each entry, as the greedy keeps old matrices as
     # memo keys; these dicts are ours, only the kernel reads them, and no
     # move's target is a source, so letters fold in place
-    for root, arg in letters:
+    for root, arg in reversed(letters):
         neg = None
         for ti, tj, si, sj, sign in moves[root]:
             src = rows[si][sj]

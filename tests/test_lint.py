@@ -253,7 +253,6 @@ def test_only_exactring_reads_exponent_keys():
     assert outside(functions_with_line(lambda line: re.search(r"\.terms\b", line))) == [
         "words.py: eval_word",
         "words.py: eval_word",
-        "words.py: eval_word",
     ]
     packers = functions_with_line(lambda line: re.search(r"\b_(un)?pack\(", line))
     assert packers and outside(packers) == [], packers

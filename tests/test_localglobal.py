@@ -18,6 +18,7 @@ from chevelem.factorize import random_elementary_word
 from chevelem.localglobal import (
     Budget,
     CoveringData,
+    DilationCert,
     descend_word,
     dilate_word,
     dilation_equalizer,
@@ -754,3 +755,24 @@ def test_patch_mismatched_certs():
     cov = CoveringData.from_elements([2, 3])
     with pytest.raises(CoveringInconsistent):
         patch(g, [(2, cert)], cov)
+
+
+@pytest.mark.parametrize("rs", [A2, C2], ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
+def test_patch_refuses_a_non_member(rs):
+    # the certificate's word is h h(0)^{-1} for h = x_b(1) x_a(x1); g is h
+    # with one entry moved by x1 or by 1, in no group, and the word times
+    # g(0) is not g.  In A2 the move by 1 makes det g(0) = 2: g(0) has no
+    # inverse, and patch's check, eval(word) g(0) = g, needs none
+    x = MultiPoly.variable(Z, 1, 0)
+    a, b = rs.roots[0], rs.roots[-1]
+    h = eval_word(ElemWord(rs, [(b, const(1)), (a, x)]), Z, 1)
+    word = ElemWord(rs, [(b, const(1)), (a, x), (b, const(-1))])
+    cert = DilationCert(s=1, k=0, generator=lambda _a, _b: word)
+    cov = CoveringData((1,), (1,), (1,))
+    assert patch(h, [(1, cert)], cov) == word
+    for change in (x, const(1)):
+        bad = [list(row) for row in h.entries]
+        bad[0][0] = bad[0][0] + change
+        g = GroupMatrix(rs, bad)
+        with pytest.raises(CoveringInconsistent):
+            patch(g, [(1, cert)], cov)

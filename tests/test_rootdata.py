@@ -41,6 +41,15 @@ def const(base, nvars, v):
     return MultiPoly.const(base, nvars, v)
 
 
+def form(rs, base, nvars):
+    """The type-C form J as a GroupMatrix: J[i][i*] = eps(i), zero elsewhere."""
+    size = rs.matrix_size
+    return GroupMatrix(rs, [
+        [const(base, nvars, rs.eps(i) if j == rs.partner(i) else 0) for j in range(size)]
+        for i in range(size)
+    ])
+
+
 def rand_poly(rng, base=Z, nvars=1, max_deg=2, bound=9):
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -165,7 +174,7 @@ def test_root_at_inverts_first_unipotent_term():
             assert len(hits) == len(rs.roots)
             assert all(rs.root_at(i, i) is None for i in range(size))
             if kind == "C":
-                J = rs.form_matrix(Z, 1)
+                J = form(rs, Z, 1).entries
                 for i in range(size):
                     assert rs.partner(rs.partner(i)) == i
                 for i in range(rank):
@@ -340,7 +349,7 @@ def test_symplectic_inverse_and_membership_read_the_form():
     rng = random.Random(13)
     for rs in (C2, C3):
         for nvars in (1, 2):
-            J = GroupMatrix(rs, rs.form_matrix(Z, nvars))
+            J = form(rs, Z, nvars)
             for _ in range(3):
                 m = GroupMatrix.identity(rs, Z, nvars)
                 for _ in range(5):
@@ -348,10 +357,12 @@ def test_symplectic_inverse_and_membership_read_the_form():
                 mt = GroupMatrix(rs, list(zip(*m.entries)))
                 assert m.inverse() == (J * mt * J).map_entries(lambda p: -p)
                 assert (m * m.inverse()).is_identity()
-                assert membership_check(m, rs)
+                assert mt * J * m == J and membership_check(m, rs)
                 bad = [list(row) for row in m.entries]
                 i = rng.randrange(rs.matrix_size)
                 bad[i][i] = bad[i][i] + const(Z, nvars, 1)
+                bad_t = GroupMatrix(rs, list(zip(*bad)))
+                assert bad_t * J * GroupMatrix(rs, bad) != J
                 assert not membership_check(bad, rs)
 
 

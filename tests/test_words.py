@@ -1,5 +1,6 @@
 """Word evaluation, inversion, reduction, transport, congruence tags."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -322,3 +323,22 @@ def test_eval_word_onto_refuses_another_ring():
             eval_word(w, onto=m)
     with pytest.raises(SizeMismatch):
         eval_word(ElemWord(A2, [(E12, const(1))]), onto=GroupMatrix.identity(C2, Z, 1))
+
+
+@pytest.mark.parametrize("rs", EVAL_SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
+@pytest.mark.parametrize("base", ONTO_BASES, ids=str)
+def test_eval_word_reads_only_the_left_moves(base, rs):
+    # with onto or without, eval_word folds by the left move table alone:
+    # a root system with no right moves evaluates as the reference does
+    left_only = copy.copy(rs)
+    left_only.moves = {"left": rs.moves["left"]}
+    rng = random.Random("left-%s-%s%d" % (base, rs.kind, rs.rank))
+    for nvars in (1, 2):
+        letters = [(rng.choice(rs.roots), rand_arg(rng, base, nvars)) for _ in range(8)]
+        expect = typed_entries(reference_eval(ElemWord(rs, letters), base, nvars))
+        w = ElemWord(left_only, letters)
+        assert typed_entries(eval_word(w, base, nvars)) == expect
+        onto = GroupMatrix.identity(left_only, base, nvars)
+        assert typed_entries(eval_word(w, onto=onto)) == expect
+        empty = eval_word(ElemWord.empty(left_only), base, nvars)
+        assert typed_entries(empty) == typed_entries(GroupMatrix.identity(rs, base, nvars))
