@@ -328,12 +328,16 @@ def partial_quotient(a: MultiPoly, b: MultiPoly):
     return None if partial.is_zero() else partial
 
 
+def _size_grid(m, degw: int, bitw: int) -> list:
+    """Each entry's size as a term of m's distance from the identity, sized
+    afresh: a pass sizes its matrix once and then adds line deltas."""
+    return [
+        [p.weighted_size(degw, bitw, i == j) for j, p in enumerate(row)] for i, row in enumerate(m)
+    ]
+
+
 def _matrix_size(m, degw: int, bitw: int) -> int:
-    """Size of m's distance from the identity, each entry sized afresh: a
-    pass sizes its matrix once and then adds move deltas."""
-    return sum(
-        p.weighted_size(degw, bitw, i == j) for i, row in enumerate(m) for j, p in enumerate(row)
-    )
+    return sum(map(sum, _size_grid(m, degw, bitw)))
 
 
 def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
@@ -480,24 +484,70 @@ _STRATEGIES = (
 )
 
 
-def _all_moves(rec: _OpRecorder, sides, pairs: dict):
-    for side in sides:
-        for root in rec.rs.roots:
-            for t in _candidate_args(rec.m, rec.rs, root, side, pairs):
-                yield root, t, side
-
-
 def _apply(rec: _OpRecorder, root, t, side) -> None:
     rec.move(root, t, side)
 
 
-def _snapshot(rec: _OpRecorder):
-    return [row[:] for row in rec.m], len(rec.left), len(rec.right)
+def _grid_move(rec: _OpRecorder, grid: list, root, t, side, sizes: dict) -> None:
+    """Apply a scored move, adding each changed line's memoised size change
+    to its target's entry in grid; no entry is sized afresh."""
+    m = rec.m
+    for ti, tj, si, sj, sign in rec.rs.moves[side][root]:
+        src = m[si][sj]
+        if not src.is_zero():
+            grid[ti][tj] += sizes[(t, sign, m[ti][tj], src, ti == tj)]
+    _apply(rec, root, t, side)
 
 
-def _restore(rec: _OpRecorder, snap) -> None:
-    m, nl, nr = snap
+def _group_bounds(rec: _OpRecorder, groups, grid: list) -> list:
+    """(bound, group index) for each (side, root) in groups, least first:
+    the bound of _greedy_pass, read off grid."""
+    moves = rec.rs.moves
+    nonzero = [[not p.is_zero() for p in row] for row in rec.m]
+    bounds = []
+    for gi, (side, root) in enumerate(groups):
+        bound = 0
+        for ti, tj, si, sj, _ in moves[side][root]:
+            if nonzero[si][sj]:
+                bound -= grid[ti][tj]
+        bounds.append((bound, gi))
+    bounds.sort()
+    return bounds
+
+
+def _best_move(rec: _OpRecorder, groups, grid: list, pairs: dict, sizes: dict, degw: int, bitw: int,
+               scored: list | None = None):
+    """The least (delta, group index, candidate position, root, t, side)
+    over the candidates of groups, a list of (side, root), or None.
+
+    Groups are visited in the order of _group_bounds, and the scan ends at
+    the first whose (bound, group index) exceeds the best's (delta, group
+    index).  With scored given, only a delta < 0 is a best and every
+    scored candidate is appended to scored, so a stall scores them all."""
+    best = None
+    for bound, gi in _group_bounds(rec, groups, grid):
+        if best is not None and (bound, gi) > best[:2]:
+            break  # sorted: no later group is smaller either
+        side, root = groups[gi]
+        for pos, t in enumerate(_candidate_args(rec.m, rec.rs, root, side, pairs)):
+            move = (_move_delta(rec, root, t, side, degw, bitw, sizes), gi, pos, root, t, side)
+            if scored is not None:
+                scored.append(move)
+                if move[0] >= 0:
+                    continue
+            if best is None or move[:3] < best[:3]:
+                best = move
+    return best
+
+
+def _snapshot(rec: _OpRecorder, grid: list):
+    return [row[:] for row in rec.m], [row[:] for row in grid], len(rec.left), len(rec.right)
+
+
+def _restore(rec: _OpRecorder, grid: list, snap) -> None:
+    m, sized, nl, nr = snap
     rec.m = [row[:] for row in m]
+    grid[:] = [row[:] for row in sized]
     del rec.left[nl:]
     del rec.right[nr:]
 
@@ -508,50 +558,55 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
     pairs (from the caller) and sizes (this pass's weighting) memoise by
     value the candidates and the size change of each candidate line, so a
     step computes them afresh only on the lines the last move changed.
-    current is the matrix size, sized once and then kept up to date by each
-    applied move's delta."""
+    grid holds each entry's size: sized once, then kept up to date from the
+    memoised line changes of each applied move; the matrix size is its sum.
+
+    A step applies the move of least (delta, group, position): a group is
+    a (side, root) pair, numbered in the order sides x roots, and a
+    position is the order of _candidate_args, so ties go to the move an
+    exhaustive scan in that order meets first.  _best_move finds it by
+    branch and bound.  No entry's size is negative, so a group's moves
+    change the size by at least its bound, minus the summed sizes of the
+    targets of its lines with a nonzero source.  Groups are visited by
+    increasing (bound, group); once a move of delta < 0 is in hand, the
+    first group whose (bound, group) exceeds the best's (delta, group)
+    ends the scan, as no move of it or of a later group could win.  So the
+    pass applies the moves, and builds the words and certificates, of the
+    exhaustive scan.  A stall step (no delta < 0) scores every candidate,
+    as the escape ranks them all; the escape's follow-up search is a plain
+    least move and prunes from its first best."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
+    groups = [(side, root) for side in sides for root in g.rs.roots]
     sizes: dict = {}
-    current = _matrix_size(rec.m, degw, bitw)
+    grid = _size_grid(rec.m, degw, bitw)
     steps = 0
     while steps < max_steps:
         steps += 1
-        if current == 0:
+        if not any(map(any, grid)):
             break
-        best = None
-        scored = []
-        for root, t, side in _all_moves(rec, sides, pairs):
-            delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
-            scored.append((delta, root, t, side))
-            if delta < 0 and (best is None or delta < best[0]):
-                best = (delta, root, t, side)
+        scored: list = []
+        best = _best_move(rec, groups, grid, pairs, sizes, degw, bitw, scored)
         if best is None and scored:
             # two-ply escape: allow one non-improving move when a follow-up
             # more than pays it back
-            snap = _snapshot(rec)
-            scored.sort(key=lambda item: item[0])
+            snap = _snapshot(rec, grid)
+            scored.sort(key=lambda move: move[:3])
             escaped = False
-            for delta, root, t, side in scored[:8]:
-                _apply(rec, root, t, side)
-                follow = None
-                for root2, t2, side2 in _all_moves(rec, sides, pairs):
-                    d2 = _move_delta(rec, root2, t2, side2, degw, bitw, sizes)
-                    if follow is None or d2 < follow[0]:
-                        follow = (d2, root2, t2, side2)
+            for delta, _, _, root, t, side in scored[:8]:
+                _grid_move(rec, grid, root, t, side, sizes)
+                follow = _best_move(rec, groups, grid, pairs, sizes, degw, bitw)
                 if follow and delta + follow[0] < 0:
-                    _apply(rec, follow[1], follow[2], follow[3])
-                    current += delta + follow[0]
+                    _grid_move(rec, grid, follow[3], follow[4], follow[5], sizes)
                     escaped = True
                     break
-                _restore(rec, snap)
+                _restore(rec, grid, snap)
             if escaped:
                 continue
         if best is None:
             if not _constant_matrix(rec.m):
                 _rank1_update(rec)
             break
-        _apply(rec, best[1], best[2], best[3])
-        current += best[0]
+        _grid_move(rec, grid, best[3], best[4], best[5], sizes)
     return rec
 
 

@@ -98,14 +98,17 @@ def eval_word(
         else:
             base = base or BaseRing.integers()
             nvars = 1 if nvars is None else nvars
-        onto = GroupMatrix.identity(w.rs, base, nvars)
-    elif onto.rs.matrix_size != w.rs.matrix_size:
-        raise SizeMismatch("matrix sizes differ")
-    base, nvars = onto.base, onto.nvars
-    if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
-        letters[0][1]._check_compatible(onto.entries[0][0])
+        # the identity's term dicts; the letters share one ring (ElemWord)
+        one, n = base.one(), range(w.rs.matrix_size)
+        rows = [[{0: one} if i == j else {} for j in n] for i in n]
+    else:
+        if onto.rs.matrix_size != w.rs.matrix_size:
+            raise SizeMismatch("matrix sizes differ")
+        base, nvars = onto.base, onto.nvars
+        if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
+            letters[0][1]._check_compatible(onto.entries[0][0])
+        rows = [[dict(p.terms) for p in row] for row in onto.entries]
     # x_1 ... x_k * onto: each letter multiplies from the left, last first
-    rows = [[dict(p.terms) for p in row] for row in onto.entries]
     m, moves = base.modulus, w.rs.moves["left"]
     # apply_moves copies each entry, as the greedy keeps old matrices as
     # memo keys; these dicts are ours, only the kernel reads them, and no

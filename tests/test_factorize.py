@@ -18,7 +18,7 @@ from chevelem.errors import (
     PreconditionViolated,
 )
 from chevelem.exactring import BaseRing, MultiPoly, convert, leading_term_division, parse_poly
-from chevelem.localglobal import Budget
+from chevelem.localglobal import DEFAULT_BUDGET, Budget
 from chevelem.factorize import (
     factor_integer_sl,
     factor_integer_sp,
@@ -32,11 +32,16 @@ from chevelem.factorize import (
 from chevelem.factorize import (
     _STRATEGIES,
     _OpRecorder,
-    _all_moves,
     _apply,
+    _best_move,
+    _candidate_args,
+    _constant_matrix,
     _greedy_pass,
+    _group_bounds,
     _matrix_size,
     _move_delta,
+    _rank1_update,
+    _size_grid,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent, membership_check
 from chevelem.words import ElemWord, eval_word, free_reduce
@@ -241,18 +246,32 @@ def test_partial_quotient_stops_before_try_divide(base, lead):
 KERNEL_BASES = (Z, Q, F5, BaseRing.integers_mod(4), BaseRing.integers_localized(2))
 
 
+def kernel_matrix(rs, nvars, seed, base):
+    """A seeded six-letter product over base; Q and Z[1/2] get halves."""
+    word = random_elementary_word(rs, seed, 6, nvars=nvars, coeff_bound=3)
+    letters = []
+    for k, (root, arg) in enumerate(word.letters):
+        arg = convert(arg, base)
+        if base.kind in ("Q", "Zloc") and k % 2:
+            arg = arg.scale(Fraction(1, 2))
+        letters.append((root, arg))
+    return eval_word(ElemWord(rs, letters), base, nvars)
+
+
 def kernel_matrices():
-    """Seeded A2/C2 products over each base; Q and Z[1/2] get halves."""
+    """Seeded A2/C2 products over each base."""
     for base in KERNEL_BASES:
         for rs, nvars, seed in ((A2, 1, 7100), (A2, 2, 7101), (C2, 1, 7102)):
-            word = random_elementary_word(rs, seed, 6, nvars=nvars, coeff_bound=3)
-            letters = []
-            for k, (root, arg) in enumerate(word.letters):
-                arg = convert(arg, base)
-                if base.kind in ("Q", "Zloc") and k % 2:
-                    arg = arg.scale(Fraction(1, 2))
-                letters.append((root, arg))
-            yield rs, eval_word(ElemWord(rs, letters), base, nvars)
+            yield rs, kernel_matrix(rs, nvars, seed, base)
+
+
+def all_moves(rec, sides, pairs):
+    """Every candidate move of a greedy step, in the search's order:
+    side, then root, then _candidate_args."""
+    for side in sides:
+        for root in rec.rs.roots:
+            for t in factorize._candidate_args(rec.m, rec.rs, root, side, pairs):
+                yield root, t, side
 
 
 def test_move_delta_matches_applied_moves():
@@ -269,7 +288,7 @@ def test_move_delta_matches_applied_moves():
             for _ in range(3):
                 before = _matrix_size(rec.m, degw, bitw)
                 best = None
-                for root, t, side in _all_moves(rec, sides, pairs):
+                for root, t, side in all_moves(rec, sides, pairs):
                     delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
                     assert _move_delta(rec, root, t, side, degw, bitw, sizes) == delta
                     moved = _OpRecorder(rs, rec.m, one)
@@ -790,3 +809,180 @@ def test_greedy_running_size_matches_recount(monkeypatch):
         reduced_word(eval_word(word, Z, nvars))
     assert len(moves) > 100
     assert any(d >= 0 for d in moves)  # a two-ply escape move was checked too
+
+
+def reference_pass(g, sides, degw, bitw, max_steps, pairs, escapes):
+    """The greedy pass that scores every candidate of every step, kept as
+    the oracle for the pruned one; appends to escapes at each escape."""
+    rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
+    sizes: dict = {}
+    current = _matrix_size(rec.m, degw, bitw)
+    steps = 0
+    while steps < max_steps:
+        steps += 1
+        if current == 0:
+            break
+        best = None
+        scored = []
+        for root, t, side in all_moves(rec, sides, pairs):
+            delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
+            scored.append((delta, root, t, side))
+            if delta < 0 and (best is None or delta < best[0]):
+                best = (delta, root, t, side)
+        if best is None and scored:
+            snap = [row[:] for row in rec.m], len(rec.left), len(rec.right)
+            scored.sort(key=lambda item: item[0])
+            escaped = False
+            for delta, root, t, side in scored[:8]:
+                factorize._apply(rec, root, t, side)
+                follow = None
+                for root2, t2, side2 in all_moves(rec, sides, pairs):
+                    d2 = _move_delta(rec, root2, t2, side2, degw, bitw, sizes)
+                    if follow is None or d2 < follow[0]:
+                        follow = (d2, root2, t2, side2)
+                if follow and delta + follow[0] < 0:
+                    factorize._apply(rec, follow[1], follow[2], follow[3])
+                    current += delta + follow[0]
+                    escaped = True
+                    escapes.append(g)
+                    break
+                rec.m = [row[:] for row in snap[0]]
+                del rec.left[snap[1]:]
+                del rec.right[snap[2]:]
+            if escaped:
+                continue
+        if best is None:
+            if not _constant_matrix(rec.m):
+                _rank1_update(rec)
+            break
+        factorize._apply(rec, best[1], best[2], best[3])
+        current += best[0]
+    return rec
+
+
+def pass_inputs():
+    for _, g in kernel_matrices():
+        yield g
+    # at a stall of these, a group of bound 0 follows the least delta, 0
+    for base in KERNEL_BASES:
+        yield kernel_matrix(A2, 1, 7096, base)
+    for nvars, word in bench_family_words(range(9600, 9610)):
+        yield eval_word(word, Z, nvars)
+
+
+def test_pruned_pass_applies_the_reference_moves(monkeypatch):
+    # branch and bound skips only groups that cannot hold the chosen move,
+    # so every pass applies the moves, escapes included, of the pass that
+    # scores every candidate, and ends in the same matrix and letters; each
+    # move keeps the grid of entry sizes equal to one sized afresh
+    applied = []
+    weights = []
+    real_apply, real_grid_move = factorize._apply, factorize._grid_move
+
+    def recording_apply(rec, root, t, side):
+        applied.append((root, t, side))
+        real_apply(rec, root, t, side)
+
+    def checked_grid_move(rec, grid, root, t, side, sizes):
+        real_grid_move(rec, grid, root, t, side, sizes)
+        assert grid == _size_grid(rec.m, *weights[-1])
+
+    monkeypatch.setattr(factorize, "_apply", recording_apply)
+    monkeypatch.setattr(factorize, "_grid_move", checked_grid_move)
+    escapes: list = []
+    passes = 0
+    for g in pass_inputs():
+        for sides, degw, bitw in _STRATEGIES:
+            weights.append((degw, bitw))
+            args = (g, sides, degw, bitw, DEFAULT_BUDGET.max_steps)
+            ref = reference_pass(*args, {}, escapes)
+            expected = applied[:]
+            applied.clear()
+            rec = _greedy_pass(*args, {})
+            assert applied == expected
+            assert (rec.m, rec.left, rec.right) == (ref.m, ref.left, ref.right)
+            applied.clear()
+            passes += 1
+    assert passes == 4 * (15 + 5 + 40)
+    assert escapes  # the escape's pruned follow-up search was compared too
+
+
+def test_stall_step_scores_every_candidate(monkeypatch):
+    # with no improving move, nothing may be skipped: the escape ranks the
+    # stall step's candidates, so scored holds all of them, in any order
+    real_best = factorize._best_move
+    stalls = []
+
+    def checked_best(rec, groups, grid, pairs, sizes, degw, bitw, scored=None):
+        best = real_best(rec, groups, grid, pairs, sizes, degw, bitw, scored)
+        if scored is not None and best is None:
+            sides = list(dict.fromkeys(side for side, _ in groups))
+            full = [
+                (_move_delta(rec, root, t, side, degw, bitw, sizes), root, t, side)
+                for root, t, side in all_moves(rec, sides, pairs)
+            ]
+            ranked = sorted(scored, key=lambda move: move[1:3])
+            assert [(d, root, t, side) for d, _, _, root, t, side in ranked] == full
+            if full:
+                stalls.append(len(full))
+        return best
+
+    monkeypatch.setattr(factorize, "_best_move", checked_best)
+    for g in pass_inputs():
+        for sides, degw, bitw in _STRATEGIES:
+            _greedy_pass(g, sides, degw, bitw, DEFAULT_BUDGET.max_steps, {})
+    assert len(stalls) >= 30
+
+
+def test_group_bound_is_below_every_candidate_delta():
+    # a group's bound, minus the target sizes of its lines with a nonzero
+    # source, is at most the delta of each of its candidates; checked over
+    # three greedy steps of each weighting
+    checked = 0
+    for g in pass_inputs():
+        one = MultiPoly.const(g.base, g.nvars, 1)
+        for sides, degw, bitw in _STRATEGIES:
+            rec = _OpRecorder(g.rs, g.entries, one)
+            pairs: dict = {}
+            sizes: dict = {}
+            groups = [(side, root) for side in sides for root in g.rs.roots]
+            for _ in range(3):
+                grid = _size_grid(rec.m, degw, bitw)
+                bounds = _group_bounds(rec, groups, grid)
+                assert sorted(gi for _, gi in bounds) == list(range(len(groups)))
+                for bound, gi in bounds:
+                    side, root = groups[gi]
+                    for t in _candidate_args(rec.m, g.rs, root, side, pairs):
+                        assert _move_delta(rec, root, t, side, degw, bitw, sizes) >= bound
+                        checked += 1
+                best = _best_move(rec, groups, grid, pairs, sizes, degw, bitw)
+                if best is None:
+                    break
+                _apply(rec, best[3], best[4], best[5])
+    assert checked > 10000
+
+
+def test_pruned_pass_generates_at_most_half_the_candidates(monkeypatch):
+    # the bound must keep skipping work: against the pass that scores every
+    # candidate, the pruned pass asks _candidate_args for at most half as
+    # many groups on the benchmark families
+    calls = []
+    real_candidates = factorize._candidate_args
+
+    def counted(*args):
+        calls.append(None)
+        return real_candidates(*args)
+
+    def reference(g, sides, degw, bitw, max_steps, pairs):
+        return reference_pass(g, sides, degw, bitw, max_steps, pairs, [])
+
+    monkeypatch.setattr(factorize, "_candidate_args", counted)
+    gs = [eval_word(word, Z, nvars) for nvars, word in bench_family_words(range(9600, 9605))]
+    for g in gs:
+        heuristic_reduce(g)
+    pruned = len(calls)
+    calls.clear()
+    monkeypatch.setattr(factorize, "_greedy_pass", reference)
+    for g in gs:
+        heuristic_reduce(g)
+    assert 0 < pruned <= 0.5 * len(calls), (pruned, len(calls))

@@ -122,13 +122,13 @@ def test_substitute_called_only_for_maps_that_are_not_dilations():
 def test_greedy_lines_scored_by_one_kernel():
     # a candidate line is scored by exactring.size_change without being
     # built, so factorize neither builds lines with add_product nor sizes
-    # whole entries anywhere but once per pass, in _matrix_size
+    # whole entries anywhere but once per pass, in _size_grid
     def in_factorize(found):
         return [f for f in found if f.startswith("factorize.py: ")]
 
     assert in_factorize(functions_with_line(lambda line: "add_product" in line)) == []
     assert in_factorize(functions_with_line(lambda line: "weighted_size(" in line)) == [
-        "factorize.py: _matrix_size",
+        "factorize.py: _size_grid",
     ]
     assert in_factorize(functions_with_line(lambda line: "size_change(" in line)) == [
         "factorize.py: _move_delta",
