@@ -6,7 +6,10 @@ integers mod m, prime fields, the rationals, and the integers with a single
 element s inverted (fractions whose denominators divide a power of s).
 
 Polynomials are sparse maps from packed monomial keys to nonzero
-coefficients: ((deg << W | e1) << W | e2) ... << W | en for exponents
+coefficients; over Q and Z[1/s] the coefficients are int numerators over
+one denominator, den, coprime to their content (Geddes, Czapor & Labahn,
+Algorithms for Computer Algebra, ch. 2), so every product is on ints.
+Keys are ((deg << W | e1) << W | e2) ... << W | en for exponents
 e1..en of total degree deg and one field width W.  Integer order is the
 graded-lex order (x1 > x2 > ...) of text emission, and keys multiply by +.
 Degrees stay at most MAX_DEGREE = 2^(W-1) - 1, so no field carries and
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     BaseMismatch,
@@ -90,16 +93,20 @@ class BaseRing:
     ("Zloc", s).  Elements are plain ints (Z, Zmod, Fp) or Fractions
     (Q, Zloc); Zloc fractions are kept in lowest terms with denominators
     dividing a power of s, which is a unique normal form.  modulus is m
-    or p for Zmod and Fp, else None; it is set once, from kind and param.
+    or p for Zmod and Fp, else None; fractional is true for Q and Zloc,
+    whose polynomials keep a denominator.  Both are set once, from kind
+    and param.
     """
 
     kind: str
     param: int | None = None
     modulus: int | None = field(init=False, compare=False, repr=False)
+    fractional: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.param if self.kind in (KIND_MOD, KIND_PRIME_FIELD) else None
         object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "fractional", self.kind in (KIND_RATIONALS, KIND_LOCALIZED))
 
     @staticmethod
     def integers() -> "BaseRing":
@@ -228,18 +235,18 @@ class MultiPoly:
     """Sparse exact multivariate polynomial over a BaseRing.
 
     The constructor packs exponent-tuple keys; normalized=True takes packed
-    keys and normal coefficients as they are.  Immutable by contract: never
-    mutate `terms` after construction.
+    keys and nonzero ring elements as they are.  Over Q and Z[1/s] `terms`
+    then holds int numerators over the denominator `den`, in lowest terms
+    (den is 1 over the other rings); the accessors return ring elements.
+    Immutable by contract: never mutate `terms` after construction.
     """
 
-    __slots__ = ("base", "nvars", "terms", "_hash")
+    __slots__ = ("base", "nvars", "terms", "den", "_hash")
 
     def __init__(self, base: BaseRing, nvars: int, terms: dict, normalized: bool = False):
         self.base = base
         self.nvars = nvars
-        if normalized:
-            self.terms = terms
-        else:
+        if not normalized:
             packed = {}
             for exps, c in terms.items():  # every key, also one with a zero coefficient
                 if type(exps) is not tuple or len(exps) != nvars or not (
@@ -247,21 +254,24 @@ class MultiPoly:
                 ):
                     raise ValueError("exponent tuple %r is not %d ints >= 0" % (exps, nvars))
                 packed[_pack(exps)] = c
-            self.terms = _coerced(packed, base)
+            terms = _coerced(packed, base)
+        self.terms, self.den = _over_one_den(terms, base) if base.fractional else (terms, 1)
         self._hash = None
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(base: BaseRing, nvars: int) -> "MultiPoly":
-        return MultiPoly(base, nvars, {}, normalized=True)
+        return _poly(base, nvars, {})
 
     @staticmethod
     def const(base: BaseRing, nvars: int, value) -> "MultiPoly":
         c = base.normalize(value)
         if c == 0:
             return MultiPoly.zero(base, nvars)
-        return MultiPoly(base, nvars, {0: c}, normalized=True)
+        if base.fractional:
+            return _poly(base, nvars, {0: c.numerator}, c.denominator)
+        return _poly(base, nvars, {0: c})
 
     @staticmethod
     def random(rng, base: BaseRing, nvars: int, max_terms: int, max_degree: int, bound: int):
@@ -280,7 +290,7 @@ class MultiPoly:
         if not 0 <= index < nvars:
             raise ValueError("variable index %d out of range" % index)
         key = _pack(tuple(int(i == index) for i in range(nvars)))
-        return MultiPoly(base, nvars, {key: base.one()}, normalized=True)
+        return _poly(base, nvars, {key: 1})
 
     # -- predicates and views --------------------------------------------
 
@@ -291,11 +301,13 @@ class MultiPoly:
         return not any(self.terms)
 
     def constant_term(self):
-        return self.terms.get(0, self.base.zero())
+        c = self.terms.get(0, 0)
+        return Fraction(c, self.den) if self.base.fractional else c
 
     def coefficient(self, exps: tuple):
         """The coefficient of the monomial with exponent tuple exps."""
-        return self.terms.get(_pack(tuple(exps)), self.base.zero())
+        c = self.terms.get(_pack(tuple(exps)), 0)
+        return Fraction(c, self.den) if self.base.fractional else c
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -311,26 +323,29 @@ class MultiPoly:
         return max(k >> shift & _MASK for k in self.terms)
 
     def coefficients(self):
+        if self.base.fractional:
+            den = self.den
+            return [Fraction(c, den) for c in self.terms.values()]
         return self.terms.values()
 
     def exponent_items(self) -> list:
         """(exponent tuple, coefficient) pairs in term order: the tuple view
         of the packed keys, for readers outside this module."""
         n = self.nvars
-        return [(_unpack(k, n), c) for k, c in self.terms.items()]
+        return [(_unpack(k, n), c) for k, c in zip(self.terms, self.coefficients())]
 
     def weighted_size(self, degw: int, bitw: int, minus_one: bool = False) -> int:
         """Sum over the terms of 1 + degw*deg^2 + bitw*bits, with deg the
         total degree and bits the coefficient's length; of self - 1, not
         built, when minus_one."""
-        total, shift = 0, _W * self.nvars
+        total, shift, den = 0, _W * self.nvars, self.den
         for k, c in self.terms.items():
-            bits = abs(c).bit_length() + 1 if type(c) is int else coeff_bits(c)
+            bits = abs(c).bit_length() + 1 if den == 1 else _bits(c, den)
             total += 1 + degw * (k >> shift) ** 2 + bitw * bits
         if minus_one:  # the constant term c becomes d = c - 1
             c = self.terms.get(0, 0)
-            d = c - 1 if self.base.modulus is None else (c - 1) % self.base.modulus
-            total += (1 + bitw * coeff_bits(d) if d else 0) - (1 + bitw * coeff_bits(c) if c else 0)
+            d = c - den if self.base.modulus is None else (c - 1) % self.base.modulus
+            total += (1 + bitw * _bits(d, den) if d else 0) - (1 + bitw * _bits(c, den) if c else 0)
         return total
 
     def _check_compatible(self, other: "MultiPoly") -> None:
@@ -345,9 +360,13 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        out = dict(self.terms)
-        _fold(out, other.terms, self.base.modulus)
-        return MultiPoly(self.base, self.nvars, out, normalized=True)
+        out, den = dict(self.terms), self.den
+        if den == other.den:
+            _fold(out, other.terms, self.base.modulus)
+        else:  # over Q or Z[1/s]: both over the lcm of the denominators
+            den = _rescale(out, den, other.den)
+            _fold(out, _times(other.terms, den // other.den))
+        return _poly(self.base, self.nvars, out, den)
 
     def __neg__(self) -> "MultiPoly":
         m = self.base.modulus
@@ -355,7 +374,7 @@ class MultiPoly:
             out = {e: -c for e, c in self.terms.items()}
         else:
             out = {e: (-c) % m for e, c in self.terms.items()}
-        return MultiPoly(self.base, self.nvars, out, normalized=True)
+        return _poly(self.base, self.nvars, out, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -363,7 +382,7 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = _mul_terms(self.terms, other.terms, self.nvars, self.base.modulus)
-        return MultiPoly(self.base, self.nvars, out, normalized=True)
+        return _poly(self.base, self.nvars, out, self.den * other.den)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -371,7 +390,7 @@ class MultiPoly:
         if n == 0:
             return MultiPoly.const(self.base, self.nvars, 1)
         terms = _pow_terms(self.terms, n, self.nvars, self.base.modulus)
-        return MultiPoly(self.base, self.nvars, terms, normalized=True)
+        return _poly(self.base, self.nvars, terms, self.den**n)
 
     def scale(self, c) -> "MultiPoly":
         """Multiply by a base-ring scalar."""
@@ -382,6 +401,9 @@ class MultiPoly:
             return self
         if c == -1:  # only without a modulus: mod m, -1 normalizes to m - 1
             return -self
+        if self.base.fractional:
+            out = _times(self.terms, c.numerator)
+            return _poly(self.base, self.nvars, out, self.den * c.denominator)
         m = self.base.modulus
         out = {}
         for e, c0 in self.terms.items():
@@ -390,7 +412,7 @@ class MultiPoly:
                 v %= m
             if v:
                 out[e] = v
-        return MultiPoly(self.base, self.nvars, out, normalized=True)
+        return _poly(self.base, self.nvars, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -399,13 +421,13 @@ class MultiPoly:
             (self.base is other.base or self.base == other.base)
             and self.nvars == other.nvars
             and self.terms == other.terms
+            and self.den == other.den
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(
-                (self.base, self.nvars, frozenset(self.terms.items()))
-            )
+        if self._hash is None:  # the hash of the coefficients as ring elements
+            items = self.terms.items() if self.den == 1 else zip(self.terms, self.coefficients())
+            self._hash = hash((self.base, self.nvars, frozenset(items)))
         return self._hash
 
     def __repr__(self) -> str:
@@ -423,25 +445,33 @@ class MultiPoly:
         variables, read by shift and mask, and keeps the rest; each power
         of an image is built once per call, and every scaled term folds in
         place into one accumulator, so the cost is linear in the terms
-        each product makes.
+        each product makes.  Over Q and Z[1/s] a term with x_v^e takes the
+        factor d^(top-e) for an image with denominator d and top the degree
+        in x_v, so that every term is over one denominator.
         """
         base, m, n = self.base, self.base.modulus, self.nvars
         if nvars_out is None:
             nvars_out = max([n] + [img.nvars for img in assignment.values()])
-        images = {}
+        images, dens = {}, {}
         for v, img in assignment.items():
             if img.base is not base and img.base != base:
                 raise BaseMismatch("substitution image over %s, poly over %s" % (img.base, base))
-            images[v] = img.extend_vars(nvars_out).terms
+            images[v], dens[v] = img.extend_vars(nvars_out).terms, img.den
         for v in range(nvars_out, n):
             if v not in images:
                 raise BaseMismatch("variable x%d has no slot in the output ring" % (v + 1,))
+        if not self.terms:
+            return MultiPoly.zero(base, nvars_out)
         fields = [(v, _W * (n - 1 - v)) for v in sorted(images) if 0 <= v < n]
+        clear = [(shift, dens[v], self.degree_in(v)) for v, shift in fields if dens[v] != 1]
+        den = self.den * prod(d**top for _, d, top in clear)
         widen = _W * (nvars_out - n)  # negative when trailing variables go
         out: dict = {}
         powers: dict = {}
         for key, c in self.terms.items():
-            prod = None
+            for shift, d, top in clear:
+                c *= d ** (top - (key >> shift & _MASK))
+            factor = None
             for v, shift in fields:
                 e = key >> shift & _MASK
                 if e:
@@ -449,10 +479,10 @@ class MultiPoly:
                     pw = powers.get((v, e))
                     if pw is None:
                         pw = powers[(v, e)] = _pow_terms(images[v], e, nvars_out, m)
-                    prod = pw if prod is None else _mul_terms(prod, pw, nvars_out, m)
+                    factor = pw if factor is None else _mul_terms(factor, pw, nvars_out, m)
             kept = key << widen if widen >= 0 else key >> -widen
-            _mul_add(out, {kept: c}, {0: 1} if prod is None else prod, nvars_out, m)
-        return MultiPoly(base, nvars_out, out, normalized=True)
+            _mul_add(out, {kept: c}, {0: 1} if factor is None else factor, nvars_out, m)
+        return _poly(base, nvars_out, out, den)
 
     def dilate(self, var: int, c) -> "MultiPoly":
         """Image under x_var -> c * x_var for a base-ring scalar c; with
@@ -460,20 +490,32 @@ class MultiPoly:
 
         A term map: each coefficient is multiplied by c^e[var] (mod m),
         and terms that vanish are dropped.  With c = 1 it is self, and
-        with c = 0 it keeps the terms free of x_var.
+        with c = 0 it keeps the terms free of x_var.  Over Q and Z[1/s]
+        c = n/d multiplies the numerators by n^e d^(top-e) and the
+        denominator by d^top, top the degree in x_var.
         """
         if not 0 <= var < self.nvars:
             raise ValueError("variable index %d out of range" % var)
-        c, m = self.base.normalize(c), self.base.modulus
+        m, den = self.base.modulus, self.den
+        if type(c) is not int or m is not None:  # an int is in Z, Q and Z[1/s] as it is
+            c = self.base.normalize(c)
         if c == 1:
             return self
         shift = _W * (self.nvars - 1 - var)
         if c == 0:
             out = {k: c0 for k, c0 in self.terms.items() if not k >> shift & _MASK}
-            return MultiPoly(self.base, self.nvars, out, normalized=True)
+            return _poly(self.base, self.nvars, out, den)
+        top, d = 0, 1
+        if self.base.fractional:
+            c, d = c.numerator, c.denominator
+            if d != 1 and self.terms:
+                top = self.degree_in(var)
+                den *= d**top
         out = {}
         for k, c0 in self.terms.items():
             e = k >> shift & _MASK
+            if top:
+                c0 *= d ** (top - e)
             if e:
                 c0 = c0 * c ** e
                 if m is not None:
@@ -481,7 +523,7 @@ class MultiPoly:
                 if not c0:
                     continue
             out[k] = c0
-        return MultiPoly(self.base, self.nvars, out, normalized=True)
+        return _poly(self.base, self.nvars, out, den)
 
     def extend_vars(self, nvars: int) -> "MultiPoly":
         if nvars < self.nvars:
@@ -490,7 +532,7 @@ class MultiPoly:
             return self
         shift = _W * (nvars - self.nvars)
         out = {k << shift: c for k, c in self.terms.items()}
-        return MultiPoly(self.base, nvars, out, normalized=True)
+        return _poly(self.base, nvars, out, self.den)
 
     def shrink_vars(self, nvars: int) -> "MultiPoly":
         """Drop trailing variables, which must not occur."""
@@ -503,12 +545,21 @@ class MultiPoly:
             if k & low:
                 raise BaseMismatch("variable beyond x%d still occurs" % nvars)
             out[k >> shift] = c
-        return MultiPoly(self.base, nvars, out, normalized=True)
+        return _poly(self.base, nvars, out, self.den)
 
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
         return emit_poly(self)
+
+
+def _poly(base: BaseRing, nvars: int, terms: dict, den: int = 1) -> MultiPoly:
+    """The MultiPoly of terms over den, both divided by their gcd."""
+    if den != 1:
+        terms, den = _reduced(terms, den)
+    p = object.__new__(MultiPoly)
+    p.base, p.nvars, p.terms, p.den, p._hash = base, nvars, terms, den, None
+    return p
 
 
 def _coerced(terms: dict, base: BaseRing) -> dict:
@@ -519,6 +570,48 @@ def _coerced(terms: dict, base: BaseRing) -> dict:
         if c:
             out[e] = c
     return out
+
+
+def _over_one_den(terms: dict, base: BaseRing) -> tuple:
+    """(int numerators, den) of nonzero ints and Fractions of Q or Z[1/s]:
+    den is the lcm of the denominators, so it is coprime to the content.
+    A denominator outside Z[1/s] raises BaseMismatch as normalize does."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den != 1 and base.kind == KIND_LOCALIZED and not _s_smooth(den, base.param):
+        _coerced(terms, base)  # names the first coefficient outside
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _reduced(terms: dict, den: int) -> tuple:
+    """(terms, den) divided by the gcd of den and the numerators."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            return {k: c // g for k, c in terms.items()}, den // g
+    return terms, den
+
+
+def _rescale(terms: dict, den: int, d: int) -> int:
+    """Rewrite terms over den, in place, over lcm(den, d), and return it."""
+    new = lcm(den, d)
+    if new != den:
+        f = new // den
+        for k in terms:
+            terms[k] *= f
+    return new
+
+
+def _times(terms: dict, f: int) -> dict:
+    """terms with each coefficient times the nonzero int f."""
+    return terms if f == 1 else {k: c * f for k, c in terms.items()}
+
+
+def _bits(c: int, den: int) -> int:
+    """Length in bits, sign bit included, of c/den in lowest terms."""
+    if den == 1:
+        return abs(c).bit_length() + 1
+    g = gcd(c, den)
+    return abs(c // g).bit_length() + (den // g).bit_length()
 
 
 def _pack(exps: tuple) -> int:
@@ -542,11 +635,10 @@ def _check_degree(key: int, nvars: int) -> None:
         raise DegreeOverflow("total degree %d exceeds the cap %d" % (deg, MAX_DEGREE))
 
 
-def coeff_bits(c) -> int:
-    """Length of an int or a fraction in bits, sign bit included."""
-    if type(c) is int:
-        return abs(c).bit_length() + 1
-    return abs(c.numerator).bit_length() + c.denominator.bit_length()
+def coeff_bits(p: MultiPoly) -> int:
+    """The summed length in bits of p's coefficients, sign bits included."""
+    den = p.den
+    return sum(_bits(c, den) for c in p.terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +651,20 @@ def add_product(p: MultiPoly, a: MultiPoly, b: MultiPoly) -> MultiPoly:
     entries of one matrix, which was checked once."""
     if not (a.terms and b.terms):
         return p
-    acc = dict(p.terms)
-    _mul_add(acc, a.terms, b.terms, p.nvars, p.base.modulus)
-    return MultiPoly(p.base, p.nvars, acc, normalized=True)
+    base, acc = p.base, dict(p.terms)
+    if not base.fractional or p.den == a.den == b.den == 1:
+        _mul_add(acc, a.terms, b.terms, p.nvars, base.modulus)
+        return _poly(base, p.nvars, acc)
+    den = _fold_product(acc, p.den, a.terms, b.terms, a.den * b.den, p.nvars)
+    return _poly(base, p.nvars, acc, den)
+
+
+def _fold_product(acc: dict, den: int, a: dict, b: dict, d: int, nvars: int) -> int:
+    """acc/den + a*b/d over Q or Z[1/s], folded into acc in place over
+    the lcm of den and d, which is returned."""
+    new = _rescale(acc, den, d)
+    _mul_add(acc, _times(a, new // d), b, nvars)
+    return new
 
 
 def size_change(p: MultiPoly, a: MultiPoly, b: MultiPoly, sign: int, degw: int, bitw: int,
@@ -572,19 +675,24 @@ def size_change(p: MultiPoly, a: MultiPoly, b: MultiPoly, sign: int, degw: int, 
     as in add_product."""
     touched: dict = {}
     _mul_add(touched, a.terms, b.terms, p.nvars, p.base.modulus)
-    m, shift, terms = p.base.modulus, _W * p.nvars, p.terms
+    m, shift, terms, den = p.base.modulus, _W * p.nvars, p.terms, p.den
+    if p.base.fractional and den != a.den * b.den:  # the touched terms and p's over one den
+        d = a.den * b.den
+        common = lcm(den, d)
+        terms = {k: terms.get(k, 0) * (common // den) for k in touched}
+        touched, den = _times(touched, common // d), common
     delta = 0
     for k, v in touched.items():
         old = terms.get(k, 0)
         new = old + v if sign == 1 else old - v
         if minus_one and not k:  # the constant term is sized as c - 1
-            old, new = old - 1, new - 1
+            old, new = old - den, new - den
         if m is not None:
             old, new = old % m, new % m
         if new and old:
-            delta += bitw * (coeff_bits(new) - coeff_bits(old))
+            delta += bitw * (_bits(new, den) - _bits(old, den))
         elif new or old:
-            size = 1 + degw * (k >> shift) ** 2 + bitw * coeff_bits(new or old)
+            size = 1 + degw * (k >> shift) ** 2 + bitw * _bits(new or old, den)
             delta += size if new else -size
     return delta
 
@@ -593,15 +701,18 @@ def sum_of_products(pairs, base: BaseRing, nvars: int) -> MultiPoly:
     """The sum of a*b over the (a, b) in pairs, all over base in nvars
     variables and, as in add_product, not checked against each other."""
     m = base.modulus
-    acc = None  # the first nonzero product starts the sum
+    acc, den = None, 1  # the first nonzero product starts the sum
     for a, b in pairs:
         x, y = a.terms, b.terms
         if x and y:
+            d = a.den * b.den
             if acc is None:
-                acc = _mul_terms(x, y, nvars, m)
-            else:
+                acc, den = _mul_terms(x, y, nvars, m), d
+            elif d == den:
                 _mul_add(acc, x, y, nvars, m)
-    return MultiPoly(base, nvars, acc or {}, normalized=True)
+            else:
+                den = _fold_product(acc, den, x, y, d, nvars)
+    return _poly(base, nvars, acc or {}, den)
 
 
 def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
@@ -616,7 +727,9 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
     is (leading monomial of a over that of b, with coefficient 1, leading
     coefficient of a, of b), or None when that monomial does not exist.
     The remainder is one term dict, less each quotient term times b.  A
-    quotient key with an exponent below 0 borrows: a guard bit or the sign."""
+    quotient key with an exponent below 0 borrows: a guard bit or the sign.
+    Over Q and Z[1/s] the quotient and the remainder each keep one
+    denominator, and the remainder is reduced to lowest terms each step."""
     base, nvars = a.base, a.nvars
     m = base.modulus
     if limit is None:
@@ -626,14 +739,14 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
         partial_limit = limit
     q_terms: dict = {}
     partial = first = None
-    r = dict(a.terms)
+    r, dr, db, dq = dict(a.terms), a.den, b.den, 1
     guard = ((1 << _W * nvars) - 1) // _MASK << _W - 1  # the top bit of each field
     lead_b = max(b.terms)
     cb = b.terms[lead_b]
     steps = 0
     while r and steps < limit:
         if steps == partial_limit:
-            partial = dict(q_terms)
+            partial = dict(q_terms), dq
         steps += 1
         lead_r = max(r)
         cr = r[lead_r]
@@ -641,7 +754,19 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
         if exps < 0 or exps & guard:
             break
         if first is None:
-            first = (MultiPoly(base, nvars, {exps: base.one()}, normalized=True), cr, cb)
+            lead = (Fraction(cr, dr), Fraction(cb, db)) if base.fractional else (cr, cb)
+            first = (_poly(base, nvars, {exps: 1}),) + lead
+        if base.fractional:  # (cr/dr) / (cb/db) = n/d in lowest terms, d > 0
+            n, d = cr * db, dr * cb
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            n, d = n // g, d // g
+            if base.kind == KIND_LOCALIZED and not _s_smooth(d, base.param):
+                break
+            dq = _rescale(q_terms, dq, d)
+            q_terms[exps] = n * (dq // d)
+            dr = _fold_product(r, dr, {exps: -n}, b.terms, d * db, nvars)
+            r, dr = _reduced(r, dr)
+            continue
         if base.kind == KIND_PRIME_FIELD:
             coeff = cr * pow(cb, -1, m) % m
         elif base.kind == KIND_INTEGERS:
@@ -655,8 +780,8 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
                 break
         q_terms[exps] = coeff
         _mul_add(r, {exps: -coeff}, b.terms, nvars, m)
-    q = MultiPoly(base, nvars, q_terms, normalized=True)
-    part = q if partial is None else MultiPoly(base, nvars, partial, normalized=True)
+    q = _poly(base, nvars, q_terms, dq)
+    part = q if partial is None else _poly(base, nvars, *partial)
     return part, (None if r else q), first
 
 
@@ -694,10 +819,15 @@ def s_valuation(base: BaseRing, c, s: int) -> int | None:
     c = base.normalize(c)
     if c == 0:
         return None
+    return _s_valuation(c.numerator, c.denominator, s)
+
+
+def _s_valuation(num: int, den: int, s: int) -> int:
+    """s_valuation of num/den, not 0, from ints; lowest terms not needed."""
     if s in (1, -1):
         return 0
-    s = abs(s)
-    num, den = abs(c.numerator), c.denominator
+    s, g = abs(s), gcd(num, den)
+    num, den = abs(num) // g, den // g
     v = 0
     while num % s == 0:
         num //= s
@@ -715,21 +845,17 @@ def s_valuation(base: BaseRing, c, s: int) -> int | None:
 
 def poly_s_valuation(p: MultiPoly, s: int) -> int | None:
     """Minimum s-valuation over all coefficients; None if p = 0."""
-    vals = [s_valuation(p.base, c, s) for c in p.coefficients()]
-    vals = [v for v in vals if v is not None]
-    if not vals:
-        return None
-    return min(vals)
+    return min((_s_valuation(c, p.den, s) for c in p.terms.values()), default=None)
 
 
 def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
     """Smallest k >= 0 making p s-integral after x_z -> s^k x_z, or None
     when a term free of x_z has a coefficient that is not."""
-    k, shift = 0, _W * (p.nvars - 1 - z)
+    k, shift, den = 0, _W * (p.nvars - 1 - z), p.den
     for key, c in p.terms.items():
-        if c.denominator == 1:
+        if den == 1 or c % den == 0:
             continue
-        v = s_valuation(p.base, c, s)
+        v = _s_valuation(c, den, s)
         if v >= 0:
             continue
         cz = key >> shift & _MASK
@@ -741,11 +867,7 @@ def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
 
 def denominator_lcm(p: MultiPoly) -> int:
     """LCM of coefficient denominators (1 for integral polynomials)."""
-    out = 1
-    for c in p.coefficients():
-        d = c.denominator
-        out = out * d // gcd(out, d)
-    return out
+    return p.den
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +884,20 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
     """
     if p.base == new_base:
         return p
+    den, m = p.den, new_base.modulus
     if p.base.modulus is not None:
-        m2 = new_base.modulus
-        if m2 is None or p.base.modulus % m2 != 0:
+        if m is None or p.base.modulus % m != 0:
             raise BaseMismatch("no ring map %s -> %s" % (p.base, new_base))
-    return MultiPoly(new_base, p.nvars, _coerced(p.terms, new_base), normalized=True)
+        return _poly(new_base, p.nvars, _coerced(p.terms, new_base))
+    if new_base.fractional:
+        if den == 1 or new_base.kind == KIND_RATIONALS or _s_smooth(den, new_base.param):
+            return _poly(new_base, p.nvars, p.terms, den)
+    elif den == 1:
+        return _poly(new_base, p.nvars, p.terms if m is None else _coerced(p.terms, new_base))
+    elif m is not None and gcd(den, m) == 1:
+        return _poly(new_base, p.nvars, _coerced(_times(p.terms, pow(den, -1, m)), new_base))
+    # a denominator that new_base lacks: normalize raises on the first one
+    return MultiPoly(new_base, p.nvars, dict(p.exponent_items()))
 
 
 # ---------------------------------------------------------------------------
@@ -778,11 +909,15 @@ def emit_poly(p: MultiPoly) -> str:
         return "0"
     if p.nvars > 9:
         raise ParseError("text form supports at most 9 variables")
-    terms, nvars = p.terms, p.nvars
+    terms, nvars, den = p.terms, p.nvars, p.den
     pieces = []  # signed terms without spaces: " + -" occurs only where one is joined
     try:
         for key in sorted(terms, reverse=True):
-            c = str(terms[key])  # an int's or a reduced Fraction's literal, "n" or "n/d"
+            c = terms[key]
+            if den != 1:  # c/den in lowest terms, as str() writes a Fraction
+                g = gcd(c, den)
+                c = c // g if g == den else "%d/%d" % (c // g, den // g)
+            c = str(c)  # "n" or "n/d"
             mono = _chain_text(key, nvars)
             if not mono:
                 pieces.append(c)
@@ -918,7 +1053,8 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
     Text in emit_poly's canonical form is read in one linear pass; any
     other text goes through the recursive descent of _parse_general.
     Both readers give int coefficients to text without a "/", which over
-    Z are already normalized and so are kept as read.  spent, a one-item
+    Z are already normalized and so are kept as read; over Q and Z[1/s]
+    the read coefficients go over one denominator at once.  spent, a one-item
     list, counts the monomial products of every text read with it, so
     MAX_PARSE_PRODUCTS bounds them together; by default each text alone.
     """
@@ -931,9 +1067,11 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
     except DegreeOverflow as exc:
         raise ParseError("polynomial text past the degree cap: %s" % exc) from None
+    if base.fractional:
+        return _poly(base, nvars, *_over_one_den(p, base))
     if base.kind != KIND_INTEGERS or "/" in text:
         p = _coerced(p, base)
-    return MultiPoly(base, nvars, p, normalized=True)
+    return _poly(base, nvars, p)
 
 
 def _read_canonical(text: str, nvars: int) -> dict:

@@ -294,7 +294,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
             continue
         if max(t.total_degree(), r_degree) > budget.max_degree:
             return None
-        if sum(map(coeff_bits, t.coefficients())) > budget.max_coeff_bits:
+        if coeff_bits(t) > budget.max_coeff_bits:
             return None
         if gamma == beta:
             out.append((gamma, t))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, SizeMismatch
-from .exactring import BaseRing, MultiPoly, _mul_add, convert
+from .exactring import BaseRing, _fold_product, _mul_add, _poly, _reduced, convert
 from .rootdata import GroupMatrix, RootSystem
 
 
@@ -89,7 +89,8 @@ def eval_word(
 
     For the empty word the ambient ring is ambiguous; pass base/nvars
     explicitly or accept integers in one variable.  With onto the ring is
-    onto's, and letters over another ring raise BaseMismatch.
+    onto's, and letters over another ring raise BaseMismatch.  Over Q
+    and Z[1/s] each entry keeps its own denominator beside its terms.
     """
     letters = w.letters
     if onto is None:
@@ -99,8 +100,9 @@ def eval_word(
             base = base or BaseRing.integers()
             nvars = 1 if nvars is None else nvars
         # the identity's term dicts; the letters share one ring (ElemWord)
-        one, n = base.one(), range(w.rs.matrix_size)
-        rows = [[{0: one} if i == j else {} for j in n] for i in n]
+        n = range(w.rs.matrix_size)
+        rows = [[{0: 1} if i == j else {} for j in n] for i in n]
+        dens = [[1 for _ in n] for _ in n]
     else:
         if onto.rs.matrix_size != w.rs.matrix_size:
             raise SizeMismatch("matrix sizes differ")
@@ -108,6 +110,7 @@ def eval_word(
         if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
             letters[0][1]._check_compatible(onto.entries[0][0])
         rows = [[dict(p.terms) for p in row] for row in onto.entries]
+        dens = [[p.den for p in row] for row in onto.entries]
     # x_1 ... x_k * onto: each letter multiplies from the left, last first
     m, moves = base.modulus, w.rs.moves["left"]
     # apply_moves copies each entry, as the greedy keeps old matrices as
@@ -120,9 +123,17 @@ def eval_word(
             if src:
                 if sign < 0 and neg is None:
                     neg = -arg
-                _mul_add(rows[ti][tj], (arg if sign > 0 else neg).terms, src, nvars, m)
+                t, d = (arg if sign > 0 else neg).terms, arg.den * dens[si][sj]
+                if d == dens[ti][tj] == 1:
+                    _mul_add(rows[ti][tj], t, src, nvars, m)
+                else:  # over Q or Z[1/s]: lowest terms when the denominator grows
+                    old = dens[ti][tj]
+                    den = _fold_product(rows[ti][tj], old, t, src, d, nvars)
+                    if den != old:
+                        rows[ti][tj], den = _reduced(rows[ti][tj], den)
+                    dens[ti][tj] = den
     return GroupMatrix(
-        w.rs, [[MultiPoly(base, nvars, p, normalized=True) for p in row] for row in rows]
+        w.rs, [[_poly(base, nvars, p, d) for p, d in zip(*row)] for row in zip(rows, dens)]
     )
 
 

@@ -26,6 +26,8 @@ from chevelem.exactring import (
     add_product,
     annihilator_exponent,
     base_ring_from_str,
+    clearing_exponent,
+    coeff_bits,
     convert,
     denominator_lcm,
     emit_poly,
@@ -34,6 +36,7 @@ from chevelem.exactring import (
     poly_s_valuation,
     s_valuation,
     size_change,
+    sum_of_products,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system
 
@@ -885,3 +888,215 @@ def test_general_reader_bounds_the_bits_of_products_of_sums():
     assert parse_poly("(%s + x1)^128" % ("9" * 30), Z, 1) == P("9" * 30 + " + x1") ** 128
     want = P("1/3 + x1/7", Q) ** 40 * P("2 - x1", Q)
     assert parse_poly("(1/3 + x1/7)^40*(2 - x1)", Q, 1) == want
+
+
+# -- Q and Z[1/s] against a plain {exponent tuple: Fraction} reference ------------
+
+ZSIXTH = BaseRing.integers_localized(6)
+DENOMINATORS = {Q: range(1, 13), ZHALF: (1, 2, 4, 8), ZSIXTH: (1, 2, 3, 4, 6, 9, 36)}
+
+
+def frac_poly(rng, base, nvars, max_terms=4, max_deg=2):
+    """Up to max_terms terms with numerators in [-9, 9] and denominators
+    drawn from DENOMINATORS[base]."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[e] = Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS[base]))
+    return MultiPoly(base, nvars, terms)
+
+
+def ref(p):
+    """p as {exponent tuple: Fraction}, read off the public view."""
+    out = dict(p.exponent_items())
+    assert all(type(c) is Fraction and c for c in out.values())
+    return out
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_bits(c):
+    return abs(c.numerator).bit_length() + c.denominator.bit_length()
+
+
+def ref_size(a, nvars, degw, bitw, minus_one):
+    if minus_one:
+        a = ref_add(a, {(0,) * nvars: Fraction(1)}, -1)
+    return sum(1 + degw * sum(e) ** 2 + bitw * ref_bits(c) for e, c in a.items())
+
+
+def ref_valuation(c, s):
+    v, num, e = 0, abs(c.numerator), 0
+    while num % s == 0:
+        num, v = num // s, v + 1
+    while s**e % c.denominator:
+        e += 1
+    return v - e
+
+
+def ref_division(a, b, base):
+    """Leading-term division run to completion, leading terms in graded
+    lex order: (quotient, remainder)."""
+    q, r = {}, dict(a)
+    lead_b = max(b, key=glex)
+    while r:
+        lead_r = max(r, key=glex)
+        e = tuple(x - y for x, y in zip(lead_r, lead_b))
+        c = r[lead_r] / b[lead_b]
+        if min(e) < 0 or (base.kind == "Zloc" and not base_has(base, c)):
+            break
+        q[e] = c
+        r = ref_add(r, ref_mul({e: c}, b), -1)
+    return q, r
+
+
+def glex(e):
+    return sum(e), e
+
+
+def base_has(base, c):
+    d = c.denominator
+    while d > 1 and math.gcd(d, base.param) > 1:
+        d //= math.gcd(d, base.param)
+    return d == 1
+
+
+@pytest.mark.parametrize("base", [Q, ZHALF, ZSIXTH], ids=str)
+def test_fraction_free_ring_matches_the_reference(base):
+    rng = random.Random("fraction-free-%s" % base)
+    s = base.param or 6
+    for nvars in (1, 2, 3):
+        one = {(0,) * nvars: Fraction(1)}
+        for _ in range(25):
+            p, a, b = (frac_poly(rng, base, nvars) for _ in range(3))
+            rp, ra, rb = ref(p), ref(a), ref(b)
+            assert ref(a + b) == ref_add(ra, rb)
+            assert ref(a - b) == ref_add(ra, rb, -1)
+            assert ref(-a) == ref_add({}, ra, -1)
+            assert ref(a * b) == ref_mul(ra, rb)
+            assert ref(a**3) == ref_pow(ra, 3, nvars)
+            c = Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS[base]))
+            assert ref(a.scale(c)) == {e: v * c for e, v in ra.items() if v * c}
+            var = rng.randrange(nvars)
+            for d in (c, 0, 1, s, Fraction(1, s)):
+                want = {e: v * Fraction(d) ** e[var] for e, v in ra.items() if v * d ** e[var]}
+                assert ref(a.dilate(var, d)) == want
+            images = {v: frac_poly(rng, base, nvars, 2) for v in range(nvars) if rng.random() < 0.7}
+            want = {}
+            for e, v in ra.items():
+                term = {tuple(0 if i in images else k for i, k in enumerate(e)): v}
+                for i, img in images.items():
+                    term = ref_mul(term, ref_pow(ref(img), e[i], nvars))
+                want = ref_add(want, term)
+            assert ref(a.substitute(images, nvars)) == want
+            assert ref(add_product(p, a, b)) == ref_add(rp, ref_mul(ra, rb))
+            assert ref(sum_of_products([(a, b), (p, b), (a, p)], base, nvars)) == ref_add(
+                ref_add(ref_mul(ra, rb), ref_mul(rp, rb)), ref_mul(rp, ra)
+            )
+            for sign in (1, -1):
+                line = ref_add(rp, ref_mul(ra, rb), sign)
+                for minus_one in (False, True):
+                    want = ref_size(line, nvars, 2, 3, minus_one)
+                    want -= ref_size(rp, nvars, 2, 3, minus_one)
+                    assert size_change(p, a, b, sign, 2, 3, minus_one) == want
+            for minus_one in (False, True):
+                assert p.weighted_size(2, 3, minus_one) == ref_size(rp, nvars, 2, 3, minus_one)
+            assert coeff_bits(p) == sum(map(ref_bits, rp.values()))
+            if not b.is_zero():
+                product = a * b + p
+                quotient, remainder = ref_division(ref(product), rb, base)
+                partial, exact, first = leading_term_division(product, b, math.inf)
+                assert ref(partial) == quotient
+                assert (exact is None) == bool(remainder)
+                if first is not None:
+                    assert type(first[1]) is type(first[2]) is Fraction
+            # the text form and the s-valuation helpers
+            assert parse_poly(emit_poly(p), base, nvars) == p
+            assert denominator_lcm(p) == math.lcm(*(c.denominator for c in rp.values()))
+            if all(base_has(ZSIXTH, c) for c in rp.values()):
+                vals = [ref_valuation(c, s) for c in rp.values()]
+                assert poly_s_valuation(p, s) == (min(vals) if vals else None)
+                z = rng.randrange(nvars)
+                if any(v < 0 and e[z] == 0 for e, v in zip(rp, vals)):
+                    assert clearing_exponent(p, z, s) is None
+                else:
+                    lift = [(-v + e[z] - 1) // e[z] for e, v in zip(rp, vals) if v < 0]
+                    assert clearing_exponent(p, z, s) == max(lift, default=0)
+            else:
+                with pytest.raises(BaseMismatch):  # a denominator s does not support
+                    poly_s_valuation(p, s)
+            # conversions there and back
+            for target in (Q, ZHALF, ZSIXTH, Z, F5, Z4):
+                fits = all(target.kind == "Q" or (
+                    target.fractional and base_has(target, c)
+                ) or (not target.fractional and target.modulus is None and c.denominator == 1) or (
+                    target.modulus and math.gcd(c.denominator, target.modulus) == 1
+                ) for c in rp.values())
+                if not fits:
+                    with pytest.raises(BaseMismatch):
+                        convert(p, target)
+                    continue
+                got = convert(p, target)
+                assert dict(got.exponent_items()) == {
+                    e: v for e, v in ((e, target.normalize(c)) for e, c in rp.items()) if v
+                }
+                if target.fractional:
+                    assert convert(got, base) == p
+            assert ref(p * MultiPoly.const(base, nvars, 1)) == ref_mul(rp, one)
+
+
+@pytest.mark.parametrize("base", [Q, ZHALF, ZSIXTH], ids=str)
+def test_one_value_has_one_form(base):
+    # the same value built by every route is == and hashes alike:
+    # Fraction(4, 2), 2, scale, a product, the reader and convert
+    x = MultiPoly.variable(base, 2, 0)
+    for value in (Fraction(2), Fraction(1, 2), Fraction(-3, 4)):
+        routes = [
+            MultiPoly(base, 2, {(1, 0): value}),
+            MultiPoly(base, 2, {(1, 0): Fraction(value.numerator * 2, value.denominator * 2)}),
+            x.scale(value),
+            x.scale(value * 4).scale(Fraction(1, 4)),
+            (x * MultiPoly.const(base, 2, value * 2)).scale(Fraction(1, 2)),
+            parse_poly("%s*x1" % value, base, 2),
+            convert(MultiPoly(Q, 2, {(1, 0): value}), base),
+        ]
+        if value.denominator == 1:
+            n = int(value)
+            routes += [MultiPoly(base, 2, {(1, 0): n}), convert(MultiPoly(Z, 2, {(1, 0): n}), base)]
+        for p in routes:
+            assert p == routes[0] and hash(p) == hash(routes[0])
+            assert p.coefficient((1, 0)) == value
+
+
+@pytest.mark.parametrize("base", [Q, ZHALF, ZSIXTH], ids=str)
+def test_accessors_return_fractions(base):
+    rng = random.Random("accessors-%s" % base)
+    for _ in range(20):
+        p = frac_poly(rng, base, 2)
+        for c in list(p.coefficients()) + [c for _, c in p.exponent_items()]:
+            assert type(c) is Fraction
+        assert type(p.constant_term()) is Fraction
+        assert type(p.coefficient((2, 2))) is Fraction
+        assert type(p.coefficient((7, 7))) is Fraction and p.coefficient((7, 7)) == 0
+    assert type(MultiPoly.zero(base, 1).constant_term()) is Fraction

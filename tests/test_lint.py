@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
@@ -71,6 +72,28 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s/%s: %s" % (path.parent.name, path.name, name) for name in unused_imports(tree)]
     assert not found, "imports never read: " + ", ".join(found)
+
+
+STDLIB = frozenset(sys.stdlib_module_names)
+
+
+def test_runtime_is_standard_library_only():
+    # pyproject.toml declares no runtime dependency, and the package
+    # imports nothing but itself and the standard library
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M), "pyproject.toml lists dependencies"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            found += ["%s: %s" % (path.name, t) for t in sorted(top - STDLIB - {"chevelem"})]
+    assert not found, "imports outside the standard library: " + ", ".join(found)
 
 
 def functions_with_line(predicate):

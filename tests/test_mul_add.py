@@ -8,14 +8,17 @@ must also be in normal form, which a missing reduction mod m would break
 without changing any value."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from chevelem import rootdata
+from chevelem import exactring, rootdata, words
 from chevelem.errors import BaseMismatch
-from chevelem.exactring import BaseRing, MultiPoly
+from chevelem.exactring import BaseRing, MultiPoly, convert
+from chevelem.factorize import factor_univar_euclidean, random_elementary_word
+from chevelem.localglobal import descend_word, dilation_factor
 from chevelem.rootdata import GroupMatrix, apply_moves, build_root_system
 from chevelem.words import ElemWord, eval_word
 
@@ -109,9 +112,12 @@ def det(base, a):
 def assert_normal(rows):
     for row in rows:
         for p in row:
-            for c in p.terms.values():
+            for c in p.coefficients():
                 want = p.base.normalize(c)
                 assert c and c == want and type(c) is type(want), (p.base, c)
+            # int numerators over one positive denominator, in lowest terms
+            assert all(type(c) is int for c in p.terms.values()), p
+            assert p.den > 0 and math.gcd(p.den, *p.terms.values()) == 1, p
 
 
 def points(rng, nvars, n=2):
@@ -212,3 +218,46 @@ def test_fused_updates_keep_base_checks(other):
         rows[1][0] = t
         with pytest.raises(BaseMismatch):
             GroupMatrix(rs, rows)
+
+
+def test_kernel_multiplies_only_ints(monkeypatch):
+    """Over Q and Z[1/s] a polynomial is int numerators over one
+    denominator, so the product and sum kernels never see a Fraction: a
+    spy on _mul_add and _fold records every coefficient handed to them
+    while a small Q, Z[1/2] and F5 corpus is evaluated, descended,
+    dilation-factored and Euclid-factored."""
+    seen = {}
+
+    def spy(kernel, name, ndicts):
+        def wrapped(*args):
+            types = seen.setdefault(name, set())
+            for d in args[:ndicts]:
+                types.update(map(type, d.values()))
+            return kernel(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(exactring, "_mul_add", spy(exactring._mul_add, "_mul_add", 3))
+    monkeypatch.setattr(words, "_mul_add", exactring._mul_add)
+    monkeypatch.setattr(exactring, "_fold", spy(exactring._fold, "_fold", 2))
+    zhalf, f5 = BaseRing.integers_localized(2), BaseRing.prime_field(5)
+    a2 = SYSTEMS[0]
+    e12, e23 = (1, -1, 0), (0, 1, -1)
+    half = Fraction(1, 2)
+    for base in (Q, zhalf, f5):
+        scale = half if base.kind in ("Q", "Zloc") else 1
+        word = random_elementary_word(a2, 5, 8, nvars=2, base=base)
+        eval_word(ElemWord(a2, [(r, a.scale(scale)) for r, a in word.letters]), base, 2)
+        if base is not zhalf:
+            g = eval_word(random_elementary_word(a2, 6, 6, base=base), base, 1)
+            assert factor_univar_euclidean(g) is not None
+    z = MultiPoly.variable(zhalf, 1, 0)
+    conj = MultiPoly.const(zhalf, 1, half)
+    h, k = descend_word(ElemWord(a2, [(e23, conj), (e12, z.scale(half)), (e23, -conj)]), 2)
+    assert k >= 1 and len(h) > 0
+    # a half-integral word whose product is integral: the 3-variable descent
+    payload = [(e12, z.scale(4)), (a2.roots[2], (z * z).scale(-8))]
+    w_s = ElemWord(a2, [(e23, conj)] + payload + [(e23, -conj)])
+    g = GroupMatrix(a2, [[convert(p, Z) for p in row] for row in eval_word(w_s).entries])
+    assert dilation_factor(g, w_s, 2).k >= 0
+    assert seen["_mul_add"] == {int} and seen["_fold"] == {int}, seen

@@ -2,11 +2,13 @@
 
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
 from chevelem import rootdata
 from chevelem.errors import (
+    BaseMismatch,
     NotAUnit,
     NotInGroup,
     ProportionalRoots,
@@ -15,7 +17,7 @@ from chevelem.errors import (
     UnknownRoot,
     UnsupportedType,
 )
-from chevelem.exactring import BaseRing, MultiPoly, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import (
     GroupMatrix,
     build_root_system,
@@ -26,7 +28,7 @@ from chevelem.rootdata import (
     structure_constants,
     weyl_and_torus,
 )
-from chevelem.words import eval_word
+from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -489,6 +491,56 @@ def test_sparse_matches_dense_products():
             left_dense = elem_unipotent(rs, a, t) * m
             assert left_dense == m.lmul_unipotent(a, t)
             m = sparse
+
+
+def plain_product(a, b):
+    """a * b entry by entry from MultiPoly + and *, without GroupMatrix.__mul__."""
+    zero = MultiPoly.zero(a.base, a.nvars)
+    size = a.rs.matrix_size
+    return [
+        [sum((a.entries[i][k] * b.entries[k][j] for k in range(size)), zero) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "base",
+    [Z, BaseRing.rationals(), F5, BaseRing.integers_mod(4), BaseRing.integers_localized(2)],
+    ids=str,
+)
+def test_product_with_the_identity_is_the_other_factor(base):
+    rng = random.Random("identity-%s" % base)
+    for rs in (A2, C2):
+        g = eval_word(rand_word(rng, rs, base), base, 2)
+        one = GroupMatrix.identity(rs, base, 2)
+        for a, b in ((g, one), (one, g), (one, one)):
+            product = a * b
+            assert product.rs == rs and [list(r) for r in product.entries] == plain_product(a, b)
+        assert g * one is g
+        # the size and ring checks still come first
+        with pytest.raises(SizeMismatch):
+            one * GroupMatrix.identity(C3, base, 2)
+        with pytest.raises(SizeMismatch):
+            GroupMatrix.identity(C3, base, 2) * one
+        elsewhere = GroupMatrix.identity(rs, Z if base != Z else F5, 2)
+        for a, b in ((g, elsewhere), (elsewhere, g)):
+            with pytest.raises(BaseMismatch):
+                a * b
+        with pytest.raises(BaseMismatch):
+            one * GroupMatrix.identity(rs, base, 1)
+
+
+def rand_word(rng, rs, base):
+    """Six letters with arguments of up to three terms in two variables,
+    halved or quartered at random over Q and Z[1/2]."""
+    letters = []
+    while len(letters) < 6:
+        arg = convert(rand_poly(rng, Z, 2, bound=4), base)
+        if base.fractional:
+            arg = arg.scale(Fraction(1, rng.choice([1, 2, 4])))
+        if not arg.is_zero():
+            letters.append((rng.choice(rs.roots), arg))
+    return ElemWord(rs, letters)
 
 
 # -- weyl and torus elements ---------------------------------------------------------
