@@ -379,15 +379,19 @@ def _candidate_args(m, rs: RootSystem, root, side: str, pairs: dict):
     return list(out)
 
 
-def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw: int, sizes: dict) -> int:
+def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw: int, sizes: dict,
+                cut: tuple | None = None) -> int | None:
     """Size change of a candidate move, summed over the affected lines.
 
     A line whose source entry is zero keeps its entry and is skipped.
     sizes memoises by value, for one (degw, bitw), the size change of each
     line under the key (t, sign, old, src, diagonal): one lookup per line,
-    and most lines recur across steps."""
+    and most lines recur across steps.  With cut = (grid, group bound,
+    limit), it returns None as soon as the scored lines' changes minus
+    the remaining targets' sizes in grid, a floor of the delta, exceed limit."""
     m = rec.m
     delta = 0
+    grid, lower, limit = cut or (None, 0, 0)
     for ti, tj, si, sj, sign in rec.rs.moves[side][root]:
         src = m[si][sj]
         if src.is_zero():
@@ -398,6 +402,10 @@ def _move_delta(rec: _OpRecorder, root, t: MultiPoly, side: str, degw: int, bitw
         if d is None:
             d = sizes[key] = size_change(old, t, src, sign, degw, bitw, ti == tj)
         delta += d
+        if grid is not None:
+            lower += d + grid[ti][tj]
+            if lower > limit:
+                return None
     return delta
 
 
@@ -522,15 +530,20 @@ def _best_move(rec: _OpRecorder, groups, grid: list, pairs: dict, sizes: dict, d
 
     Groups are visited in the order of _group_bounds, and the scan ends at
     the first whose (bound, group index) exceeds the best's (delta, group
-    index).  With scored given, only a delta < 0 is a best and every
-    scored candidate is appended to scored, so a stall scores them all."""
+    index), and each candidate is cut at the best's delta.  With scored
+    given, only a delta < 0 is a best and every scored candidate is
+    appended to scored, so a stall scores them all in full."""
     best = None
     for bound, gi in _group_bounds(rec, groups, grid):
         if best is not None and (bound, gi) > best[:2]:
             break  # sorted: no later group is smaller either
         side, root = groups[gi]
         for pos, t in enumerate(_candidate_args(rec.m, rec.rs, root, side, pairs)):
-            move = (_move_delta(rec, root, t, side, degw, bitw, sizes), gi, pos, root, t, side)
+            cut = None if best is None else (grid, bound, best[0])
+            delta = _move_delta(rec, root, t, side, degw, bitw, sizes, cut)
+            if delta is None:
+                continue  # cut short: worse than the best
+            move = (delta, gi, pos, root, t, side)
             if scored is not None:
                 scored.append(move)
                 if move[0] >= 0:
@@ -572,9 +585,11 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
     first group whose (bound, group) exceeds the best's (delta, group)
     ends the scan, as no move of it or of a later group could win.  So the
     pass applies the moves, and builds the words and certificates, of the
-    exhaustive scan.  A stall step (no delta < 0) scores every candidate,
-    as the escape ranks them all; the escape's follow-up search is a plain
-    least move and prunes from its first best."""
+    exhaustive scan.  A candidate is cut, its scoring stopped, once its
+    scored lines' changes minus its other targets' sizes exceed the best
+    delta.  A stall step (no delta < 0) holds no best, so it neither prunes
+    nor cuts, as the escape ranks every candidate; its follow-up search is
+    a plain least move and prunes and cuts from its first best."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     groups = [(side, root) for side in sides for root in g.rs.roots]
     sizes: dict = {}

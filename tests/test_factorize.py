@@ -936,7 +936,9 @@ def test_stall_step_scores_every_candidate(monkeypatch):
 
 def test_group_bound_is_below_every_candidate_delta():
     # a group's bound, minus the target sizes of its lines with a nonzero
-    # source, is at most the delta of each of its candidates; checked over
+    # source, is at most the delta of each of its candidates; so is, after
+    # every prefix of those lines, the prefix's size changes minus the
+    # remaining targets' sizes, the bound _move_delta cuts on; checked over
     # three greedy steps of each weighting
     checked = 0
     for g in pass_inputs():
@@ -953,7 +955,22 @@ def test_group_bound_is_below_every_candidate_delta():
                 for bound, gi in bounds:
                     side, root = groups[gi]
                     for t in _candidate_args(rec.m, g.rs, root, side, pairs):
-                        assert _move_delta(rec, root, t, side, degw, bitw, sizes) >= bound
+                        delta = _move_delta(rec, root, t, side, degw, bitw, sizes)
+                        lines = [
+                            (sizes[(t, sign, rec.m[ti][tj], rec.m[si][sj], ti == tj)], grid[ti][tj])
+                            for ti, tj, si, sj, sign in g.rs.moves[side][root]
+                            if not rec.m[si][sj].is_zero()
+                        ]
+                        assert bound == -sum(size for _, size in lines)
+                        lower = bound
+                        assert lower <= delta
+                        for d, size in lines:
+                            lower += d + size
+                            assert lower <= delta
+                        assert lower == delta
+                        # the cut fires only on a limit below the delta
+                        assert _move_delta(rec, root, t, side, degw, bitw, sizes, (grid, bound, delta)) == delta
+                        assert _move_delta(rec, root, t, side, degw, bitw, sizes, (grid, bound, delta - 1)) is None
                         checked += 1
                 best = _best_move(rec, groups, grid, pairs, sizes, degw, bitw)
                 if best is None:
@@ -962,21 +979,52 @@ def test_group_bound_is_below_every_candidate_delta():
     assert checked > 10000
 
 
-def test_pruned_pass_generates_at_most_half_the_candidates(monkeypatch):
-    # the bound must keep skipping work: against the pass that scores every
-    # candidate, the pruned pass asks _candidate_args for at most half as
-    # many groups on the benchmark families
+def test_cut_candidates_lose_to_the_chosen_move(monkeypatch):
+    # a candidate _move_delta cuts short, scored again in full on a fresh
+    # memo, has a delta above the move its search returns, so cutting
+    # changes no step's choice; stall steps, escapes and follow-ups included
+    real_delta, real_best = factorize._move_delta, factorize._best_move
+    fulls: list = []
+    checked = 0
+
+    def spied_delta(rec, root, t, side, degw, bitw, sizes, cut=None):
+        delta = real_delta(rec, root, t, side, degw, bitw, sizes, cut)
+        if delta is None:
+            fulls.append(real_delta(rec, root, t, side, degw, bitw, {}))
+        return delta
+
+    def checked_best(*args):
+        nonlocal checked
+        fulls.clear()
+        best = real_best(*args)
+        assert best is not None or not fulls
+        assert all(full > best[0] for full in fulls), (fulls, best[0])
+        checked += len(fulls)
+        return best
+
+    monkeypatch.setattr(factorize, "_move_delta", spied_delta)
+    monkeypatch.setattr(factorize, "_best_move", checked_best)
+    for g in pass_inputs():
+        for sides, degw, bitw in _STRATEGIES:
+            _greedy_pass(g, sides, degw, bitw, DEFAULT_BUDGET.max_steps, {})
+    assert checked >= 5000
+
+
+def pruned_and_reference_calls(monkeypatch, name):
+    """Calls of factorize.<name> by heuristic_reduce on the benchmark
+    families, with the pruned pass and with the pass that scores every
+    candidate: (pruned, reference)."""
     calls = []
-    real_candidates = factorize._candidate_args
+    real = getattr(factorize, name)
 
     def counted(*args):
         calls.append(None)
-        return real_candidates(*args)
+        return real(*args)
 
     def reference(g, sides, degw, bitw, max_steps, pairs):
         return reference_pass(g, sides, degw, bitw, max_steps, pairs, [])
 
-    monkeypatch.setattr(factorize, "_candidate_args", counted)
+    monkeypatch.setattr(factorize, name, counted)
     gs = [eval_word(word, Z, nvars) for nvars, word in bench_family_words(range(9600, 9605))]
     for g in gs:
         heuristic_reduce(g)
@@ -985,4 +1033,20 @@ def test_pruned_pass_generates_at_most_half_the_candidates(monkeypatch):
     monkeypatch.setattr(factorize, "_greedy_pass", reference)
     for g in gs:
         heuristic_reduce(g)
-    assert 0 < pruned <= 0.5 * len(calls), (pruned, len(calls))
+    return pruned, len(calls)
+
+
+def test_pruned_pass_generates_at_most_half_the_candidates(monkeypatch):
+    # the bound must keep skipping work: against the pass that scores every
+    # candidate, the pruned pass asks _candidate_args for at most half as
+    # many groups on the benchmark families
+    pruned, reference = pruned_and_reference_calls(monkeypatch, "_candidate_args")
+    assert 0 < pruned <= 0.5 * reference, (pruned, reference)
+
+
+def test_pruned_pass_scores_at_most_half_the_lines(monkeypatch):
+    # the group bound and the cut inside _move_delta together must keep
+    # skipping lines: the pruned pass sizes at most half as many lines as
+    # the pass that scores every candidate on the benchmark families
+    pruned, reference = pruned_and_reference_calls(monkeypatch, "size_change")
+    assert 0 < pruned <= 0.5 * reference, (pruned, reference)
