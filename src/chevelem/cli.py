@@ -226,6 +226,19 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least low; a smaller count is a
+    usage error (exit 3), not a run over no inputs or a traceback."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError("%d is below %d" % (n, low))
+        return n
+
+    return count
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, which here means NotFactored;
     a usage error is invalid input.  Subparsers inherit this class."""
@@ -257,17 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel = sub.add_parser("relations", help="run the exact relation suites")
     p_rel.add_argument("--type", choices=("A", "C"), required=True)
     p_rel.add_argument("--rank", type=int, required=True)
-    p_rel.add_argument("--trials", type=int, default=100)
+    p_rel.add_argument("--trials", type=_at_least(1), default=100)
     p_rel.add_argument("--seed", type=int, default=0)
     p_rel.set_defaults(func=cmd_relations)
 
     p_round = sub.add_parser("roundtrip", help="factor random words and verify")
     p_round.add_argument("--type", choices=("A", "C"), required=True)
     p_round.add_argument("--rank", type=int, required=True)
-    p_round.add_argument("--vars", type=int, default=1)
-    p_round.add_argument("--trials", type=int, default=10)
+    p_round.add_argument("--vars", type=_at_least(0), default=1)
+    p_round.add_argument("--trials", type=_at_least(1), default=10)
     p_round.add_argument("--seed", type=int, default=0)
-    p_round.add_argument("--length", type=int, default=10)
+    p_round.add_argument("--length", type=_at_least(0), default=10)
     p_round.set_defaults(func=cmd_roundtrip)
 
     p_demo = sub.add_parser("demo", help="factor the flagship 3x3 example")

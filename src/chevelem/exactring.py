@@ -140,9 +140,6 @@ class BaseRing:
     def is_field(self) -> bool:
         return self.kind in (KIND_PRIME_FIELD, KIND_RATIONALS)
 
-    def zero(self):
-        return self.normalize(0)
-
     def one(self):
         return self.normalize(1)
 
@@ -234,27 +231,26 @@ def base_ring_from_str(text: str) -> BaseRing:
 class MultiPoly:
     """Sparse exact multivariate polynomial over a BaseRing.
 
-    The constructor packs exponent-tuple keys; normalized=True takes packed
-    keys and nonzero ring elements as they are.  Over Q and Z[1/s] `terms`
-    then holds int numerators over the denominator `den`, in lowest terms
-    (den is 1 over the other rings); the accessors return ring elements.
+    The constructor packs a dict from exponent tuples (one int >= 0 per
+    variable) to ints or exact rationals.  Over Q and Z[1/s] `terms` then
+    holds int numerators over the denominator `den`, in lowest terms (den
+    is 1 over the other rings); the accessors return ring elements.
     Immutable by contract: never mutate `terms` after construction.
     """
 
     __slots__ = ("base", "nvars", "terms", "den", "_hash")
 
-    def __init__(self, base: BaseRing, nvars: int, terms: dict, normalized: bool = False):
+    def __init__(self, base: BaseRing, nvars: int, terms: dict):
         self.base = base
         self.nvars = nvars
-        if not normalized:
-            packed = {}
-            for exps, c in terms.items():  # every key, also one with a zero coefficient
-                if type(exps) is not tuple or len(exps) != nvars or not (
-                    set(map(type, exps)) <= {int} and min(exps, default=0) >= 0
-                ):
-                    raise ValueError("exponent tuple %r is not %d ints >= 0" % (exps, nvars))
-                packed[_pack(exps)] = c
-            terms = _coerced(packed, base)
+        packed = {}
+        for exps, c in terms.items():  # every key, also one with a zero coefficient
+            if type(exps) is not tuple or len(exps) != nvars or not (
+                set(map(type, exps)) <= {int} and min(exps, default=0) >= 0
+            ):
+                raise ValueError("exponent tuple %r is not %d ints >= 0" % (exps, nvars))
+            packed[_pack(exps)] = c
+        terms = _coerced(packed, base)
         self.terms, self.den = _over_one_den(terms, base) if base.fractional else (terms, 1)
         self._hash = None
 
@@ -283,7 +279,8 @@ class MultiPoly:
             c = rng.randint(-bound, bound)
             if c:
                 terms[e] = terms.get(e, 0) + c
-        return MultiPoly(base, nvars, _coerced(terms, base), normalized=True)
+        terms = _coerced(terms, base)
+        return _poly(base, nvars, *(_over_one_den(terms, base) if base.fractional else (terms,)))
 
     @staticmethod
     def variable(base: BaseRing, nvars: int, index: int) -> "MultiPoly":
@@ -813,17 +810,10 @@ def annihilator_exponent(base: BaseRing, d, s):
     return None
 
 
-def s_valuation(base: BaseRing, c, s: int) -> int | None:
-    """Largest v with c / s^v still s-integral (negative when c has
-    denominators).  None for c = 0 (infinite valuation)."""
-    c = base.normalize(c)
-    if c == 0:
-        return None
-    return _s_valuation(c.numerator, c.denominator, s)
-
-
 def _s_valuation(num: int, den: int, s: int) -> int:
-    """s_valuation of num/den, not 0, from ints; lowest terms not needed."""
+    """The s-valuation of num/den, not 0: the largest v with num/den / s^v
+    still s-integral, negative when num/den has a denominator; lowest
+    terms not needed.  BaseMismatch for a denominator outside Z[1/s]."""
     if s in (1, -1):
         return 0
     s, g = abs(s), gcd(num, den)
@@ -863,11 +853,6 @@ def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
             return None
         k = max(k, (-v + cz - 1) // cz)
     return k
-
-
-def denominator_lcm(p: MultiPoly) -> int:
-    """LCM of coefficient denominators (1 for integral polynomials)."""
-    return p.den
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,12 @@ def dumps(data: dict) -> str:
 
 
 def save(path: str, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(data))
+    text = dumps(data)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def load(path: str) -> dict:

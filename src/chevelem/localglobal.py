@@ -29,7 +29,6 @@ from .exactring import (
     clearing_exponent,
     coeff_bits,
     convert,
-    denominator_lcm,
     poly_s_valuation,
 )
 from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
@@ -211,12 +210,14 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
     base, nvars = w.base_and_nvars()
     if base.kind not in ("Zloc",):
         raise PreconditionViolated("descent expects a word over Z[1/s]")
+    if s == 0 or not BaseRing.integers_localized(s).is_unit(base.param):
+        raise PreconditionViolated("s=%d does not invert the denominators of %s" % (s, base))
     gw = eval_word(w, base, nvars)
     if not gw.at_zero(z).is_identity():
         raise PreconditionViolated("word is not congruent to the identity at z=0")
 
     target = BaseRing.integers()
-    if all(denominator_lcm(arg) == 1 for _, arg in w.letters):
+    if all(arg.den == 1 for _, arg in w.letters):
         h = ElemWord(w.rs, [(r, convert(a, target)) for r, a in w.letters])
         return h, 0
 
@@ -371,11 +372,13 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget | None
     base = g.base
     if base.kind != "Z":
         raise PreconditionViolated("dilation certificates are built over Z here")
+    if s == 0:
+        raise PreconditionViolated("dilation needs a nonzero s, got s=0")
     nvars = g.nvars
     loc = BaseRing.integers_localized(s)
     if w_s.letters and w_s.base_and_nvars()[0] != loc:
         raise PreconditionViolated("word does not evaluate to the localized matrix")
-    integral = all(denominator_lcm(arg) == 1 for _, arg in w_s.letters)
+    integral = all(arg.den == 1 for _, arg in w_s.letters)
     if integral:
         w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
         # Z[x] -> Z[1/s][x] is injective: this is the check over Z[1/s]

@@ -340,23 +340,16 @@ def _minor(entries, one: MultiPoly, memo: dict, rows: int, cols: int) -> MultiPo
     return hit
 
 
-def membership_check(matrix, rs: RootSystem) -> bool:
-    """Exact invariant check: det = 1 (type A), M^T J M = J (type C)."""
-    if isinstance(matrix, GroupMatrix):
-        entries = matrix.entries
-    else:
-        entries = tuple(tuple(row) for row in matrix)
-    size = rs.matrix_size
-    if len(entries) != size or any(len(row) != size for row in entries):
-        raise SizeMismatch("expected %dx%d matrix for %s" % (size, size, rs))
-    base = entries[0][0].base
-    nvars = entries[0][0].nvars
+def membership_check(matrix: GroupMatrix, rs: RootSystem) -> bool:
+    """Exact invariant check of a GroupMatrix of rs's size (else
+    SizeMismatch): det = 1 (type A), M^T J M = J (type C)."""
+    m = matrix if matrix.rs is rs else GroupMatrix(rs, matrix.entries)
     if rs.kind == "A":
-        d = _det(entries, MultiPoly.const(base, nvars, 1))
+        base = m.base
+        d = _det(m.entries, MultiPoly.const(base, m.nvars, 1))
         return d.is_constant() and d.constant_term() == base.one()
     # M (-J M^T J) = I <=> M J M^T = J <=> M^T J M = J: a one-sided
     # inverse of a square matrix over a commutative ring is two-sided
-    m = GroupMatrix(rs, entries)
     return (m * m.inverse()).is_identity()
 
 

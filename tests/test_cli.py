@@ -426,6 +426,43 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert exc.value.code == EXIT_BAD_INPUT
 
 
+ROUNDTRIP_A2 = ["roundtrip", "--type", "A", "--rank", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relations", "--type", "A", "--rank", "2", "--trials", "0"],
+        ["relations", "--type", "A", "--rank", "2", "--trials", "-3"],
+        ROUNDTRIP_A2 + ["--trials", "-2"],
+        ROUNDTRIP_A2 + ["--vars", "-1"],
+        ROUNDTRIP_A2 + ["--length", "-1"],
+    ],
+)
+def test_count_out_of_range_is_a_usage_error(capsys, argv):
+    # not a PASS over no trials, a negative count echoed, or a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "is below" in capsys.readouterr().err
+
+
+def test_zero_vars_and_length_are_counts(capsys):
+    assert main(ROUNDTRIP_A2 + ["--trials", "1", "--vars", "0", "--length", "0"]) == EXIT_OK
+    assert "1 verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["demo", "factor"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, verb):
+    matrix_file = tmp_path / "m.json"
+    matrix_file.write_text(json.dumps(cohn_dict()))
+    argv = [verb, "--out", str(tmp_path / "missing" / "c.json")]
+    if verb == "factor":
+        argv += ["--in", str(matrix_file)]
+    assert main(argv) == EXIT_BAD_INPUT
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_verify_truncated_file(tmp_path):
     bad = tmp_path / "trunc.json"
     bad.write_text('{"group": {"type": "A"')

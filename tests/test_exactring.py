@@ -21,7 +21,9 @@ from chevelem.exactring import (
     MultiPoly,
     _coerced,
     _is_prime,
+    _over_one_den,
     _parse_general,
+    _poly,
     _read_canonical,
     add_product,
     annihilator_exponent,
@@ -29,12 +31,10 @@ from chevelem.exactring import (
     clearing_exponent,
     coeff_bits,
     convert,
-    denominator_lcm,
     emit_poly,
     leading_term_division,
     parse_poly,
     poly_s_valuation,
-    s_valuation,
     size_change,
     sum_of_products,
 )
@@ -109,7 +109,7 @@ def test_normalize_contract():
     for base, elem in ((Z, int), (Z12, int), (F5, int), (Q, Fraction), (ZHALF, Fraction)):
         for c in (0, 1, -3, 7, Fraction(6, 2)):
             assert type(base.normalize(c)) is elem
-        assert type(base.zero()) is elem and type(base.one()) is elem
+        assert type(base.one()) is elem
         assert type(MultiPoly.const(base, 1, 3).constant_term()) is elem
         assert type(MultiPoly(base, 1, {(1,): 3}).coefficient((1,))) is elem
     assert Z12.normalize(-1) == 11
@@ -262,6 +262,23 @@ def random_poly(rng, base, nvars, max_terms=5, max_deg=3):
         for _ in range(rng.randint(0, max_terms))
     }
     return MultiPoly(base, nvars, terms)
+
+
+def test_random_matches_the_constructor():
+    # random builds its packed terms directly; from the same draws the
+    # constructor must give the same terms over the same den
+    for base in DIFF_BASES:
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(20):
+            p = MultiPoly.random(rng, base, 2, 4, 3, 9)
+            terms: dict = {}
+            for _ in range(twin.randint(1, 4)):
+                e = tuple(twin.randint(0, 3) for _ in range(2))
+                c = twin.randint(-9, 9)
+                if c:
+                    terms[e] = terms.get(e, 0) + c
+            q = MultiPoly(base, 2, terms)
+            assert (p.terms, p.den) == (q.terms, q.den)
 
 
 def test_substitute_matches_reference():
@@ -454,12 +471,13 @@ def test_annihilator_mod12_matches_brute_force():
 
 
 def test_s_valuation():
-    assert s_valuation(ZHALF, Fraction(6), 2) == 1
-    assert s_valuation(ZHALF, Fraction(3, 8), 2) == -3
-    assert s_valuation(Z, 12, 6) == 1
-    assert s_valuation(Z, 0, 2) is None
+    # a constant's valuation is its coefficient's
+    assert poly_s_valuation(P("6", ZHALF), 2) == 1
+    assert poly_s_valuation(P("3/8", ZHALF), 2) == -3
+    assert poly_s_valuation(P("12", Z), 6) == 1
+    assert poly_s_valuation(P("0", Z), 2) is None
     assert poly_s_valuation(P("2*x1 + 8", ZHALF), 2) == 1
-    assert denominator_lcm(P("1/2*x1 + 1/3", Q)) == 6
+    assert P("1/2*x1 + 1/3", Q).den == 6
 
 
 # -- conversions -----------------------------------------------------------------
@@ -571,7 +589,10 @@ def test_parse_edge_cases(text, base, expected):
 
 def general(text, base, nvars):
     """parse_poly with the canonical reader left out."""
-    return MultiPoly(base, nvars, _coerced(_parse_general(text, nvars), base), normalized=True)
+    terms = _coerced(_parse_general(text, nvars), base)
+    if base.fractional:
+        return _poly(base, nvars, *_over_one_den(terms, base))
+    return _poly(base, nvars, terms)
 
 
 def outcome(parse, text, base, nvars):
@@ -1033,7 +1054,7 @@ def test_fraction_free_ring_matches_the_reference(base):
                     assert type(first[1]) is type(first[2]) is Fraction
             # the text form and the s-valuation helpers
             assert parse_poly(emit_poly(p), base, nvars) == p
-            assert denominator_lcm(p) == math.lcm(*(c.denominator for c in rp.values()))
+            assert p.den == math.lcm(*(c.denominator for c in rp.values()))
             if all(base_has(ZSIXTH, c) for c in rp.values()):
                 vals = [ref_valuation(c, s) for c in rp.values()]
                 assert poly_s_valuation(p, s) == (min(vals) if vals else None)

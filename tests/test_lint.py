@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+from test_bench_names import load_tracer
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
 TESTS = Path(__file__).resolve().parent
 
@@ -260,6 +262,39 @@ def test_every_reexport_has_a_user():
     exported = reexported_names(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
     unused = [name for name in exported if name not in read]
     assert exported and not unused, "re-exports with no user in src/ or bench/: " + ", ".join(unused)
+
+
+def public_definitions(tree):
+    """Names of a module's public top-level functions and classes, and of
+    the public methods of its classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                "%s.%s" % (node.name, f.name)
+                for f in node.body
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            ]
+    return out
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    # a name that only tests read is a helper to delete, not an API; the
+    # tracer's LAYERS read some names only as strings, and matrix_to_dict
+    # stays as the writer of the matrix format `chevelem factor --in` reads
+    bench = SRC.parents[1] / "bench"
+    read = {name for _, path, *_ in load_tracer().LAYERS for name in path.split(".")}
+    for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py")):
+        read |= names_read_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [
+        "%s: %s" % (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[-1] not in read
+    ]
+    assert unread == ["fileio.py: matrix_to_dict"], unread
 
 
 GLEX_KEY = re.compile(r"sum\(([\w\[\]]+)\), \1\b")

@@ -13,7 +13,7 @@ from chevelem.errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from chevelem.exactring import BaseRing, MultiPoly, convert, denominator_lcm, parse_poly
+from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.factorize import random_elementary_word
 from chevelem.localglobal import (
     Budget,
@@ -434,6 +434,16 @@ def test_descend_zero_budget_fails_fast(field):
         descend_word(half_conjugate_word(), 2, budget=Budget(**{field: 0}))
 
 
+def test_descend_word_refuses_an_s_that_leaves_denominators():
+    # the word has eighths: s = 0 inverts nothing and s = 1, 3 do not
+    # invert 2, so no dilation by s clears them; an even s does
+    w = nested_conjugate_word(A2, 70007)
+    for s in (0, 1, 3):
+        with pytest.raises(PreconditionViolated, match="s=%d " % s):
+            descend_word(w, s)
+    assert [check_descent(w, s)[1] for s in (2, -2, 4, 6)] == [3, 3, 2, 3]
+
+
 def test_descend_dilation_levels_fixed():
     """max_steps bounds greedy passes, not the dilation levels tried."""
     w = nested_conjugate_word(A2, 70012, depth=2)
@@ -517,7 +527,7 @@ def test_dilation_factor_letter_budget_bounds_the_descent():
     w_s = halfling_word(random.Random(21), A2, 5)
     m_loc = eval_word(w_s, ZHALF, 1)
     g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
-    assert any(denominator_lcm(a) > 1 for _, a in w_s.letters)
+    assert any(a.den > 1 for _, a in w_s.letters)
     with pytest.raises(DescentBudgetExceeded):
         dilation_factor(g, w_s, 2, budget=Budget(max_letters=0))
     cert = dilation_factor(g, w_s, 2)
@@ -563,7 +573,7 @@ def _direct_and_descended_certs():
     w_s = halfling_word(random.Random(21), A2, 5)
     m_loc = eval_word(w_s, ZHALF, 1)
     g2 = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
-    assert any(denominator_lcm(a) > 1 for _, a in w_s.letters)  # so it descends
+    assert any(a.den > 1 for _, a in w_s.letters)  # so it descends
     return direct, dilation_factor(g2, w_s, 2)
 
 
@@ -645,6 +655,8 @@ def test_dilation_factor_rejects_bad_word():
     wrong = ElemWord(A2, [(E12, const(Fraction(1), ZHALF))])
     with pytest.raises(PreconditionViolated):
         dilation_factor(g, wrong, 2)
+    with pytest.raises(PreconditionViolated, match="s=0"):
+        dilation_factor(g, map_word(w, ("localize", 2)), 0)
 
 
 def test_dilation_generator_rejects_incongruent_args():
@@ -698,7 +710,7 @@ def test_descend_word_refuses_a_wrong_expansion(monkeypatch):
     monkeypatch.setattr(GroupMatrix, "dilate", recorded)
     with pytest.raises(DescentBudgetExceeded):
         descend_word(incongruent_args_word(), 2)
-    assert any(denominator_lcm(p) > 1 for m in products for row in m.entries for p in row)
+    assert any(p.den > 1 for m in products for row in m.entries for p in row)
 
 
 def test_dilation_factor_refuses_words_not_over_the_localization():
@@ -707,7 +719,7 @@ def test_dilation_factor_refuses_words_not_over_the_localization():
     w, g = integral_word_and_matrix(random.Random(23), A2)
     assert dilation_factor(g, map_word(w, ("localize", 2)), 2).k == 0
     for wrong in (w, map_word(w, ("localize", 3))):
-        assert all(denominator_lcm(a) == 1 for _, a in wrong.letters)
+        assert all(a.den == 1 for _, a in wrong.letters)
         with pytest.raises(PreconditionViolated):
             dilation_factor(g, wrong, 2)
 

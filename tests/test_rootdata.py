@@ -245,7 +245,7 @@ def test_membership_identity_and_scaled():
     assert membership_check(ident, A2)
     bad = [list(row) for row in ident.entries]
     bad[0][0] = const(Z, 1, 2)
-    assert not membership_check(bad, A2)
+    assert not membership_check(GroupMatrix(A2, bad), A2)
 
 
 def test_membership_cohn_block():
@@ -255,12 +255,14 @@ def test_membership_cohn_block():
         [parse_poly("-4", Z, 1), parse_poly("1-2*x1", Z, 1), parse_poly("0", Z, 1)],
         [parse_poly("0", Z, 1), parse_poly("0", Z, 1), parse_poly("1", Z, 1)],
     ]
-    assert membership_check(e, A2)
+    assert membership_check(GroupMatrix(A2, e), A2)
 
 
 def test_membership_size_mismatch():
     with pytest.raises(SizeMismatch):
-        membership_check([[const(Z, 1, 1)]], A2)
+        membership_check(GroupMatrix(A2, [[const(Z, 1, 1)]]), A2)
+    with pytest.raises(SizeMismatch):  # a matrix of another root system's size
+        membership_check(GroupMatrix.identity(C2, Z, 1), A2)
 
 
 def test_inverse_rejects_determinant_not_one():
@@ -365,7 +367,7 @@ def test_symplectic_inverse_and_membership_read_the_form():
                 bad[i][i] = bad[i][i] + const(Z, nvars, 1)
                 bad_t = GroupMatrix(rs, list(zip(*bad)))
                 assert bad_t * J * GroupMatrix(rs, bad) != J
-                assert not membership_check(bad, rs)
+                assert not membership_check(GroupMatrix(rs, bad), rs)
 
 
 # -- commutators ------------------------------------------------------------------
