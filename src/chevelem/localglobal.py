@@ -149,14 +149,19 @@ def telescoping_chain(covering: CoveringData) -> list:
 def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
     """The exact matrix product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
 
-    Each g(a_j x1) is built once; the product starts from the first step.
+    g is inverted once and g(b x1)^{-1} is taken as g^{-1}(b x1), since
+    inversion commutes with the ring map x1 -> b x1; each g(a_j x1) is
+    built once.  A type-A g whose determinant is not 1 raises NotInGroup
+    even where every g(b x1) would be invertible (g(0), say); type C
+    takes the form inverse, which checks nothing.
     """
     points = [g.dilate(0, a) for a in chain]
     if len(points) < 2:
         return GroupMatrix.identity(g.rs, g.base, g.nvars)
-    out = points[0] * points[1].inverse()
-    for p, q in zip(points[1:], points[2:]):
-        out = out * p * q.inverse()
+    inv = g.inverse()
+    out = points[0] * inv.dilate(0, chain[1])
+    for p, b in zip(points[1:], chain[2:]):
+        out = out * p * inv.dilate(0, b)
     return out
 
 
@@ -202,9 +207,14 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
     when no dilation level gives a verified word, naming the stages that
-    stopped the levels (expansion refused by the budget, no clearing
-    exponent, dilated product not integral, check mismatch), each with
-    its count.
+    stopped the levels (expansion refused by the budget or by an s that
+    is not a unit of the base, no clearing exponent, dilated product not
+    integral, check mismatch), each with its count.
+
+    Levels 0 and 1 reserve the same power of s, so level 1's letters are
+    level 0's under z -> s z, with the same z-free letters: when level 0
+    finds no clearing exponent, level 1 is counted under that stage
+    without being expanded.
     """
     budget = budget or DEFAULT_BUDGET
     base, nvars = w.base_and_nvars()
@@ -223,6 +233,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
 
     stops = Counter()  # the levels each stage stopped
     for k0 in range(DILATION_LEVELS + 1):
+        if k0 == 1 and stops["no clearing exponent"]:
+            stops["no clearing exponent"] += 1
+            continue
         w0 = dilate_word(w, z, s, k0)
         letters = _expand_good(w0, z, s, k0, budget)
         if letters is None:
@@ -318,8 +331,11 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
 def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
     """Letters evaluating to x_gamma(t), with every root involved
     non-proportional to gamma.  Payload powers of s are reserved on the
-    constant slot so that later conjugations keep integral arguments."""
+    constant slot so that later conjugations keep integral arguments.
+    Returns None when s is not a unit of t's base, which it divides by."""
     base, nvars = t.base, t.nvars
+    if not base.is_unit(s):
+        return None
     t0 = t.dilate(z, 0)
     d1, d2, i0, j0, constants = opposite_decomposition(rs, gamma)
     n0 = dict(((i, j), n) for i, j, _, n in constants)[(i0, j0)]

@@ -284,7 +284,12 @@ class GroupMatrix:
         )
 
     def dilate(self, var: int, c) -> "GroupMatrix":
-        """Entrywise MultiPoly.dilate: the image under x_var -> c * x_var."""
+        """Entrywise MultiPoly.dilate: the image under x_var -> c * x_var;
+        with c = 1 it is self."""
+        if not 0 <= var < self.nvars:
+            raise ValueError("variable index %d out of range" % var)
+        if type(c) is int and c == 1:
+            return self
         return self.map_entries(lambda p: p.dilate(var, c))
 
     def at_zero(self, var: int) -> "GroupMatrix":

@@ -89,7 +89,8 @@ def eval_word(
 
     For the empty word the ambient ring is ambiguous; pass base/nvars
     explicitly or accept integers in one variable.  With onto the ring is
-    onto's, and letters over another ring raise BaseMismatch.  Over Q
+    onto's, letters over another ring raise BaseMismatch, and the empty
+    word gives onto itself (tagged with w's root system).  Over Q
     and Z[1/s] each entry keeps its own denominator beside its terms.
     """
     letters = w.letters
@@ -106,9 +107,11 @@ def eval_word(
     else:
         if onto.rs.matrix_size != w.rs.matrix_size:
             raise SizeMismatch("matrix sizes differ")
+        if not letters:
+            return onto if onto.rs is w.rs else GroupMatrix(w.rs, onto.entries)
         base, nvars = onto.base, onto.nvars
-        if letters:  # as GroupMatrix.__mul__ would check eval(w) against onto
-            letters[0][1]._check_compatible(onto.entries[0][0])
+        # as GroupMatrix.__mul__ would check eval(w) against onto
+        letters[0][1]._check_compatible(onto.entries[0][0])
         rows = [[dict(p.terms) for p in row] for row in onto.entries]
         dens = [[p.den for p in row] for row in onto.entries]
     # x_1 ... x_k * onto: each letter multiplies from the left, last first

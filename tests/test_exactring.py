@@ -369,10 +369,11 @@ def test_dilate_rejects_variable_out_of_range():
     ident = GroupMatrix.identity(build_root_system("A", 2), Z, 2)
     for target in (p, ident):
         for var in (-1, 2):
-            with pytest.raises(ValueError):
-                target.dilate(var, 3)
-            with pytest.raises(ValueError):
-                target.dilate(var, 0)
+            for c in (3, 0, 1):
+                with pytest.raises(ValueError):
+                    target.dilate(var, c)
+        # in range, x -> 1 * x is the identity map
+        assert target.dilate(1, 1) is target
 
 
 def test_substitute_error_branches():

@@ -122,28 +122,48 @@ def dilated(g, a):
 @pytest.mark.parametrize("rs", [A2, C2, A3], ids=["A2", "C2", "A3"])
 @pytest.mark.parametrize("chain", [[3], [1, 0], [1, -2, 5, 0]], ids=["1", "2", "4"])
 def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypatch):
-    # out * g(a x) * g(b x)^{-1} from the identity, step by step; each
-    # chain point is dilated once
+    # out * g(a x) * g(b x)^{-1} from the identity, step by step; g is
+    # inverted once, g is dilated once at each chain point and g^{-1} once
+    # at each point after the first
     g = eval_word(random_elementary_word(rs, 2500 + len(chain), 6), Z, 1)
     expect = GroupMatrix.identity(rs, Z, 1)
     for a, b in zip(chain, chain[1:]):
         expect = expect * dilated(g, a) * dilated(g, b).inverse()
-    calls = []
-    real = GroupMatrix.dilate
+    dilations, inverses = {"g": [], "inverse": []}, []
+    real_dilate, real_inverse = GroupMatrix.dilate, GroupMatrix.inverse
 
-    def counted(self, var, c):
-        calls.append(c)
-        return real(self, var, c)
+    def counted_dilate(self, var, c):
+        dilations["g" if self is g else "inverse"].append(c)
+        return real_dilate(self, var, c)
 
-    monkeypatch.setattr(GroupMatrix, "dilate", counted)
+    def counted_inverse(self):
+        inverses.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(GroupMatrix, "dilate", counted_dilate)
+    monkeypatch.setattr(GroupMatrix, "inverse", counted_inverse)
     assert telescoping_product(g, chain) == expect
-    assert calls == chain
+    assert inverses == [g] * (len(chain) > 1)
+    assert dilations == {"g": chain, "inverse": chain[1:]}
 
 
 def test_telescoping_product_refuses_a_non_member():
     # det = 2, so g(b x) has no inverse over Z[x]
     entries = [[const(2 if i == j == 0 else int(i == j)) for j in range(3)] for i in range(3)]
     g = GroupMatrix(A2, entries)
+    with pytest.raises(NotInGroup):
+        telescoping_product(g, [1, 0])
+
+
+def test_telescoping_product_refuses_a_non_member_with_invertible_points():
+    # det = 1 + x1: g(1 x) = g and g(0 x) = 1, so the product along
+    # [1, 0] would be g, but g is not in SL3(Z[x]) and its inverse is refused
+    x = MultiPoly.variable(Z, 1, 0)
+    entries = [
+        [x + const(1) if i == j == 0 else const(int(i == j)) for j in range(3)] for i in range(3)
+    ]
+    g = GroupMatrix(A2, entries)
+    assert g.at_zero(0).is_identity()
     with pytest.raises(NotInGroup):
         telescoping_product(g, [1, 0])
 
@@ -444,6 +464,18 @@ def test_descend_word_refuses_an_s_that_leaves_denominators():
     assert [check_descent(w, s)[1] for s in (2, -2, 4, 6)] == [3, 3, 2, 3]
 
 
+def test_descend_word_refuses_a_rewrite_that_divides_by_a_non_unit():
+    # s = 6 inverts 2, but an opposite rewrite divides by s, which is no
+    # unit of Z[1/2]: such levels are refused, not a leaked BaseMismatch,
+    # and a word that needs no such rewrite still descends at s = 6
+    for seed in (70005, 70010):
+        w = nested_conjugate_word(A2, seed)
+        with pytest.raises(DescentBudgetExceeded, match="expansion refused: 9$"):
+            descend_word(w, 6)
+        check_descent(w, 2)
+    assert check_descent(nested_conjugate_word(A2, 70007), 6)[1] == 3
+
+
 def test_descend_dilation_levels_fixed():
     """max_steps bounds greedy passes, not the dilation levels tried."""
     w = nested_conjugate_word(A2, 70012, depth=2)
@@ -546,6 +578,91 @@ def test_descent_names_the_stage_that_stopped_it():
     stage = "within 8 dilation levels; stopped by no clearing exponent: 9$"
     with pytest.raises(DescentBudgetExceeded, match=stage):
         dilation_factor(g, w_s, 2)
+
+
+def test_descent_counts_level_one_without_expanding_it(monkeypatch):
+    # level 0 finds no clearing exponent, so level 1, its dilation by s,
+    # is counted under that stage unexpanded: 8 expansions for 9 levels
+    w_s = halfling_word(random.Random(190), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    reserves = []
+    real = localglobal._expand_good
+
+    def counted(w0, z, s, reserve, budget):
+        reserves.append(reserve)
+        return real(w0, z, s, reserve, budget)
+
+    monkeypatch.setattr(localglobal, "_expand_good", counted)
+    stage = "within 8 dilation levels; stopped by no clearing exponent: 9$"
+    with pytest.raises(DescentBudgetExceeded, match=stage):
+        dilation_factor(g, w_s, 2)
+    assert reserves == [0, 2, 3, 4, 5, 6, 7, 8]
+
+
+def congruence_word(rng, rs):
+    """Congruence word over Z[1/2][z]: z-divisible payloads, alone or
+    conjugated by a half-integral letter on a root or on its opposite."""
+    z = zvar()
+    roots = list(rs.roots)
+
+    def payload():
+        c = Fraction(rng.choice([1, 2, 3, -1, -3]), 2 ** rng.randint(0, 3))
+        return (z ** rng.randint(1, 2)).scale(c)
+
+    shape = rng.choice(["plain", "conjugate", "opposite"])
+    if shape == "plain":
+        return ElemWord(rs, [(rng.choice(roots), payload()) for _ in range(rng.randint(1, 4))])
+    alpha = rng.choice(roots)
+    if shape == "conjugate":
+        beta = rng.choice([b for b in roots if not rs.proportional(b, alpha)])
+    else:
+        beta = tuple(-v for v in alpha)
+    conj = const(Fraction(rng.choice([1, -1]), 2 ** rng.randint(1, 3)), ZHALF)
+    letters = [(beta, conj)] + [(alpha, payload()) for _ in range(rng.randint(1, 2))]
+    return ElemWord(rs, letters + [(beta, -conj)])
+
+
+def descended_words(rs, seed):
+    """(word, z) pairs the descent expands: the word in two auxiliary
+    variables that dilation_factor builds from a halfling word, a nested
+    conjugate word and a congruence word."""
+    rng = random.Random(seed)
+    w_s = halfling_word(rng, rs, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(rs, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    seen = []
+    real = localglobal.descend_word
+
+    def recorded(w, s, z=0, budget=None):
+        seen.append((w, z))
+        return real(w, s, z=z, budget=budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(localglobal, "descend_word", recorded)
+        try:
+            dilation_factor(g, w_s, 2)
+        except DescentBudgetExceeded:
+            pass
+    return seen + [(nested_conjugate_word(rs, seed), 0), (congruence_word(rng, rs), 0)]
+
+
+@pytest.mark.parametrize("rs", [A2, C2], ids=["A2", "C2"])
+def test_level_one_expansion_is_level_zero_dilated(rs):
+    # both levels reserve s^1 on the constant slot, so expanding w(s z)
+    # gives w's expansion with every letter dilated by z -> s z
+    expanded = 0
+    for seed in range(190, 202):
+        for w, z in descended_words(rs, seed):
+            level0 = localglobal._expand_good(w, z, 2, 0, localglobal.DEFAULT_BUDGET)
+            if level0 is None:
+                continue
+            level1 = localglobal._expand_good(
+                dilate_word(w, z, 2, 1), z, 2, 1, localglobal.DEFAULT_BUDGET
+            )
+            assert level1 == [(r, a.dilate(z, 2)) for r, a in level0]
+            expanded += 1
+    assert expanded >= 30
 
 
 def test_dilation_factor_checks_descended_word(monkeypatch):

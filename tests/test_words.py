@@ -303,7 +303,7 @@ def test_eval_word_onto_is_the_product(base, rs):
                 w = ElemWord(rs, letters)
                 assert typed_entries(eval_word(w, onto=m)) == typed_entries(eval_word(w) * m)
             empty = eval_word(ElemWord.empty(rs), onto=m)
-            assert empty == m and typed_entries(empty) == before == typed_entries(m)
+            assert empty is m and typed_entries(m) == before
 
 
 def test_eval_word_onto_keeps_the_letter_order():
