@@ -21,7 +21,6 @@ g is not in the group; the full invariant check on g never runs.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ from .words import ElemWord, eval_word, free_reduce
 
 Z = BaseRing.integers()
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class FactorizationCertificate:
@@ -50,14 +47,6 @@ class FactorizationCertificate:
     word: ElemWord
     residual_constant: GroupMatrix
     verified: bool
-
-    @property
-    def word_length(self) -> int:
-        return len(self.word)
-
-    @property
-    def max_degree(self) -> int:
-        return self.word.max_degree()
 
     def check(self) -> bool:
         """Exact re-check: the residual is constant and in G(R), and
@@ -625,7 +614,7 @@ def _greedy_pass(g: GroupMatrix, sides, degw: int, bitw: int, max_steps: int, pa
     return rec
 
 
-def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
+def heuristic_reduce(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET):
     """Greedy elementary reduction: (left, r, right), free-reduced words
     left and right with eval(left) * r * eval(right) = g.
 
@@ -639,7 +628,6 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     pass stopped at, and a word for r gives g's word as left + word(r) +
     right.  A constant leftover outside the group raises NotInGroup.
     """
-    budget = budget or DEFAULT_BUDGET
     rs = g.rs
     best_rec = None
     best_score = None
@@ -648,17 +636,8 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
         rec = _greedy_pass(g, sides, degw, bitw, budget.max_steps, pairs)
         if _constant_matrix(rec.m):
             best_rec = rec
-            log.debug(
-                "greedy pass sides=%s degw=%d bitw=%d reduced to constants, "
-                "%d left ops %d right ops",
-                sides, degw, bitw, len(rec.left), len(rec.right),
-            )
             break
         score = _matrix_size(rec.m, 1, 1)
-        log.debug(
-            "greedy pass sides=%s degw=%d bitw=%d stalled at size %d",
-            sides, degw, bitw, score,
-        )
         if best_score is None or score < best_score:
             best_rec, best_score = rec, score
     r = best_rec.matrix()
@@ -685,7 +664,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget | None = None):
     return left, r, right
 
 
-def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> FactorizationCertificate:
+def factor_polynomial(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET) -> FactorizationCertificate:
     """Factor g in SL_N(Z[x..]) or Sp_2N(Z[x..]) into elementary letters.
 
     heuristic_reduce brings g down to a constant matrix and factors that
@@ -702,7 +681,6 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
     c = L^-1 g R^-1 is likewise checked by the Euclidean reduction.  A
     non-member raises NotInGroup, not NotFactored.
     """
-    budget = budget or DEFAULT_BUDGET
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
     _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
@@ -716,10 +694,8 @@ def factor_polynomial(g: GroupMatrix, budget: Budget | None = None) -> Factoriza
             "Budget.max_steps=%d spent in a pass); the stall matrix has %d terms "
             "of total degree up to %d" % ((budget.max_steps,) + size)
         )
-    word = left  # right is empty when r is the identity
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("heuristic stage: word length %d, max degree %d", len(word), word.max_degree())
-    return FactorizationCertificate(target=g, word=word, residual_constant=r, verified=True)
+    # right is empty when r is the identity
+    return FactorizationCertificate(target=g, word=left, residual_constant=r, verified=True)
 
 
 def _require_member(g: GroupMatrix) -> None:

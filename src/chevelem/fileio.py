@@ -91,8 +91,8 @@ def certificate_to_dict(cert: FactorizationCertificate) -> dict:
     out["word"] = word_to_records(cert.word)
     out["residual"] = [[p.to_text() for p in row] for row in cert.residual_constant.entries]
     out["verified"] = bool(cert.verified)
-    out["word_length"] = cert.word_length
-    out["max_degree"] = cert.max_degree
+    out["word_length"] = len(cert.word)
+    out["max_degree"] = cert.word.max_degree()
     return out
 
 

@@ -116,7 +116,7 @@ class CoveringData:
     def from_elements(elems, exponents=None) -> "CoveringData":
         """Builds coefficients by iterated extended gcd over Z."""
         elems = tuple(int(s) for s in elems)
-        exponents = tuple(exponents) if exponents else (1,) * len(elems)
+        exponents = (1,) * len(elems) if exponents is None else tuple(exponents)
         coeffs = _unit_combination(elems)
         return CoveringData(elems, coeffs, exponents)
 
@@ -128,12 +128,14 @@ class CoveringData:
 
 
 def _unit_combination(elems) -> tuple:
-    g = elems[0]
-    coeffs = [1]
+    if not elems:
+        raise CoveringInconsistent("empty covering")
+    g, coeffs = elems[0], [1]
     for s in elems[1:]:
-        g2, x, y = xgcd(g, s)
+        g, x, y = xgcd(g, s)
         coeffs = [c * x for c in coeffs] + [y]
-        g = g2
+    if g < 0:  # a lone element: xgcd makes every longer gcd non-negative
+        g, coeffs = -g, [-1]
     if g != 1:
         raise CoveringInconsistent("elements generate gcd %d, not the unit ideal" % g)
     return tuple(coeffs)
@@ -201,22 +203,21 @@ def dilate_word(w: ElemWord, z: int, s: int, k: int) -> ElemWord:
     return ElemWord(w.rs, [(r, a.dilate(z, s ** k)) for r, a in w.letters])
 
 
-def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget | None = None):
+def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGET):
     """Descend a congruence word over Z[1/s][z] to integral coefficients.
 
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
     when no dilation level gives a verified word, naming the stages that
-    stopped the levels (expansion refused by the budget or by an s that
-    is not a unit of the base, no clearing exponent, dilated product not
-    integral, check mismatch), each with its count.
+    stopped the levels (expansion refused by the budget, no clearing
+    exponent, dilated product not integral, check mismatch) with their
+    counts, or naming s when an opposite rewrite divides by a non-unit s.
 
     Levels 0 and 1 reserve the same power of s, so level 1's letters are
     level 0's under z -> s z, with the same z-free letters: when level 0
     finds no clearing exponent, level 1 is counted under that stage
     without being expanded.
     """
-    budget = budget or DEFAULT_BUDGET
     base, nvars = w.base_and_nvars()
     if base.kind not in ("Zloc",):
         raise PreconditionViolated("descent expects a word over Z[1/s]")
@@ -332,10 +333,11 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
     """Letters evaluating to x_gamma(t), with every root involved
     non-proportional to gamma.  Payload powers of s are reserved on the
     constant slot so that later conjugations keep integral arguments.
-    Returns None when s is not a unit of t's base, which it divides by."""
+    It divides by s, so an s that is no unit of t's base raises
+    DescentBudgetExceeded: every dilation level would fail alike."""
     base, nvars = t.base, t.nvars
     if not base.is_unit(s):
-        return None
+        raise DescentBudgetExceeded("rewrite divides by s=%d, not a unit of %s" % (s, base))
     t0 = t.dilate(z, 0)
     d1, d2, i0, j0, constants = opposite_decomposition(rs, gamma)
     n0 = dict(((i, j), n) for i, j, _, n in constants)[(i0, j0)]
@@ -375,7 +377,7 @@ class DilationCert:
     generator: object
 
 
-def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget | None = None) -> DilationCert:
+def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFAULT_BUDGET) -> DilationCert:
     """Build a dilation certificate, dilating in x1, from a local word for F_s(g).
 
     When w_s is already integral the certificate is direct with k = 0,
@@ -482,7 +484,7 @@ def patch(g: GroupMatrix, certs, covering: CoveringData) -> ElemWord:
             )
     chain = telescoping_chain(covering.raised())
     n = len(covering.elems)
-    word = ElemWord.empty(g.rs)
+    word = ElemWord(g.rs, [])
     for j in range(n):
         i = n - 1 - j
         step = certs[i][1].generator(chain[j], chain[j + 1])

@@ -33,10 +33,6 @@ class ElemWord:
         self.rs = rs
         self.letters = tuple(checked)
 
-    @staticmethod
-    def empty(rs: RootSystem) -> "ElemWord":
-        return ElemWord(rs, [])
-
     def __len__(self) -> int:
         return len(self.letters)
 

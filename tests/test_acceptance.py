@@ -268,7 +268,7 @@ def test_acceptance_6_flagship(tmp_path):
         "flagship factorization",
         ok,
         "verified=%s replay_exit=%d word_length=%d %.2fs < 10s"
-        % (exact, replay, cert.word_length, elapsed),
+        % (exact, replay, len(cert.word), elapsed),
     )
 
 

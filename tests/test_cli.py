@@ -17,6 +17,7 @@ from chevelem.cli import (
     EXIT_OK,
     cohn_matrix,
     main,
+    run_relation_suite,
 )
 from chevelem import exactring
 from chevelem.errors import ParseError, RankTooLow
@@ -29,7 +30,7 @@ from chevelem.fileio import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from chevelem.rootdata import GroupMatrix, build_root_system
+from chevelem.rootdata import GroupMatrix, RootSystem, build_root_system
 from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
@@ -100,6 +101,38 @@ def test_relations_rank_gate(capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["--type", "A", "--rank", "2", "--trials", "5", "--seed", "7"],
+            "relations A2: pairs=24 trials=5 commutator_failures=0 "
+            "additivity_failures=0 torus_failures=0\nresult: PASS\n",
+        ),
+        (
+            ["--type", "C", "--rank", "2", "--trials", "3", "--seed", "11"],
+            "relations C2: pairs=48 trials=3 commutator_failures=0 "
+            "additivity_failures=0 torus_failures=0\nresult: PASS\n",
+        ),
+    ],
+    ids=["A2", "C2"],
+)
+def test_relations_stdout_pinned(capsys, argv, expected):
+    assert main(["relations"] + argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("kind,failures", [("A", 35), ("C", 63)])
+def test_relations_torus_check_catches_a_wrong_pairing(monkeypatch, kind, failures):
+    # the torus check compares h x_b(t) with x_b(+-t) h; a pairing off by
+    # one flips the expected sign at u = -1, so only zero draws still pass
+    real = RootSystem.pairing
+    monkeypatch.setattr(RootSystem, "pairing", lambda rs, b, a: real(rs, b, a) + 1)
+    report = run_relation_suite(kind, 2, 5, 7)
+    assert report["failures"] == {"commutator": 0, "additivity": 0, "torus": failures}
+    assert not report["ok"]
+
+
 def test_relations_deterministic(capsys):
     main(["relations", "--type", "C", "--rank", "2", "--trials", "3", "--seed", "11"])
     first = capsys.readouterr().out
@@ -129,7 +162,7 @@ def test_factor_identity(tmp_path, capsys):
     matrix_file.write_text(json.dumps(data))
     assert main(["factor", "--in", str(matrix_file), "--out", str(cert_file)]) == EXIT_OK
     cert = certificate_from_dict(json.loads(cert_file.read_text()))
-    assert cert.word_length == 0
+    assert len(cert.word) == 0
 
 
 def test_factor_sl2_rejected(tmp_path, capsys):

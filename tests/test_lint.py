@@ -79,6 +79,28 @@ def test_no_unused_imports():
 STDLIB = frozenset(sys.stdlib_module_names)
 
 
+def test_library_is_silent():
+    # the JSON trace is the one observability channel: no module logs,
+    # and only the command line writes to stdout or stderr
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                modules = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                modules = [n.module or ""]
+            else:
+                modules = []
+            if "logging" in {m.split(".")[0] for m in modules}:
+                found.append("%s: imports logging" % path.name)
+            writes = (isinstance(n, ast.Name) and n.id == "print") or (
+                isinstance(n, ast.Attribute) and n.attr in ("stdout", "stderr")
+            )
+            if writes and path.name != "cli.py":
+                found.append("%s: writes output" % path.name)
+    assert found == [], found
+
+
 def test_runtime_is_standard_library_only():
     # pyproject.toml declares no runtime dependency, and the package
     # imports nothing but itself and the standard library

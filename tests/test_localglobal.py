@@ -16,6 +16,7 @@ from chevelem.errors import (
 from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
 from chevelem.factorize import random_elementary_word
 from chevelem.localglobal import (
+    DEFAULT_BUDGET,
     Budget,
     CoveringData,
     DilationCert,
@@ -87,6 +88,17 @@ def test_covering_validation():
         CoveringData.from_elements([2, 4])
     with pytest.raises(CoveringInconsistent):
         CoveringData((2, 3), (-1, 1), (0, 1))
+
+
+def test_covering_from_elements_edge_inputs():
+    with pytest.raises(CoveringInconsistent, match="empty covering"):
+        CoveringData.from_elements([])
+    # an empty exponent list is a list of the wrong length, not "all 1"
+    with pytest.raises(CoveringInconsistent, match="component lengths differ"):
+        CoveringData.from_elements([2, 3], [])
+    # -1 alone generates the unit ideal, as CoveringData itself accepts
+    assert CoveringData.from_elements([-1]) == CoveringData((-1,), (-1,), (1,))
+    assert CoveringData((-1,), (-1,), (3,)).raised() == CoveringData((-1,), (-1,), (1,))
 
 
 def test_chain_spec_example():
@@ -264,7 +276,7 @@ def zvar(base=ZHALF, nvars=1):
     return MultiPoly.variable(base, nvars, 0)
 
 
-def check_descent(w, s=2, z=0, budget=None):
+def check_descent(w, s=2, z=0, budget=DEFAULT_BUDGET):
     h, k = descend_word(w, s, z=z, budget=budget)
     base, nvars = w.base_and_nvars()
     lhs = eval_word(h, Z, nvars).map_entries(lambda p: convert(p, base))
@@ -466,12 +478,15 @@ def test_descend_word_refuses_an_s_that_leaves_denominators():
 
 def test_descend_word_refuses_a_rewrite_that_divides_by_a_non_unit():
     # s = 6 inverts 2, but an opposite rewrite divides by s, which is no
-    # unit of Z[1/2]: such levels are refused, not a leaked BaseMismatch,
+    # unit of Z[1/2]: the descent names s and the base rather than a spent
+    # budget or a leaked BaseMismatch, a spent budget still reads as one,
     # and a word that needs no such rewrite still descends at s = 6
     for seed in (70005, 70010):
         w = nested_conjugate_word(A2, seed)
-        with pytest.raises(DescentBudgetExceeded, match="expansion refused: 9$"):
+        with pytest.raises(DescentBudgetExceeded, match=r"s=6, not a unit of Z\[1/2\]$"):
             descend_word(w, 6)
+        with pytest.raises(DescentBudgetExceeded, match="expansion refused: 9$"):
+            descend_word(w, 6, budget=Budget(max_letters=0))
         check_descent(w, 2)
     assert check_descent(nested_conjugate_word(A2, 70007), 6)[1] == 3
 
@@ -634,7 +649,7 @@ def descended_words(rs, seed):
     seen = []
     real = localglobal.descend_word
 
-    def recorded(w, s, z=0, budget=None):
+    def recorded(w, s, z=0, budget=DEFAULT_BUDGET):
         seen.append((w, z))
         return real(w, s, z=z, budget=budget)
 
@@ -654,12 +669,10 @@ def test_level_one_expansion_is_level_zero_dilated(rs):
     expanded = 0
     for seed in range(190, 202):
         for w, z in descended_words(rs, seed):
-            level0 = localglobal._expand_good(w, z, 2, 0, localglobal.DEFAULT_BUDGET)
+            level0 = localglobal._expand_good(w, z, 2, 0, DEFAULT_BUDGET)
             if level0 is None:
                 continue
-            level1 = localglobal._expand_good(
-                dilate_word(w, z, 2, 1), z, 2, 1, localglobal.DEFAULT_BUDGET
-            )
+            level1 = localglobal._expand_good(dilate_word(w, z, 2, 1), z, 2, 1, DEFAULT_BUDGET)
             assert level1 == [(r, a.dilate(z, 2)) for r, a in level0]
             expanded += 1
     assert expanded >= 30
@@ -670,7 +683,7 @@ def test_dilation_factor_checks_descended_word(monkeypatch):
     # over Z, and the exact check must refuse the certificate
     real = localglobal.descend_word
 
-    def one_letter_short(w, s, z=0, budget=None):
+    def one_letter_short(w, s, z=0, budget=DEFAULT_BUDGET):
         h, k = real(w, s, z=z, budget=budget)
         assert len(h) > 0
         return ElemWord(h.rs, h.letters[1:]), k
