@@ -15,8 +15,9 @@ returned; NotFactored is never a claim of non-membership.  A word whose exact pr
 proves membership, so factor_polynomial checks only the constant-term
 matrix g(0) up front; after a stall it checks the stall matrix, which is
 in the group exactly when g is.  A constant leftover is factored by the
-Euclidean reduction, whose own membership check rejects it exactly when
-g is not in the group; the full invariant check on g never runs.
+Euclidean reduction, which is its own membership test: it reaches the
+identity exactly when g is in the group and otherwise raises NotInGroup
+where it meets the failure; the full invariant check on g never runs.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def _int_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _field_size(p: MultiPoly) -> int:
-    """Entries in k[x1] over a field k: sizes are shifted degrees."""
-    return 0 if p.is_zero() else p.degree_in(0) + 1
+    """Entries in k[x1], or in k with no variable: shifted total degrees."""
+    return 0 if p.is_zero() else p.total_degree() + 1
 
 
 def _field_quotient(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -244,17 +245,16 @@ def _reduce_type_c(rec: _OpRecorder, ring) -> None:
         _clear_pivot_row_c(rec, stage)
 
 
-def _euclid(g: GroupMatrix, ring, not_in_group: str) -> ElemWord:
+def _euclid(g: GroupMatrix, ring) -> ElemWord:
     """The Euclidean reduction of g in the ring's (size, quotient),
-    replayed as a word and multiplied back; raises NotInGroup(not_in_group)
-    when g fails the membership check."""
-    if not membership_check(g, g.rs):
-        raise NotInGroup(not_in_group)
+    replayed as a word and multiplied back.  It is the membership test:
+    every move is elementary, so only a member reaches the identity, and a
+    non-member raises NotInGroup where the reduction meets it (a zero
+    column, a non-unit pivot, a last pivot other than 1, a partner line
+    the symplectic form should have cleared)."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
     reduce = _reduce_type_a if g.rs.kind == "A" else _reduce_type_c
     reduce(rec, ring)
-    if not rec.matrix().is_identity():
-        raise NotInGroup("reduction did not reach the identity")
     word = free_reduce(rec.word())
     if eval_word(word, g.base, g.nvars) != g:
         raise NotInGroup("reduced word failed multiply-back verification")
@@ -264,13 +264,13 @@ def _euclid(g: GroupMatrix, ring, not_in_group: str) -> ElemWord:
 def factor_integer_sl(g: GroupMatrix) -> ElemWord:
     """Euclidean factorization of a constant matrix in SL_N(Z)."""
     _require_constant_int(g, "A")
-    return _euclid(g, (_int_size, _int_quotient), "determinant is not 1")
+    return _euclid(g, (_int_size, _int_quotient))
 
 
 def factor_integer_sp(g: GroupMatrix) -> ElemWord:
     """Pairwise Euclidean factorization of a constant matrix in Sp_2N(Z)."""
     _require_constant_int(g, "C")
-    return _euclid(g, (_int_size, _int_quotient), "matrix does not preserve the symplectic form")
+    return _euclid(g, (_int_size, _int_quotient))
 
 
 def _require_constant_int(g: GroupMatrix, kind: str) -> None:
@@ -291,7 +291,7 @@ def factor_univar_euclidean(g: GroupMatrix) -> ElemWord:
             for v in range(1, g.nvars):
                 if p.degree_in(v) > 0:
                     raise PreconditionViolated("entries must be univariate")
-    return _euclid(g, (_field_size, _field_quotient), "matrix fails the group invariant")
+    return _euclid(g, (_field_size, _field_quotient))
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +438,20 @@ def _rank1_difference(m):
     return None
 
 
-def _rank1_update(rec: _OpRecorder) -> bool:
-    """Apply the commutator word for (M - I) = v w^T; True on success."""
+def _rank1_update(rec: _OpRecorder) -> None:
+    """Apply the commutator word for (M - I) = v w^T, where one exists."""
     if rec.rs.kind != "A":
-        return False
+        return
     fact = _rank1_difference(rec.m)
     if fact is None:
-        return False
+        return
     v, w = fact
     size = len(rec.m)
     spare = next(
         (s for s in range(size) if v[s].is_zero() and w[s].is_zero()), None
     )
     if spare is None:
-        return False
+        return
     letters = []
     for i in range(size):
         if not v[i].is_zero():
@@ -470,7 +470,6 @@ def _rank1_update(rec: _OpRecorder) -> bool:
     )
     for root, t in reversed(full):
         rec.move(root, t, "left")
-    return rec.matrix().is_identity()
 
 
 _STRATEGIES = (

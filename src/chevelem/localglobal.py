@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
     PreconditionViolated,
@@ -209,9 +208,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
     when no dilation level gives a verified word, naming the stages that
-    stopped the levels (expansion refused by the budget, no clearing
-    exponent, dilated product not integral, check mismatch) with their
-    counts, or naming s when an opposite rewrite divides by a non-unit s.
+    stopped the levels (a named Budget field refusing the expansion, a
+    rewrite without a power of s, no clearing exponent, check mismatch)
+    with their counts, or naming s when a rewrite divides by a non-unit s.
 
     Levels 0 and 1 reserve the same power of s, so level 1's letters are
     level 0's under z -> s z, with the same z-free letters: when level 0
@@ -238,9 +237,10 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
             stops["no clearing exponent"] += 1
             continue
         w0 = dilate_word(w, z, s, k0)
-        letters = _expand_good(w0, z, s, k0, budget)
-        if letters is None:
-            stops["expansion refused"] += 1
+        try:
+            letters = _expand_good(w0, z, s, k0, budget)
+        except _Refused as refused:
+            stops[refused.args[0]] += 1
             continue
         # the smallest k1 making every argument integral after z -> s^k1 z
         ks = [clearing_exponent(arg, z, s) for _, arg in letters]
@@ -252,16 +252,11 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
         # s-power denominator back, so the lift to Z cannot fail
         h = ElemWord(w0.rs, [(r, convert(a.dilate(z, s ** k1), target)) for r, a in letters])
         k = k0 + k1
-        # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map.  Z[z]
-        # -> Z[1/s][z] is injective, so the match is checked over Z, and a
-        # product that is not integral matches no eval(h)
-        try:
-            rhs = gw.dilate(z, s ** k).map_entries(lambda p: convert(p, target))
-        except BaseMismatch:
-            stops["dilated product not integral"] += 1
-            continue
+        # eval(w)(s^k z) is eval(w(s^k z)): dilation is a ring map, and
+        # eval(h) lifts to Z[1/s] by a rewrap, its denominator being 1
         lhs = eval_word(h, target, nvars)
-        if lhs == rhs and lhs.at_zero(z).is_identity():
+        lifted = lhs.map_entries(lambda p: convert(p, base))
+        if lifted == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():
             return free_reduce(h), k
         stops["check mismatch"] += 1
     raise DescentBudgetExceeded(
@@ -270,10 +265,14 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
     )
 
 
+class _Refused(Exception):
+    """A level's expansion stopped; args[0] names the cause for the count."""
+
+
 def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
     """Rewrite eval(w0) as a flat word whose letters either carry
     z-divisible arguments (cleared later by dilation) or z-free integral
-    ones.  Returns None when stuck or over budget."""
+    ones.  Raises _Refused naming the Budget field spent or the rewrite."""
     rs = w0.rs
     conjugators = []
     payloads = []
@@ -291,11 +290,9 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
             if r.is_zero():
                 continue
             wseg = _flat_conj(rs, beta, r, wseg, z, s, reserve, budget)
-            if wseg is None:
-                return None
         out.extend(wseg)
         if len(out) > budget.max_letters:
-            return None
+            raise _Refused("expansion refused by Budget.max_letters")
     return reduce_letters(out)
 
 
@@ -308,24 +305,19 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
         if t.is_zero():
             continue
         if max(t.total_degree(), r_degree) > budget.max_degree:
-            return None
+            raise _Refused("expansion refused by Budget.max_degree")
         if coeff_bits(t) > budget.max_coeff_bits:
-            return None
+            raise _Refused("expansion refused by Budget.max_coeff_bits")
         if gamma == beta:
             out.append((gamma, t))
         elif gamma == neg_beta:
             rewritten = _opposite_rewrite(rs, gamma, t, z, s, reserve)
-            if rewritten is None:
-                return None
-            inner = _flat_conj(rs, beta, r, rewritten, z, s, reserve, budget)
-            if inner is None:
-                return None
-            out.extend(inner)
+            out.extend(_flat_conj(rs, beta, r, rewritten, z, s, reserve, budget))
         else:
             out.extend(commutator_expand(rs, beta, gamma, r, t).letters)
             out.append((gamma, t))
         if len(out) > budget.max_letters:
-            return None
+            raise _Refused("expansion refused by Budget.max_letters")
     return out
 
 
@@ -334,7 +326,8 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
     non-proportional to gamma.  Payload powers of s are reserved on the
     constant slot so that later conjugations keep integral arguments.
     It divides by s, so an s that is no unit of t's base raises
-    DescentBudgetExceeded: every dilation level would fail alike."""
+    DescentBudgetExceeded: every dilation level would fail alike.  A
+    z-free payload with too few powers of s to reserve raises _Refused."""
     base, nvars = t.base, t.nvars
     if not base.is_unit(s):
         raise DescentBudgetExceeded("rewrite divides by s=%d, not a unit of %s" % (s, base))
@@ -352,7 +345,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
             v = poly_s_valuation(part, s)
             m1 = v // const_power if v is not None else 1
             if m1 < 1:
-                return None
+                raise _Refused("opposite rewrite without a power of s")
         u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
         const_arg = MultiPoly.const(base, nvars, s ** m1)
         v1, v2 = (u, const_arg) if i0 == 1 else (const_arg, u)

@@ -157,9 +157,9 @@ class GroupMatrix:
     """Square polynomial matrix tagged with its root system.
 
     Membership (det = 1 for type A, M^T J M = J for type C) is not checked
-    on construction.  membership_check runs at the Euclidean entry points;
+    on construction.  The Euclidean entry points decide it by reducing;
     in factor_polynomial the verified word proves membership, and the full
-    check runs only on a failure path.
+    check runs only on g(0) and on a failure path.
     All entries share one base ring and nvars, so products check them once.
     """
 

@@ -502,6 +502,19 @@ def test_verify_truncated_file(tmp_path):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("verb", ["verify", "factor"])
+@pytest.mark.parametrize(
+    "content", [b'{"group": \xff\xfe', b"[" * 200000], ids=["bad-utf8", "deep-nesting"]
+)
+def test_unreadable_json_is_invalid_input(tmp_path, capsys, verb, content):
+    # a UnicodeDecodeError or a RecursionError in the reader is bad input
+    # (exit 3), not a crash that exits 1 like a rejected certificate
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([verb, "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert "cannot read" in capsys.readouterr().err
+
+
 # past the 4300 digits that int() reads by default
 HUGE_LITERAL = "1" + "0" * 5000
 

@@ -209,6 +209,85 @@ def test_euclid_entry_guards(factor, g, message):
         factor(g)
 
 
+def perturbed_members():
+    """(factor, g) for 600 seeded g: a member of A2, A3, C2 or C3, constant
+    over Z and univariate over Q or F5, with one entry moved by +-c, two
+    rows swapped, or one row scaled by c."""
+    rng = random.Random(39)
+    for rs in (A2, A3, C2, C3):
+        for base in (Z, Q, F5):
+            if base.is_field:
+                factor = factor_univar_euclidean
+            else:
+                factor = factor_integer_sl if rs.kind == "A" else factor_integer_sp
+            for seed in range(50):
+                word = random_elementary_word(
+                    rs, 39000 + seed, 5, max_degree=2 if base.is_field else 0, coeff_bound=3, base=base
+                )
+                rows = [list(row) for row in eval_word(word, base, 1).entries]
+                i, j = rng.sample(range(len(rows)), 2)
+                c = const(rng.choice([-2, -1, 1, 2, 3]), base)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    rows[i][j] = rows[i][j] + c
+                elif kind == 1:
+                    rows[i], rows[j] = rows[j], rows[i]
+                else:
+                    rows[i] = [p * c for p in rows[i]]
+                yield factor, GroupMatrix(rs, rows)
+
+
+def test_euclid_reduction_decides_membership(monkeypatch):
+    # every move is elementary, so the reduction reaches the identity only
+    # on a member and raises NotInGroup on the rest, with no invariant check
+    checked = []
+    real_check = factorize.membership_check
+
+    def counting_check(matrix, rs):
+        checked.append(matrix)
+        return real_check(matrix, rs)
+
+    monkeypatch.setattr(factorize, "membership_check", counting_check)
+    verdicts = []
+    for factor, g in perturbed_members():
+        try:
+            word = factor(g)
+        except NotInGroup:
+            verdicts.append(False)
+        else:
+            assert eval_word(word, g.base, g.nvars) == g
+            verdicts.append(True)
+        assert verdicts[-1] == membership_check(g, g.rs)
+    assert checked == []
+    assert len(verdicts) == 600 and 0 < sum(verdicts) < 600
+
+
+def test_factor_integer_sl_dense_sl20_within_ceiling():
+    # the reduction decides membership by itself, so no determinant of a
+    # dense 20 x 20 matrix is expanded before it runs
+    a19 = build_root_system("A", 19)
+    g = eval_word(random_elementary_word(a19, 7, 120, max_degree=0, coeff_bound=3), Z, 1)
+    previous = signal.signal(signal.SIGALRM, _raise_wall_ceiling)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        word = factor_integer_sl(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert eval_word(word, Z, 1) == g
+
+
+@pytest.mark.parametrize("base", [Q, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("rs", [A2, C2], ids=["A2", "C2"])
+def test_field_euclid_factors_matrices_in_no_variables(rs, base):
+    # a constant matrix in 0 variables has no x1 to size entries by
+    for seed in range(20):
+        g = eval_word(random_elementary_word(rs, seed, 5, nvars=0, coeff_bound=3, base=base), base, 0)
+        assert eval_word(factor_univar_euclidean(g), base, 0) == g
+        left, r, _ = heuristic_reduce(g)
+        assert r.is_identity() and eval_word(left, base, 0) == g
+
+
 # -- heuristic -----------------------------------------------------------------------
 
 

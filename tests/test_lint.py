@@ -192,6 +192,27 @@ def test_minors_expanded_only_by_minor():
     ], found
 
 
+def test_membership_checked_only_where_no_reduction_decides_it():
+    # the Euclidean reduction is its own membership test, so the invariant
+    # (a determinant, exponential in N for type A) is computed only on g(0)
+    # and the stall matrix, and on a certificate's residual
+    found = functions_with_line(
+        lambda line: "membership_check(" in line and "def membership_check(" not in line
+    )
+    assert found == [
+        "factorize.py: check",
+        "factorize.py: _require_member",
+    ], found
+
+
+def test_descent_refusals_raise_rather_than_return_none():
+    # each refusal raises its named cause where it happens; a None passed up
+    # the expansion would reach descend_word without one
+    refusers = {"localglobal.py: " + name for name in ("_expand_good", "_flat_conj", "_opposite_rewrite")}
+    found = functions_with_line(lambda line: re.fullmatch(r"\s*return( None)?\s*", line))
+    assert refusers.isdisjoint(found), found
+
+
 def test_only_rootdata_reads_the_unipotent_terms():
     # RootSystem derives its move table from unipotent_terms; every other
     # module applies or scores a letter through that table, so which

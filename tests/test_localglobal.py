@@ -462,7 +462,7 @@ def test_descend_budget_exhaustion():
 @pytest.mark.parametrize("field", ["max_letters", "max_degree", "max_coeff_bits"])
 def test_descend_zero_budget_fails_fast(field):
     check_descent(half_conjugate_word())  # descends under the default budget
-    with pytest.raises(DescentBudgetExceeded):
+    with pytest.raises(DescentBudgetExceeded, match=r"refused by Budget\.%s: " % field):
         descend_word(half_conjugate_word(), 2, budget=Budget(**{field: 0}))
 
 
@@ -485,7 +485,7 @@ def test_descend_word_refuses_a_rewrite_that_divides_by_a_non_unit():
         w = nested_conjugate_word(A2, seed)
         with pytest.raises(DescentBudgetExceeded, match=r"s=6, not a unit of Z\[1/2\]$"):
             descend_word(w, 6)
-        with pytest.raises(DescentBudgetExceeded, match="expansion refused: 9$"):
+        with pytest.raises(DescentBudgetExceeded, match=r"Budget\.max_letters: 9$"):
             descend_word(w, 6, budget=Budget(max_letters=0))
         check_descent(w, 2)
     assert check_descent(nested_conjugate_word(A2, 70007), 6)[1] == 3
@@ -494,8 +494,13 @@ def test_descend_word_refuses_a_rewrite_that_divides_by_a_non_unit():
 def test_descend_dilation_levels_fixed():
     """max_steps bounds greedy passes, not the dilation levels tried."""
     w = nested_conjugate_word(A2, 70012, depth=2)
-    with pytest.raises(DescentBudgetExceeded, match="within 8 dilation levels"):
+    with pytest.raises(DescentBudgetExceeded, match="within 8 dilation levels") as exc:
         descend_word(w, 2, budget=Budget())
+    # four levels meet a z-free payload with too few powers of s for the
+    # opposite rewrite; no Budget field ran out, so none is named
+    message = str(exc.value)
+    assert "stopped by opposite rewrite without a power of s: 4, no clearing exponent: 5" in message
+    assert "Budget." not in message
 
 
 # -- dilation certificates ------------------------------------------------------------
@@ -669,8 +674,9 @@ def test_level_one_expansion_is_level_zero_dilated(rs):
     expanded = 0
     for seed in range(190, 202):
         for w, z in descended_words(rs, seed):
-            level0 = localglobal._expand_good(w, z, 2, 0, DEFAULT_BUDGET)
-            if level0 is None:
+            try:
+                level0 = localglobal._expand_good(w, z, 2, 0, DEFAULT_BUDGET)
+            except localglobal._Refused:
                 continue
             level1 = localglobal._expand_good(dilate_word(w, z, 2, 1), z, 2, 1, DEFAULT_BUDGET)
             assert level1 == [(r, a.dilate(z, 2)) for r, a in level0]
@@ -825,8 +831,7 @@ def test_descend_word_refuses_a_wrong_expansion(monkeypatch):
     real = localglobal._expand_good
 
     def first_letter_dropped(*args):
-        letters = real(*args)
-        return None if letters is None else letters[1:]
+        return real(*args)[1:]
 
     products = []
     real_dilate = GroupMatrix.dilate
