@@ -531,19 +531,6 @@ class MultiPoly:
         out = {k << shift: c for k, c in self.terms.items()}
         return _poly(self.base, nvars, out, self.den)
 
-    def shrink_vars(self, nvars: int) -> "MultiPoly":
-        """Drop trailing variables, which must not occur."""
-        if nvars > self.nvars:
-            raise ValueError("shrink_vars cannot grow")
-        shift = _W * (self.nvars - nvars)
-        low = (1 << shift) - 1
-        out = {}
-        for k, c in self.terms.items():
-            if k & low:
-                raise BaseMismatch("variable beyond x%d still occurs" % nvars)
-            out[k >> shift] = c
-        return _poly(self.base, nvars, out, self.den)
-
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:

@@ -11,13 +11,13 @@ field reductions are public on their own.  Every reduction records its
 moves with one recorder, and every polynomial quotient, greedy or
 Euclidean, comes from one leading-term division.  Every word produced
 anywhere is re-evaluated exactly against its target before it is
-returned; NotFactored is never a claim of non-membership.  A word whose exact product is the target
-proves membership, so factor_polynomial checks only the constant-term
-matrix g(0) up front; after a stall it checks the stall matrix, which is
-in the group exactly when g is.  A constant leftover is factored by the
-Euclidean reduction, which is its own membership test: it reaches the
-identity exactly when g is in the group and otherwise raises NotInGroup
-where it meets the failure; the full invariant check on g never runs.
+returned; NotFactored is never a claim of non-membership.  A word whose
+exact product is the target proves membership, so factor_polynomial
+checks nothing up front, and after a stall only the stall matrix, which
+is in the group exactly when g is.  A constant leftover goes to the
+Euclidean reduction, its own membership test: it reaches the identity
+exactly when g is in the group and otherwise raises NotInGroup where it
+meets the failure; the full invariant check on g never runs.
 """
 
 from __future__ import annotations
@@ -672,17 +672,15 @@ def factor_polynomial(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET) -> Factor
     between the two words and raises NotFactored at once.
 
     Membership is proved by the word: heuristic_reduce multiplies it back
-    exactly, and a word whose product is g puts g in E(R[x..]).  Up front
-    only the constant-term matrix g(0) is checked, which is exact for
-    rejection since evaluation at 0 is a ring map.  A stall checks the
-    stall matrix r: g = L * r * R with L, R elementary (det 1, form kept),
-    so g is in the group exactly when r is; a constant leftover
-    c = L^-1 g R^-1 is likewise checked by the Euclidean reduction.  A
-    non-member raises NotInGroup, not NotFactored.
+    exactly, and a word whose product is g puts g in E(R[x..]).  Nothing
+    is checked up front.  A stall checks the stall matrix r: g = L * r * R
+    with L, R elementary (det 1, form kept), so g is in the group exactly
+    when r is; a constant leftover c = L^-1 g R^-1 is likewise checked by
+    the Euclidean reduction.  A non-member raises NotInGroup, not
+    NotFactored.
     """
     if g.base.kind != "Z":
         raise PreconditionViolated("factorization target must be over Z")
-    _require_member(g.map_entries(lambda p: MultiPoly.const(p.base, p.nvars, p.constant_term())))
     left, r, right = heuristic_reduce(g, budget)
     if not r.is_identity():
         _require_member(r)

@@ -34,12 +34,10 @@ from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
 from .words import (
     ElemWord,
     eval_word,
-    extend_word_vars,
     free_reduce,
     invert_word,
     map_word,
     reduce_letters,
-    shrink_word_vars,
 )
 
 DILATION_LEVELS = 8
@@ -151,18 +149,18 @@ def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
     """The exact matrix product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
 
     g is inverted once and g(b x1)^{-1} is taken as g^{-1}(b x1), since
-    inversion commutes with the ring map x1 -> b x1; each g(a_j x1) is
-    built once.  A type-A g whose determinant is not 1 raises NotInGroup
-    even where every g(b x1) would be invertible (g(0), say); type C
-    takes the form inverse, which checks nothing.
+    inversion commutes with the ring map x1 -> b x1.  A step with a = b
+    is the identity and is skipped.  A type-A g whose determinant is not 1
+    raises NotInGroup even where every g(b x1) would be invertible (g(0),
+    say); type C takes the form inverse, which checks nothing.
     """
-    points = [g.dilate(0, a) for a in chain]
-    if len(points) < 2:
-        return GroupMatrix.identity(g.rs, g.base, g.nvars)
+    out = GroupMatrix.identity(g.rs, g.base, g.nvars)  # __mul__ passes it through
+    if len(chain) < 2:
+        return out
     inv = g.inverse()
-    out = points[0] * inv.dilate(0, chain[1])
-    for p, b in zip(points[1:], chain[2:]):
-        out = out * p * inv.dilate(0, b)
+    for a, b in zip(chain, chain[1:]):
+        if a != b:
+            out = out * g.dilate(0, a) * inv.dilate(0, b)
     return out
 
 
@@ -256,8 +254,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
         # eval(h) lifts to Z[1/s] by a rewrap, its denominator being 1
         lhs = eval_word(h, target, nvars)
         lifted = lhs.map_entries(lambda p: convert(p, base))
+        # h is free-reduced: z -> s^k1 z and the lift keep _expand_good's letters nonzero
         if lifted == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():
-            return free_reduce(h), k
+            return h, k
         stops["check mismatch"] += 1
     raise DescentBudgetExceeded(
         "no verified descent within %d dilation levels; stopped by %s"
@@ -424,22 +423,16 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
 
     n2 = nvars + 2
     yv, zv = nvars, nvars + 1
-    loc_y = MultiPoly.variable(loc, n2, yv)
-    loc_z = MultiPoly.variable(loc, n2, zv)
-    loc_x = MultiPoly.variable(loc, n2, 0)
-    wx = extend_word_vars(w_s, n2)
-    part_a = map_word(wx, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
-    part_b = invert_word(map_word(wx, ("substitute", {0: loc_x * loc_y}, n2)))
+    loc_x, loc_y, loc_z = (MultiPoly.variable(loc, n2, v) for v in (0, yv, zv))
+    part_a = map_word(w_s, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
+    part_b = invert_word(map_word(w_s, ("substitute", {0: loc_x * loc_y}, n2)))
     w_f = part_a.concat(part_b)
 
     h, k = descend_word(w_f, s, z=zv, budget=budget)
 
-    int_y = MultiPoly.variable(base, n2, yv)
-    int_z = MultiPoly.variable(base, n2, zv)
-    int_x = MultiPoly.variable(base, n2, 0)
-    g_ext = g.map_entries(lambda p: p.extend_vars(n2))
-    g_xy = g_ext.substitute({0: int_x * int_y}, nvars_out=n2)
-    g_xyz = g_ext.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
+    int_x, int_y, int_z = (MultiPoly.variable(base, n2, v) for v in (0, yv, zv))
+    g_xy = g.substitute({0: int_x * int_y}, nvars_out=n2)
+    g_xyz = g.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
     # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
     if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
         raise PreconditionViolated("descended word differs from the dilated matrix over Z")
@@ -448,8 +441,9 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
         q, r = divmod(a - b, s ** k)
         if r:
             raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
-        img = {yv: MultiPoly.const(base, n2, b), zv: MultiPoly.const(base, n2, q)}
-        return shrink_word_vars(map_word(h, ("substitute", img, n2)), nvars)
+        # y and z go to constants, so the output ring drops them
+        img = {yv: MultiPoly.const(base, nvars, b), zv: MultiPoly.const(base, nvars, q)}
+        return map_word(h, ("substitute", img, nvars))
 
     return DilationCert(s=s, k=k, generator=verified_generator(descended))
 

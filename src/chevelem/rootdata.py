@@ -159,7 +159,7 @@ class GroupMatrix:
     Membership (det = 1 for type A, M^T J M = J for type C) is not checked
     on construction.  The Euclidean entry points decide it by reducing;
     in factor_polynomial the verified word proves membership, and the full
-    check runs only on g(0) and on a failure path.
+    check runs only on the stall matrix of a failed search.
     All entries share one base ring and nvars, so products check them once.
     """
 

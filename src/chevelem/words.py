@@ -206,10 +206,3 @@ def congruence_check(w: ElemWord, z: int) -> CongruenceTag:
         return CongruenceTag(variable=z, holds=True)
     return CongruenceTag(variable=z, holds=eval_word(w).at_zero(z).is_identity())
 
-
-def extend_word_vars(w: ElemWord, nvars: int) -> ElemWord:
-    return ElemWord(w.rs, [(r, a.extend_vars(nvars)) for r, a in w.letters])
-
-
-def shrink_word_vars(w: ElemWord, nvars: int) -> ElemWord:
-    return ElemWord(w.rs, [(r, a.shrink_vars(nvars)) for r, a in w.letters])

@@ -206,7 +206,8 @@ def reference_substitute(p, assignment, nvars_out):
     base = p.base
     images = {v: img.extend_vars(nvars_out) for v, img in assignment.items()}
     for v in range(p.nvars):
-        images.setdefault(v, MultiPoly.variable(base, nvars_out, v))
+        if v not in images:  # a dropped variable is always assigned
+            images[v] = MultiPoly.variable(base, nvars_out, v)
     out = MultiPoly.zero(base, nvars_out)
     for exps, c in p.exponent_items():
         term = MultiPoly.const(base, nvars_out, 1)
@@ -321,6 +322,29 @@ def test_substitute_matches_reference():
                     for v in range(nvars)
                 ]
                 assert evaluate(got, point) == evaluate(p, inner)
+    # a narrower output ring: nvars_out drops the trailing variables,
+    # each of which is assigned, and the kept ones may be too
+    for base in DIFF_BASES:
+        for _ in range(30):
+            nvars = rng.randint(2, 4)
+            nvars_out = rng.randint(1, nvars - 1)
+            p = random_poly(rng, base, nvars)
+            assignment = {
+                v: random_poly(rng, base, rng.randint(1, nvars_out), rng.choice([0, 1, 3]), 2)
+                for v in range(nvars)
+                if v >= nvars_out or rng.random() < 0.5
+            }
+            got = p.substitute(assignment, nvars_out)
+            assert got.nvars == nvars_out
+            assert typed_items(got) == typed_items(
+                reference_substitute(p, assignment, nvars_out)
+            )
+            point = [rng.randint(-3, 3) for _ in range(nvars_out)]
+            inner = [
+                evaluate(assignment[v], point) if v in assignment else point[v]
+                for v in range(nvars)
+            ]
+            assert evaluate(got, point) == evaluate(p, inner)
 
 
 @pytest.mark.parametrize("base", [Z, Z8, Z12, F5, Q, ZHALF], ids=str)

@@ -755,8 +755,8 @@ def test_factor_polynomial_greedy_stall_fails_fast(rs, seed, length):
 
 
 def test_stall_checks_membership_on_the_stall_matrix(monkeypatch):
-    # after a stall the invariant is checked on g(0) and on the matrix the
-    # greedy stopped at, never on g; the message sizes that matrix
+    # after a stall the invariant is checked only on the matrix the greedy
+    # stopped at, never on g; the message sizes that matrix
     checked = []
     real_check = factorize.membership_check
 
@@ -771,8 +771,7 @@ def test_stall_checks_membership_on_the_stall_matrix(monkeypatch):
     checked.clear()
     with pytest.raises(NotFactored) as exc:
         factor_polynomial(g)
-    assert len(checked) == 2 and checked[0].is_constant() and checked[1] == stall
-    assert all(m != g for m in checked)
+    assert checked == [stall] and stall != g
     terms = sum(len(p.coefficients()) for row in stall.entries for p in row)
     degree = max(p.total_degree() for row in stall.entries for p in row)
     assert "has %d terms of total degree up to %d" % (terms, degree) in str(exc.value)
@@ -808,8 +807,8 @@ def poly_matrix(rs, rows):
     ids=["SL3-diag", "C2-nonsymplectic", "SL3-perturbed-word"],
 )
 def test_factor_polynomial_nonmember_with_member_constant_term(make):
-    # g(0) passes the up-front check, so the rejection comes from the full
-    # invariant check on the failure path, within the stall test's ceiling
+    # g(0) is a member, so the rejection comes from the full invariant
+    # check on the failure path, within the stall test's ceiling
     g = make()
     constant = g.map_entries(lambda p: MultiPoly.const(Z, 1, p.constant_term()))
     assert membership_check(constant, g.rs) and not membership_check(g, g.rs)
@@ -824,9 +823,39 @@ def test_factor_polynomial_nonmember_with_member_constant_term(make):
     assert str(exc.value) == "matrix fails the group invariant"
 
 
+def perturbed_members_and_nonmembers():
+    """120 short A2/C2/A3 word matrices, each with +-1 or +-x1 added to one
+    entry: most leave the group, some (a zero cofactor, say) stay in it."""
+    for rs in (A2, C2, A3):
+        for seed in range(7000, 7040):
+            rng = random.Random(seed)
+            g = eval_word(random_elementary_word(rs, seed, 6, max_degree=1, coeff_bound=3), Z, 1)
+            rows = [list(row) for row in g.entries]
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            bump = MultiPoly.variable(Z, 1, 0) ** rng.randrange(2)
+            rows[i][j] = rows[i][j] + bump.scale(rng.choice([-1, 1]))
+            yield GroupMatrix(rs, rows)
+
+
+def test_factor_polynomial_rejects_exactly_the_nonmembers():
+    # with no up-front check, a non-member is still refused on every path
+    # (the Euclidean reduction or the stall check), and a member still
+    # gets a word that multiplies back to it
+    seen = set()
+    for g in perturbed_members_and_nonmembers():
+        member = membership_check(g, g.rs)
+        if member:
+            assert factor_polynomial(g).check()
+        else:
+            with pytest.raises(NotInGroup):
+                factor_polynomial(g)
+        seen.add(member)
+    assert seen == {True, False}
+
+
 def test_factor_polynomial_word_proves_membership(monkeypatch):
-    # on success the full polynomial g never reaches membership_check, and
-    # the returned word is multiplied back exactly once
+    # on success no matrix reaches membership_check, g(0) included: the
+    # word is the proof, and it is multiplied back exactly once
     checked, evaluated = [], []
     real_check, real_eval = factorize.membership_check, factorize.eval_word
 
@@ -849,7 +878,7 @@ def test_factor_polynomial_word_proves_membership(monkeypatch):
         evaluated.clear()
         cert = factor_polynomial(g)
         assert cert.verified and cert.residual_constant.is_identity()
-        assert checked and all(m != g for m in checked)
+        assert not checked
         assert sum(w == cert.word for w in evaluated) == 1
         assert real_eval(cert.word, g.base, g.nvars) == g
 

@@ -166,6 +166,14 @@ def test_substitute_called_only_for_maps_that_are_not_dilations():
     ], found
 
 
+def test_variable_count_changed_only_by_substitute():
+    # substitute widens the ring for its images and drops trailing
+    # variables through nvars_out; a separate extend or shrink pass would
+    # do that job a second time
+    found = functions_with_line(lambda line: ".extend_vars(" in line or "shrink_vars" in line)
+    assert found == ["exactring.py: substitute"], found
+
+
 def test_greedy_lines_scored_by_one_kernel():
     # a candidate line is scored by exactring.size_change without being
     # built, so factorize neither builds lines with add_product nor sizes
@@ -193,9 +201,10 @@ def test_minors_expanded_only_by_minor():
 
 
 def test_membership_checked_only_where_no_reduction_decides_it():
-    # the Euclidean reduction is its own membership test, so the invariant
-    # (a determinant, exponential in N for type A) is computed only on g(0)
-    # and the stall matrix, and on a certificate's residual
+    # the Euclidean reduction is its own membership test and a verified
+    # word proves membership, so the invariant (a determinant, exponential
+    # in N for type A) is computed only on the stall matrix and on a
+    # certificate's residual
     found = functions_with_line(
         lambda line: "membership_check(" in line and "def membership_check(" not in line
     )

@@ -30,7 +30,7 @@ from chevelem.localglobal import (
     xgcd,
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
-from chevelem.words import ElemWord, congruence_check, eval_word, map_word
+from chevelem.words import ElemWord, congruence_check, eval_word, free_reduce, map_word
 
 Z = BaseRing.integers()
 ZHALF = BaseRing.integers_localized(2)
@@ -132,11 +132,13 @@ def dilated(g, a):
 
 
 @pytest.mark.parametrize("rs", [A2, C2, A3], ids=["A2", "C2", "A3"])
-@pytest.mark.parametrize("chain", [[3], [1, 0], [1, -2, 5, 0]], ids=["1", "2", "4"])
+@pytest.mark.parametrize(
+    "chain", [[3], [1, 0], [1, -2, 5, 0], [1, 1, -2, 0]], ids=["1", "2", "4", "4-repeated"]
+)
 def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypatch):
     # out * g(a x) * g(b x)^{-1} from the identity, step by step; g is
-    # inverted once, g is dilated once at each chain point and g^{-1} once
-    # at each point after the first
+    # inverted once, and a step from a to b != a dilates g once at a and
+    # g^{-1} once at b; a step with a = b is the identity and builds nothing
     g = eval_word(random_elementary_word(rs, 2500 + len(chain), 6), Z, 1)
     expect = GroupMatrix.identity(rs, Z, 1)
     for a, b in zip(chain, chain[1:]):
@@ -156,7 +158,8 @@ def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypa
     monkeypatch.setattr(GroupMatrix, "inverse", counted_inverse)
     assert telescoping_product(g, chain) == expect
     assert inverses == [g] * (len(chain) > 1)
-    assert dilations == {"g": chain, "inverse": chain[1:]}
+    steps = [(a, b) for a, b in zip(chain, chain[1:]) if a != b]
+    assert dilations == {"g": [a for a, _ in steps], "inverse": [b for _, b in steps]}
 
 
 def test_telescoping_product_refuses_a_non_member():
@@ -284,6 +287,8 @@ def check_descent(w, s=2, z=0, budget=DEFAULT_BUDGET):
     assert lhs == rhs
     assert congruence_check(h, z).holds
     assert all(arg.base == Z for _, arg in h.letters)
+    if any(arg.den != 1 for _, arg in w.letters):  # not the integral pass-through
+        assert free_reduce(h) == h
     return h, k
 
 
