@@ -445,6 +445,13 @@ class MultiPoly:
         each product makes.  Over Q and Z[1/s] a term with x_v^e takes the
         factor d^(top-e) for an image with denominator d and top the degree
         in x_v, so that every term is over one denominator.
+
+        The degree cap is checked once per call: every term's image has
+        total degree at most deg(self) times the largest image degree (an
+        unassigned variable is its own image, of degree 1).  When that
+        bound is at most MAX_DEGREE the per-term products skip the
+        kernel's check; past it each keeps its own, so DegreeOverflow is
+        raised exactly when a product crosses the cap.
         """
         base, m, n = self.base, self.base.modulus, self.nvars
         if nvars_out is None:
@@ -463,6 +470,8 @@ class MultiPoly:
         clear = [(shift, dens[v], self.degree_in(v)) for v, shift in fields if dens[v] != 1]
         den = self.den * prod(d**top for _, d, top in clear)
         widen = _W * (nvars_out - n)  # negative when trailing variables go
+        widest = max([1] + [img.total_degree() for img in assignment.values()])
+        check = self.total_degree() * widest > MAX_DEGREE
         out: dict = {}
         powers: dict = {}
         for key, c in self.terms.items():
@@ -478,7 +487,7 @@ class MultiPoly:
                         pw = powers[(v, e)] = _pow_terms(images[v], e, nvars_out, m)
                     factor = pw if factor is None else _mul_terms(factor, pw, nvars_out, m)
             kept = key << widen if widen >= 0 else key >> -widen
-            _mul_add(out, {kept: c}, {0: 1} if factor is None else factor, nvars_out, m)
+            _mul_add(out, {kept: c}, {0: 1} if factor is None else factor, nvars_out, m, check)
         return _poly(base, nvars_out, out, den)
 
     def dilate(self, var: int, c) -> "MultiPoly":
@@ -763,7 +772,8 @@ def leading_term_division(a: MultiPoly, b: MultiPoly, limit=None):
             except BaseMismatch:
                 break
         q_terms[exps] = coeff
-        _mul_add(r, {exps: -coeff}, b.terms, nvars, m)
+        # every product key is at most lead_r, a key of r, so under the cap
+        _mul_add(r, {exps: -coeff}, b.terms, nvars, m, False)
     q = _poly(base, nvars, q_terms, dq)
     part = q if partial is None else _poly(base, nvars, *partial)
     return part, (None if r else q), first
@@ -942,16 +952,22 @@ def _fold(acc: dict, terms: dict, m: int | None = None) -> None:
             del acc[e]
 
 
-def _mul_add(acc: dict, a: dict, b: dict, nvars: int, m: int | None = None) -> None:
+def _mul_add(acc: dict, a: dict, b: dict, nvars: int, m: int | None = None,
+             check: bool = True) -> None:
     """acc += a * b in place on term dicts in nvars variables (mod m when
     given), dropping coefficients that cancel as _fold does: the one
     product loop.
 
     Packed keys multiply by +; the largest product key is checked against
-    the degree cap once per call, so no field carries."""
+    the degree cap once per call, so no field carries.  A caller that has
+    bounded the total degree of every product it makes by MAX_DEGREE
+    passes check=False to skip that scan and check; with a bound past
+    the cap it keeps the per-call check, so the call raises DegreeOverflow
+    exactly when its own product crosses the cap."""
     if not a or not b:
         return
-    _check_degree(max(a) + max(b), nvars)
+    if check:
+        _check_degree(max(a) + max(b), nvars)
     get = acc.get
     b_terms = b.items()
     for e1, c1 in a.items():

@@ -75,8 +75,11 @@ def word_to_records(w: ElemWord) -> list:
 def word_from_records(records, rs: RootSystem, base: BaseRing, nvars: int, spent: list) -> ElemWord:
     letters = []
     try:
-        for rec in records:
-            root = tuple(int(v) for v in rec["root"])
+        for i, rec in enumerate(records):
+            root = tuple(rec["root"])
+            if not all(type(v) is int for v in root):  # no float, str or bool
+                raise ParseError("word record %d: root %r is not a list of integers"
+                                 % (i, rec["root"]))
             arg = parse_poly(rec["arg"], base, nvars, spent=spent)
             letters.append((root, arg))
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BaseMismatch, SizeMismatch
-from .exactring import BaseRing, _fold_product, _mul_add, _poly, _reduced, convert
+from .exactring import MAX_DEGREE, BaseRing, _fold_product, _mul_add, _poly, _reduced, convert
 from .rootdata import GroupMatrix, RootSystem
 
 
@@ -88,6 +88,13 @@ def eval_word(
     onto's, letters over another ring raise BaseMismatch, and the empty
     word gives onto itself (tagged with w's root system).  Over Q
     and Z[1/s] each entry keeps its own denominator beside its terms.
+
+    The degree cap is checked once per word: each letter is I + tX with
+    X^2 = 0, so every entry of the product, and every product the fold
+    makes, has total degree at most onto's largest plus the sum of the
+    letters' degrees.  When that bound is at most MAX_DEGREE the kernel
+    skips its per-call check; past it every call keeps its own, so
+    DegreeOverflow is raised exactly when a product crosses the cap.
     """
     letters = w.letters
     if onto is None:
@@ -100,6 +107,7 @@ def eval_word(
         n = range(w.rs.matrix_size)
         rows = [[{0: 1} if i == j else {} for j in n] for i in n]
         dens = [[1 for _ in n] for _ in n]
+        top = 0
     else:
         if onto.rs.matrix_size != w.rs.matrix_size:
             raise SizeMismatch("matrix sizes differ")
@@ -110,6 +118,8 @@ def eval_word(
         letters[0][1]._check_compatible(onto.entries[0][0])
         rows = [[dict(p.terms) for p in row] for row in onto.entries]
         dens = [[p.den for p in row] for row in onto.entries]
+        top = max(p.total_degree() for row in onto.entries for p in row)
+    check = top + sum(arg.total_degree() for _, arg in letters) > MAX_DEGREE
     # x_1 ... x_k * onto: each letter multiplies from the left, last first
     m, moves = base.modulus, w.rs.moves["left"]
     # apply_moves copies each entry, as the greedy keeps old matrices as
@@ -124,7 +134,7 @@ def eval_word(
                     neg = -arg
                 t, d = (arg if sign > 0 else neg).terms, arg.den * dens[si][sj]
                 if d == dens[ti][tj] == 1:
-                    _mul_add(rows[ti][tj], t, src, nvars, m)
+                    _mul_add(rows[ti][tj], t, src, nvars, m, check)
                 else:  # over Q or Z[1/s]: lowest terms when the denominator grows
                     old = dens[ti][tj]
                     den = _fold_product(rows[ti][tj], old, t, src, d, nvars)

@@ -373,6 +373,23 @@ def test_verify_malformed_root(tmp_path, capsys):
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "root",
+    [[-1.4, 1.4, 0.3], [1.0, -1.0, 0.0], ["1", -1, 0], [True, -1, 0]],
+    ids=["fractional", "integral-float", "string", "bool"],
+)
+def test_verify_root_coordinates_are_ints(tmp_path, capsys, root):
+    # int() would read each of these as a root of A2; only ints are coordinates
+    data = certificate_to_dict(factor_polynomial(cohn_matrix()))
+    data["word"].insert(1, {"root": root, "arg": "x1"})
+    with pytest.raises(ParseError, match=r"word record 1: root .* not a list of integers"):
+        certificate_from_dict(data)
+    bad = tmp_path / "float_root.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+    assert "word record 1" in capsys.readouterr().err
+
+
 def test_verify_deep_parentheses(tmp_path, capsys):
     cert = factor_polynomial(cohn_matrix())
     data = certificate_to_dict(cert)

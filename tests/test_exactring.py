@@ -784,6 +784,16 @@ def test_degree_cap_pinned():
     assert (x1 ** (MAX_DEGREE - 1) * x2).exponent_items() == [((MAX_DEGREE - 1, 1), 1)]
 
 
+def test_substitute_bound_past_the_cap_checks_each_product():
+    # deg(p) times the largest image degree passes the cap, so each term's
+    # product is checked on its own: only a term that crosses the cap raises
+    x1, x2 = MultiPoly.variable(Z, 2, 0), MultiPoly.variable(Z, 2, 1)
+    p = x1**600000 * x2 + x2
+    assert p.substitute({1: x2**2}) == x1**600000 * x2**2 + x2**2
+    with pytest.raises(DegreeOverflow, match="exceeds the cap %d" % MAX_DEGREE):
+        p.substitute({1: x1**600000})
+
+
 def test_division_guard_bits_at_the_cap():
     # a quotient exponent below zero borrows from the field above and sets
     # its guard bit, also when the fields below the cap are full

@@ -589,6 +589,16 @@ def test_solved_word_is_handed_back_once():
         assert factor_polynomial(g).word == left == free_reduce(left)
 
 
+def test_multiply_back_refuses_a_broken_word(monkeypatch):
+    # a fault upstream of the multiply-back (here free_reduce dropping the
+    # last letter) is caught by it: no certificate comes back
+    real = factorize.free_reduce
+    monkeypatch.setattr(factorize, "free_reduce", lambda w: ElemWord(w.rs, real(w).letters[:-1]))
+    for g in (cohn_embedded(), eval_word(random_elementary_word(C2, 11, 6), Z, 1)):
+        with pytest.raises(NotInGroup, match="heuristic invariant broken"):
+            factor_polynomial(g)
+
+
 def test_certificate_check_multiplies_no_matrices(monkeypatch):
     # check folds the word onto the residual, so with a type-A residual,
     # whose membership is a determinant, it multiplies no two matrices

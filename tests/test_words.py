@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem.errors import BaseMismatch, SizeMismatch
-from chevelem.exactring import BaseRing, MultiPoly, convert, parse_poly
+from chevelem.errors import BaseMismatch, DegreeOverflow, SizeMismatch
+from chevelem.exactring import MAX_DEGREE, BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import GroupMatrix, build_root_system
 from chevelem.words import (
     CongruenceTag,
@@ -323,6 +323,39 @@ def test_eval_word_onto_refuses_another_ring():
             eval_word(w, onto=m)
     with pytest.raises(SizeMismatch):
         eval_word(ElemWord(A2, [(E12, const(1))]), onto=GroupMatrix.identity(C2, Z, 1))
+
+
+CAP_BASES = [Z, BaseRing.rationals(), BaseRing.integers_mod(4)]
+
+
+@pytest.mark.parametrize("base", CAP_BASES, ids=str)
+def test_eval_word_product_past_the_degree_cap(base):
+    # x12(a) x23(b) has a*b in its corner: degree 1200000, past the cap,
+    # whether b is a letter of the word or sits in onto
+    half = MultiPoly(base, 1, {(600000,): 1})
+    a, b = E12, (0, 1, -1)
+    w = ElemWord(A2, [(a, half), (b, half)])
+    for run in (
+        lambda: eval_word(w),
+        lambda: eval_word(w, onto=GroupMatrix.identity(A2, base, 1)),
+        lambda: eval_word(ElemWord(A2, [(a, half)]), onto=eval_word(ElemWord(A2, [(b, half)]))),
+    ):
+        with pytest.raises(DegreeOverflow, match="exceeds the cap %d" % MAX_DEGREE):
+            run()
+
+
+@pytest.mark.parametrize("base", CAP_BASES, ids=str)
+def test_eval_word_degrees_past_the_cap_whose_product_is_under_it(base):
+    # x12(a) x34(b) commute and never multiply a by b: the letters' degrees
+    # sum past the cap, so every product is checked, and none crosses it
+    A3 = build_root_system("A", 3)
+    half = MultiPoly(base, 1, {(600000,): 1})
+    w = ElemWord(A3, [((1, -1, 0, 0), half), ((0, 0, 1, -1), half)])
+    assert 2 * half.total_degree() > MAX_DEGREE
+    expect = [list(row) for row in GroupMatrix.identity(A3, base, 1).entries]
+    expect[0][1] = expect[2][3] = half
+    assert eval_word(w) == GroupMatrix(A3, expect)
+    assert eval_word(w, onto=GroupMatrix.identity(A3, base, 1)) == GroupMatrix(A3, expect)
 
 
 @pytest.mark.parametrize("rs", EVAL_SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
