@@ -12,6 +12,7 @@ from .errors import (
     CoveringInconsistent,
     DegreeOverflow,
     DescentBudgetExceeded,
+    InternalCheckFailed,
     NotAUnit,
     NotFactored,
     NotInGroup,

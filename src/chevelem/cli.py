@@ -1,11 +1,13 @@
 """Command-line surface: relations, factor, verify, roundtrip, demo.
 
-Exit codes: 0 success, 1 verification or relation failure, 2 not
-factored (NotFactored: no word found), 3 invalid input (usage errors,
-parse errors, rank gate, non-membership).  A verb lets a ChevElemError
-rise; main alone maps it to an exit code, NotFactored to 2 and any other
-to 3.  Reports on stdout are deterministic for fixed inputs and seeds;
-timing goes to stderr.
+Exit codes: 0 success, 1 verification or relation failure, or the
+program's own multiply-back refusing its word (InternalCheckFailed), 2
+not factored (NotFactored: no word found), 3 invalid input (usage
+errors, parse errors, rank gate, non-membership).  A verb lets a
+ChevElemError rise; main alone maps it to an exit code,
+InternalCheckFailed to 1, NotFactored to 2 and any other to 3.  Reports
+on stdout are deterministic for fixed inputs and seeds; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import sys
 import time
 
-from .errors import ChevElemError, NotFactored
+from .errors import ChevElemError, InternalCheckFailed, NotFactored
 from .exactring import BaseRing, MultiPoly, parse_poly
 from .factorize import factor_polynomial, random_elementary_word
 from .fileio import (
@@ -27,6 +29,7 @@ from .fileio import (
     save,
 )
 from .rootdata import (
+    FORM_SIGN,
     GroupMatrix,
     build_root_system,
     commutator_expand,
@@ -267,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_rel = sub.add_parser("relations", help="run the exact relation suites")
-    p_rel.add_argument("--type", choices=("A", "C"), required=True)
+    p_rel.add_argument("--type", choices=FORM_SIGN, required=True)
     p_rel.add_argument("--rank", type=int, required=True)
     p_rel.add_argument("--trials", type=_at_least(1), default=100)
     p_rel.add_argument("--seed", type=int, default=0)
     p_rel.set_defaults(func=cmd_relations)
 
     p_round = sub.add_parser("roundtrip", help="factor random words and verify")
-    p_round.add_argument("--type", choices=("A", "C"), required=True)
+    p_round.add_argument("--type", choices=FORM_SIGN, required=True)
     p_round.add_argument("--rank", type=int, required=True)
     p_round.add_argument("--vars", type=_at_least(0), default=1)
     p_round.add_argument("--trials", type=_at_least(1), default=10)
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
         print("not factored: %s" % exc, file=sys.stderr)
         print("the search found no word; this is not a non-membership proof", file=sys.stderr)
         return EXIT_NOT_FACTORED
+    except InternalCheckFailed as exc:
+        print("the program's own check failed, not the input: %s" % exc, file=sys.stderr)
+        return EXIT_MISMATCH
     except ChevElemError as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT

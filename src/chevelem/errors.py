@@ -18,7 +18,8 @@ class RankTooLow(ChevElemError):
 
 
 class UnsupportedType(ChevElemError):
-    """Root system type outside {A, C}."""
+    """Root system type that is no key of rootdata.FORM_SIGN, the table
+    every type's model is read off (A and C)."""
 
 
 class UnknownRoot(ChevElemError):
@@ -55,6 +56,11 @@ class CoveringInconsistent(ChevElemError):
 
 class NotInGroup(ChevElemError):
     """Matrix fails the group-membership invariant (det or form check)."""
+
+
+class InternalCheckFailed(ChevElemError):
+    """A word the program built failed its own exact multiply-back: a fault
+    in the program, never a verdict on the input."""
 
 
 class NotFactored(ChevElemError):

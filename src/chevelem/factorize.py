@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    InternalCheckFailed,
     NotFactored,
     NotInGroup,
     PreconditionViolated,
@@ -253,11 +254,10 @@ def _euclid(g: GroupMatrix, ring) -> ElemWord:
     column, a non-unit pivot, a last pivot other than 1, a partner line
     the symplectic form should have cleared)."""
     rec = _OpRecorder(g.rs, g.entries, MultiPoly.const(g.base, g.nvars, 1))
-    reduce = _reduce_type_a if g.rs.kind == "A" else _reduce_type_c
-    reduce(rec, ring)
+    (_reduce_type_c if g.rs.form else _reduce_type_a)(rec, ring)
     word = free_reduce(rec.word())
     if eval_word(word, g.base, g.nvars) != g:
-        raise NotInGroup("reduced word failed multiply-back verification")
+        raise InternalCheckFailed("reduced word failed multiply-back verification")
     return word
 
 
@@ -440,7 +440,7 @@ def _rank1_difference(m):
 
 def _rank1_update(rec: _OpRecorder) -> None:
     """Apply the commutator word for (M - I) = v w^T, where one exists."""
-    if rec.rs.kind != "A":
+    if rec.rs.form:
         return
     fact = _rank1_difference(rec.m)
     if fact is None:
@@ -646,10 +646,8 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET):
         # wrappers see the calls
         if g.base.kind != "Z":
             mid = factor_univar_euclidean(r)
-        elif rs.kind == "A":
-            mid = factor_integer_sl(r)
         else:
-            mid = factor_integer_sp(r)
+            mid = (factor_integer_sp if rs.form else factor_integer_sl)(r)
         left += mid.letters
         r = GroupMatrix.identity(rs, g.base, g.nvars)
     if r.is_identity():
@@ -659,7 +657,7 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET):
         left, right = free_reduce(ElemWord(rs, left)), free_reduce(ElemWord(rs, right))
         product = eval_word(left, onto=r * eval_word(right, g.base, g.nvars))
     if product != g:
-        raise NotInGroup("heuristic invariant broken")  # defensive; never expected
+        raise InternalCheckFailed("heuristic invariant broken")  # defensive; never expected
     return left, r, right
 
 

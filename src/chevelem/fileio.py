@@ -13,7 +13,7 @@ import json
 from .errors import ParseError, SizeMismatch
 from .exactring import BaseRing, base_ring_from_str, parse_poly
 from .factorize import FactorizationCertificate
-from .rootdata import GroupMatrix, RootSystem, build_root_system
+from .rootdata import GroupMatrix, RootSystem, build_root_system, model_size
 from .words import ElemWord
 
 
@@ -34,9 +34,7 @@ def _read_header(data: dict, rows_key: str):
         kind, rank, nvars = group["type"], group["rank"], data["nvars"]
         if type(rank) is not int or type(nvars) is not int:  # bool and float too
             raise TypeError("rank and nvars must be integers, got %r and %r" % (rank, nvars))
-        size = {"A": rank + 1, "C": 2 * rank}.get(kind) if rank >= 2 else None
-        if size is None:
-            build_root_system(kind, rank)  # raises UnsupportedType or RankTooLow
+        size = model_size(kind, rank)  # raises UnsupportedType or RankTooLow
         base = base_ring_from_str(data["base"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed header: %s" % exc) from exc

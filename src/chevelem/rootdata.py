@@ -3,9 +3,10 @@
 Type A_n is realized as SL_{n+1}; type C_n as Sp_{2n} with coordinates
 ordered (1, ..., n, n*, ..., 1*) and the symplectic form pairing i with i*
 with sign RootSystem.eps(i) (+1 in the upper right, -1 in the lower left).
+Every type rule is read off one table, FORM_SIGN, of the form's sign.
 Roots are integer vectors in the ambient coordinate basis.
 
-Nothing of the model is transcribed from tables.  The roots and their
+Nothing else of the model is transcribed from tables.  The roots and their
 unipotents are read off the form, and the Chevalley structure constants
 are derived at build time by expanding commutators of the model's
 unipotent matrices with formal arguments; the derived product is
@@ -32,23 +33,31 @@ def _dot(a: Root, b: Root) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+# type -> the sign of J[i][i*] from the rank on in the form J kept; 0: none
+FORM_SIGN = {"A": 0, "C": -1}
+
+
+def model_size(kind: str, rank: int) -> int:
+    """kind's matrix size at rank, else UnsupportedType, then RankTooLow."""
+    if kind not in FORM_SIGN:
+        raise UnsupportedType("type must be %s, got %r" % (" or ".join(FORM_SIGN), kind))
+    if rank < 2:
+        raise RankTooLow("isotropic rank >= 2 required, got rank %d" % rank)
+    return 2 * rank if FORM_SIGN[kind] else rank + 1
+
+
 class RootSystem:
     """Roots, Cartan pairings, and the unipotent matrix model for one type."""
 
     def __init__(self, kind: str, rank: int):
-        if kind not in ("A", "C"):
-            raise UnsupportedType("type must be A or C, got %r" % (kind,))
-        if rank < 2:
-            raise RankTooLow("isotropic rank >= 2 required, got rank %d" % rank)
-        self.kind = kind
-        self.rank = rank
-        self.matrix_size = size = rank + 1 if kind == "A" else 2 * rank
+        self.matrix_size = size = model_size(kind, rank)
+        self.kind, self.rank, self.form = kind, rank, FORM_SIGN[kind]
         star, eps = self.partner, self.eps
         # coordinate i has weight w(i) = eps(i) e_j, j = i where eps(i) = 1
-        # and j = i* where eps(i) = -1; E(r, c) has weight w(r) - w(c).  A
-        # type-C unipotent pairs E(r, c) with -eps(r) eps(c) E(c*, r*), the
+        # and j = i* where eps(i) = -1; E(r, c) has weight w(r) - w(c).  With
+        # a form, a unipotent pairs E(r, c) with -eps(r) eps(c) E(c*, r*), the
         # smaller row first, and is E(r, c) alone where c = r*
-        w = [[0] * (size if kind == "A" else rank) for _ in range(size)]
+        w = [[0] * (rank if self.form else size) for _ in range(size)]
         for i in range(size):
             w[i][i if eps(i) > 0 else star(i)] = eps(i)
         terms = {}
@@ -57,9 +66,12 @@ class RootSystem:
                 a = tuple(x - y for x, y in zip(w[r], w[c]))
                 if r != c and a not in terms:
                     terms[a] = ((r, c, 1),)
-                    if kind == "C" and c != star(r):
+                    if self.form and c != star(r):
                         terms[a] += ((star(c), star(r), -eps(r) * eps(c)),)
         self.roots: tuple = tuple(sorted(terms, reverse=True))
+        # the bound on |structure constant|: longest over shortest squared length
+        lengths = [_dot(a, a) for a in self.roots]
+        self.length_ratio = max(lengths) // min(lengths)
         self._root_set = set(self.roots)
         # root -> tuple of (row, col, sign): x_root(t) = I + t * sum sign*E(row,col)
         self.unipotent_terms = {a: terms[a] for a in self.roots}
@@ -98,9 +110,10 @@ class RootSystem:
         return self.matrix_size - 1 - i
 
     def eps(self, i: int) -> int:
-        """The sign of coordinate i in the form: J[i][i*] = eps(i), +1 in
-        type A and below the rank in type C, -1 from the rank on."""
-        return -1 if self.kind == "C" and i >= self.rank else 1
+        """The sign of coordinate i in the form: J[i][i*] = eps(i), +1
+        below the rank and where no form is kept, the table's sign from
+        the rank on."""
+        return self.form if self.form and i >= self.rank else 1
 
     def pairing(self, beta: Root, alpha: Root) -> int:
         """Cartan integer <beta, alpha> = 2 (beta, alpha) / (alpha, alpha)."""
@@ -252,9 +265,9 @@ class GroupMatrix:
 
     def inverse(self) -> "GroupMatrix":
         eps, star, m = self.rs.eps, self.rs.partner, self.entries
-        if self.rs.kind == "C":
-            # M^{-1} = -J M^T J for symplectic M; J is a signed permutation,
-            # so inv[i][j] = eps(i) eps(j) M[j*][i*]
+        if self.rs.form:
+            # M^{-1} = J^{-1} M^T J for M keeping the form J; J is a signed
+            # permutation, so inv[i][j] = eps(i) eps(j) M[j*][i*]
             def entry(i, j):
                 p = m[star(j)][star(i)]
                 return p if eps(i) == eps(j) else -p
@@ -347,9 +360,9 @@ def _minor(entries, one: MultiPoly, memo: dict, rows: int, cols: int) -> MultiPo
 
 def membership_check(matrix: GroupMatrix, rs: RootSystem) -> bool:
     """Exact invariant check of a GroupMatrix of rs's size (else
-    SizeMismatch): det = 1 (type A), M^T J M = J (type C)."""
+    SizeMismatch): M^T J M = J where rs keeps a form J, else det = 1."""
     m = matrix if matrix.rs is rs else GroupMatrix(rs, matrix.entries)
-    if rs.kind == "A":
+    if not rs.form:
         base = m.base
         d = _det(m.entries, MultiPoly.const(base, m.nvars, 1))
         return d.is_constant() and d.constant_term() == base.one()
@@ -435,8 +448,7 @@ def structure_constants(rs: RootSystem, alpha, beta):
         raise AssertionError(
             "structure constant derivation failed for %r, %r" % (a, b)
         )
-    limit = 1 if rs.kind == "A" else 2
-    if any(abs(n) > limit for _, _, _, n in constants):
+    if any(abs(n) > rs.length_ratio for _, _, _, n in constants):
         raise AssertionError("constant out of range for type %s" % rs.kind)
     out = tuple(constants)
     rs._commutator_cache[(a, b)] = out

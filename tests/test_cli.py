@@ -15,11 +15,12 @@ from chevelem.cli import (
     EXIT_MISMATCH,
     EXIT_NOT_FACTORED,
     EXIT_OK,
+    build_parser,
     cohn_matrix,
     main,
     run_relation_suite,
 )
-from chevelem import exactring
+from chevelem import exactring, factorize
 from chevelem.errors import ParseError, RankTooLow
 from chevelem.exactring import BaseRing, MultiPoly
 from chevelem.factorize import FactorizationCertificate, factor_polynomial, random_elementary_word
@@ -30,7 +31,7 @@ from chevelem.fileio import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from chevelem.rootdata import GroupMatrix, RootSystem, build_root_system
+from chevelem.rootdata import FORM_SIGN, GroupMatrix, RootSystem, build_root_system
 from chevelem.words import ElemWord, eval_word
 
 Z = BaseRing.integers()
@@ -120,6 +121,14 @@ def test_relations_rank_gate(capsys):
 def test_relations_stdout_pinned(capsys, argv, expected):
     assert main(["relations"] + argv) == EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+def test_type_choices_are_the_type_table():
+    # relations and roundtrip offer exactly the types rootdata models
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    for verb in ("relations", "roundtrip"):
+        action = next(a for a in verbs[verb]._actions if a.dest == "type")
+        assert list(action.choices) == list(FORM_SIGN)
 
 
 @pytest.mark.parametrize("kind,failures", [("A", 35), ("C", 63)])
@@ -249,6 +258,19 @@ def test_factor_nonmember_rejected(tmp_path, capsys):
     matrix_file = tmp_path / "bad.json"
     matrix_file.write_text(json.dumps(data))
     assert main(["factor", "--in", str(matrix_file)]) == EXIT_BAD_INPUT
+
+
+def test_factor_internal_fault_is_not_invalid_input(tmp_path, capsys, monkeypatch):
+    # a fault in the program (here free_reduce dropping the last letter)
+    # trips its own multiply-back: exit 1, not 3, on a valid SL3(Z[x]) member
+    real = factorize.free_reduce
+    monkeypatch.setattr(factorize, "free_reduce", lambda w: ElemWord(w.rs, real(w).letters[:-1]))
+    matrix_file = tmp_path / "cohn3.json"
+    matrix_file.write_text(json.dumps(cohn_dict()))
+    assert main(["factor", "--in", str(matrix_file)]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "own check failed" in err and "invalid input" not in err
 
 
 def test_factor_determinism(tmp_path, capsys):

@@ -13,6 +13,7 @@ from chevelem import factorize, fileio
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     BaseMismatch,
+    InternalCheckFailed,
     NotFactored,
     NotInGroup,
     PreconditionViolated,
@@ -595,8 +596,27 @@ def test_multiply_back_refuses_a_broken_word(monkeypatch):
     real = factorize.free_reduce
     monkeypatch.setattr(factorize, "free_reduce", lambda w: ElemWord(w.rs, real(w).letters[:-1]))
     for g in (cohn_embedded(), eval_word(random_elementary_word(C2, 11, 6), Z, 1)):
-        with pytest.raises(NotInGroup, match="heuristic invariant broken"):
+        with pytest.raises(InternalCheckFailed, match="heuristic invariant broken"):
             factor_polynomial(g)
+
+
+@pytest.mark.parametrize(
+    "factor, rs, base",
+    [(factor_integer_sl, A3, Z), (factor_integer_sp, C2, Z), (factor_univar_euclidean, A2, Q),
+     (factor_univar_euclidean, C2, F5)],
+    ids=["sl", "sp", "univar-A2-Q", "univar-C2-F5"],
+)
+def test_euclid_multiply_back_refuses_a_broken_word(monkeypatch, factor, rs, base):
+    # a fault between the Euclidean reduction and its multiply-back (here
+    # free_reduce dropping the last letter) is the program's, not the input's
+    real = factorize.free_reduce
+    monkeypatch.setattr(factorize, "free_reduce", lambda w: ElemWord(w.rs, real(w).letters[:-1]))
+    for seed in range(5):
+        word = random_elementary_word(
+            rs, 42000 + seed, 6, max_degree=2 if base.is_field else 0, coeff_bound=3, base=base
+        )
+        with pytest.raises(InternalCheckFailed, match="failed multiply-back verification"):
+            factor(eval_word(word, base, 1))
 
 
 def test_certificate_check_multiplies_no_matrices(monkeypatch):

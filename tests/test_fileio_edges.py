@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from chevelem import rootdata
-from chevelem.errors import BaseMismatch, NotAUnit, ParseError, SizeMismatch
+from chevelem.errors import (
+    BaseMismatch,
+    NotAUnit,
+    ParseError,
+    RankTooLow,
+    SizeMismatch,
+    UnsupportedType,
+)
 from chevelem.cli import cohn_matrix
 from chevelem.exactring import (
     MAX_PARSE_PRODUCTS,
@@ -93,6 +100,35 @@ def test_header_shape_refused_before_building(rows):
         with pytest.raises(SizeMismatch, match="expected 1001x1001 matrix"):
             read(dict(header, **{key: rows}))
     assert ("A", 1000) not in rootdata._ROOT_SYSTEM_CACHE
+
+
+THREE_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "kind, rank, error, message",
+    [
+        ("B", 2, UnsupportedType, "type must be A or C, got 'B'"),
+        ("D", 2, UnsupportedType, "type must be A or C, got 'D'"),
+        ("A", 1, RankTooLow, "isotropic rank >= 2 required, got rank 1"),
+        (["A"], 2, ParseError, "malformed header: unhashable type: 'list'"),
+        (["A"], 1, ParseError, "malformed header: unhashable type: 'list'"),
+        ("A", True, ParseError, "malformed header: rank and nvars must be integers, got True and 1"),
+        ("C", 2, SizeMismatch, "expected 4x4 matrix for RootSystem(C, 2)"),
+        ("A", 50, SizeMismatch, "expected 51x51 matrix for RootSystem(A, 50)"),
+    ],
+    ids=["type-B", "type-D", "rank-1", "list-type", "list-type-rank-1", "bool-rank", "C2-3x3",
+         "A50-3x3"],
+)
+def test_header_refusals_build_nothing(kind, rank, error, message):
+    # the type and the size of a header are judged before any root system
+    # is built, each refusal with its own class and message
+    cached = dict(rootdata._ROOT_SYSTEM_CACHE)
+    d = {"group": {"type": kind, "rank": rank}, "base": "Z", "nvars": 1, "entries": THREE_ROWS}
+    with pytest.raises(error) as caught:
+        matrix_from_dict(d)
+    assert str(caught.value) == message
+    assert rootdata._ROOT_SYSTEM_CACHE == cached
 
 
 def test_unknown_base_string():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from test_bench_names import load_tracer
 
+from chevelem.rootdata import FORM_SIGN
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "chevelem"
 TESTS = Path(__file__).resolve().parent
 
@@ -252,10 +254,36 @@ def test_form_sign_read_only_through_eps():
                 name = max(inner, key=lambda f: f.lineno).name if inner else "<module>"
                 found.append("%s: %s" % (path.name, name))
     assert sorted(found) == [
-        "fileio.py: _read_header",
-        "rootdata.py: __init__",
         "rootdata.py: eps",
+        "rootdata.py: model_size",
     ], found
+
+
+def is_type_letter(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FORM_SIGN
+
+
+def test_type_letters_spelled_only_in_rootdata():
+    # rootdata.FORM_SIGN is the one table that knows the types: outside
+    # rootdata no module compares a type letter or lists the letters, so a
+    # new type is one entry there (passing a letter, as to
+    # build_root_system, compares nothing)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "rootdata.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Compare):
+                operands = [n.left] + n.comparators
+            elif isinstance(n, (ast.Tuple, ast.List, ast.Set)):
+                operands = n.elts
+            elif isinstance(n, ast.Dict):
+                operands = n.keys
+            else:
+                continue
+            if any(map(is_type_letter, operands)):
+                found.append("%s:%d" % (path.name, n.lineno))
+    assert found == [], found
 
 
 def test_units_decided_only_by_base_ring():

@@ -1,0 +1,139 @@
+"""Mutation check of the floor: every exact check must fail a test when
+it is removed.
+
+Each mutant is a (file, old text, new text) triple that removes or weakens
+one exact check, or breaks the code or the type rule a check guards.  The
+old text must occur exactly once in its file.  Mutants run one at a time,
+each applied to a fresh temporary copy of the repository, where
+``python -m pytest -q -x`` runs with PYTHONPATH=src.  The script prints
+killed or survived for each, with the first failing test, and exits 1 if
+any mutant survives.  It uses the standard library only and is not part
+of Tier-1: a survivor costs one full Tier-1 run.
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = "src/chevelem/"
+
+MUTANTS = (
+    # a certificate's residual is not checked for membership
+    (SRC + "factorize.py",
+     "if not (res.is_constant() and membership_check(res, g.rs)):",
+     "if not res.is_constant():"),
+    # matrix equality ignores row 0
+    (SRC + "rootdata.py",
+     "return self.rs == other.rs and self.entries == other.entries",
+     "return self.rs == other.rs and self.entries[1:] == other.entries[1:]"),
+    # is_identity ignores the off-diagonal entries
+    (SRC + "rootdata.py",
+     "                elif not p.is_zero():\n                    return False",
+     "                elif False:\n                    return False"),
+    # free reduction merges two letters of one root by subtraction
+    (SRC + "words.py",
+     "merged = stack[-1][1] + arg",
+     "merged = stack[-1][1] - arg"),
+    # type-A membership accepts any constant determinant
+    (SRC + "rootdata.py",
+     "return d.is_constant() and d.constant_term() == base.one()",
+     "return d.is_constant()"),
+    # type-C membership accepts every matrix
+    (SRC + "rootdata.py",
+     "return (m * m.inverse()).is_identity()",
+     "return True"),
+    # patch's final multiply-back
+    (SRC + "localglobal.py",
+     "if eval_word(word, onto=g.at_zero(0)) != g:",
+     "if False:"),
+    # the descent's check of each dilation level
+    (SRC + "localglobal.py",
+     "if lifted == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():",
+     "if True:"),
+    # the dilation generator's check of its word
+    (SRC + "localglobal.py",
+     "if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):",
+     "if False:"),
+    # dilation_factor's check of the localized word
+    (SRC + "localglobal.py",
+     "    if not matches:\n",
+     "    if False:\n"),
+    # dilation_factor's check of the descended word
+    (SRC + "localglobal.py",
+     "if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):",
+     "if False:"),
+    # heuristic_reduce's multiply-back
+    (SRC + "factorize.py",
+     "    if product != g:\n",
+     "    if False:\n"),
+    # the Euclidean reduction's multiply-back
+    (SRC + "factorize.py",
+     "if eval_word(word, g.base, g.nvars) != g:",
+     "if False:"),
+    # type C's form sign flipped to +1
+    (SRC + "rootdata.py",
+     'FORM_SIGN = {"A": 0, "C": -1}',
+     'FORM_SIGN = {"A": 0, "C": 1}'),
+    # the structure-constant bound forced to 1
+    (SRC + "rootdata.py",
+     "self.length_ratio = max(lengths) // min(lengths)",
+     "self.length_ratio = 1"),
+)
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+
+
+def mutated(root: Path, path: str, old: str, new: str) -> str:
+    """The text of root/path with its one occurrence of old made new."""
+    text = (root / path).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        raise SystemExit("mutant %s: %r occurs %d times, not once" % (path, old, text.count(old)))
+    return text.replace(old, new)
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return output.strip().splitlines()[-1] if output.strip() else "no output"
+
+
+def run(path: str, old: str, new: str) -> bool:
+    """True when Tier-1 fails on the mutant, so the mutant is killed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        (copy / path).write_text(mutated(copy, path, old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    label = "%s: %s" % (path.rsplit("/", 1)[-1], old.strip().splitlines()[0])
+    if proc.returncode:
+        failure = first_failure(proc.stdout + proc.stderr)
+        print("killed    %s\n          by %s" % (label, failure), flush=True)
+        return True
+    print("SURVIVED  %s" % label, flush=True)
+    return False
+
+
+def main() -> int:
+    for mutant in MUTANTS:  # every mutant applies before any runs
+        mutated(ROOT, *mutant)
+    n = len(MUTANTS)
+    survivors = sum(not run(*mutant) for mutant in MUTANTS)
+    print("%d mutants, %d killed, %d survived" % (n, n - survivors, survivors))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
