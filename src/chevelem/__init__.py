@@ -44,8 +44,10 @@ from .rootdata import (
     weyl_and_torus,
 )
 from .words import (
+    Budget,
     CongruenceTag,
     ElemWord,
+    FactorizationCertificate,
     congruence_check,
     eval_word,
     free_reduce,
@@ -53,7 +55,6 @@ from .words import (
     map_word,
 )
 from .localglobal import (
-    Budget,
     CoveringData,
     DilationCert,
     descend_word,
@@ -64,7 +65,6 @@ from .localglobal import (
     telescoping_product,
 )
 from .factorize import (
-    FactorizationCertificate,
     factor_integer_sl,
     factor_integer_sp,
     factor_polynomial,

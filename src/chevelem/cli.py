@@ -36,7 +36,7 @@ from .rootdata import (
     elem_unipotent,
     weyl_and_torus,
 )
-from .words import eval_word
+from .words import ElemWord, eval_word
 
 Z = BaseRing.integers()
 
@@ -69,8 +69,7 @@ def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:
         for _ in range(trials):
             s = _rand_poly(rng, nvars)
             t = _rand_poly(rng, nvars)
-            word = commutator_expand(rs, a, b, s, t)
-            lhs = eval_word(word, Z, nvars)
+            lhs = eval_word(ElemWord(rs, commutator_expand(rs, a, b, s, t)), Z, nvars)
             rhs = (
                 ident.rmul_unipotent(a, s)
                 .rmul_unipotent(b, t)

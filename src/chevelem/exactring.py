@@ -198,6 +198,21 @@ class BaseRing:
             return pow(c % self.param, -1, self.param)
         return Fraction(1) / Fraction(c)
 
+    def localized(self, s: int) -> "BaseRing":
+        """The ring with s inverted: Z[1/s] from Z, Z[1/(t s)] from Z[1/t];
+        Q, and F_p where s is nonzero, are their own localizations."""
+        if self.kind == KIND_INTEGERS:
+            return BaseRing.integers_localized(s)
+        if self.kind == KIND_LOCALIZED:
+            return BaseRing.integers_localized(self.param * s)
+        if self.kind == KIND_RATIONALS:
+            return self
+        if self.kind == KIND_PRIME_FIELD:
+            if s % self.param == 0:
+                raise BaseMismatch("cannot invert 0 in %s" % self)
+            return self
+        raise BaseMismatch("no localization of %s at %r here" % (self, s))
+
     def __str__(self) -> str:
         if self.kind == KIND_INTEGERS:
             return "Z"
@@ -842,9 +857,9 @@ def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
     for key, c in p.terms.items():
         if den == 1 or c % den == 0:
             continue
+        # c/den has a denominator, s-smooth and prime to its numerator, so
+        # s does not divide that numerator and v is minus the denominator's power
         v = _s_valuation(c, den, s)
-        if v >= 0:
-            continue
         cz = key >> shift & _MASK
         if cz == 0:
             return None

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -34,29 +33,12 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactring import BaseRing, MultiPoly, leading_term_division, size_change
-from .localglobal import DEFAULT_BUDGET, Budget
 from .rootdata import GroupMatrix, RootSystem, apply_moves, membership_check
-from .words import ElemWord, eval_word, free_reduce
+from .words import (
+    DEFAULT_BUDGET, Budget, ElemWord, FactorizationCertificate, eval_word, free_reduce,
+)
 
 Z = BaseRing.integers()
-
-
-@dataclass
-class FactorizationCertificate:
-    """g = eval(word) * residual_constant, with residual variable-free."""
-
-    target: GroupMatrix
-    word: ElemWord
-    residual_constant: GroupMatrix
-    verified: bool
-
-    def check(self) -> bool:
-        """Exact re-check: the residual is constant and in G(R), and
-        eval(word) * residual equals the target."""
-        res, g = self.residual_constant, self.target
-        if not (res.is_constant() and membership_check(res, g.rs)):
-            return False
-        return eval_word(self.word, onto=res) == g
 
 
 def random_elementary_word(

@@ -12,9 +12,8 @@ import json
 
 from .errors import ParseError, SizeMismatch
 from .exactring import BaseRing, base_ring_from_str, parse_poly
-from .factorize import FactorizationCertificate
 from .rootdata import GroupMatrix, RootSystem, build_root_system, model_size
-from .words import ElemWord
+from .words import ElemWord, FactorizationCertificate
 
 
 def _group_header(rs: RootSystem, base: BaseRing, nvars: int) -> dict:

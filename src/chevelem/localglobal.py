@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import (
     CoveringInconsistent,
     DescentBudgetExceeded,
+    InternalCheckFailed,
     PreconditionViolated,
 )
 from .exactring import (
@@ -32,38 +33,10 @@ from .exactring import (
 )
 from .rootdata import GroupMatrix, commutator_expand, opposite_decomposition
 from .words import (
-    ElemWord,
-    eval_word,
-    free_reduce,
-    invert_word,
-    map_word,
-    reduce_letters,
+    DEFAULT_BUDGET, Budget, ElemWord, eval_word, free_reduce, invert_word, map_word, reduce_letters,
 )
 
 DILATION_LEVELS = 8
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Resource limits for searches; non-negative (zero means fail fast).
-
-    max_letters, max_degree and max_coeff_bits bound the descent
-    expansion; max_steps bounds each greedy pass and nothing else.  The
-    descent tries DILATION_LEVELS + 1 pre-dilation levels.
-    """
-
-    max_letters: int = 40000
-    max_degree: int = 600
-    max_coeff_bits: int = 200000
-    max_steps: int = 800
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if value < 0:
-                raise ValueError("%s must not be negative" % name)
-
-
-DEFAULT_BUDGET = Budget()
 
 
 def xgcd(a: int, b: int):
@@ -205,10 +178,12 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
 
     Returns (h, k) with h over Z, congruence tag holding for h, and
     F_s(eval(h)) = eval(w)(s^k z) exactly.  Raises DescentBudgetExceeded
-    when no dilation level gives a verified word, naming the stages that
-    stopped the levels (a named Budget field refusing the expansion, a
-    rewrite without a power of s, no clearing exponent, check mismatch)
-    with their counts, or naming s when a rewrite divides by a non-unit s.
+    when no dilation level gives a word, naming the stages that stopped
+    the levels (a named Budget field refusing the expansion, a rewrite
+    without a power of s, no clearing exponent) with their counts, or
+    naming s when a rewrite divides by a non-unit s.  The first word found
+    is checked exactly; the expansion is an identity, so a mismatch is a
+    fault in the program and raises InternalCheckFailed.
 
     Levels 0 and 1 reserve the same power of s, so level 1's letters are
     level 0's under z -> s z, with the same z-free letters: when level 0
@@ -255,9 +230,9 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
         lhs = eval_word(h, target, nvars)
         lifted = lhs.map_entries(lambda p: convert(p, base))
         # h is free-reduced: z -> s^k1 z and the lift keep _expand_good's letters nonzero
-        if lifted == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():
-            return h, k
-        stops["check mismatch"] += 1
+        if lifted != gw.dilate(z, s ** k) or not lhs.at_zero(z).is_identity():
+            raise InternalCheckFailed("descended word differs from the dilated word")
+        return h, k
     raise DescentBudgetExceeded(
         "no verified descent within %d dilation levels; stopped by %s"
         % (DILATION_LEVELS, ", ".join("%s: %d" % kv for kv in stops.items()))
@@ -296,13 +271,13 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
 
 
 def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
-    """Letters of x_beta(r) * (product of letters) * x_beta(-r)."""
+    """Letters of x_beta(r) * (product of letters) * x_beta(-r).  Every
+    letter in and out is nonzero: commutator_expand drops zero letters,
+    and _opposite_rewrite's payloads and powers of s are nonzero."""
     neg_beta = tuple(-v for v in beta)
     r_degree = r.total_degree()
     out: list = []
     for gamma, t in letters:
-        if t.is_zero():
-            continue
         if max(t.total_degree(), r_degree) > budget.max_degree:
             raise _Refused("expansion refused by Budget.max_degree")
         if coeff_bits(t) > budget.max_coeff_bits:
@@ -313,7 +288,7 @@ def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):
             rewritten = _opposite_rewrite(rs, gamma, t, z, s, reserve)
             out.extend(_flat_conj(rs, beta, r, rewritten, z, s, reserve, budget))
         else:
-            out.extend(commutator_expand(rs, beta, gamma, r, t).letters)
+            out.extend(commutator_expand(rs, beta, gamma, r, t))
             out.append((gamma, t))
         if len(out) > budget.max_letters:
             raise _Refused("expansion refused by Budget.max_letters")
@@ -348,7 +323,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
         u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
         const_arg = MultiPoly.const(base, nvars, s ** m1)
         v1, v2 = (u, const_arg) if i0 == 1 else (const_arg, u)
-        out += commutator_expand(rs, d1, d2, v1, v2, solve_for=gamma).letters
+        out += commutator_expand(rs, d1, d2, v1, v2, solve_for=gamma)
     return out
 
 
@@ -407,7 +382,7 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
             a, b = base.normalize(a), base.normalize(b)
             word = free_reduce(word_for(a, b))
             if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):
-                raise PreconditionViolated("generator output failed verification")
+                raise InternalCheckFailed("generator output failed verification")
             return word
 
         return generator
@@ -435,7 +410,7 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
     g_xyz = g.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
     # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
     if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
-        raise PreconditionViolated("descended word differs from the dilated matrix over Z")
+        raise InternalCheckFailed("descended word differs from the dilated matrix over Z")
 
     def descended(a, b):
         q, r = divmod(a - b, s ** k)

@@ -456,15 +456,15 @@ def structure_constants(rs: RootSystem, alpha, beta):
 
 
 def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly, solve_for=None):
-    """Word equal to x_a(s) x_b(t) x_a(-s) x_b(-t), exactly.
+    """Letters (root, arg) of a word equal to x_a(s) x_b(t) x_a(-s) x_b(-t),
+    exactly; zero arguments are left out.  The caller wraps them in an
+    ElemWord where it wants one, as words sits above this module.
 
     With solve_for a root gamma of that word, the word equals instead its
     gamma letter: the commutator is pre . x_gamma(.) . post, so the letter
     is pre^-1 . x_a(s) x_b(t) x_a(-s) x_b(-t) . post^-1, and its argument
     is never built.
     """
-    from .words import ElemWord  # local import to avoid a cycle
-
     constants = structure_constants(rs, alpha, beta)
     letters = []
     cut = None
@@ -477,15 +477,14 @@ def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly, s
         if not arg.is_zero():
             letters.append((gamma, arg))
     if solve_for is None:
-        return ElemWord(rs, letters)
+        return letters
     if cut is None:
         raise UnknownRoot("%r is not a root of this commutator" % (solve_for,))
     pre, post = letters[:cut], letters[cut:]
-    return ElemWord(
-        rs,
+    return (
         [(d, -a) for d, a in reversed(pre)]
         + [(alpha, s), (beta, t), (alpha, -s), (beta, -t)]
-        + [(d, -a) for d, a in reversed(post)],
+        + [(d, -a) for d, a in reversed(post)]
     )
 
 

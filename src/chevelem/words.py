@@ -2,7 +2,8 @@
 
 A word is the only certificate format in this package: no matrix is ever
 claimed to be a product of elementary generators without a word for it,
-and words are always checkable by exact evaluation.
+and words are always checkable by exact evaluation.  The layer both
+searches and fileio share also holds FactorizationCertificate and Budget.
 """
 
 from __future__ import annotations
@@ -11,7 +12,30 @@ from dataclasses import dataclass
 
 from .errors import BaseMismatch, SizeMismatch
 from .exactring import MAX_DEGREE, BaseRing, _fold_product, _mul_add, _poly, _reduced, convert
-from .rootdata import GroupMatrix, RootSystem
+from .rootdata import GroupMatrix, RootSystem, membership_check
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Resource limits for searches; non-negative (zero means fail fast).
+
+    max_letters, max_degree and max_coeff_bits bound localglobal's descent
+    expansion at each of its pre-dilation levels; max_steps bounds each
+    greedy pass of factorize and nothing else.
+    """
+
+    max_letters: int = 40000
+    max_degree: int = 600
+    max_coeff_bits: int = 200000
+    max_steps: int = 800
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError("%s must not be negative" % name)
+
+
+DEFAULT_BUDGET = Budget()
 
 
 class ElemWord:
@@ -64,6 +88,24 @@ class ElemWord:
 
     def max_degree(self) -> int:
         return max((arg.total_degree() for _, arg in self.letters), default=0)
+
+
+@dataclass
+class FactorizationCertificate:
+    """g = eval(word) * residual_constant, with residual variable-free."""
+
+    target: GroupMatrix
+    word: ElemWord
+    residual_constant: GroupMatrix
+    verified: bool
+
+    def check(self) -> bool:
+        """Exact re-check: the residual is constant and in G(R), and
+        eval(word) * residual equals the target."""
+        res, g = self.residual_constant, self.target
+        if not (res.is_constant() and membership_check(res, g.rs)):
+            return False
+        return eval_word(self.word, onto=res) == g
 
 
 @dataclass(frozen=True)
@@ -184,8 +226,7 @@ def map_word(w: ElemWord, hom) -> ElemWord:
         s = hom[1]
         if not w.letters:
             return w
-        base = w.letters[0][1].base
-        target = _localized_target(base, s)
+        target = w.letters[0][1].base.localized(s)
         return ElemWord(w.rs, [(r, convert(a, target)) for r, a in w.letters])
     if kind == "substitute":
         assignment = hom[1]
@@ -194,20 +235,6 @@ def map_word(w: ElemWord, hom) -> ElemWord:
             w.rs, [(r, a.substitute(assignment, nvars_out)) for r, a in w.letters]
         )
     raise ValueError("unknown homomorphism kind %r" % (kind,))
-
-
-def _localized_target(base: BaseRing, s: int) -> BaseRing:
-    if base.kind == "Z":
-        return BaseRing.integers_localized(s)
-    if base.kind == "Zloc":
-        return BaseRing.integers_localized(base.param * s)
-    if base.kind == "Q":
-        return base
-    if base.kind == "Fp":
-        if s % base.param == 0:
-            raise BaseMismatch("cannot invert 0 in %s" % base)
-        return base
-    raise BaseMismatch("no localization of %s at %r here" % (base, s))
 
 
 def congruence_check(w: ElemWord, z: int) -> CongruenceTag:

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -393,6 +394,48 @@ def test_verify_malformed_root(tmp_path, capsys):
     bad = tmp_path / "bad_root.json"
     bad.write_text(json.dumps(data))
     assert main(["verify", "--in", str(bad)]) == EXIT_BAD_INPUT
+
+
+def _drop(key):
+    return lambda data: data.pop(key)
+
+
+def _drop_arg(data):
+    data["word"][0].pop("arg")
+
+
+def _int_entry(data):
+    data["entries"][0][0] = 1
+
+
+IDENTITY_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "verb, edit, message",
+    [
+        ("verify", _drop("residual"), "malformed certificate: 'residual'"),
+        ("verify", _drop("verified"), "malformed certificate: 'verified'"),
+        ("verify", _drop_arg, "malformed word record: 'arg'"),
+        ("factor", _int_entry, "malformed matrix entries: "),
+    ],
+    ids=["no-residual", "no-verified", "no-arg", "int-entry"],
+)
+def test_malformed_file_exits_3_naming_what_is_missing(tmp_path, capsys, verb, edit, message):
+    if verb == "verify":
+        data = _forged_certificate(IDENTITY_ROWS)
+        data["word"] = [{"root": [1, -1, 0], "arg": "x1"}, {"root": [1, -1, 0], "arg": "-x1"}]
+    else:
+        data = cohn_dict()
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([verb, "--in", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("invalid input: " + message)
+    read = certificate_from_dict if verb == "verify" else matrix_from_dict
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        read(data)
 
 
 @pytest.mark.parametrize(

@@ -56,7 +56,7 @@ def test_commutator_pushforward_all_bases():
                     continue
                 s = rand_poly(rng, base)
                 t = rand_poly(rng, base)
-                w = commutator_expand(rs, a, b, s, t)
+                w = ElemWord(rs, commutator_expand(rs, a, b, s, t))
                 assert eval_word(w, base, 1) == brute_commutator(rs, a, b, s, t)
 
 
@@ -78,7 +78,7 @@ def test_composite_modulus_collapse():
     # over Z/6 an argument of 3 and 2 annihilate different parts
     s = MultiPoly.const(Z6, 1, 3)
     t = MultiPoly.const(Z6, 1, 2)
-    w = commutator_expand(A2, (1, -1, 0), (0, 1, -1), s, t)
+    w = ElemWord(A2, commutator_expand(A2, (1, -1, 0), (0, 1, -1), s, t))
     m = eval_word(w, Z6, 1)
     assert m.entries[0][2] == MultiPoly.const(Z6, 1, 0)  # 3*2 = 6 = 0 mod 6
     assert m.is_identity()

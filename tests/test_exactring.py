@@ -104,6 +104,18 @@ def test_localized_units():
     assert ZHALF.unit_inverse(Fraction(4)) == Fraction(1, 4)
 
 
+def test_localized_at_s():
+    # Z and Z[1/t] gain s, Q and F_p keep their ring where s is nonzero
+    for base, s, out in ((Z, 2, ZHALF), (ZHALF, 3, BaseRing.integers_localized(6)),
+                         (Q, 5, Q), (F5, 3, F5)):
+        assert base.localized(s) == out
+    for base, s, message in ((F5, 10, "cannot invert 0 in F5"),
+                             (BaseRing.integers_mod(6), 2, "no localization of Z/6 at 2 here")):
+        with pytest.raises(BaseMismatch) as caught:
+            base.localized(s)
+        assert str(caught.value) == message
+
+
 def test_normalize_contract():
     # one coercion: ints and exact rationals become the ring's own elements
     for base, elem in ((Z, int), (Z12, int), (F5, int), (Q, Fraction), (ZHALF, Fraction)):

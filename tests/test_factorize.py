@@ -210,6 +210,12 @@ def test_euclid_entry_guards(factor, g, message):
         factor(g)
 
 
+@pytest.mark.parametrize("base", [F5, Q], ids=str)
+def test_factor_polynomial_refuses_bases_other_than_z(base):
+    with pytest.raises(PreconditionViolated, match="^factorization target must be over Z$"):
+        factor_polynomial(GroupMatrix.identity(A2, base, 1))
+
+
 def perturbed_members():
     """(factor, g) for 600 seeded g: a member of A2, A3, C2 or C3, constant
     over Z and univariate over Q or F5, with one entry moved by +-c, two

@@ -87,6 +87,16 @@ def test_header_nvars_bound():
         matrix_from_dict(d)
 
 
+@pytest.mark.parametrize("nvars", [-1, 10])
+def test_header_nvars_outside_0_to_9_refused(nvars):
+    # a square matrix of the right size still needs 0..9 variables
+    rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    d = {"group": {"type": "A", "rank": 2}, "base": "Z", "nvars": nvars, "entries": rows}
+    with pytest.raises(ParseError) as caught:
+        matrix_from_dict(d)
+    assert str(caught.value) == "nvars out of the supported range 0..9"
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[]] * 1001, [["1"]], "x", ["1"] * 1001],

@@ -1,6 +1,7 @@
 """Static checks on the package source and the tests."""
 
 import ast
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -122,6 +123,72 @@ def test_runtime_is_standard_library_only():
     assert not found, "imports outside the standard library: " + ", ".join(found)
 
 
+SHARED = {"errors", "exactring", "rootdata", "words"}
+
+# errors < exactring < rootdata < words < {localglobal, factorize, fileio} < cli
+PACKAGE_IMPORTS = {
+    "errors": set(),
+    "exactring": {"errors"},
+    "rootdata": {"errors", "exactring"},
+    "words": {"errors", "exactring", "rootdata"},
+    "localglobal": SHARED,
+    "factorize": SHARED,
+    "fileio": SHARED,
+    "cli": {"errors", "exactring", "factorize", "fileio", "rootdata", "words"},
+    "__main__": {"cli"},
+}
+
+
+def package_modules(node):
+    """The chevelem modules an import statement names; none for others."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chevelem."):
+        return [node.module.split(".")[1]]
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("chevelem.")]
+    return []
+
+
+def test_imports_point_down_one_order():
+    # each layer imports only layers below it, at module level, so no
+    # module dodges a cycle with an import inside a function; __init__.py
+    # re-exports every layer and is exempt
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {m for node in tree.body for m in package_modules(node)}
+        allowed = PACKAGE_IMPORTS[path.stem]
+        found += ["%s imports %s" % (path.name, m) for m in sorted(top - allowed)]
+        found += ["%s does not import %s" % (path.name, m) for m in sorted(allowed - top)]
+        found += [
+            "%s imports %s inside %s" % (path.name, m, f.name)
+            for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(f)
+            for m in package_modules(node)
+        ]
+    assert found == [], found
+
+
+def test_every_mutant_applies_once():
+    # tools/mutants.py refuses to run when a check it mutates has moved or
+    # been reworded; this finds that drift without running a mutant
+    root = SRC.parents[1]
+    spec = importlib.util.spec_from_file_location("mutants", root / "tools" / "mutants.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    found = [
+        "%s: %r occurs %d times" % (path, old, count)
+        for path, old, _ in tool.MUTANTS
+        for count in [(root / path).read_text(encoding="utf-8").count(old)]
+        if count != 1
+    ]
+    assert tool.MUTANTS and found == [], found
+
+
 def functions_with_line(predicate):
     """'file: function' for each line of src/ that predicate accepts, named
     by the innermost def around it."""
@@ -211,8 +278,8 @@ def test_membership_checked_only_where_no_reduction_decides_it():
         lambda line: "membership_check(" in line and "def membership_check(" not in line
     )
     assert found == [
-        "factorize.py: check",
         "factorize.py: _require_member",
+        "words.py: check",
     ], found
 
 

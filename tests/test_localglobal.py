@@ -10,6 +10,7 @@ from chevelem.errors import (
     BaseMismatch,
     CoveringInconsistent,
     DescentBudgetExceeded,
+    InternalCheckFailed,
     NotInGroup,
     PreconditionViolated,
 )
@@ -704,7 +705,7 @@ def test_dilation_factor_checks_descended_word(monkeypatch):
     g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
     dilation_factor(g, w_s, 2)
     monkeypatch.setattr(localglobal, "descend_word", one_letter_short)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InternalCheckFailed):
         dilation_factor(g, w_s, 2)
 
 
@@ -731,7 +732,7 @@ def test_dilation_generator_checks_its_word(monkeypatch):
 
     monkeypatch.setattr(localglobal, "free_reduce", first_letter_dropped)
     for cert in certs:
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(InternalCheckFailed):
             cert.generator(1 + 2 ** cert.k, 1)
 
 
@@ -827,11 +828,50 @@ def incongruent_args_word():
     )
 
 
+def incongruent_generator_call():
+    # a C2 word whose descent needs k = 2, so 2 and 1 are not congruent
+    w_s = halfling_word(random.Random(20), C2, 5)
+    g = GroupMatrix(C2, [[convert(p, Z) for p in row] for row in eval_word(w_s, ZHALF, 1).entries])
+    cert = dilation_factor(g, w_s, 2)
+    assert cert.k == 2
+    cert.generator(2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: dilation_factor(GroupMatrix.identity(A2, BaseRing.prime_field(5), 1),
+                                 ElemWord(A2, []), 2),
+         PreconditionViolated, "dilation certificates are built over Z here"),
+        (lambda: descend_word(ElemWord(A2, [(E12, zvar(Z))]), 2),
+         PreconditionViolated, "descent expects a word over Z[1/s]"),
+        (incongruent_generator_call, PreconditionViolated, "arguments are not congruent mod 2^2"),
+        (lambda: patch(GroupMatrix.identity(A2, Z, 1),
+                       [(3, DilationCert(3, 0, None)), (2, DilationCert(2, 0, None))],
+                       CoveringData.from_elements([2, 3])),
+         CoveringInconsistent, "certificate element mismatch"),
+        (lambda: patch(GroupMatrix.identity(A2, Z, 1),
+                       [(2, DilationCert(2, 2, None)), (3, DilationCert(3, 0, None))],
+                       CoveringData.from_elements([2, 3])),
+         CoveringInconsistent, "covering exponent 1 below certificate modulus 2"),
+        (lambda: dilation_equalizer(GroupMatrix.identity(A2, Z, 1),
+                                    GroupMatrix.identity(A2, BaseRing.rationals(), 1), 2),
+         PreconditionViolated, "matrices over different rings"),
+    ],
+    ids=["dilation-over-F5", "descent-over-Z", "incongruent-points", "certs-out-of-order",
+         "cert-above-exponent", "equalizer-mixed-rings"],
+)
+def test_input_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_descend_word_refuses_a_wrong_expansion(monkeypatch):
     # an expansion that misses its first letter evaluates to another
-    # matrix, so every level fails descend_word's own check; on a level
-    # whose dilated product is not integral that is a failed level, not a
-    # BaseMismatch
+    # matrix, so descend_word's own check refuses the first level; where
+    # the dilated product is not integral that is a fault in the program,
+    # not a BaseMismatch
     check_descent(incongruent_args_word())
     real = localglobal._expand_good
 
@@ -848,7 +888,7 @@ def test_descend_word_refuses_a_wrong_expansion(monkeypatch):
 
     monkeypatch.setattr(localglobal, "_expand_good", first_letter_dropped)
     monkeypatch.setattr(GroupMatrix, "dilate", recorded)
-    with pytest.raises(DescentBudgetExceeded):
+    with pytest.raises(InternalCheckFailed):
         descend_word(incongruent_args_word(), 2)
     assert any(p.den > 1 for m in products for row in m.entries for p in row)
 

@@ -386,18 +386,15 @@ def brute_commutator(rs, a, b, s, t):
 def test_commutator_a2_single_letter():
     s = MultiPoly.variable(Z, 2, 0)
     t = MultiPoly.variable(Z, 2, 1)
-    w = commutator_expand(A2, (1, -1, 0), (0, 1, -1), s, t)
-    assert len(w) == 1
-    root, arg = w.letters[0]
-    assert root == (1, 0, -1)
-    assert arg == s * t  # sign fixed by the model: +1 here
-    assert eval_word(w) == brute_commutator(A2, (1, -1, 0), (0, 1, -1), s, t)
+    letters = commutator_expand(A2, (1, -1, 0), (0, 1, -1), s, t)
+    assert letters == [((1, 0, -1), s * t)]  # sign fixed by the model: +1 here
+    assert eval_word(ElemWord(A2, letters)) == brute_commutator(A2, (1, -1, 0), (0, 1, -1), s, t)
 
 
 def test_commutator_a2_commuting_pair():
     s = MultiPoly.variable(Z, 2, 0)
     t = MultiPoly.variable(Z, 2, 1)
-    w = commutator_expand(A2, (1, -1, 0), (1, 0, -1), s, t)
+    w = ElemWord(A2, commutator_expand(A2, (1, -1, 0), (1, 0, -1), s, t))
     assert len(w) == 0
     assert brute_commutator(A2, (1, -1, 0), (1, 0, -1), s, t).is_identity()
 
@@ -405,7 +402,7 @@ def test_commutator_a2_commuting_pair():
 def test_commutator_c2_short_long():
     s = MultiPoly.variable(Z, 2, 0)
     t = MultiPoly.variable(Z, 2, 1)
-    w = commutator_expand(C2, (1, -1), (0, 2), s, t)
+    w = ElemWord(C2, commutator_expand(C2, (1, -1), (0, 2), s, t))
     assert len(w) == 2
     roots = [r for r, _ in w.letters]
     assert roots == [(1, 1), (2, 0)]
@@ -435,7 +432,7 @@ def test_commutator_all_pairs_sound():
                 for _ in range(3):
                     s = rand_poly(rng, nvars=2)
                     t = rand_poly(rng, nvars=2)
-                    w = commutator_expand(rs, a, b, s, t)
+                    w = ElemWord(rs, commutator_expand(rs, a, b, s, t))
                     assert eval_word(w, Z, 2) == brute_commutator(rs, a, b, s, t)
 
 
@@ -451,8 +448,8 @@ def test_commutator_solved_for_each_of_its_letters():
                 s = rand_poly(rng, nvars=2)
                 t = rand_poly(rng, nvars=2)
                 full = commutator_expand(rs, a, b, s, t)
-                for gamma, arg in full.letters:
-                    w = commutator_expand(rs, a, b, s, t, solve_for=gamma)
+                for gamma, arg in full:
+                    w = ElemWord(rs, commutator_expand(rs, a, b, s, t, solve_for=gamma))
                     assert gamma not in [r for r, _ in w.letters]
                     assert eval_word(w, Z, 2) == elem_unipotent(rs, gamma, arg)
                 with pytest.raises(UnknownRoot):

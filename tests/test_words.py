@@ -10,6 +10,7 @@ from chevelem.errors import BaseMismatch, DegreeOverflow, SizeMismatch
 from chevelem.exactring import MAX_DEGREE, BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import GroupMatrix, build_root_system
 from chevelem.words import (
+    Budget,
     CongruenceTag,
     ElemWord,
     congruence_check,
@@ -124,6 +125,20 @@ def test_map_word_localize_beyond_z(base, s, target):
             out = map_word(w, ("localize", s))
             assert {arg.base for _, arg in out.letters} == {target}
             assert eval_word(out) == eval_word(w).map_entries(lambda p: convert(p, target))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Budget(max_steps=-1), "max_steps must not be negative"),
+        (lambda: map_word(ElemWord(A2, []), ("bogus",)), "unknown homomorphism kind 'bogus'"),
+    ],
+    ids=["negative-budget", "unknown-map"],
+)
+def test_value_refusals(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

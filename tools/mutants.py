@@ -16,6 +16,7 @@ of Tier-1: a survivor costs one full Tier-1 run.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ SRC = "src/chevelem/"
 
 MUTANTS = (
     # a certificate's residual is not checked for membership
-    (SRC + "factorize.py",
+    (SRC + "words.py",
      "if not (res.is_constant() and membership_check(res, g.rs)):",
      "if not res.is_constant():"),
     # matrix equality ignores row 0
@@ -54,10 +55,10 @@ MUTANTS = (
     (SRC + "localglobal.py",
      "if eval_word(word, onto=g.at_zero(0)) != g:",
      "if False:"),
-    # the descent's check of each dilation level
+    # the descent's check of its word
     (SRC + "localglobal.py",
-     "if lifted == gw.dilate(z, s ** k) and lhs.at_zero(z).is_identity():",
-     "if True:"),
+     "if lifted != gw.dilate(z, s ** k) or not lhs.at_zero(z).is_identity():",
+     "if False:"),
     # the dilation generator's check of its word
     (SRC + "localglobal.py",
      "if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):",
@@ -86,7 +87,45 @@ MUTANTS = (
     (SRC + "rootdata.py",
      "self.length_ratio = max(lengths) // min(lengths)",
      "self.length_ratio = 1"),
+    # a file header with a negative variable count is read
+    (SRC + "fileio.py",
+     "if nvars < 0 or nvars > 9:",
+     "if nvars > 9:"),
+    # a file header with more than nine variables is read
+    (SRC + "fileio.py",
+     "if nvars < 0 or nvars > 9:",
+     "if nvars < 0:"),
+    # a file's rows are not sized before the root system is built
+    (SRC + "fileio.py",
+     "shape = [rows] + (rows if isinstance(rows, list) else [])",
+     "shape = [rows]"),
+    # a word record's root may hold floats or bools
+    (SRC + "fileio.py",
+     "if not all(type(v) is int for v in root):",
+     "if False:"),
+    # canonical text reads every monomial after the first as positive
+    (SRC + "exactring.py",
+     'neg = words[k - 1] == "-"',
+     "neg = False"),
+    # canonical text reads every exponent as 1
+    (SRC + "exactring.py",
+     "e[i] += int(f[3:]) if len(f) > 2 else 1",
+     "e[i] += 1"),
+    # emitted text keeps " + -" where a negative term is joined
+    (SRC + "exactring.py",
+     'return " + ".join(pieces).replace(" + -", " - ")',
+     'return " + ".join(pieces)'),
+    # text over Z with a "/" is not coerced, so 1/2 is read as a coefficient
+    (SRC + "exactring.py",
+     'if base.kind != KIND_INTEGERS or "/" in text:',
+     "if base.kind != KIND_INTEGERS:"),
 )
+
+ONCE_TEST = "tests/test_lint.py::test_every_mutant_applies_once"
+
+# a mutant that lets the suite build a huge root system fails on
+# MemoryError under this address-space cap, instead of filling the host
+MEMORY_CAP = 1 << 30  # Tier-1 peaks near 70 MB
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
 
@@ -106,6 +145,10 @@ def first_failure(output: str) -> str:
     return output.strip().splitlines()[-1] if output.strip() else "no output"
 
 
+def limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run(path: str, old: str, new: str) -> bool:
     """True when Tier-1 fails on the mutant, so the mutant is killed."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,9 +156,10 @@ def run(path: str, old: str, new: str) -> bool:
         shutil.copytree(ROOT, copy, ignore=IGNORE)
         (copy / path).write_text(mutated(copy, path, old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src")
+        # the lint test that each old text occurs once reads the mutated copy
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x"],
-            cwd=copy, env=env, capture_output=True, text=True,
+            [sys.executable, "-m", "pytest", "-q", "-x", "--deselect", ONCE_TEST],
+            cwd=copy, env=env, capture_output=True, text=True, preexec_fn=limit_memory,
         )
     label = "%s: %s" % (path.rsplit("/", 1)[-1], old.strip().splitlines()[0])
     if proc.returncode:
