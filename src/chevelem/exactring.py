@@ -857,8 +857,8 @@ def clearing_exponent(p: MultiPoly, z: int, s: int) -> int | None:
     for key, c in p.terms.items():
         if den == 1 or c % den == 0:
             continue
-        # c/den has a denominator, s-smooth and prime to its numerator, so
-        # s does not divide that numerator and v is minus the denominator's power
+        # c/den is not integral: in lowest terms its denominator is s-smooth
+        # and prime to the numerator, so s does not divide that and v < 0
         v = _s_valuation(c, den, s)
         cz = key >> shift & _MASK
         if cz == 0:
