@@ -939,11 +939,11 @@ def _chain_text(key: int, nvars: int) -> str:
 
 # emit_poly's output language: an optional leading "-", then monomials
 # joined by " + " / " - ", each n, n/d, n*X, n/d*X or X, where X is x_i
-# or x_i^k factors joined by "*".  parse_poly reads text that fullmatches
-# this in one linear pass and hands any other text to _parse_general.
-_VARS = r"x[1-9](?:\^[0-9]+)?(?:\*x[1-9](?:\^[0-9]+)?)*"
-_MONO = r"(?:[0-9]+(?:/[1-9][0-9]*)?(?:\*%s)?|%s)" % (_VARS, _VARS)
-_CANONICAL = re.compile(r"-?%s(?: [-+] %s)*" % (_MONO, _MONO))
+# or x_i^k factors joined by "*" (the chain _VARS matches), n and d ASCII
+# digits and d without a leading 0.  _read_canonical checks this grammar
+# piece by piece as it reads, in one linear pass, and parse_poly hands any
+# other text to _parse_general.
+_VARS = re.compile(r"x[1-9](?:\^[0-9]+)?(?:\*x[1-9](?:\^[0-9]+)?)*")
 
 
 _TOKEN = re.compile(r"(\d+)|x([1-9])|([-+*/^()])|(\S)")
@@ -1062,9 +1062,8 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
     MAX_PARSE_PRODUCTS bounds them together; by default each text alone.
     """
     try:
-        if _CANONICAL.fullmatch(text):
-            p = _read_canonical(text, nvars)
-        else:
+        p = _read_canonical(text, nvars)
+        if p is None:
             p = _parse_general(text, nvars, spent)
     except ValueError as exc:  # int() refuses literals past sys.get_int_max_str_digits()
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
@@ -1077,26 +1076,40 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
     return _poly(base, nvars, p)
 
 
-def _read_canonical(text: str, nvars: int) -> dict:
-    """The {packed key: rational} dict of text matching _CANONICAL.
+def _read_canonical(text: str, nvars: int) -> dict | None:
+    """The {packed key: rational} dict of text in emit_poly's language, or
+    None for any other text, a variable beyond nvars or a degree past the
+    cap, so that _parse_general decides every refusal and its message.
 
     Folds each signed monomial into one accumulator as _fold does, so
     terms, their order and their types are those of _parse_general.
     """
     acc: dict = {}
-    neg = text[0] == "-"
+    neg = text[:1] == "-"
     words = (text[1:] if neg else text).split(" ")  # monomial, sign, monomial, ...
-    for k in range(0, len(words), 2):
-        if k:
-            neg = words[k - 1] == "-"
-        mono = words[k]
-        if mono[0] == "x":
+    if not (len(words) & 1 and text.isascii()):  # so isdigit() means [0-9]+
+        return None
+    signs = ["-" if neg else "+"] + words[1::2]
+    for sign, mono in zip(signs, words[::2]):
+        if sign != "+" and sign != "-":
+            return None
+        neg = sign == "-"
+        if mono[:1] == "x":
             c, chain = 1, mono
         else:
-            num, _, chain = mono.partition("*")
+            num, star, chain = mono.partition("*")
             n, slash, d = num.partition("/")
-            c = Fraction(int(n), int(d)) if slash else int(n)
+            if not n.isdigit() or star and not chain:
+                return None
+            if slash:
+                if not d.isdigit() or d[0] == "0":
+                    return None
+                c = Fraction(int(n), int(d))
+            else:
+                c = int(n)
         key = _chain_exponents(chain, nvars)
+        if key is None:
+            return None
         if c:
             v = acc.get(key, 0) + (-c if neg else c)
             if v:
@@ -1107,16 +1120,22 @@ def _read_canonical(text: str, nvars: int) -> dict:
 
 
 @lru_cache(maxsize=4096)
-def _chain_exponents(chain: str, nvars: int) -> int:
+def _chain_exponents(chain: str, nvars: int) -> int | None:
     """The packed key of a variable part such as "x1^3*x2" ("" for a
-    constant); memoised, as certificates repeat a few hundred of them."""
+    constant), or None when chain does not match _VARS, names a variable
+    beyond nvars or has a degree past the cap; memoised, as certificates
+    repeat a few hundred of them."""
     e = [0] * nvars
     if chain:
+        if not _VARS.fullmatch(chain):
+            return None
         for f in chain.split("*"):
             i = int(f[1]) - 1
             if i >= nvars:
-                raise ParseError("variable x%d beyond declared nvars=%d" % (i + 1, nvars))
+                return None
             e[i] += int(f[3:]) if len(f) > 2 else 1
+    if sum(e) > MAX_DEGREE:
+        return None
     return _pack(tuple(e))
 
 

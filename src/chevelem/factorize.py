@@ -32,7 +32,7 @@ from .errors import (
     NotInGroup,
     PreconditionViolated,
 )
-from .exactring import BaseRing, MultiPoly, leading_term_division, size_change
+from .exactring import KIND_INTEGERS, BaseRing, MultiPoly, leading_term_division, size_change
 from .rootdata import GroupMatrix, RootSystem, apply_moves, membership_check
 from .words import (
     DEFAULT_BUDGET, Budget, ElemWord, FactorizationCertificate, eval_word, free_reduce,
@@ -256,7 +256,7 @@ def factor_integer_sp(g: GroupMatrix) -> ElemWord:
 
 
 def _require_constant_int(g: GroupMatrix, kind: str) -> None:
-    if g.base.kind != "Z":
+    if g.base.kind != KIND_INTEGERS:
         raise PreconditionViolated("integer matrix expected")
     if not g.is_constant():
         raise PreconditionViolated("entries must be constant")
@@ -319,7 +319,7 @@ def _pair_candidates(tgt: MultiPoly, src: MultiPoly) -> tuple:
     coefficients, floor and round."""
     partial, exact, first = leading_term_division(tgt, src)
     args = [q for q in (exact, partial) if q is not None and not q.is_zero()]
-    if first is not None and tgt.base.kind == "Z":
+    if first is not None and tgt.base.kind == KIND_INTEGERS:
         mono, ct, cs = first
         qf = ct // cs
         qr = (2 * ct + cs) // (2 * cs)
@@ -399,7 +399,7 @@ def _rank1_difference(m):
         v = [d[i][c] for i in range(size)]
         if all(p.is_zero() for p in v):
             continue
-        if base.kind == "Z":
+        if base.kind == KIND_INTEGERS:
             # v with integer content g works only if v/g (with g*w) does
             g = gcd(*(coeff for p in v for coeff in p.coefficients()))
             if g > 1:
@@ -623,10 +623,10 @@ def heuristic_reduce(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET):
             best_rec, best_score = rec, score
     r = best_rec.matrix()
     left, right = best_rec.inverse_letters()
-    if r.is_constant() and not r.is_identity() and (g.base.kind == "Z" or g.base.is_field):
+    if r.is_constant() and not r.is_identity() and (g.base.kind == KIND_INTEGERS or g.base.is_field):
         # the module-level names are looked up here, so the bench tracer's
         # wrappers see the calls
-        if g.base.kind != "Z":
+        if g.base.kind != KIND_INTEGERS:
             mid = factor_univar_euclidean(r)
         else:
             mid = (factor_integer_sp if rs.form else factor_integer_sl)(r)
@@ -659,7 +659,7 @@ def factor_polynomial(g: GroupMatrix, budget: Budget = DEFAULT_BUDGET) -> Factor
     the Euclidean reduction.  A non-member raises NotInGroup, not
     NotFactored.
     """
-    if g.base.kind != "Z":
+    if g.base.kind != KIND_INTEGERS:
         raise PreconditionViolated("factorization target must be over Z")
     left, r, right = heuristic_reduce(g, budget)
     if not r.is_identity():

@@ -23,6 +23,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactring import (
+    KIND_INTEGERS,
+    KIND_LOCALIZED,
     BaseRing,
     MultiPoly,
     annihilator_exponent,
@@ -191,7 +193,7 @@ def descend_word(w: ElemWord, s: int, z: int = 0, budget: Budget = DEFAULT_BUDGE
     without being expanded.
     """
     base, nvars = w.base_and_nvars()
-    if base.kind not in ("Zloc",):
+    if base.kind != KIND_LOCALIZED:
         raise PreconditionViolated("descent expects a word over Z[1/s]")
     if s == 0 or not BaseRing.integers_localized(s).is_unit(base.param):
         raise PreconditionViolated("s=%d does not invert the denominators of %s" % (s, base))
@@ -355,7 +357,7 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
     that check is what dilation_equalizer would decide with exponent 0.
     """
     base = g.base
-    if base.kind != "Z":
+    if base.kind != KIND_INTEGERS:
         raise PreconditionViolated("dilation certificates are built over Z here")
     if s == 0:
         raise PreconditionViolated("dilation needs a nonzero s, got s=0")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from chevelem.errors import (
     ParseError,
 )
 from chevelem.exactring import (
-    _CANONICAL,
     MAX_DEGREE,
     MAX_PARSE_PRODUCTS,
     BaseRing,
@@ -577,6 +577,9 @@ def test_parse_errors():
         parse_poly("x1/x1", Q, 1)
     with pytest.raises(ParseError):
         parse_poly("(x1", Z, 1)
+    # an exponent chain outside the grammar is refused, not read as 3*x1^2
+    with pytest.raises(ParseError):
+        parse_poly("3*x1x2", Z, 2)
 
 
 def test_parse_mod_base_reduces():
@@ -610,6 +613,7 @@ _PARSE_EDGES = [
     ("x1 - x1 + x1^2", Q, "x1^2"),
     ("1/2", Z, BaseMismatch),
     ("x1²", Z, ParseError),
+    ("2 * 3", Z, "6"),  # a product, not the sum a sign token would make
     pytest.param("(" * 100 + "x1" + ")" * 100, Q, "x1", id="nested-100"),
     pytest.param("(" * 400 + "x1" + ")" * 400, Q, ParseError, id="nested-400"),
 ]
@@ -643,9 +647,37 @@ def outcome(parse, text, base, nvars):
         return type(exc)
 
 
+# The reference grammar of emit_poly's output, the oracle for the reader
+# that checks it piece by piece: an optional leading "-", then monomials
+# joined by " + " / " - ", each n, n/d, n*X, n/d*X or X, where X is x_i
+# or x_i^k factors joined by "*".
+_VARS = r"x[1-9](?:\^[0-9]+)?(?:\*x[1-9](?:\^[0-9]+)?)*"
+_MONO = r"(?:[0-9]+(?:/[1-9][0-9]*)?(?:\*%s)?|%s)" % (_VARS, _VARS)
+_CANONICAL = re.compile(r"-?%s(?: [-+] %s)*" % (_MONO, _MONO))
+
+
+def check_against_oracle(text, base, nvars):
+    """The canonical reader accepts text exactly when the oracle grammar
+    matches it and the general reader can read it (a variable beyond
+    nvars or a degree past the cap leaves the refusal to the general
+    reader), and parse_poly gives the general reader's outcome."""
+    try:
+        _parse_general(text, nvars)
+        readable = True
+    except (ParseError, DegreeOverflow):
+        readable = False
+    accepted = _read_canonical(text, nvars) is not None
+    assert accepted == (bool(_CANONICAL.fullmatch(text)) and readable), text
+    assert outcome(parse_poly, text, base, nvars) == outcome(general, text, base, nvars)
+
+
 def test_canonical_reader_matches_general_parser():
     rng = random.Random(20181210)
     bases = [Z, Q, Z4, BaseRing.integers_mod(6), F5, ZHALF, BaseRing.integers_localized(6)]
+    # the grammar's characters, and near misses: a character no reader
+    # takes, characters str.isdigit or int() take that the grammar does
+    # not, a tab, a variable past nvars
+    alphabet = list("0123456789x^*/+- ()") + ["&", "_", "\u00b2", "\u0663", "\t", "x9"]
     for base in bases:
         for _ in range(40):
             nvars = rng.randint(1, 3)
@@ -659,27 +691,31 @@ def test_canonical_reader_matches_general_parser():
                 assert typed_items(_read_canonical(t, nvars)) == typed_items(
                     _parse_general(t, nvars)
                 )
-                assert outcome(parse_poly, t, base, nvars) == outcome(general, t, base, nvars)
+                check_against_oracle(t, base, nvars)
             # fail-closed: one edited character leaves both readers agreeing
             for _ in range(5):
                 i = rng.randrange(len(text) + 1)
-                edit = rng.choice("0123456789x^*/+- ()")
+                edit = rng.choice(alphabet)
                 for t in (text[:i] + edit + text[i:], text[:i] + edit + text[i + 1 :]):
-                    assert outcome(parse_poly, t, base, nvars) == outcome(general, t, base, nvars)
+                    check_against_oracle(t, base, nvars)
     # near-canonical text: valid, invalid, and canonical but out of range
-    cases = [("- 3", Z, 1), ("x1  + 1", Z, 1)] + [
-        (t, Q, 1) for t in ("1/0", "1/00", "3 -", "x1^", "x1^2^2", "x0")
+    cases = [("- 3", Z, 1), ("x1  + 1", Z, 1), ("2 * 3", Z, 1), ("3*x1x2", Z, 2)] + [
+        (t, Q, 1)
+        for t in ("", "-", "1/0", "1/00", "3 -", "3*", "x1^", "x1^2^2", "x0", "1_0", "\u0663")
     ]
     for text, base, nvars in cases:
         assert not _CANONICAL.fullmatch(text)
-        assert outcome(parse_poly, text, base, nvars) == outcome(general, text, base, nvars)
+        check_against_oracle(text, base, nvars)
     assert outcome(parse_poly, "- 3", Z, 1) == [((0,), -3, int)]
-    for text, base, expected in (
-        ("x2", Q, (ParseError, "variable x2 beyond declared nvars=1")),
-        ("1/2", Z, BaseMismatch),
-    ):
+    for text, base in (("x2", Q), ("1/2", Z)):
         assert _CANONICAL.fullmatch(text)
-        assert outcome(parse_poly, text, base, 1) == expected == outcome(general, text, base, 1)
+        check_against_oracle(text, base, 1)
+    assert outcome(parse_poly, "x2", Q, 1) == (ParseError, "variable x2 beyond declared nvars=1")
+    assert outcome(parse_poly, "1/2", Z, 1) is BaseMismatch
+    # past the cap the canonical reader leaves the refusal to parse_poly's general route
+    past_cap = "x1^%d" % (MAX_DEGREE + 1)
+    assert _CANONICAL.fullmatch(past_cap) and _read_canonical(past_cap, 1) is None
+    assert outcome(parse_poly, past_cap, Q, 1)[0] is ParseError
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem import rootdata
+from chevelem import fileio, rootdata
 from chevelem.errors import (
     BaseMismatch,
     NotAUnit,
@@ -95,6 +95,21 @@ def test_header_nvars_outside_0_to_9_refused(nvars):
     with pytest.raises(ParseError) as caught:
         matrix_from_dict(d)
     assert str(caught.value) == "nvars out of the supported range 0..9"
+
+
+def test_short_row_refused_before_building(monkeypatch):
+    # each row is sized with the header, before the root system is built
+    built = []
+    real = fileio.build_root_system
+    monkeypatch.setattr(
+        fileio, "build_root_system", lambda *args: built.append(args) or real(*args)
+    )
+    rows = [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]
+    header = {"group": {"type": "A", "rank": 2}, "base": "Z", "nvars": 1}
+    for read, key in ((matrix_from_dict, "entries"), (certificate_from_dict, "target")):
+        with pytest.raises(SizeMismatch, match="expected 3x3 matrix"):
+            read(dict(header, **{key: rows}))
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -353,6 +353,28 @@ def test_type_letters_spelled_only_in_rootdata():
     assert found == [], found
 
 
+def test_base_kinds_spelled_only_in_exactring():
+    # exactring's KIND_* constants name the base kinds: outside exactring
+    # no module compares a .kind with a string literal (alone or in a
+    # tuple, list or set), so a new or renamed kind is found by name
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "exactring.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(n, ast.Compare):
+                continue
+            operands = [n.left] + n.comparators
+            if not any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands):
+                continue
+            for o in operands:
+                elts = o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o]
+                if any(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in elts):
+                    found.append("%s:%d" % (path.name, n.lineno))
+                    break
+    assert found == [], found
+
+
 def test_units_decided_only_by_base_ring():
     # BaseRing.is_unit and unit_inverse own which elements are units; a
     # second definition elsewhere would restate that rule for one ring

@@ -105,8 +105,16 @@ MUTANTS = (
      "if False:"),
     # canonical text reads every monomial after the first as positive
     (SRC + "exactring.py",
-     'neg = words[k - 1] == "-"',
+     'neg = sign == "-"',
      "neg = False"),
+    # canonical text reads a sign token other than "+" or "-" as "+"
+    (SRC + "exactring.py",
+     'if sign != "+" and sign != "-":',
+     "if False:"),
+    # canonical text takes an exponent chain outside the grammar
+    (SRC + "exactring.py",
+     "if not _VARS.fullmatch(chain):",
+     "if False:"),
     # canonical text reads every exponent as 1
     (SRC + "exactring.py",
      "e[i] += int(f[3:]) if len(f) > 2 else 1",
