@@ -33,6 +33,7 @@ from .rootdata import (
     GroupMatrix,
     build_root_system,
     commutator_expand,
+    commutator_letters,
     elem_unipotent,
     weyl_and_torus,
 )
@@ -70,19 +71,14 @@ def run_relation_suite(kind: str, rank: int, trials: int, seed: int) -> dict:
             s = _rand_poly(rng, nvars)
             t = _rand_poly(rng, nvars)
             lhs = eval_word(ElemWord(rs, commutator_expand(rs, a, b, s, t)), Z, nvars)
-            rhs = (
-                ident.rmul_unipotent(a, s)
-                .rmul_unipotent(b, t)
-                .rmul_unipotent(a, -s)
-                .rmul_unipotent(b, -t)
-            )
+            rhs = ident.rmul_letters(commutator_letters([(a, s)], [(b, t)]))
             if lhs != rhs:
                 failures["commutator"] += 1
     for a in rs.roots:
         for _ in range(trials):
             s = _rand_poly(rng, nvars)
             t = _rand_poly(rng, nvars)
-            lhs = ident.rmul_unipotent(a, s).rmul_unipotent(a, t)
+            lhs = ident.rmul_letters([(a, s), (a, t)])
             if lhs != elem_unipotent(rs, a, s + t):
                 failures["additivity"] += 1
     units = (1, -1)

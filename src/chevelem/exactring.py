@@ -1020,8 +1020,8 @@ def _pow_terms(p: dict, n: int, nvars: int, m: int | None = None, mul=_mul_terms
         return p
     if len(p) == 1:
         ((e, c),) = p.items()
+        _check_degree((e >> _W * nvars) * n, 0)  # the true degree, before a field can carry
         e *= n  # every field times n: no carry below the cap
-        _check_degree(e, nvars)
         c = pow(c, n, m)
         return {e: c} if c else {}
     result, square = None, p

@@ -33,7 +33,9 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactring import KIND_INTEGERS, BaseRing, MultiPoly, leading_term_division, size_change
-from .rootdata import GroupMatrix, RootSystem, apply_moves, membership_check
+from .rootdata import (
+    GroupMatrix, RootSystem, apply_moves, commutator_letters, invert_letters, membership_check,
+)
 from .words import (
     DEFAULT_BUDGET, Budget, ElemWord, FactorizationCertificate, eval_word, free_reduce,
 )
@@ -113,10 +115,7 @@ class _OpRecorder:
 
     def inverse_letters(self) -> tuple:
         """(left, right) letter lists with left * current * right = original."""
-        return (
-            [(root, -t) for root, t in self.left],
-            [(root, -t) for root, t in reversed(self.right)],
-        )
+        return [(root, -t) for root, t in self.left], invert_letters(self.right)
 
     def word(self) -> ElemWord:
         """Word w with eval(w) * current = original."""
@@ -434,23 +433,9 @@ def _rank1_update(rec: _OpRecorder) -> None:
     )
     if spare is None:
         return
-    letters = []
-    for i in range(size):
-        if not v[i].is_zero():
-            letters.append((rec.rs.root_at(i, spare), v[i]))
-    p_len = len(letters)
-    for i in range(size):
-        if not w[i].is_zero():
-            letters.append((rec.rs.root_at(spare, i), -w[i]))
-    p_part = letters[:p_len]
-    q_part = letters[p_len:]
-    full = (
-        p_part
-        + q_part
-        + [(r, -t) for r, t in reversed(p_part)]
-        + [(r, -t) for r, t in reversed(q_part)]
-    )
-    for root, t in reversed(full):
+    p = [(rec.rs.root_at(i, spare), v[i]) for i in range(size) if not v[i].is_zero()]
+    q = [(rec.rs.root_at(spare, i), -w[i]) for i in range(size) if not w[i].is_zero()]
+    for root, t in reversed(commutator_letters(p, q)):
         rec.move(root, t, "left")
 
 

@@ -318,8 +318,7 @@ def _opposite_rewrite(rs, gamma, t, z: int, s: int, reserve: int):
         if z_divisible:
             m1 = max(1, reserve)
         else:
-            v = poly_s_valuation(part, s)
-            m1 = v // const_power if v is not None else 1
+            m1 = poly_s_valuation(part, s) // const_power
             if m1 < 1:
                 raise _Refused("opposite rewrite without a power of s")
         u = part.scale(Fraction(1, n0) / s ** (m1 * const_power))
@@ -447,13 +446,8 @@ def patch(g: GroupMatrix, certs, covering: CoveringData) -> ElemWord:
                 "covering exponent %d below certificate modulus %d" % (k_cov, cert.k)
             )
     chain = telescoping_chain(covering.raised())
-    n = len(covering.elems)
-    word = ElemWord(g.rs, [])
-    for j in range(n):
-        i = n - 1 - j
-        step = certs[i][1].generator(chain[j], chain[j + 1])
-        word = word.concat(step)
-    word = free_reduce(word)
+    steps = (cert.generator(a, b) for (_, cert), a, b in zip(reversed(certs), chain, chain[1:]))
+    word = free_reduce(ElemWord(g.rs, []).concat(*steps))
     # eval(word) = g g(0)^{-1}, checked as eval(word) g(0) = g: no inverse
     if eval_word(word, onto=g.at_zero(0)) != g:
         raise CoveringInconsistent("patched word failed exact verification")

@@ -252,6 +252,13 @@ class GroupMatrix:
         """Fast product self * x_root(t)."""
         return self._moved(self.rs.moves["right"][root], t)
 
+    def rmul_letters(self, letters) -> "GroupMatrix":
+        """self * x_r1(t1) ... x_rk(tk), one rmul_unipotent per letter (ri, ti)."""
+        m = self
+        for root, t in letters:
+            m = m.rmul_unipotent(root, t)
+        return m
+
     def lmul_unipotent(self, root: Root, t: MultiPoly) -> "GroupMatrix":
         """Fast product x_root(t) * self."""
         return self._moved(self.rs.moves["left"][root], t)
@@ -394,14 +401,22 @@ def weyl_and_torus(rs: RootSystem, alpha, u) -> tuple:
         raise NotAUnit("%r is not a unit of %s" % (uc, base))
 
     def w(c):
-        m = GroupMatrix.identity(rs, base, nvars)
-        for root, val in ((a, c), (neg, -base.unit_inverse(c)), (a, c)):
-            m = m.rmul_unipotent(root, MultiPoly.const(base, nvars, val))
-        return m
+        x, y = MultiPoly.const(base, nvars, c), MultiPoly.const(base, nvars, -base.unit_inverse(c))
+        return GroupMatrix.identity(rs, base, nvars).rmul_letters([(a, x), (neg, y), (a, x)])
 
     w_u = w(uc)
     # w(1)^{-1} = x_a(-1) x_{-a}(1) x_a(-1) = w(-1)
     return w_u, w_u * w(-base.one())
+
+
+def invert_letters(letters) -> list:
+    """Letters (root, arg) of the inverse word: reversed, each argument negated."""
+    return [(root, -arg) for root, arg in reversed(letters)]
+
+
+def commutator_letters(p, q) -> list:
+    """The letters of the commutator p q p^-1 q^-1 of letter lists p and q."""
+    return p + q + invert_letters(p) + invert_letters(q)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +441,7 @@ def structure_constants(rs: RootSystem, alpha, beta):
     s = MultiPoly.variable(base, 2, 0)
     t = MultiPoly.variable(base, 2, 1)
     ident = GroupMatrix.identity(rs, base, 2)
-    comm = (
-        ident.rmul_unipotent(a, s)
-        .rmul_unipotent(b, t)
-        .rmul_unipotent(a, -s)
-        .rmul_unipotent(b, -t)
-    )
+    comm = ident.rmul_letters(commutator_letters([(a, s)], [(b, t)]))
     cone = rs.cone_roots(a, b)
     constants = []
     for i, j, gamma in cone:
@@ -440,10 +450,7 @@ def structure_constants(rs: RootSystem, alpha, beta):
         if n:
             constants.append((i, j, gamma, n))
     # verification: rebuild and compare against the literal commutator
-    check = ident
-    for i, j, gamma, n in constants:
-        arg = (s ** i) * (t ** j)
-        check = check.rmul_unipotent(gamma, arg.scale(n))
+    check = ident.rmul_letters([(gamma, (s**i * t**j).scale(n)) for i, j, gamma, n in constants])
     if check != comm:
         raise AssertionError(
             "structure constant derivation failed for %r, %r" % (a, b)
@@ -481,11 +488,7 @@ def commutator_expand(rs: RootSystem, alpha, beta, s: MultiPoly, t: MultiPoly, s
     if cut is None:
         raise UnknownRoot("%r is not a root of this commutator" % (solve_for,))
     pre, post = letters[:cut], letters[cut:]
-    return (
-        [(d, -a) for d, a in reversed(pre)]
-        + [(alpha, s), (beta, t), (alpha, -s), (beta, -t)]
-        + [(d, -a) for d, a in reversed(post)]
-    )
+    return invert_letters(pre) + commutator_letters([(alpha, s)], [(beta, t)]) + invert_letters(post)
 
 
 def opposite_decomposition(rs: RootSystem, gamma):

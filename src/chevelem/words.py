@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BaseMismatch, SizeMismatch
 from .exactring import MAX_DEGREE, BaseRing, _fold_product, _mul_add, _poly, _reduced, convert
-from .rootdata import GroupMatrix, RootSystem, membership_check
+from .rootdata import GroupMatrix, RootSystem, invert_letters, membership_check
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,11 @@ class ElemWord:
             return arg.base, arg.nvars
         return BaseRing.integers(), 1
 
-    def concat(self, other: "ElemWord") -> "ElemWord":
-        if self.rs != other.rs:
+    def concat(self, *others: "ElemWord") -> "ElemWord":
+        """self followed by others, in order, checked once as one word."""
+        if any(self.rs != other.rs for other in others):
             raise BaseMismatch("words over different root systems")
-        return ElemWord(self.rs, self.letters + other.letters)
+        return ElemWord(self.rs, self.letters + tuple(x for other in others for x in other.letters))
 
     def max_degree(self) -> int:
         return max((arg.total_degree() for _, arg in self.letters), default=0)
@@ -189,7 +190,7 @@ def eval_word(
 
 
 def invert_word(w: ElemWord) -> ElemWord:
-    return ElemWord(w.rs, [(r, -a) for r, a in reversed(w.letters)])
+    return ElemWord(w.rs, invert_letters(w.letters))
 
 
 def free_reduce(w: ElemWord) -> ElemWord:

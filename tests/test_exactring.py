@@ -874,6 +874,15 @@ def test_text_past_the_degree_cap_is_a_parse_error():
             parse_poly(text, Q, 2)
 
 
+def test_one_term_power_past_the_cap_names_its_degree():
+    # the top variable's field times n would carry into the degree field,
+    # so the degree is checked before the key is multiplied
+    with pytest.raises(ParseError, match="total degree 10185762 exceeds"):
+        parse_poly("x1^10185762", Q, 1)
+    with pytest.raises(DegreeOverflow, match="total degree 3000000 exceeds"):
+        MultiPoly.variable(Z, 1, 0) ** 3000000
+
+
 def test_reader_memo_keys_on_nvars():
     # one chain read under two variable counts gives tuples of each length
     assert exponents(parse_poly("x1^3*x2", Z, 2)) == [(3, 1)]

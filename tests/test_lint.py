@@ -223,6 +223,29 @@ def test_structure_constants_read_only_through_rootdata():
     ], found
 
 
+INVERSE_LETTERS = re.compile(r"\((\w+), -(\w+)\) for \1, \2 in reversed\(")
+
+
+def test_letter_lists_inverted_only_by_invert_letters():
+    # a word's inverse reverses its letters and negates each argument;
+    # rootdata.invert_letters does that once for words, commutators and
+    # the greedy's recorded moves
+    found = functions_with_line(lambda line: INVERSE_LETTERS.search(line))
+    assert found == ["rootdata.py: invert_letters"], found
+
+
+def test_letters_multiplied_onto_a_matrix_only_by_rmul_letters():
+    # a letter list times a matrix on the right is GroupMatrix.rmul_letters;
+    # elem_unipotent is one letter onto the identity, and the relation
+    # suite's torus check compares one move on each side
+    found = functions_with_line(lambda line: ".rmul_unipotent(" in line)
+    assert found == [
+        "cli.py: run_relation_suite",
+        "rootdata.py: rmul_letters",
+        "rootdata.py: elem_unipotent",
+    ], found
+
+
 def test_substitute_called_only_for_maps_that_are_not_dilations():
     # x -> c*x and evaluation at zero go through the term map dilate; a
     # substitute call elsewhere would rebuild a dilation image by hand

@@ -949,6 +949,18 @@ def test_patch_mismatched_certs():
         patch(g, [(2, cert)], cov)
 
 
+@pytest.mark.parametrize("kind, rank", [("A", 3), ("C", 3)])
+def test_patch_refuses_certs_over_another_root_system(kind, rank):
+    # the steps' words are joined by one concat, which compares root
+    # systems: C3 has every A2 root, so the roots alone would not tell
+    rng = random.Random(31)
+    w, g = integral_word_and_matrix(rng, A2)
+    cert = dilation_factor(g, map_word(w, ("localize", 1)), 1)
+    other = GroupMatrix.identity(build_root_system(kind, rank), Z, 1)
+    with pytest.raises(BaseMismatch, match="words over different root systems"):
+        patch(other, [(1, cert)], CoveringData((1,), (1,), (1,)))
+
+
 @pytest.mark.parametrize("rs", [A2, C2], ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
 def test_patch_refuses_a_non_member(rs):
     # the certificate's word is h h(0)^{-1} for h = x_b(1) x_a(x1); g is h

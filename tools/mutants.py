@@ -87,6 +87,14 @@ MUTANTS = (
     (SRC + "rootdata.py",
      "self.length_ratio = max(lengths) // min(lengths)",
      "self.length_ratio = 1"),
+    # a letter list's inverse keeps each argument's sign
+    (SRC + "rootdata.py",
+     "return [(root, -arg) for root, arg in reversed(letters)]",
+     "return [(root, arg) for root, arg in reversed(letters)]"),
+    # a letter list multiplied onto a matrix drops its last letter
+    (SRC + "rootdata.py",
+     "for root, t in letters:\n            m = m.rmul_unipotent(root, t)",
+     "for root, t in letters[:-1]:\n            m = m.rmul_unipotent(root, t)"),
     # a file header with a negative variable count is read
     (SRC + "fileio.py",
      "if nvars < 0 or nvars > 9:",
@@ -119,6 +127,10 @@ MUTANTS = (
     (SRC + "exactring.py",
      "e[i] += int(f[3:]) if len(f) > 2 else 1",
      "e[i] += 1"),
+    # a one-term power is not checked against the degree cap
+    (SRC + "exactring.py",
+     "_check_degree((e >> _W * nvars) * n, 0)",
+     "pass"),
     # emitted text keeps " + -" where a negative term is joined
     (SRC + "exactring.py",
      'return " + ".join(pieces).replace(" + -", " - ")',
