@@ -269,7 +269,7 @@ def _expand_good(w0: ElemWord, z: int, s: int, reserve: int, budget: Budget):
         out.extend(wseg)
         if len(out) > budget.max_letters:
             raise _Refused("expansion refused by Budget.max_letters")
-    return reduce_letters(out)
+    return reduce_letters(rs, out)
 
 
 def _flat_conj(rs, beta, r, letters, z, s, reserve, budget: Budget):

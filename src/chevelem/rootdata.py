@@ -16,6 +16,7 @@ re-multiplied and compared against the literal commutator before use.
 from __future__ import annotations
 
 from .errors import (
+    InternalCheckFailed,
     NotAUnit,
     NotInGroup,
     ProportionalRoots,
@@ -89,6 +90,8 @@ class RootSystem:
         }
         self._commutator_cache: dict = {}
         self._decomposition_cache: dict = {}
+        # root -> {root: whether the two unipotents commute}, filled on use
+        self._commutes: dict = {a: {} for a in self.roots}
 
     # -- queries ---------------------------------------------------------------
 
@@ -125,6 +128,18 @@ class RootSystem:
 
     def proportional(self, a: Root, b: Root) -> bool:
         return a == b or a == tuple(-x for x in b)
+
+    def commutes(self, a: Root, b: Root) -> bool:
+        """Whether x_a(s) x_b(t) = x_b(t) x_a(s) for all s and t: never for
+        proportional roots, else exactly when the pair has no structure
+        constants.  Their derivation re-multiplies the literal commutator
+        over Z[s, t], so each pair is proved once, on first use, for every
+        commutative ring."""
+        hit = self._commutes[a].get(b)
+        if hit is None:
+            hit = not self.proportional(a, b) and structure_constants(self, a, b) == ()
+            self._commutes[a][b] = self._commutes[b][a] = hit
+        return hit
 
     def cone_roots(self, a: Root, b: Root):
         """Positive integer combinations i*a + j*b that are roots, ordered
@@ -428,7 +443,8 @@ def structure_constants(rs: RootSystem, alpha, beta):
 
     Returns a tuple of (i, j, gamma, N) in the fixed order (i+j, i)
     ascending.  Derived once per ordered pair by formal expansion over
-    Z[s, t], verified by re-multiplication, then cached.
+    Z[s, t], verified by re-multiplication, then cached; a failed check is
+    a fault in the program and raises InternalCheckFailed.
     """
     a = rs.check_root(alpha)
     b = rs.check_root(beta)
@@ -452,11 +468,9 @@ def structure_constants(rs: RootSystem, alpha, beta):
     # verification: rebuild and compare against the literal commutator
     check = ident.rmul_letters([(gamma, (s**i * t**j).scale(n)) for i, j, gamma, n in constants])
     if check != comm:
-        raise AssertionError(
-            "structure constant derivation failed for %r, %r" % (a, b)
-        )
+        raise InternalCheckFailed("structure constant derivation failed for %r, %r" % (a, b))
     if any(abs(n) > rs.length_ratio for _, _, _, n in constants):
-        raise AssertionError("constant out of range for type %s" % rs.kind)
+        raise InternalCheckFailed("constant out of range for type %s" % rs.kind)
     out = tuple(constants)
     rs._commutator_cache[(a, b)] = out
     return out

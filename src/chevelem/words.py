@@ -194,22 +194,37 @@ def invert_word(w: ElemWord) -> ElemWord:
 
 
 def free_reduce(w: ElemWord) -> ElemWord:
-    """Merge adjacent same-root letters by additivity and drop zero args."""
-    return ElemWord(w.rs, reduce_letters(w.letters))
+    """Collect same-root letters across the letters they commute with, merge
+    them by additivity and drop zero args (see reduce_letters)."""
+    return ElemWord(w.rs, reduce_letters(w.rs, w.letters))
 
 
-def reduce_letters(letters) -> list:
+def reduce_letters(rs: RootSystem, letters) -> list:
     """free_reduce on a bare (root, arg) sequence over any ring with + and
-    is_zero, for callers that have letters but no ElemWord yet."""
+    is_zero, for callers that have letters but no ElemWord yet.
+
+    One pass over a stack: each letter scans back over the letters whose
+    roots commute with its own (rs.commutes) and merges with the first
+    letter of its root it meets; both drop out if the sum is zero, and a
+    letter that meets none is pushed.  The result is a fixpoint: a merge
+    that deletes stack[j] unblocks nothing, as every letter after j
+    commutes with that root.  Cost: O(L^2) memoised rs.commutes lookups in
+    the worst case, for L letters.
+    """
+    commutes = rs.commutes
     stack: list = []
     for root, arg in letters:
         if arg.is_zero():
             continue
-        if stack and stack[-1][0] == root:
-            merged = stack[-1][1] + arg
-            stack.pop()
-            if not merged.is_zero():
-                stack.append((root, merged))
+        j = len(stack) - 1
+        while j >= 0 and stack[j][0] != root and commutes(stack[j][0], root):
+            j -= 1
+        if j >= 0 and stack[j][0] == root:
+            merged = stack[j][1] + arg
+            if merged.is_zero():
+                del stack[j]
+            else:
+                stack[j] = (root, merged)
         else:
             stack.append((root, arg))
     return stack

@@ -46,6 +46,7 @@ from chevelem.factorize import (
 )
 from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent, membership_check
 from chevelem.words import ElemWord, eval_word, free_reduce
+from test_words import adjacent_merge
 
 Z = BaseRing.integers()
 Q = BaseRing.rationals()
@@ -483,9 +484,10 @@ def test_field_quotient_runs_past_the_greedy_limit(base):
 
 
 # SHA-256 of the canonical certificate texts of pinned_inputs(), recorded
-# with the greedy search as it was before it reused results across steps;
-# a change to the search that alters any emitted word changes it
-PINNED_SHA256 = "f3f1cb02cc2f59fcdd2e3951eea9bc7c5f17f436bd1e252905fe9a34c0c97a21"
+# when free_reduce came to collect letters across the letters they commute
+# with; a change to the search or the reduction that alters any emitted
+# word changes it
+PINNED_SHA256 = "6048589e6ab3f562eb1784b6022178dfaf37975aa2b0bc19ea6711a04e9664d9"
 
 
 def pinned_inputs():
@@ -513,9 +515,9 @@ def test_greedy_certificates_pinned():
 
 
 # SHA-256 of the words of elimination_words(): the integer, Q and F5
-# reductions, whose words have not changed since the Euclidean and field
-# reductions came to share their elimination steps
-ELIMINATION_SHA256 = "ef6ea60fcf59adfaf339a142074804c1348ee0a18fa8a6dfbac18907704211c4"
+# reductions, recorded when free_reduce came to collect letters across the
+# letters they commute with
+ELIMINATION_SHA256 = "ff0808aba0449b7362525a9a7e8b919395bcf56682ee98c4a09e50200c001060"
 
 
 def elimination_words():
@@ -818,6 +820,26 @@ def bench_family_words(seeds):
     for rs, nvars, length in ((A2, 1, 15), (A3, 2, 10), (C2, 1, 10), (C3, 1, 10)):
         for seed in seeds:
             yield nvars, random_elementary_word(rs, seed, length, nvars=nvars)
+
+
+def test_reductions_no_longer_than_adjacent_merges(monkeypatch):
+    # on the bench families each of factorize's reductions, the last one
+    # being the word handed out, keeps at most as many letters as the
+    # adjacent-only merge of its input; heuristic_reduce multiplies back
+    real = factorize.free_reduce
+    lengths = []
+
+    def recorded(w):
+        out = real(w)
+        lengths.append((len(out), len(adjacent_merge(w.letters))))
+        return out
+
+    monkeypatch.setattr(factorize, "free_reduce", recorded)
+    for nvars, word in bench_family_words(range(9600, 9610)):
+        heuristic_reduce(eval_word(word, Z, nvars))
+    assert len(lengths) >= 40
+    assert all(got <= adjacent for got, adjacent in lengths)
+    assert sum(got for got, _ in lengths) < sum(adjacent for _, adjacent in lengths)
 
 
 def perturbed_word_matrix():

@@ -213,11 +213,13 @@ def test_exponents_summed_only_by_the_adder():
 
 def test_structure_constants_read_only_through_rootdata():
     # commutator_expand turns the constants into letters; a module that
-    # read them itself would rebuild those letters by hand
+    # read them itself would rebuild those letters by hand.  commutes reads
+    # only whether a pair has any
     found = functions_with_line(
         lambda line: "structure_constants(" in line and "def structure_constants(" not in line
     )
     assert found == [
+        "rootdata.py: commutes",
         "rootdata.py: commutator_expand",
         "rootdata.py: opposite_decomposition",
     ], found

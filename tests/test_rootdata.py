@@ -9,6 +9,7 @@ import pytest
 from chevelem import rootdata
 from chevelem.errors import (
     BaseMismatch,
+    InternalCheckFailed,
     NotAUnit,
     NotInGroup,
     ProportionalRoots,
@@ -473,6 +474,48 @@ def test_structure_constant_ranges():
                 seen_two = seen_two or abs(n) == 2
     assert seen_two
 
+
+
+# ordered non-proportional pairs that commute, of all such pairs
+COMMUTING_PAIRS = {("A", 2): (12, 24), ("A", 3): (72, 120), ("C", 2): (24, 48), ("C", 3): (168, 288)}
+
+
+@pytest.mark.parametrize(
+    "kind, rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("C", 2), ("C", 3), ("C", 4)]
+)
+def test_commutes_is_the_literal_swap_over_z_s_t(kind, rank):
+    # rs.commutes(a, b) holds exactly when x_a(s) x_b(t) = x_b(t) x_a(s)
+    # over Z[s, t], which is when no positive combination of a and b is a
+    # root; a root never commutes with its negative
+    rs = build_root_system(kind, rank)
+    s = MultiPoly.variable(Z, 2, 0)
+    t = MultiPoly.variable(Z, 2, 1)
+    ident = GroupMatrix.identity(rs, Z, 2)
+    commuting = pairs = 0
+    for a in rs.roots:
+        assert not rs.commutes(a, tuple(-v for v in a))
+        for b in rs.roots:
+            if rs.proportional(a, b):
+                continue
+            swapped = ident.rmul_letters([(a, s), (b, t)]) == ident.rmul_letters([(b, t), (a, s)])
+            assert rs.commutes(a, b) == swapped == (rs.cone_roots(a, b) == [])
+            commuting += swapped
+            pairs += 1
+    if (kind, rank) in COMMUTING_PAIRS:
+        assert (commuting, pairs) == COMMUTING_PAIRS[kind, rank]
+
+
+def test_structure_constant_checks_raise_internal_check_failed(monkeypatch):
+    # both self-checks are faults in the program, which cli maps to exit 1;
+    # fresh root systems keep the memoised ones' caches clean
+    rs = rootdata.RootSystem("A", 2)
+    monkeypatch.setattr(rs, "cone_roots", lambda a, b: [])
+    with pytest.raises(InternalCheckFailed, match="derivation failed"):
+        structure_constants(rs, (1, -1, 0), (0, 1, -1))
+    rs = rootdata.RootSystem("C", 2)
+    rs.length_ratio = 1  # C2's short + short -> long constant is 2
+    with pytest.raises(InternalCheckFailed, match="out of range"):
+        structure_constants(rs, (1, -1), (1, 1))
 
 # -- sparse against dense multiplication -------------------------------------------
 

@@ -390,3 +390,53 @@ def test_eval_word_reads_only_the_left_moves(base, rs):
         assert typed_entries(eval_word(w, onto=onto)) == expect
         empty = eval_word(ElemWord(left_only, []), base, nvars)
         assert typed_entries(empty) == typed_entries(GroupMatrix.identity(rs, base, nvars))
+
+
+# -- collection across commuting letters -------------------------------------
+
+
+def adjacent_merge(letters):
+    """The reduction before collection: adjacent same-root letters merge,
+    zero arguments drop."""
+    out = []
+    for root, arg in letters:
+        if out and out[-1][0] == root:
+            arg = out.pop()[1] + arg
+        if not arg.is_zero():
+            out.append((root, arg))
+    return out
+
+
+def swaps(rs, a, b):
+    """x_a and x_b commute: one root, or no positive combination a root."""
+    return a == b or (a != tuple(-v for v in b) and not rs.cone_roots(a, b))
+
+
+def collectable_word(rng, rs, base):
+    """Letters over three roots with arguments from a pool of three and
+    their negatives, so that merges and cancellations are frequent."""
+    roots = rng.sample(rs.roots, 3)
+    pool = [rand_arg(rng, base, 1) for _ in range(3)]
+    letters = []
+    for _ in range(rng.randint(0, 14)):
+        arg = rng.choice(pool)
+        letters.append((rng.choice(roots), arg if rng.random() < 0.5 else -arg))
+    return ElemWord(rs, letters)
+
+
+@pytest.mark.parametrize("rs", EVAL_SYSTEMS, ids=lambda rs: "%s%d" % (rs.kind, rs.rank))
+@pytest.mark.parametrize("base", ONTO_BASES, ids=str)
+def test_free_reduce_collects_across_commuting_letters(base, rs):
+    rng = random.Random("collect-%s-%s%d" % (base, rs.kind, rs.rank))
+    for _ in range(20):
+        w = collectable_word(rng, rs, base)
+        got = free_reduce(w)
+        assert eval_word(got, base, 1) == eval_word(w, base, 1)
+        assert len(got) <= len(adjacent_merge(w.letters))
+        assert free_reduce(got) == got
+        # between two letters of one root stands a letter that blocks them
+        roots = [r for r, _ in got.letters]
+        for j, root in enumerate(roots):
+            if root in roots[:j]:
+                i = j - 1 - roots[:j][::-1].index(root)
+                assert not all(swaps(rs, r, root) for r in roots[i + 1:j])

@@ -41,8 +41,12 @@ MUTANTS = (
      "                elif False:\n                    return False"),
     # free reduction merges two letters of one root by subtraction
     (SRC + "words.py",
-     "merged = stack[-1][1] + arg",
-     "merged = stack[-1][1] - arg"),
+     "merged = stack[j][1] + arg",
+     "merged = stack[j][1] - arg"),
+    # a pair whose commutator is a product of cone letters counts as commuting
+    (SRC + "rootdata.py",
+     "hit = not self.proportional(a, b) and structure_constants(self, a, b) == ()",
+     "hit = not self.proportional(a, b)"),
     # type-A membership accepts any constant determinant
     (SRC + "rootdata.py",
      "return d.is_constant() and d.constant_term() == base.one()",
