@@ -190,6 +190,7 @@ class BaseRing:
         return c != 0 and _s_smooth(abs(c.numerator), self.param)
 
     def unit_inverse(self, c):
+        c = self.normalize(c)
         if not self.is_unit(c):
             raise NotAUnit("%r is not a unit of %s" % (c, self))
         if self.kind == KIND_INTEGERS:

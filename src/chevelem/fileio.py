@@ -54,15 +54,17 @@ def matrix_to_dict(m: GroupMatrix) -> dict:
     return out
 
 
+def _read_matrix(rows, rs: RootSystem, base: BaseRing, nvars: int, spent: list) -> GroupMatrix:
+    """The matrix whose rows hold polynomial texts, parsed with spent."""
+    return GroupMatrix(rs, [[parse_poly(t, base, nvars, spent=spent) for t in row] for row in rows])
+
+
 def matrix_from_dict(data: dict) -> GroupMatrix:
     rs, base, nvars = _read_header(data, "entries")
-    spent = [0]  # the monomial products of the whole file, as parse_poly counts them
     try:
-        rows = data["entries"]
-        entries = [[parse_poly(t, base, nvars, spent=spent) for t in row] for row in rows]
+        return _read_matrix(data["entries"], rs, base, nvars, [0])
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed matrix entries: %s" % exc) from exc
-    return GroupMatrix(rs, entries)
 
 
 def word_to_records(w: ElemWord) -> list:
@@ -99,12 +101,9 @@ def certificate_to_dict(cert: FactorizationCertificate) -> dict:
 def certificate_from_dict(data: dict) -> FactorizationCertificate:
     rs, base, nvars = _read_header(data, "target")
     spent = [0]  # the monomial products of the whole file, as parse_poly counts them
-
-    def read(rows):
-        return GroupMatrix(rs, [[parse_poly(t, base, nvars, spent=spent) for t in r] for r in rows])
-
     try:
-        target, residual = read(data["target"]), read(data["residual"])
+        target = _read_matrix(data["target"], rs, base, nvars, spent)
+        residual = _read_matrix(data["residual"], rs, base, nvars, spent)
         word = word_from_records(data["word"], rs, base, nvars, spent)
         verified = bool(data["verified"])
     except (KeyError, TypeError) as exc:

@@ -364,64 +364,60 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
     loc = BaseRing.integers_localized(s)
     if w_s.letters and w_s.base_and_nvars()[0] != loc:
         raise PreconditionViolated("word does not evaluate to the localized matrix")
-    integral = all(arg.den == 1 for _, arg in w_s.letters)
-    if integral:
+    if all(arg.den == 1 for _, arg in w_s.letters):
         w_int = ElemWord(w_s.rs, [(r, convert(a, base)) for r, a in w_s.letters])
         # Z[x] -> Z[1/s][x] is injective: this is the check over Z[1/s]
         matches = eval_word(w_int, base, nvars) == g
     else:
+        w_int = None
         matches = eval_word(w_s, loc, nvars) == g.map_entries(lambda p: convert(p, loc))
     # this check puts g in E(Z[1/s][x]), so every g(bx) below is invertible
     if not matches:
         raise PreconditionViolated("word does not evaluate to the localized matrix")
 
-    def verified_generator(word_for):
-        """generator(a, b) for integers a, b: the free-reduced
-        word_for(a, b), checked exactly as eval(word) g(bx) = g(ax)."""
+    if w_int is not None:
+        k = 0
 
-        def generator(a, b):
-            a, b = base.normalize(a), base.normalize(b)
-            word = free_reduce(word_for(a, b))
-            if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):
-                raise InternalCheckFailed("generator output failed verification")
-            return word
-
-        return generator
-
-    if integral:
-
-        def direct(a, b):
+        def word_for(a, b):
             wa = ElemWord(w_int.rs, [(r, p.dilate(0, a)) for r, p in w_int])
             wb = ElemWord(w_int.rs, [(r, p.dilate(0, b)) for r, p in w_int])
             return wa.concat(invert_word(wb))
 
-        return DilationCert(s=s, k=0, generator=verified_generator(direct))
+    else:
+        n2 = nvars + 2
+        yv, zv = nvars, nvars + 1
+        loc_x, loc_y, loc_z = (MultiPoly.variable(loc, n2, v) for v in (0, yv, zv))
+        part_a = map_word(w_s, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
+        part_b = invert_word(map_word(w_s, ("substitute", {0: loc_x * loc_y}, n2)))
+        w_f = part_a.concat(part_b)
 
-    n2 = nvars + 2
-    yv, zv = nvars, nvars + 1
-    loc_x, loc_y, loc_z = (MultiPoly.variable(loc, n2, v) for v in (0, yv, zv))
-    part_a = map_word(w_s, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
-    part_b = invert_word(map_word(w_s, ("substitute", {0: loc_x * loc_y}, n2)))
-    w_f = part_a.concat(part_b)
+        h, k = descend_word(w_f, s, z=zv, budget=budget)
 
-    h, k = descend_word(w_f, s, z=zv, budget=budget)
+        int_x, int_y, int_z = (MultiPoly.variable(base, n2, v) for v in (0, yv, zv))
+        g_xy = g.substitute({0: int_x * int_y}, nvars_out=n2)
+        g_xyz = g.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
+        # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
+        if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
+            raise InternalCheckFailed("descended word differs from the dilated matrix over Z")
 
-    int_x, int_y, int_z = (MultiPoly.variable(base, n2, v) for v in (0, yv, zv))
-    g_xy = g.substitute({0: int_x * int_y}, nvars_out=n2)
-    g_xyz = g.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
-    # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
-    if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
-        raise InternalCheckFailed("descended word differs from the dilated matrix over Z")
+        def word_for(a, b):
+            q, r = divmod(a - b, s ** k)
+            if r:
+                raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
+            # y and z go to constants, so the output ring drops them
+            img = {yv: MultiPoly.const(base, nvars, b), zv: MultiPoly.const(base, nvars, q)}
+            return map_word(h, ("substitute", img, nvars))
 
-    def descended(a, b):
-        q, r = divmod(a - b, s ** k)
-        if r:
-            raise PreconditionViolated("arguments are not congruent mod %d^%d" % (s, k))
-        # y and z go to constants, so the output ring drops them
-        img = {yv: MultiPoly.const(base, nvars, b), zv: MultiPoly.const(base, nvars, q)}
-        return map_word(h, ("substitute", img, nvars))
+    def generator(a, b):
+        """The free-reduced word_for(a, b) for integers a, b, checked
+        exactly as eval(word) g(bx) = g(ax)."""
+        a, b = base.normalize(a), base.normalize(b)
+        word = free_reduce(word_for(a, b))
+        if eval_word(word, onto=g.dilate(0, b)) != g.dilate(0, a):
+            raise InternalCheckFailed("generator output failed verification")
+        return word
 
-    return DilationCert(s=s, k=k, generator=verified_generator(descended))
+    return DilationCert(s=s, k=k, generator=generator)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,10 @@ class RootSystem:
         constants.  Their derivation re-multiplies the literal commutator
         over Z[s, t], so each pair is proved once, on first use, for every
         commutative ring."""
-        hit = self._commutes[a].get(b)
+        try:
+            hit = self._commutes[a].get(b)
+        except KeyError:  # b unknown instead reaches structure_constants' check
+            raise UnknownRoot("%r is not a root of %s%d" % (a, self.kind, self.rank)) from None
         if hit is None:
             hit = not self.proportional(a, b) and structure_constants(self, a, b) == ()
             self._commutes[a][b] = self._commutes[b][a] = hit
@@ -149,7 +152,6 @@ class RootSystem:
             g = tuple(i * x + j * y for x, y in zip(a, b))
             if g in self._root_set:
                 out.append((i, j, g))
-        out.sort(key=lambda t: (t[0] + t[1], t[0]))
         return out
 
     def __repr__(self) -> str:
@@ -159,9 +161,6 @@ class RootSystem:
         if not isinstance(other, RootSystem):
             return NotImplemented
         return self.kind == other.kind and self.rank == other.rank
-
-    def __hash__(self):
-        return hash((self.kind, self.rank))
 
 
 _ROOT_SYSTEM_CACHE: dict = {}
@@ -230,9 +229,6 @@ class GroupMatrix:
         if not isinstance(other, GroupMatrix):
             return NotImplemented
         return self.rs == other.rs and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def is_identity(self) -> bool:
         one = self.base.one()
@@ -310,13 +306,7 @@ class GroupMatrix:
         return GroupMatrix(self.rs, [[entry(i, j) for j in range(size)] for i in range(size)])
 
     def substitute(self, assignment: dict, nvars_out: int | None = None) -> "GroupMatrix":
-        return GroupMatrix(
-            self.rs,
-            [
-                [p.substitute(assignment, nvars_out) for p in row]
-                for row in self.entries
-            ],
-        )
+        return self.map_entries(lambda p: p.substitute(assignment, nvars_out))
 
     def dilate(self, var: int, c) -> "GroupMatrix":
         """Entrywise MultiPoly.dilate: the image under x_var -> c * x_var;
@@ -522,13 +512,8 @@ def opposite_decomposition(rs: RootSystem, gamma):
         for d2 in rs.roots:
             if rs.proportional(d2, g) or rs.proportional(d1, d2):
                 continue
-            cone = rs.cone_roots(d1, d2)
-            entry = [(i, j) for i, j, gg in cone if gg == g]
+            entry = [(i, j) for i, j, gg in rs.cone_roots(d1, d2) if gg == g]
             if not entry:
-                continue
-            if any(
-                rs.proportional(gg, g) for i, j, gg in cone if gg != g
-            ):
                 continue
             constants = structure_constants(rs, d1, d2)
             cmap = {(i, j): n for i, j, _, n in constants}

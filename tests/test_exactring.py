@@ -104,6 +104,21 @@ def test_localized_units():
     assert ZHALF.unit_inverse(Fraction(4)) == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "base, unit, inverse",
+    [(Z, -1, -1), (Z, Fraction(-1), -1), (Z12, 5, 5), (Z12, Fraction(1, 5), 5),
+     (F5, 3, 2), (F5, Fraction(1, 3), 3), (Q, 4, Fraction(1, 4)),
+     (Q, Fraction(-2, 3), Fraction(-3, 2)), (ZHALF, 4, Fraction(1, 4)),
+     (ZHALF, Fraction(-1, 8), Fraction(-8))],
+    ids=["%s-%s" % (b, kind) for b in ("Z", "Z12", "F5", "Q", "Z[1/2]") for kind in ("int", "Fraction")],
+)
+def test_unit_inverse_of_an_int_or_a_fraction(base, unit, inverse):
+    # the inverse is an element of the ring, whatever type the unit came in
+    got = base.unit_inverse(unit)
+    assert got == inverse and type(got) is type(base.one())
+    assert base.normalize(unit * got) == base.one()
+
+
 def test_localized_at_s():
     # Z and Z[1/t] gain s, Q and F_p keep their ring where s is nonzero
     for base, s, out in ((Z, 2, ZHALF), (ZHALF, 3, BaseRing.integers_localized(6)),
@@ -514,6 +529,8 @@ def test_s_valuation():
     assert poly_s_valuation(P("12", Z), 6) == 1
     assert poly_s_valuation(P("0", Z), 2) is None
     assert poly_s_valuation(P("2*x1 + 8", ZHALF), 2) == 1
+    # s = +-1 divides everything: no valuation loop runs
+    assert poly_s_valuation(P("6", Z), 1) == poly_s_valuation(P("3/8", ZHALF), -1) == 0
     assert P("1/2*x1 + 1/3", Q).den == 6
 
 
@@ -529,6 +546,10 @@ def test_convert_directions():
         convert(P("1/2*x1", Q), Z)
     with pytest.raises(BaseMismatch):
         convert(P("2*x1", Z4), Z)
+    # Z/12 -> Z/4 is a ring map, Z/6 -> Z/4 is not
+    assert convert(P("7*x1+5", Z12), Z4) == P("3*x1+1", Z4)
+    with pytest.raises(BaseMismatch):
+        convert(P("x1", BaseRing.integers_mod(6)), Z4)
 
 
 def test_convert_localized():

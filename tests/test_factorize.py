@@ -41,6 +41,7 @@ from chevelem.factorize import (
     _group_bounds,
     _matrix_size,
     _move_delta,
+    _rank1_difference,
     _rank1_update,
     _size_grid,
 )
@@ -147,6 +148,12 @@ def test_factor_integer_sp_c3():
         g = eval_word(word, Z, 1)
         w = factor_integer_sp(g)
         assert eval_word(w, Z, 1) == g
+
+
+def test_factor_integer_sp_rejects_a_zero_column():
+    bad = int_matrix(C2, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotInGroup, match="^column collapses to zero; not in the group$"):
+        factor_integer_sp(bad)
 
 
 # -- univariate euclidean ----------------------------------------------------------
@@ -571,6 +578,18 @@ def reduced_word(g, budget=DEFAULT_BUDGET):
     word = free_reduce(left.concat(right))
     assert eval_word(word, g.base, g.nvars) == g
     return word
+
+
+def test_rank1_update_needs_a_spare_coordinate():
+    # M - I = v w^T with v = (x, x, x), w = (1, -1, 0): no coordinate is
+    # zero in both, so the commutator has none to pass through; nothing moves
+    g = GroupMatrix(A2, [[parse_poly(t, Z, 1) for t in row] for row in (
+        ("1+x1", "-x1", "0"), ("x1", "1-x1", "0"), ("x1", "-x1", "1"))])
+    rec = _OpRecorder(A2, g.entries, const(1))
+    v, w = _rank1_difference(rec.m)
+    assert not any(p.is_zero() for p in v) and membership_check(g, A2)
+    _rank1_update(rec)
+    assert rec.matrix() == g and rec.left == rec.right == []
 
 
 def test_heuristic_identity():

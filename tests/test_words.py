@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevelem.errors import BaseMismatch, DegreeOverflow, SizeMismatch
+from chevelem.errors import BaseMismatch, DegreeOverflow, SizeMismatch, UnknownRoot
 from chevelem.exactring import MAX_DEGREE, BaseRing, MultiPoly, convert, parse_poly
 from chevelem.rootdata import GroupMatrix, build_root_system
 from chevelem.words import (
@@ -18,6 +18,7 @@ from chevelem.words import (
     free_reduce,
     invert_word,
     map_word,
+    reduce_letters,
 )
 
 Z = BaseRing.integers()
@@ -440,3 +441,12 @@ def test_free_reduce_collects_across_commuting_letters(base, rs):
             if root in roots[:j]:
                 i = j - 1 - roots[:j][::-1].index(root)
                 assert not all(swaps(rs, r, root) for r in roots[i + 1:j])
+
+
+def test_reduce_letters_refuses_an_unknown_root_in_either_place():
+    # the scan asks rs.commutes(earlier root, later root): either may be unknown
+    p = parse_poly("x1", Z, 1)
+    known, unknown = (E12, p), ((9, 9, 9), p)
+    for letters in ([unknown, known], [known, unknown]):
+        with pytest.raises(UnknownRoot, match=r"^\(9, 9, 9\) is not a root of A2$"):
+            reduce_letters(A2, letters)
