@@ -22,6 +22,7 @@ substrate of every file format in the package.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -230,6 +231,14 @@ def base_ring_from_str(text: str) -> BaseRing:
     """Inverse of str(BaseRing); used by all file headers."""
     if not isinstance(text, str):
         raise ParseError("base ring must be a string, got %r" % (text,))
+    return _base_ring(text)
+
+
+@lru_cache(maxsize=64)
+def _base_ring(text: str) -> BaseRing:
+    """base_ring_from_str of a string, memoised: the files that name one
+    base share one BaseRing, so their polynomials, _read_short's memo
+    hits included, compare bases by identity."""
     t = text.strip()
     if t == "Z":
         return BaseRing.integers()
@@ -933,7 +942,7 @@ def emit_poly(p: MultiPoly) -> str:
 @lru_cache(maxsize=4096)
 def _chain_text(key: int, nvars: int) -> str:
     """The variable part of a packed key, such as "x1^3*x2" ("" for a
-    constant): _chain_exponents inverted, and memoised the same way."""
+    constant): _chain_exponents inverted, and memoised."""
     exps = enumerate(_unpack(key, nvars), 1)
     return "*".join("x%d" % i if k == 1 else "x%d^%d" % (i, k) for i, k in exps if k)
 
@@ -1061,7 +1070,13 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
     the read coefficients go over one denominator at once.  spent, a one-item
     list, counts the monomial products of every text read with it, so
     MAX_PARSE_PRODUCTS bounds them together; by default each text alone.
+    A canonical text of at most _SHORT_TEXT characters is read once per
+    base and nvars and then served from _read_short's memo.
     """
+    if type(text) is str and len(text) <= _SHORT_TEXT:
+        p = _read_short(text, base, nvars)
+        if p is not None:
+            return p
     try:
         p = _read_canonical(text, nvars)
         if p is None:
@@ -1070,11 +1085,37 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
         raise ParseError("integer literal too long in polynomial text: %s" % exc) from None
     except DegreeOverflow as exc:
         raise ParseError("polynomial text past the degree cap: %s" % exc) from None
+    return _finished(p, text, base, nvars)
+
+
+def _finished(terms: dict, text: str, base: BaseRing, nvars: int) -> MultiPoly:
+    """The MultiPoly over base of the terms read from text."""
     if base.fractional:
-        return _poly(base, nvars, *_over_one_den(p, base))
+        return _poly(base, nvars, *_over_one_den(terms, base))
     if base.kind != KIND_INTEGERS or "/" in text:
-        p = _coerced(p, base)
-    return _poly(base, nvars, p)
+        terms = _coerced(terms, base)
+    return _poly(base, nvars, terms)
+
+
+# certificates repeat a few hundred short texts ("0", "1", small word
+# arguments) thousands of times; a text this long or shorter is memoised
+_SHORT_TEXT = 16
+
+
+@lru_cache(maxsize=1024)
+def _read_short(text: str, base: BaseRing, nvars: int) -> MultiPoly | None:
+    """parse_poly of a short text _read_canonical accepts, or None for any
+    other text.  A MultiPoly is immutable, so one can serve every read of
+    its text; an exception (a coefficient outside base) is not memoised."""
+    p = _read_canonical(text, nvars)
+    return None if p is None else _finished(p, text, base, nvars)
+
+
+_SIGNS = frozenset("+-")
+# nvars -> {chain: _chain_exponents(chain, nvars)}, emptied when it holds
+# _MAX_CHAINS: certificates repeat a few hundred chains
+_CHAINS: defaultdict = defaultdict(dict)
+_MAX_CHAINS = 4096
 
 
 def _read_canonical(text: str, nvars: int) -> dict | None:
@@ -1088,18 +1129,19 @@ def _read_canonical(text: str, nvars: int) -> dict | None:
     acc: dict = {}
     neg = text[:1] == "-"
     words = (text[1:] if neg else text).split(" ")  # monomial, sign, monomial, ...
-    if not (len(words) & 1 and text.isascii()):  # so isdigit() means [0-9]+
+    signs = words[1::2]
+    # isascii, so that isdigit() means [0-9]+
+    if not (len(words) & 1 and text.isascii() and _SIGNS.issuperset(signs)):
         return None
-    signs = ["-" if neg else "+"] + words[1::2]
-    for sign, mono in zip(signs, words[::2]):
-        if sign != "+" and sign != "-":
-            return None
+    slashed = "/" in text
+    chains = _CHAINS[nvars]
+    for sign, mono in zip(["-" if neg else "+"] + signs, words[::2]):
         neg = sign == "-"
         if mono[:1] == "x":
             c, chain = 1, mono
         else:
             num, star, chain = mono.partition("*")
-            n, slash, d = num.partition("/")
+            n, slash, d = num.partition("/") if slashed else (num, "", "")
             if not n.isdigit() or star and not chain:
                 return None
             if slash:
@@ -1108,7 +1150,11 @@ def _read_canonical(text: str, nvars: int) -> dict | None:
                 c = Fraction(int(n), int(d))
             else:
                 c = int(n)
-        key = _chain_exponents(chain, nvars)
+        key = chains.get(chain, -1)  # a key is an int >= 0 or None
+        if key == -1:
+            if len(chains) >= _MAX_CHAINS:
+                chains.clear()
+            key = chains[chain] = _chain_exponents(chain, nvars)
         if key is None:
             return None
         if c:
@@ -1120,12 +1166,11 @@ def _read_canonical(text: str, nvars: int) -> dict | None:
     return acc
 
 
-@lru_cache(maxsize=4096)
 def _chain_exponents(chain: str, nvars: int) -> int | None:
     """The packed key of a variable part such as "x1^3*x2" ("" for a
     constant), or None when chain does not match _VARS, names a variable
-    beyond nvars or has a degree past the cap; memoised, as certificates
-    repeat a few hundred of them."""
+    beyond nvars or has a degree past the cap; _read_canonical memoises
+    it in _CHAINS."""
     e = [0] * nvars
     if chain:
         if not _VARS.fullmatch(chain):

@@ -105,7 +105,9 @@ def certificate_from_dict(data: dict) -> FactorizationCertificate:
         target = _read_matrix(data["target"], rs, base, nvars, spent)
         residual = _read_matrix(data["residual"], rs, base, nvars, spent)
         word = word_from_records(data["word"], rs, base, nvars, spent)
-        verified = bool(data["verified"])
+        verified = data["verified"]
+        if type(verified) is not bool:  # "false", 2 and null too
+            raise TypeError("verified must be true or false, got %r" % (verified,))
     except (KeyError, TypeError) as exc:
         raise ParseError("malformed certificate: %s" % exc) from exc
     return FactorizationCertificate(

@@ -88,6 +88,25 @@ def test_certificate_roundtrip():
     assert dumps(certificate_to_dict(again)) == dumps(d)
 
 
+@pytest.mark.parametrize(
+    "flag", [True, False, "false", "no", 2, 0, [], None], ids=repr
+)
+def test_certificate_verified_flag_is_a_json_boolean(tmp_path, capsys, flag):
+    d = certificate_to_dict(factor_polynomial(matrix_from_dict(cohn_dict())))
+    d["verified"] = flag
+    if type(flag) is bool:
+        assert certificate_from_dict(d).verified is flag
+        return
+    message = "malformed certificate: verified must be true or false, got %r" % (flag,)
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        certificate_from_dict(d)
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("invalid input: " + message)
+
+
 # -- relations verb ----------------------------------------------------------------
 
 

@@ -23,8 +23,10 @@ from chevelem.exactring import (
     _is_prime,
     _over_one_den,
     _parse_general,
+    _SHORT_TEXT,
     _poly,
     _read_canonical,
+    _read_short,
     add_product,
     annihilator_exponent,
     base_ring_from_str,
@@ -95,6 +97,20 @@ def test_prime_field_capped_below_2_64():
 def test_base_ring_str_roundtrip():
     for b in (Z, Q, Z12, F5, ZHALF):
         assert base_ring_from_str(str(b)) == b
+
+
+def test_base_ring_text_read_once_and_shared():
+    # every file naming a base shares one BaseRing, so a short-text memo
+    # hit and a fresh read of that file compare bases by identity
+    _read_short.cache_clear()
+    for text in ("Z", "Q", "Z/12", "F5", "Z[1/2]"):
+        base = base_ring_from_str(text)
+        assert base_ring_from_str(text) is base
+        for _ in range(2):  # a cold read, then a memo hit
+            assert parse_poly("1", base_ring_from_str(text), 1).base is base
+    for _ in range(2):  # a refusal is not memoised
+        with pytest.raises(ValueError, match="prime"):
+            base_ring_from_str("F6")
 
 
 def test_localized_units():
@@ -616,7 +632,7 @@ def test_parse_mod_base_reduces():
 # recursive descent can follow is invalid input, not a RecursionError
 _PARSE_EDGES = [
     ("", Q, ParseError),
-    ("   ", Q, ParseError),
+    pytest.param("   ", Q, ParseError, id="whitespace-only"),
     ("x1 x1", Q, ParseError),
     ("x1^-1", Q, ParseError),
     ("x1^2^2", Q, ParseError),
@@ -689,7 +705,12 @@ def check_against_oracle(text, base, nvars):
         readable = False
     accepted = _read_canonical(text, nvars) is not None
     assert accepted == (bool(_CANONICAL.fullmatch(text)) and readable), text
-    assert outcome(parse_poly, text, base, nvars) == outcome(general, text, base, nvars)
+    expected = outcome(general, text, base, nvars)
+    _read_short.cache_clear()  # read cold, then (a short text accepted) as a memo hit
+    for _ in range(2):
+        assert outcome(parse_poly, text, base, nvars) == expected
+    if accepted and len(text) <= _SHORT_TEXT and isinstance(expected, list):
+        assert parse_poly(text, base, nvars) is parse_poly(text, base, nvars), text
 
 
 def test_canonical_reader_matches_general_parser():
@@ -918,6 +939,55 @@ def test_reader_raises_again_on_a_chain_it_refused():
             parse_poly("x2", Z, 1)
         with pytest.raises(ParseError, match="variable x3 beyond declared nvars=2"):
             parse_poly("0*x1*x3", Z, 2)
+
+
+def test_short_text_memo_keys_on_base():
+    # "3" over Z/2 is 1; the memo must not serve that to a read over Z
+    _read_short.cache_clear()
+    assert typed_items(parse_poly("3", BaseRing.integers_mod(2), 1)) == [((0,), 1, int)]
+    assert typed_items(parse_poly("3", Z, 1)) == [((0,), 3, int)]
+
+
+def test_short_text_memo_keys_on_nvars():
+    _read_short.cache_clear()
+    assert exponents(parse_poly("x1", Z, 1)) == [(1,)]
+    assert exponents(parse_poly("x1", Z, 2)) == [(1, 0)]
+    assert parse_poly("x1", Z, 2).nvars == 2
+
+
+@pytest.mark.parametrize("base", [Z, Q, Z4, ZHALF], ids=str)
+def test_short_text_memo_hit_is_never_mutated(base):
+    from chevelem.factorize import _OpRecorder
+    from chevelem.words import ElemWord, eval_word
+
+    a2 = build_root_system("A", 2)
+    texts = [["1", "x1", "0"], ["0", "1", "0"], ["2*x1^2", "x1 + 1", "1"]]
+    _read_short.cache_clear()
+    rows = [[parse_poly(t, base, 1) for t in row] for row in texts]
+    kept = [[(p, dict(p.terms), p.den) for p in row] for row in rows]
+    for row, text_row in zip(rows, texts):  # each re-read is a memo hit
+        assert all(parse_poly(t, base, 1) is p for t, p in zip(text_row, row))
+    x, one = rows[0][1], rows[0][0]
+    word = ElemWord(a2, [((1, -1, 0), x), ((0, 1, -1), rows[2][1]), ((1, 0, -1), x)])
+    eval_word(word, onto=GroupMatrix(a2, rows))
+    for p in (x, one, rows[2][0]):
+        x + p, p + x, x * p, p * x, -p, p**2
+    convert(x, {Z: Q, Q: ZHALF, Z4: BaseRing.integers_mod(2), ZHALF: Q}[base])
+    rec = _OpRecorder(a2, rows, one)
+    rec.move((1, -1, 0), x, "left")
+    rec.move((0, 1, -1), rows[2][0], "right")
+    for row, text_row, kept_row in zip(rows, texts, kept):
+        for t, (p, terms, den) in zip(text_row, kept_row):
+            again = parse_poly(t, base, 1)
+            assert again is p and again.terms == terms and again.den == den
+            assert again == general(t, base, 1)
+
+
+def test_short_text_memo_is_bounded():
+    _read_short.cache_clear()
+    for i in range(3000):
+        assert parse_poly("%d*x1" % i, Z, 1).exponent_items() == ([((1,), i)] if i else [])
+    assert _read_short.cache_info().currsize <= 1024
 
 
 def test_reader_over_z_keeps_ints_and_refuses_fractions():

@@ -115,14 +115,23 @@ MUTANTS = (
     (SRC + "fileio.py",
      "if not all(type(v) is int for v in root):",
      "if False:"),
+    # a certificate's verified flag may be any truthy or falsy JSON value
+    (SRC + "fileio.py",
+     "if type(verified) is not bool:",
+     "if False:"),
     # canonical text reads every monomial after the first as positive
     (SRC + "exactring.py",
      'neg = sign == "-"',
      "neg = False"),
     # canonical text reads a sign token other than "+" or "-" as "+"
     (SRC + "exactring.py",
-     'if sign != "+" and sign != "-":',
-     "if False:"),
+     "text.isascii() and _SIGNS.issuperset(signs)",
+     "text.isascii()"),
+    # the short-text memo serves a read over one base to a read over another
+    (SRC + "exactring.py",
+     "@lru_cache(maxsize=1024)\ndef _read_short(",
+     "@lambda read: lambda t, b, n, memo={}: memo.setdefault((t, n), read(t, b, n))\n"
+     "def _read_short("),
     # canonical text takes an exponent chain outside the grammar
     (SRC + "exactring.py",
      "if not _VARS.fullmatch(chain):",
