@@ -1073,7 +1073,9 @@ def parse_poly(text: str, base: BaseRing, nvars: int, *, spent: list | None = No
     A canonical text of at most _SHORT_TEXT characters is read once per
     base and nvars and then served from _read_short's memo.
     """
-    if type(text) is str and len(text) <= _SHORT_TEXT:
+    if not isinstance(text, str):
+        raise TypeError("polynomial text must be a string, not %s" % type(text).__name__)
+    if len(text) <= _SHORT_TEXT:
         p = _read_short(text, base, nvars)
         if p is not None:
             return p

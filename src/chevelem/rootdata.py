@@ -90,8 +90,8 @@ class RootSystem:
         }
         self._commutator_cache: dict = {}
         self._decomposition_cache: dict = {}
-        # root -> {root: whether the two unipotents commute}, filled on use
-        self._commutes: dict = {a: {} for a in self.roots}
+        # (root, root) -> whether the two unipotents commute, filled on use
+        self._commutes: dict = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -130,18 +130,14 @@ class RootSystem:
         return a == b or a == tuple(-x for x in b)
 
     def commutes(self, a: Root, b: Root) -> bool:
-        """Whether x_a(s) x_b(t) = x_b(t) x_a(s) for all s and t: never for
-        proportional roots, else exactly when the pair has no structure
-        constants.  Their derivation re-multiplies the literal commutator
-        over Z[s, t], so each pair is proved once, on first use, for every
-        commutative ring."""
-        try:
-            hit = self._commutes[a].get(b)
-        except KeyError:  # b unknown instead reaches structure_constants' check
-            raise UnknownRoot("%r is not a root of %s%d" % (a, self.kind, self.rank)) from None
+        """Whether x_a(s) x_b(t) = x_b(t) x_a(s) for all s, t: just when a, b are
+        not proportional and no i*a + j*b (i, j > 0) is a root (Steinberg, section
+        3); test_commutes_is_the_literal_swap_over_z_s_t proves it over Z[s, t]."""
+        hit = self._commutes.get((a, b))
         if hit is None:
-            hit = not self.proportional(a, b) and structure_constants(self, a, b) == ()
-            self._commutes[a][b] = self._commutes[b][a] = hit
+            self.check_root(a)
+            self.check_root(b)
+            hit = self._commutes[a, b] = not self.proportional(a, b) and not self.cone_roots(a, b)
         return hit
 
     def cone_roots(self, a: Root, b: Root):

@@ -427,6 +427,18 @@ def _int_entry(data):
     data["entries"][0][0] = 1
 
 
+def _list_arg(data):
+    data["word"][0]["arg"] = ["x1"]
+
+
+def _list_target_entry(data):
+    data["target"][0][0] = []
+
+
+def _list_entry(data):
+    data["entries"][0][0] = [[]]
+
+
 IDENTITY_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
@@ -437,8 +449,13 @@ IDENTITY_ROWS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         ("verify", _drop("verified"), "malformed certificate: 'verified'"),
         ("verify", _drop_arg, "malformed word record: 'arg'"),
         ("factor", _int_entry, "malformed matrix entries: "),
+        ("verify", _list_arg, "malformed word record: polynomial text must be a string, not list"),
+        ("verify", _list_target_entry,
+         "malformed certificate: polynomial text must be a string, not list"),
+        ("factor", _list_entry, "malformed matrix entries: polynomial text must be a string, not list"),
     ],
-    ids=["no-residual", "no-verified", "no-arg", "int-entry"],
+    ids=["no-residual", "no-verified", "no-arg", "int-entry", "list-arg", "list-target-entry",
+         "list-entry"],
 )
 def test_malformed_file_exits_3_naming_what_is_missing(tmp_path, capsys, verb, edit, message):
     if verb == "verify":

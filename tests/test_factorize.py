@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevelem import factorize, fileio
+from chevelem import factorize, fileio, rootdata
 from chevelem.cli import cohn_matrix
 from chevelem.errors import (
     BaseMismatch,
@@ -940,9 +940,9 @@ def test_factor_polynomial_word_proves_membership(monkeypatch):
         checked.append(matrix)
         return real_check(matrix, rs)
 
-    def counting_eval(word, *args):
+    def counting_eval(word, *args, **kwargs):
         evaluated.append(word)
-        return real_eval(word, *args)
+        return real_eval(word, *args, **kwargs)
 
     monkeypatch.setattr(factorize, "membership_check", counting_check)
     monkeypatch.setattr(factorize, "eval_word", counting_eval)
@@ -958,6 +958,28 @@ def test_factor_polynomial_word_proves_membership(monkeypatch):
         assert not checked
         assert sum(w == cert.word for w in evaluated) == 1
         assert real_eval(cert.word, g.base, g.nvars) == g
+
+
+def test_factor_path_derives_no_structure_constant(monkeypatch):
+    # free_reduce reads commutation off the roots' cone, so factoring derives
+    # no structure constant; fresh root systems keep earlier memos out
+    monkeypatch.setattr(rootdata, "_ROOT_SYSTEM_CACHE", {})
+    targets = [cohn_matrix()]
+    for kind, rank, nvars, length in (("A", 2, 1, 15), ("A", 3, 2, 10), ("C", 2, 1, 10), ("C", 3, 1, 10)):
+        rs = build_root_system(kind, rank)
+        for seed in range(9600, 9605):
+            targets.append(eval_word(random_elementary_word(rs, seed, length, nvars=nvars), Z, nvars))
+    calls = []
+    real = rootdata.structure_constants
+
+    def counting(rs, alpha, beta):
+        calls.append((alpha, beta))
+        return real(rs, alpha, beta)
+
+    monkeypatch.setattr(rootdata, "structure_constants", counting)
+    for g in targets:
+        assert factor_polynomial(g).verified
+    assert calls == []
 
 
 def test_greedy_running_size_matches_recount(monkeypatch):

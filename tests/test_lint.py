@@ -214,12 +214,11 @@ def test_exponents_summed_only_by_the_adder():
 def test_structure_constants_read_only_through_rootdata():
     # commutator_expand turns the constants into letters; a module that
     # read them itself would rebuild those letters by hand.  commutes reads
-    # only whether a pair has any
+    # only the cone
     found = functions_with_line(
         lambda line: "structure_constants(" in line and "def structure_constants(" not in line
     )
     assert found == [
-        "rootdata.py: commutes",
         "rootdata.py: commutator_expand",
         "rootdata.py: opposite_decomposition",
     ], found
@@ -303,7 +302,7 @@ def test_membership_checked_only_where_no_reduction_decides_it():
         lambda line: "membership_check(" in line and "def membership_check(" not in line
     )
     assert found == [
-        "factorize.py: _require_member",
+        "factorize.py: factor_polynomial",
         "words.py: check",
     ], found
 

@@ -45,8 +45,8 @@ MUTANTS = (
      "merged = stack[j][1] - arg"),
     # a pair whose commutator is a product of cone letters counts as commuting
     (SRC + "rootdata.py",
-     "hit = not self.proportional(a, b) and structure_constants(self, a, b) == ()",
-     "hit = not self.proportional(a, b)"),
+     "= not self.proportional(a, b) and not self.cone_roots(a, b)",
+     "= not self.proportional(a, b)"),
     # type-A membership accepts any constant determinant
     (SRC + "rootdata.py",
      "return d.is_constant() and d.constant_term() == base.one()",
@@ -77,8 +77,8 @@ MUTANTS = (
      "if False:"),
     # heuristic_reduce's multiply-back
     (SRC + "factorize.py",
-     "    if product != g:\n",
-     "    if False:\n"),
+     "if eval_word(left, onto=r.rmul_letters(right.letters)) != g:",
+     "if False:"),
     # the Euclidean reduction's multiply-back
     (SRC + "factorize.py",
      "if eval_word(word, g.base, g.nvars) != g:",
@@ -152,6 +152,10 @@ MUTANTS = (
     (SRC + "exactring.py",
      'if base.kind != KIND_INTEGERS or "/" in text:',
      "if base.kind != KIND_INTEGERS:"),
+    # a polynomial text that is not a string reaches the readers
+    (SRC + "exactring.py",
+     "if not isinstance(text, str):\n        raise TypeError(",
+     "if False:\n        raise TypeError("),
 )
 
 ONCE_TEST = "tests/test_lint.py::test_every_mutant_applies_once"
