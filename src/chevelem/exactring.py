@@ -889,7 +889,7 @@ def convert(p: MultiPoly, new_base: BaseRing) -> MultiPoly:
     (denominators checked), Zloc -> Zloc (checked), Q/Zloc -> Zmod/Fp
     (denominator invertibility checked).
     """
-    if p.base == new_base:
+    if p.base is new_base or p.base == new_base:
         return p
     den, m = p.den, new_base.modulus
     if p.base.modulus is not None:

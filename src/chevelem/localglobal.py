@@ -123,20 +123,23 @@ def telescoping_chain(covering: CoveringData) -> list:
 def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
     """The exact matrix product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
 
-    g is inverted once and g(b x1)^{-1} is taken as g^{-1}(b x1), since
-    inversion commutes with the ring map x1 -> b x1.  A step with a = b
-    is the identity and is skipped.  A type-A g whose determinant is not 1
-    raises NotInGroup even where every g(b x1) would be invertible (g(0),
-    say); type C takes the form inverse, which checks nothing.
+    g is inverted once and g(b x1)^{-1} is taken as g^{-1}(b x1), since inversion commutes
+    with x1 -> b x1.  A step with a = b is the identity and is skipped; each g^{-1}(b x1)
+    meets the next g(a x1) first, so no factor of a product has twice g's degree.  A type-A
+    g of determinant other than 1 raises NotInGroup even where every g(b x1) is invertible
+    (g(0), say); type C takes the form inverse, which checks nothing.
     """
-    out = GroupMatrix.identity(g.rs, g.base, g.nvars)  # __mul__ passes it through
+    out = GroupMatrix.identity(g.rs, g.base, g.nvars)
     if len(chain) < 2:
         return out
     inv = g.inverse()
-    for a, b in zip(chain, chain[1:]):
-        if a != b:
-            out = out * g.dilate(0, a) * inv.dilate(0, b)
-    return out
+    steps = [(a, b) for a, b in zip(chain, chain[1:]) if a != b]
+    if not steps:
+        return out
+    out = g.dilate(0, steps[0][0])
+    for (_, b), (a, _) in zip(steps, steps[1:]):
+        out = out * (inv.dilate(0, b) * g.dilate(0, a))  # __mul__ passes an identity through
+    return out * inv.dilate(0, steps[-1][1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
 def dilation_equalizer(g: GroupMatrix, h: GroupMatrix, s) -> int:
     """Smallest n with g(s^n x1) = h(s^n x1), given g = h at x1 = 0 and
     equal localizations at s.  Over a domain this forces n = 0."""
-    if g.rs is not h.rs or g.base != h.base or g.nvars != h.nvars:
+    if g.rs != h.rs or g.base != h.base or g.nvars != h.nvars:
         raise PreconditionViolated("matrices over different rings")
     base = g.base
     s_elem = base.normalize(s)
@@ -388,14 +391,15 @@ def dilation_factor(g: GroupMatrix, w_s: ElemWord, s: int, budget: Budget = DEFA
         yv, zv = nvars, nvars + 1
         loc_x, loc_y, loc_z = (MultiPoly.variable(loc, n2, v) for v in (0, yv, zv))
         part_a = map_word(w_s, ("substitute", {0: loc_x * (loc_y + loc_z)}, n2))
-        part_b = invert_word(map_word(w_s, ("substitute", {0: loc_x * loc_y}, n2)))
+        # z -> 0 sends x(y + z) to xy, so w_s(xy) is part_a's letters at z = 0
+        part_b = invert_word(ElemWord(w_s.rs, [(r, a.dilate(zv, 0)) for r, a in part_a.letters]))
         w_f = part_a.concat(part_b)
 
         h, k = descend_word(w_f, s, z=zv, budget=budget)
 
         int_x, int_y, int_z = (MultiPoly.variable(base, n2, v) for v in (0, yv, zv))
-        g_xy = g.substitute({0: int_x * int_y}, nvars_out=n2)
         g_xyz = g.substitute({0: int_x * (int_y + int_z)}, nvars_out=n2)
+        g_xy = g_xyz.at_zero(zv)
         # eval(h) = g(x(y + s^k z)) g(xy)^{-1}, multiplied out
         if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):
             raise InternalCheckFailed("descended word differs from the dilated matrix over Z")

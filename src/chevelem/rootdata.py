@@ -189,16 +189,15 @@ class GroupMatrix:
     __slots__ = ("rs", "entries")
 
     def __init__(self, rs: RootSystem, entries):
+        rows = tuple(map(tuple, entries))
         size = rs.matrix_size
-        if len(entries) != size or any(len(row) != size for row in entries):
-            raise SizeMismatch(
-                "expected %dx%d matrix for %s" % (size, size, rs)
-            )
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise SizeMismatch("expected %dx%d matrix for %s" % (size, size, rs))
         self.rs = rs
-        self.entries = tuple(tuple(row) for row in entries)
-        first = self.entries[0][0]
+        self.entries = rows
+        first = rows[0][0]
         base, nvars = first.base, first.nvars
-        for row in self.entries:
+        for row in rows:
             for p in row:
                 if p.base is not base or p.nvars != nvars:
                     first._check_compatible(p)

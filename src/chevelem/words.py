@@ -51,7 +51,7 @@ class ElemWord:
             root = rs.check_root(root)
             if base is None:
                 base, nvars = arg.base, arg.nvars
-            elif arg.base != base or arg.nvars != nvars:
+            elif arg.base is not base and arg.base != base or arg.nvars != nvars:
                 raise BaseMismatch("word letters over mixed rings")
             checked.append((root, arg))
         self.rs = rs

@@ -253,7 +253,6 @@ def test_substitute_called_only_for_maps_that_are_not_dilations():
     found = functions_with_line(lambda line: ".substitute(" in line)
     assert found == [
         "localglobal.py: dilation_factor",
-        "localglobal.py: dilation_factor",
         "rootdata.py: substitute",
         "words.py: map_word",
     ], found

@@ -30,7 +30,7 @@ from chevelem.localglobal import (
     telescoping_product,
     xgcd,
 )
-from chevelem.rootdata import GroupMatrix, build_root_system, elem_unipotent
+from chevelem.rootdata import GroupMatrix, RootSystem, build_root_system, elem_unipotent
 from chevelem.words import ElemWord, congruence_check, eval_word, free_reduce, map_word
 
 Z = BaseRing.integers()
@@ -206,6 +206,16 @@ def test_equalizer_mod8_spec_example():
     )
     h = GroupMatrix.identity(A2, z8, 1)
     assert dilation_equalizer(g, h, 2) == 1
+
+
+def test_equalizer_accepts_equal_root_systems_built_apart():
+    # two RootSystem("A", 2) objects compare equal, as GroupMatrix.__eq__
+    # reads them, so their identities have equalizer exponent 0
+    a, b = RootSystem("A", 2), RootSystem("A", 2)
+    assert a is not b and a == b
+    g, h = GroupMatrix.identity(a, Z, 1), GroupMatrix.identity(b, Z, 1)
+    assert g == h
+    assert dilation_equalizer(g, h, 2) == 0
 
 
 def test_equalizer_precondition_violations():
@@ -577,6 +587,33 @@ def test_dilation_factor_with_descent():
     # generator(3, 1) from the spec narrative
     word31 = cert.generator(1 + 2 ** cert.k * 2, 1)
     assert len(word31) >= 0
+
+
+def test_dilation_factor_builds_g_and_w_s_once_on_the_descended_route(monkeypatch):
+    # g(xy) is g(x(y + z)) at z = 0 and w_s(xy) is w_s(x(y + z)) at z = 0,
+    # both by the term map dilate: g is substituted once and w_s mapped once
+    w_s = halfling_word(random.Random(21), A2, 5)
+    m_loc = eval_word(w_s, ZHALF, 1)
+    g = GroupMatrix(A2, [[convert(p, Z) for p in row] for row in m_loc.entries])
+    assert any(a.den > 1 for _, a in w_s.letters)  # so it descends
+    substituted, mapped = [], []
+    real_substitute, real_map_word = GroupMatrix.substitute, localglobal.map_word
+
+    def spy_substitute(self, assignment, nvars_out=None):
+        substituted.append(self)
+        return real_substitute(self, assignment, nvars_out)
+
+    def spy_map_word(w, hom):
+        mapped.append(w)
+        return real_map_word(w, hom)
+
+    monkeypatch.setattr(GroupMatrix, "substitute", spy_substitute)
+    monkeypatch.setattr(localglobal, "map_word", spy_map_word)
+    cert = dilation_factor(g, w_s, 2)
+    assert [m is g for m in substituted] == [True]
+    assert [w is w_s for w in mapped] == [True]
+    a = 1 + 2 ** cert.k
+    assert eval_word(cert.generator(a, 1), onto=g) == g.dilate(0, a)
 
 
 def test_dilation_factor_letter_budget_bounds_the_descent():

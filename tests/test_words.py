@@ -93,6 +93,16 @@ def test_mixed_base_rejected():
         ElemWord(A2, [(E12, const(1)), (E21, const(1, base=ZHALF))])
 
 
+def test_equal_bases_built_apart_accepted():
+    # the ring test reads equality, not identity: letters over two equal
+    # BaseRing objects make one word
+    for make in (BaseRing.integers, lambda: BaseRing.integers_localized(2)):
+        b1, b2 = make(), make()
+        assert b1 is not b2 and b1 == b2
+        w = ElemWord(A2, [(E12, const(1, base=b1)), (E21, const(2, base=b2))])
+        assert w.base_and_nvars() == (b1, 1)
+
+
 def test_map_word_substitute():
     x = MultiPoly.variable(Z, 1, 0)
     w = ElemWord(A2, [(E12, x)])

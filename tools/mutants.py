@@ -39,6 +39,10 @@ MUTANTS = (
     (SRC + "rootdata.py",
      "                elif not p.is_zero():\n                    return False",
      "                elif False:\n                    return False"),
+    # a word's letters may lie over different rings
+    (SRC + "words.py",
+     "elif arg.base is not base and arg.base != base or arg.nvars != nvars:",
+     "elif arg.nvars != nvars:"),
     # free reduction merges two letters of one root by subtraction
     (SRC + "words.py",
      "merged = stack[j][1] + arg",
@@ -75,6 +79,14 @@ MUTANTS = (
     (SRC + "localglobal.py",
      "if eval_word(h, onto=g_xy) != g_xyz.dilate(zv, s ** k):",
      "if False:"),
+    # dilation_factor takes g(x(y + z)) for g(xy)
+    (SRC + "localglobal.py",
+     "g_xy = g_xyz.at_zero(zv)",
+     "g_xy = g_xyz"),
+    # dilation_factor takes w_s(x(y + z)) for w_s(xy) in the inverted half
+    (SRC + "localglobal.py",
+     "a.dilate(zv, 0)",
+     "a.dilate(zv, 1)"),
     # heuristic_reduce's multiply-back
     (SRC + "factorize.py",
      "if eval_word(left, onto=r.rmul_letters(right.letters)) != g:",
