@@ -105,6 +105,8 @@ class BaseRing:
     fractional: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.param is not None and type(self.param) is not int:
+            raise TypeError("ring parameter must be an int, not %s" % type(self.param).__name__)
         m = self.param if self.kind in (KIND_MOD, KIND_PRIME_FIELD) else None
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "fractional", self.kind in (KIND_RATIONALS, KIND_LOCALIZED))
@@ -135,7 +137,7 @@ class BaseRing:
     def integers_localized(s: int) -> "BaseRing":
         if s == 0:
             raise ValueError("cannot invert zero")
-        return BaseRing(KIND_LOCALIZED, abs(s))
+        return BaseRing(KIND_LOCALIZED, s if s > 0 else -s)  # not abs(s): abs(True) is the int 1
 
     @property
     def is_field(self) -> bool:

@@ -75,6 +75,7 @@ class CoveringData:
     def __post_init__(self):
         if not (len(self.elems) == len(self.coeffs) == len(self.exponents)):
             raise CoveringInconsistent("covering component lengths differ")
+        _require_ints((*self.elems, *self.coeffs, *self.exponents))
         if not self.elems:
             raise CoveringInconsistent("empty covering")
         if any(s == 0 for s in self.elems):
@@ -87,8 +88,9 @@ class CoveringData:
     @staticmethod
     def from_elements(elems, exponents=None) -> "CoveringData":
         """Builds coefficients by iterated extended gcd over Z."""
-        elems = tuple(int(s) for s in elems)
+        elems = tuple(elems)
         exponents = (1,) * len(elems) if exponents is None else tuple(exponents)
+        _require_ints(elems)  # before the gcd reads them
         coeffs = _unit_combination(elems)
         return CoveringData(elems, coeffs, exponents)
 
@@ -97,6 +99,11 @@ class CoveringData:
         powers = tuple(s ** k for s, k in zip(self.elems, self.exponents))
         coeffs = _unit_combination(powers)
         return CoveringData(powers, coeffs, (1,) * len(powers))
+
+
+def _require_ints(values) -> None:
+    if not all(type(v) is int for v in values):
+        raise CoveringInconsistent("covering components must be ints")
 
 
 def _unit_combination(elems) -> tuple:
@@ -121,25 +128,16 @@ def telescoping_chain(covering: CoveringData) -> list:
 
 
 def telescoping_product(g: GroupMatrix, chain) -> GroupMatrix:
-    """The exact matrix product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
+    """The product of g(a_j x1) g(a_{j+1} x1)^{-1} along the chain.
 
-    g is inverted once and g(b x1)^{-1} is taken as g^{-1}(b x1), since inversion commutes
-    with x1 -> b x1.  A step with a = b is the identity and is skipped; each g^{-1}(b x1)
-    meets the next g(a x1) first, so no factor of a product has twice g's degree.  A type-A
-    g of determinant other than 1 raises NotInGroup even where every g(b x1) is invertible
-    (g(0), say); type C takes the form inverse, which checks nothing.
+    Consecutive factors cancel, so the product is g(a_0 x1) g^{-1}(a_N x1): inversion
+    commutes with x1 -> b x1.  A type-A g of determinant other than 1 raises NotInGroup
+    even where every g(b x1) is invertible (g(0), say); type C takes the form inverse,
+    which checks nothing.
     """
-    out = GroupMatrix.identity(g.rs, g.base, g.nvars)
     if len(chain) < 2:
-        return out
-    inv = g.inverse()
-    steps = [(a, b) for a, b in zip(chain, chain[1:]) if a != b]
-    if not steps:
-        return out
-    out = g.dilate(0, steps[0][0])
-    for (_, b), (a, _) in zip(steps, steps[1:]):
-        out = out * (inv.dilate(0, b) * g.dilate(0, a))  # __mul__ passes an identity through
-    return out * inv.dilate(0, steps[-1][1])
+        return GroupMatrix.identity(g.rs, g.base, g.nvars)
+    return g.dilate(0, chain[0]) * g.inverse().dilate(0, chain[-1])
 
 
 # ---------------------------------------------------------------------------

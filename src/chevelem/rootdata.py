@@ -244,10 +244,8 @@ class GroupMatrix:
             raise SizeMismatch("matrix sizes differ")
         a, b = self.entries, other.entries
         a[0][0]._check_compatible(b[0][0])
-        if other.is_identity():  # such as a certificate's residual: no product
+        if other.is_identity():  # the one pass-through: a residual, or g^{-1}(0) of a congruence g
             return self
-        if self.is_identity():
-            return GroupMatrix(self.rs, b)
         base, nvars = self.base, self.nvars
         cols = list(zip(*b))
         return GroupMatrix(

@@ -31,6 +31,8 @@ class Budget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if type(value) is not int:
+                raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
             if value < 0:
                 raise ValueError("%s must not be negative" % name)
 

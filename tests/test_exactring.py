@@ -185,6 +185,22 @@ def test_normalize_refuses_strings_and_bools(base):
             MultiPoly.const(base, 1, c)
 
 
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: BaseRing.integers_mod(2.5), "float"),
+        (lambda: BaseRing.prime_field(5.0), "float"),
+        (lambda: BaseRing.integers_localized(2.5), "float"),
+        (lambda: BaseRing.integers_localized(True), "bool"),
+    ],
+    ids=["Zmod-2.5", "F-5.0", "Zloc-2.5", "Zloc-True"],
+)
+def test_ring_parameter_must_be_an_int(build, kind):
+    # a float or bool parameter would print as Z/2 or Z[1/1] and normalize to floats
+    with pytest.raises(TypeError, match="ring parameter must be an int, not %s$" % kind):
+        build()
+
+
 def test_normalize_keeps_float_behaviour():
     # floats still go through Fraction: exact values pass, others mismatch
     assert Z.normalize(2.0) == 2 and type(Z.normalize(2.0)) is int

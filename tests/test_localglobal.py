@@ -137,15 +137,16 @@ def dilated(g, a):
     "chain", [[3], [1, 0], [1, -2, 5, 0], [1, 1, -2, 0]], ids=["1", "2", "4", "4-repeated"]
 )
 def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypatch):
-    # out * g(a x) * g(b x)^{-1} from the identity, step by step; g is
-    # inverted once, and a step from a to b != a dilates g once at a and
-    # g^{-1} once at b; a step with a = b is the identity and builds nothing
+    # out * g(a x) * g(b x)^{-1} from the identity, step by step; the
+    # factors cancel, so g is inverted once, g is dilated once at the
+    # first point, g^{-1} once at the last, and one product joins them
     g = eval_word(random_elementary_word(rs, 2500 + len(chain), 6), Z, 1)
     expect = GroupMatrix.identity(rs, Z, 1)
     for a, b in zip(chain, chain[1:]):
         expect = expect * dilated(g, a) * dilated(g, b).inverse()
-    dilations, inverses = {"g": [], "inverse": []}, []
+    dilations, inverses, products = {"g": [], "inverse": []}, [], []
     real_dilate, real_inverse = GroupMatrix.dilate, GroupMatrix.inverse
+    real_mul = GroupMatrix.__mul__
 
     def counted_dilate(self, var, c):
         dilations["g" if self is g else "inverse"].append(c)
@@ -155,12 +156,18 @@ def test_telescoping_product_matches_the_written_out_product(rs, chain, monkeypa
         inverses.append(self)
         return real_inverse(self)
 
+    def counted_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
     monkeypatch.setattr(GroupMatrix, "dilate", counted_dilate)
     monkeypatch.setattr(GroupMatrix, "inverse", counted_inverse)
+    monkeypatch.setattr(GroupMatrix, "__mul__", counted_mul)
     assert telescoping_product(g, chain) == expect
-    assert inverses == [g] * (len(chain) > 1)
-    steps = [(a, b) for a, b in zip(chain, chain[1:]) if a != b]
-    assert dilations == {"g": [a for a, _ in steps], "inverse": [b for _, b in steps]}
+    long = len(chain) > 1
+    assert inverses == [g] * long
+    assert dilations == {"g": chain[:1] * long, "inverse": chain[-1:] * long}
+    assert len(products) == long
 
 
 def test_telescoping_product_refuses_a_non_member():
@@ -874,6 +881,15 @@ def incongruent_generator_call():
     cert.generator(2, 1)
 
 
+def float_point_dilation():
+    # at s = 2.0 a certificate came back with s == 2.0
+    w, g = integral_word_and_matrix(random.Random(7), A2)
+    dilation_factor(g, map_word(w, ("localize", 2)), 2.0)
+
+
+NOT_INT = "covering components must be ints"
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -894,9 +910,20 @@ def incongruent_generator_call():
         (lambda: dilation_equalizer(GroupMatrix.identity(A2, Z, 1),
                                     GroupMatrix.identity(A2, BaseRing.rationals(), 1), 2),
          PreconditionViolated, "matrices over different rings"),
+        (float_point_dilation, TypeError, "ring parameter must be an int, not float"),
+        (lambda: descend_word(half_conjugate_word(), 2.0),
+         TypeError, "ring parameter must be an int, not float"),
+        # nothing is truncated or read from a string on the way in
+        (lambda: CoveringData.from_elements([2.5, 3]), CoveringInconsistent, NOT_INT),
+        (lambda: CoveringData.from_elements(["2", 3]), CoveringInconsistent, NOT_INT),
+        (lambda: CoveringData.from_elements([2, 3], [1.5, 1]), CoveringInconsistent, NOT_INT),
+        (lambda: CoveringData((2.0, 3), (-1, 1), (1, 1)), CoveringInconsistent, NOT_INT),
+        (lambda: CoveringData((2, 3), (-1, True), (1, 1)), CoveringInconsistent, NOT_INT),
     ],
     ids=["dilation-over-F5", "descent-over-Z", "incongruent-points", "certs-out-of-order",
-         "cert-above-exponent", "equalizer-mixed-rings"],
+         "cert-above-exponent", "equalizer-mixed-rings", "dilation-at-float-s",
+         "descent-at-float-s", "covering-float-elem", "covering-str-elem",
+         "covering-float-exponent", "covering-float-direct", "covering-bool-coeff"],
 )
 def test_input_refusals(call, error, message):
     with pytest.raises(error) as caught:

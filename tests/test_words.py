@@ -139,15 +139,20 @@ def test_map_word_localize_beyond_z(base, s, target):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda: Budget(max_steps=-1), "max_steps must not be negative"),
-        (lambda: map_word(ElemWord(A2, []), ("bogus",)), "unknown homomorphism kind 'bogus'"),
+        (lambda: Budget(max_steps=-1), ValueError, "max_steps must not be negative"),
+        # a greedy pass under max_steps=2.5 ran 3 steps, and under True 1 step
+        (lambda: Budget(max_steps=2.5), TypeError, "max_steps must be an int, not float"),
+        (lambda: Budget(max_steps=True), TypeError, "max_steps must be an int, not bool"),
+        (lambda: Budget(max_letters="40"), TypeError, "max_letters must be an int, not str"),
+        (lambda: map_word(ElemWord(A2, []), ("bogus",)), ValueError,
+         "unknown homomorphism kind 'bogus'"),
     ],
-    ids=["negative-budget", "unknown-map"],
+    ids=["negative-budget", "float-budget", "bool-budget", "str-budget", "unknown-map"],
 )
-def test_value_refusals(call, message):
-    with pytest.raises(ValueError) as caught:
+def test_value_refusals(call, error, message):
+    with pytest.raises(error) as caught:
         call()
     assert str(caught.value) == message
 

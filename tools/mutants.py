@@ -168,6 +168,18 @@ MUTANTS = (
     (SRC + "exactring.py",
      "if not isinstance(text, str):\n        raise TypeError(",
      "if False:\n        raise TypeError("),
+    # a base ring takes a float or bool parameter
+    (SRC + "exactring.py",
+     "if self.param is not None and type(self.param) is not int:",
+     "if False:"),
+    # a covering keeps float, bool or string components
+    (SRC + "localglobal.py",
+     "if not all(type(v) is int for v in values):",
+     "if not all(v is v for v in values):"),
+    # a budget takes a float or bool field
+    (SRC + "words.py",
+     "if type(value) is not int:",
+     "if False:"),
 )
 
 ONCE_TEST = "tests/test_lint.py::test_every_mutant_applies_once"
